@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .factors import (
     current_counter,
     marginalize,
 )
-from .solve import Policy
+from .solve import Policy, policies_from_choices
 
 BRUTE_GUARD = 2 ** 16
 CONSTANT_TOL = 1e-9
@@ -132,8 +132,7 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                              for _, t in sorted(d.cpts.items())]
     pool += [Potential(ScopedTable.scalar(1.0), t) for t in d.utilities]
     width = 0
-    rules: dict[int, ScopedTable] = {}
-    sets: dict[int, tuple[frozenset[int], ...]] = {}
+    choices: dict[int, ChoiceTable] = {}
     for op, block in reversed(sov0(d)):
         if op is Op.MAX:
             order: Sequence[int] = tuple(reversed(block))
@@ -155,11 +154,7 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                     raise InternalError(
                         f"rule for {d.names[x]} would depend on "
                         f"{sorted(set(choice.retained_scope) - set(d.parents[x]))}")
-                rules[x] = ScopedTable(choice.retained_scope, choice.retained_sizes,
-                                       choice.representative.astype(float),
-                                       tag="policy", name=f"rule_{d.names[x]}")
-                if with_sets:
-                    sets[x] = tuple(frozenset(row) for row in choice.attaining)
+                choices[x] = choice
             else:
                 acc = pot_marg_chance(acc, [x], counter)
             pool = [pi for pi in pool if pi not in hits]
@@ -172,17 +167,7 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
     mass = float(final.p.values[0])
     if abs(mass - 1.0) > 1e-6:
         raise InternalError(f"probability mass ended at {mass}, expected 1")
-    policies = []
-    for x in d.decision_ids:
-        context = tuple(d.parents[x])
-        if x in rules:
-            policies.append(Policy(x, context, rules[x], sets.get(x)))
-        else:
-            rule = ScopedTable((), (), np.zeros(1), tag="policy",
-                               name=f"rule_{d.names[x]}")
-            full = (frozenset(range(d.size_of(x))),) if with_sets else None
-            policies.append(Policy(x, context, rule, full))
-    return float(final.u.values[0]), policies, width
+    return float(final.u.values[0]), policies_from_choices(d, choices, with_sets), width
 
 
 def untyped_hypergraph(d: InfluenceDiagram) -> Hypergraph:
@@ -238,20 +223,10 @@ def brute_force(d: InfluenceDiagram, guard: int = BRUTE_GUARD
     blocks = sov0(d)
     notes: dict[int, dict[tuple[int, ...], frozenset[int]]] = {
         x: {} for x in d.decision_ids}
-    poss = d.mode == "poss"
-
-    def leaf(env: Mapping[int, int]) -> float:
-        if poss:
-            worst = max((1.0 - t.lookup(env) for t in d.cpts.values()), default=0.0)
-            return max(worst, min(t.lookup(env) for t in d.utilities))
-        mass = 1.0
-        for t in d.cpts.values():
-            mass *= t.lookup(env)
-        return mass * sum(t.lookup(env) for t in d.utilities)
 
     def rec(i: int, env: dict[int, int]) -> float:
         if i == len(blocks):
-            return leaf(env)
+            return d.assignment_value(env)
         op, block = blocks[i]
         if op is Op.MAX:
             (x,) = block

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baseline, clusters, nodes, solve
 from .diagram import DiagramError, InfluenceDiagram, fixture, parse, random_id, serialize
-from .factors import FactorError, InternalError, ResourceGuardError, ScopedTable
+from .factors import ChoiceTable, FactorError, InternalError, ResourceGuardError
 from .rewrite import macrostructure
 
 HEURISTICS = ("min-fill", "min-degree", "exhaustive")
@@ -56,18 +56,17 @@ def _print_policies(d: InfluenceDiagram, policies: Sequence[solve.Policy]) -> No
 
 
 def _brute_policies(d: InfluenceDiagram,
-                    notes: dict[int, dict[tuple[int, ...], frozenset[int]]]
-                    ) -> list[solve.Policy]:
-    out = []
-    for x in d.decision_ids:
+                    notes: dict[int, dict[tuple[int, ...], frozenset[int]]],
+                    with_sets: bool) -> list[solve.Policy]:
+    """Policies over the full observed context, from brute force's tie notes."""
+    choices: dict[int, ChoiceTable] = {}
+    for x, table in notes.items():
         pa = tuple(d.parents[x])
         sizes = tuple(d.size_of(v) for v in pa)
-        table = notes.get(x, {})
-        values = [float(min(table.get(ctx, {0}))) for ctx in product(*(range(s) for s in sizes))]
-        rule = ScopedTable(pa, sizes, np.asarray(values), tag="policy",
-                           name=f"rule_{d.names[x]}")
-        out.append(solve.Policy(x, pa, rule))
-    return out
+        rows = [tuple(sorted(table[ctx])) for ctx in product(*(range(s) for s in sizes))]
+        choices[x] = ChoiceTable(pa, sizes, (x,), (d.size_of(x),),
+                                 np.array([row[0] for row in rows]), tuple(rows))
+    return solve.policies_from_choices(d, choices, with_sets)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -76,25 +75,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.engine == "mcdag":
         run = solve.solve_diagram(d, heuristic=args.heuristic,
-                                  merge=not args.no_merge, refine=args.refine,
-                                  with_sets=args.sets)
+                                  merge=not args.no_merge, with_sets=args.sets)
         policies = run.policies
         report.update(meu=run.meu, w_mcdag=run.w_mcdag, w_potential=None,
                       node_count=run.node_count, cluster_count=run.cluster_count,
-                      clusters_evaluated=run.clusters_evaluated,
                       trace_len=run.trace_len)
     elif args.engine == "potential":
         value, policies, width = baseline.potential_ve(
             d, heuristic=args.heuristic, with_sets=args.sets)
         report.update(meu=value, w_mcdag=None, w_potential=width,
-                      node_count=None, cluster_count=None,
-                      clusters_evaluated=None, trace_len=None)
+                      node_count=None, cluster_count=None, trace_len=None)
     else:
         value, notes = baseline.brute_force(d)
-        policies = _brute_policies(d, notes)
+        policies = _brute_policies(d, notes, args.sets)
         report.update(meu=value, w_mcdag=None, w_potential=None,
-                      node_count=None, cluster_count=None,
-                      clusters_evaluated=None, trace_len=None)
+                      node_count=None, cluster_count=None, trace_len=None)
     report["wall_time"] = time.perf_counter() - start
     report["policies"] = [_policy_json(d, p) for p in policies]
     if args.json:
@@ -140,8 +135,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.stage == "nodes":
         dot = nodes.to_dot(store, root)
     else:
-        m = clusters.assemble(store, root, heuristic=args.heuristic,
-                              refine=args.refine)
+        m = clusters.assemble(store, root, heuristic=args.heuristic)
         if not args.no_merge:
             m = clusters.merge_clusters(m)
         dot = clusters.to_dot(m, store.names)
@@ -212,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-merge", action="store_true",
                    help="skip unifying identical clusters")
-    p.add_argument("--refine", action="store_true",
-                   help="guide decision orders by utility scopes only")
     p.add_argument("--sets", action="store_true",
                    help="report full argmax sets, not just representatives")
     common(p)
@@ -231,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", choices=("nodes", "mcdag"), default="nodes")
     p.add_argument("--dot", metavar="PATH", help="write to a file instead of stdout")
     p.add_argument("--no-merge", action="store_true")
-    p.add_argument("--refine", action="store_true")
     common(p)
     p.set_defaults(func=cmd_compile)
 

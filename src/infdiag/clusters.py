@@ -277,40 +277,7 @@ def clusterize(store: NodeStore, nid: int, order: EliminationOrder,
 # --------------------------------------------------------------------------
 # Whole-DAG assembly
 
-def refined_hypergraph(store: NodeStore, nid: int) -> Hypergraph:
-    """Edges limited to the utility-bearing member of each decision branch.
-
-    Falls back to hypergraph_of whenever the node is not a decision node of
-    the expected shape or a branch lacks a unique utility-bearing member.
-    """
-    fallback = hypergraph_of(store, nid)
-    node = store.nodes[nid]
-    if len(node.sov) != 1 or node.sov[0][0] is not Op.MAX:
-        return fallback
-    memo: dict[int, bool] = {}
-
-    def bears(mid: int) -> bool:
-        if mid not in memo:
-            m = store.nodes[mid]
-            if m.is_atomic:
-                memo[mid] = m.table.tag == "utility"
-            else:
-                memo[mid] = any(bears(c) for c in m.children)
-        return memo[mid]
-
-    edges = []
-    for c in node.children:
-        cn = store.nodes[c]
-        members = cn.children if (not cn.is_atomic and cn.sov == ()) else (c,)
-        bearers = [m for m in members if bears(m)]
-        if len(bearers) != 1:
-            return fallback
-        edges.append(frozenset(store.scope(bearers[0])))
-    return Hypergraph(fallback.vertices, frozenset(edges))
-
-
-def assemble(store: NodeStore, root: int, heuristic: str = "min-fill",
-             refine: bool = False) -> MCDag:
+def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
     """Decompose every reachable composite node and wire the cluster DAG."""
     clusters: list[Cluster] = []
     fragment_of: dict[int, int] = {}
@@ -325,13 +292,8 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill",
         node = store.nodes[nid]
         if node.is_atomic:
             continue
-        g = hypergraph_of(store, nid)
         sov_vars = [v for _, block in node.sov for v in block]
-        if refine:
-            guide = refined_hypergraph(store, nid)
-            order = width_of_order(g, find_order(guide, sov_vars, heuristic).order)
-        else:
-            order = find_order(g, sov_vars, heuristic)
+        order = find_order(hypergraph_of(store, nid), sov_vars, heuristic)
         fragment_of[nid] = clusterize(store, nid, order, clusters, fragment_of)
         node_widths[nid] = order.width
     m = MCDag(tuple(clusters), fragment_of[root], node_widths,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,6 +141,21 @@ class InfluenceDiagram:
     def temporal_decisions(self) -> tuple[int, ...]:
         """Decision ids in temporal order (the even-position blocks)."""
         return tuple(self.blocks[i][0] for i in range(1, len(self.blocks), 2))
+
+    def assignment_value(self, env: Mapping[int, int]) -> float:
+        """Value of one full assignment before any marginalization.
+
+        prob: joint probability times the summed utilities.  poss: the
+        pessimistic max(1 - joint possibility, min utility), the joint
+        possibility being the min over the tables.
+        """
+        if self.mode == "poss":
+            worst = max((1.0 - t.lookup(env) for t in self.cpts.values()), default=0.0)
+            return max(worst, min(t.lookup(env) for t in self.utilities))
+        weight = 1.0
+        for t in self.cpts.values():
+            weight *= t.lookup(env)
+        return weight * sum(t.lookup(env) for t in self.utilities)
 
 
 def sov0(d: InfluenceDiagram) -> list[tuple[Op, tuple[int, ...]]]:

@@ -161,10 +161,6 @@ class ScopedTable:
         return self.values.size
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.sizes
-
-    @property
     def array(self) -> np.ndarray:
         return self.values.reshape(self.sizes) if self.scope else self.values.reshape(())
 
@@ -283,15 +279,6 @@ class ChoiceTable:
             out.append(rem % size)
             rem //= size
         return tuple(reversed(out))
-
-    def retained_index(self, assignment: Mapping[int, int]) -> int:
-        idx = 0
-        for var, size in zip(self.retained_scope, self.retained_sizes):
-            val = assignment[var]
-            if not 0 <= val < size:
-                raise AssignmentError(f"value {val} out of range for variable {var}")
-            idx = idx * size + val
-        return idx
 
 
 def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter | None = None) -> tuple[ScopedTable, ChoiceTable]:

@@ -378,8 +378,7 @@ def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int]) -> int:
     return store.composite(node.sov, node.comb, kids)
 
 
-def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
-              debug: bool) -> int:
+def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     marg = store.nodes[root].sov[-1][0]
     root = decompose_sum(store, root, x, trace)
     inners = created_inner_nodes(store, root, marg, x)
@@ -490,7 +489,7 @@ def macrostructure(store: NodeStore, root: int,
             if op is Op.MAX:
                 root = _max_step(store, root, x, trace, debug)
             else:
-                root = _sum_step(store, root, x, trace, debug)
+                root = _sum_step(store, root, x, trace)
     return remove_passthrough(store, root), trace
 
 

@@ -20,11 +20,13 @@ import numpy as np
 from .clusters import MCDag, assemble, merge_clusters
 from .diagram import InfluenceDiagram
 from .factors import (
+    ChoiceTable,
     InternalError,
     Op,
     OpCounter,
     ResourceGuardError,
     ScopedTable,
+    _aligned_view,
     argmax_marginalize,
     combine,
     combine_all,
@@ -73,7 +75,6 @@ class RunReport:
     w_mcdag: int
     node_count: int
     cluster_count: int
-    clusters_evaluated: int
     trace_len: int
     wall_time: float
 
@@ -131,25 +132,35 @@ def _substitute(t: ScopedTable, var: int, rule: ScopedTable) -> ScopedTable:
     union = tuple(sorted(set(t.scope) | set(rule.scope)))
     size_of = dict(zip(t.scope, t.sizes)) | dict(zip(rule.scope, rule.sizes))
     shape = tuple(size_of[v] for v in union)
-
-    def aligned(x: ScopedTable) -> np.ndarray:
-        view = x.values.reshape(
-            tuple(size_of[v] if v in x.scope else 1 for v in union))
-        order = [v for v in union if v in x.scope]
-        if order != list(x.scope):
-            view = x.values.reshape(x.sizes).transpose(
-                [x.scope.index(v) for v in order]).reshape(
-                tuple(size_of[v] if v in x.scope else 1 for v in union))
-        return view
-
     axis = union.index(var)
-    arr = np.broadcast_to(aligned(t), shape)
-    idx = np.broadcast_to(np.rint(aligned(rule)).astype(np.intp),
+    arr = np.broadcast_to(_aligned_view(t, union), shape)
+    idx = np.broadcast_to(np.rint(_aligned_view(rule, union)).astype(np.intp),
                           shape[:axis] + (1,) + shape[axis + 1:])
     picked = np.take_along_axis(arr, idx, axis=axis)
     keep = tuple(v for v in union if v != var)
     return ScopedTable(keep, tuple(size_of[v] for v in keep),
                        picked.reshape(-1).copy())
+
+
+def _rule(d: InfluenceDiagram, x: int, choice: ChoiceTable) -> ScopedTable:
+    return ScopedTable(choice.retained_scope, choice.retained_sizes,
+                       choice.representative.astype(float),
+                       tag="policy", name=f"rule_{d.names[x]}")
+
+
+def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],
+                          with_sets: bool = False) -> list[Policy]:
+    """One policy per decision, in id order, from each decision's argmax."""
+    out = []
+    for x in d.decision_ids:
+        choice = choices.get(x)
+        if choice is None:  # no influence anywhere: every choice is optimal
+            size = d.size_of(x)
+            choice = ChoiceTable((), (), (x,), (size,), np.zeros(1, dtype=np.intp),
+                                 (tuple(range(size)),))
+        sets = tuple(frozenset(row) for row in choice.attaining) if with_sets else None
+        out.append(Policy(x, tuple(d.parents[x]), _rule(d, x, choice), sets))
+    return out
 
 
 def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
@@ -170,8 +181,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
     for x in sorted(mentioned - set(cluster_of)):
         raise InternalError(f"decision {x} appears but is never max-eliminated")
 
-    rules: dict[int, ScopedTable] = {}
-    sets: dict[int, tuple[frozenset[int], ...]] = {}
+    choices: dict[int, ChoiceTable] = {}
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
         c = m.clusters[cid]
         parts = list(c.psi) + [values[s] for s in c.sons]
@@ -183,35 +193,19 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
             if not later:
                 break
             y = later[0]
-            if y not in rules:
+            if y not in choices:
                 raise InternalError(
                     f"decision {y} reached before its own cluster was processed")
-            t = _substitute(t, y, rules[y])
+            t = _substitute(t, y, _rule(d, y, choices[y]))
         stray = [v for v in t.scope if v != x and v not in pa]
         if stray:
             raise InternalError(
                 f"rule for decision {x} would depend on unobserved {stray}")
         if x not in t.scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
-        _, choice = argmax_marginalize(t, [x], counter)
-        rules[x] = ScopedTable(choice.retained_scope, choice.retained_sizes,
-                               choice.representative.astype(float),
-                               tag="policy", name=f"rule_{d.names[x]}")
-        if with_sets:
-            sets[x] = tuple(frozenset(row) for row in choice.attaining)
-
-    out = []
-    for x in d.decision_ids:
-        context = tuple(d.parents[x])
-        if x in rules:
-            out.append(Policy(x, context, rules[x], sets.get(x)))
-            continue
-        # Decision with no influence anywhere: any choice is optimal.
-        rule = ScopedTable((), (), np.zeros(1), tag="policy",
-                           name=f"rule_{d.names[x]}")
-        full = (frozenset(range(d.size_of(x))),) if with_sets else None
-        out.append(Policy(x, context, rule, full))
-    return out
+        _, choices[x] = argmax_marginalize(t, [x], counter)
+    values.clear()  # free the messages before the rules are built
+    return policies_from_choices(d, choices, with_sets)
 
 
 def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
@@ -236,16 +230,11 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
             if not 0 <= val < d.size_of(x):
                 raise InternalError(f"rule for {d.names[x]} chose {val}")
             env[x] = val
-        if poss:
-            worst = max((1.0 - t.lookup(env) for t in d.cpts.values()), default=0.0)
-            value = max(worst, min(t.lookup(env) for t in d.utilities))
-            acc = value if acc is None else min(acc, value)
+        value = d.assignment_value(env)
+        if acc is None:
+            acc = value
         else:
-            weight = 1.0
-            for t in d.cpts.values():
-                weight *= t.lookup(env)
-            value = weight * sum(t.lookup(env) for t in d.utilities)
-            acc = value if acc is None else acc + value
+            acc = min(acc, value) if poss else acc + value
     return 0.0 if acc is None else acc
 
 
@@ -253,13 +242,13 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # End to end
 
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
-                  merge: bool = True, refine: bool = False,
-                  want_policies: bool = True, with_sets: bool = False,
+                  merge: bool = True, want_policies: bool = True,
+                  with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
     start = time.perf_counter()
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
-    m = assemble(store, root, heuristic=heuristic, refine=refine)
+    m = assemble(store, root, heuristic=heuristic)
     if merge:
         m = merge_clusters(m)
     meu = evaluate(m, d.sizes, counter)
@@ -271,7 +260,6 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
         w_mcdag=m.w_mcdag,
         node_count=node_count(store, root),
         cluster_count=len(m.clusters),
-        clusters_evaluated=len(m.clusters),
         trace_len=len(trace),
         wall_time=time.perf_counter() - start,
     )

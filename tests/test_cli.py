@@ -65,10 +65,31 @@ def test_brute_policies_match(fig2, capsys):
     assert got["policies"] == want["policies"]
 
 
-def test_sets_flag_adds_choices(fig2, capsys):
-    report = run_json(capsys, ["solve", fig2, "--json", "--sets"])
+FREE_DECISION = """IDNET 1
+MODE prob
+VAR c 2 CHANCE
+VAR d 3 DECISION
+VAR e 2 CHANCE
+PROB c | : 0.4 0.6
+PROB e | c : 0.3 0.7 0.9 0.1
+UTIL u e : 1.0 5.0
+ORDER c / d / e
+"""
+
+
+@pytest.mark.parametrize("engine", ["mcdag", "potential", "brute"])
+@pytest.mark.parametrize("source", ["fig2", "free"])
+def test_sets_flag_adds_choices(source, engine, fig2, tmp_path, capsys):
+    path = fig2
+    if source == "free":  # no table mentions d, so every choice is optimal
+        path = tmp_path / "free.idnet"
+        path.write_text(FREE_DECISION)
+    report = run_json(capsys, ["solve", str(path), "--engine", engine,
+                               "--json", "--sets"])
     for p in report["policies"]:
         assert all(isinstance(c, list) and c for c in p["choices"])
+        if source == "free":
+            assert all(c == [0, 1, 2] for c in p["choices"])
 
 
 def test_width_gap(fig2, capsys):

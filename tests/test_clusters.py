@@ -13,7 +13,6 @@ from infdiag.clusters import (
     find_order,
     hypergraph_of,
     merge_clusters,
-    refined_hypergraph,
     to_dot,
     width_of_order,
 )
@@ -319,54 +318,6 @@ def test_merge_requires_same_table_objects():
     root = store.composite([], Op.PLUS, [g1, g2])
     merged = merge_clusters(assemble(store, root))
     assert len(merged.clusters) == len(assemble(store, root).clusters)
-
-
-# -- refined hypergraphs --------------------------------------------------------
-
-def refined_node():
-    store = NodeStore([2, 2, 2], ["x", "y", "z"])
-    belief = table((0, 2), [2, 2, 2], tag="probability", name="b")
-    util = table((0, 1), [2, 2, 2], tag="utility", name="u")
-    wrap = store.composite([], Op.TIMES, [store.atomic(belief), store.atomic(util)])
-    node = store.composite([(Op.MAX, (0,))], Op.PLUS, [wrap])
-    return store, node
-
-
-def test_refined_hypergraph_narrows_to_utility_scope():
-    store, node = refined_node()
-    full = hypergraph_of(store, node)
-    assert find_order(full, [0], "exhaustive").width == 2
-    refined = refined_hypergraph(store, node)
-    assert refined.edges == {frozenset({0, 1})}
-    assert find_order(refined, [0], "exhaustive").width == 1
-
-
-def test_refined_hypergraph_falls_back():
-    store, _, _, s2 = fig2_parts()
-    assert refined_hypergraph(store, s2) == hypergraph_of(store, s2)  # sum node
-    two = NodeStore([2, 2], ["x", "y"])
-    u1 = two.atomic(table((0,), [2, 2], tag="utility", name="u1"))
-    u2 = two.atomic(table((0, 1), [2, 2], tag="utility", name="u2"))
-    wrap = two.composite([], Op.PLUS, [u1, u2])
-    node = two.composite([(Op.MAX, (0,))], Op.PLUS, [wrap])
-    assert refined_hypergraph(two, node) == hypergraph_of(two, node)
-
-
-def test_refined_hypergraph_on_plain_decision_node():
-    store = NodeStore([2], ["x"])
-    u = store.atomic(table((0,), [2], tag="utility", name="u"))
-    node = store.composite([(Op.MAX, (0,))], Op.PLUS, [u])
-    assert refined_hypergraph(store, node) == hypergraph_of(store, node)
-
-
-def test_assemble_with_refinement_still_contained():
-    store, node = refined_node()
-    m = assemble(store, node, refine=True)
-    # The guiding order is replayed on the true hypergraph, so the recorded
-    # width is the achieved one, not the refined estimate.
-    assert m.node_widths[node] == 2
-    plain = assemble(*macro_root(fixture("fig2")), refine=True)
-    assert plain.w_mcdag == 1
 
 
 # -- rendering ------------------------------------------------------------------
