@@ -81,17 +81,6 @@ def _eliminate_step(edges: set[frozenset[int]], x: int
     return rest, created
 
 
-def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:
-    pairs = {(a, b) for e in edges for a in e for b in e if a < b}
-    new = 0
-    cl = sorted(created)
-    for i, a in enumerate(cl):
-        for b in cl[i + 1:]:
-            if (a, b) not in pairs:
-                new += 1
-    return new
-
-
 def width_of_order(g: Hypergraph, order: Sequence[int]) -> EliminationOrder:
     """Replay a fixed order and record the created-edge sizes."""
     edges = set(g.edges)
@@ -114,30 +103,44 @@ def find_order(g: Hypergraph, elim: Iterable[int],
         return _exhaustive_order(g, frozenset(todo))
     if heuristic not in ("min-fill", "min-degree"):
         raise InternalError(f"unknown ordering heuristic {heuristic!r}")
-    edges = set(g.edges)
+    # Neighbour sets of the primal graph: a candidate's created edge is its
+    # neighbourhood, and eliminating it turns that neighbourhood into a clique.
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        for v in e:
+            adj[v].update(e)
+    for v, nb in adj.items():
+        nb.discard(v)
+    degree = heuristic == "min-degree"
     order: list[int] = []
     sizes: list[int] = []
     remaining = sorted(todo)
     while remaining:
-        best: tuple[int, int, frozenset[int]] | None = None
+        best_score = -1
+        best = remaining[0]
         for x in remaining:  # ascending scan: ties keep the lowest id
-            hits = [e for e in edges if x in e]
-            created = frozenset().union(*hits) - {x} if hits else frozenset()
-            if heuristic == "min-degree":
-                score = len(created)
-            else:
-                score = _fill_count(edges, created)
-            if best is None or score < best[0]:
-                best = (score, x, created)
-        _, x, created = best
-        hit = any(x in e for e in edges)
-        edges = {e for e in edges if x not in e}
-        if hit:
-            edges.add(created)
-        order.append(x)
-        sizes.append(len(created))
-        remaining.remove(x)
+            nb = adj[x]
+            score = len(nb) if degree else _fill_in(adj, nb)
+            if best_score < 0 or score < best_score:
+                best_score, best = score, x
+                if score == 0:
+                    break  # no later candidate can score lower
+        nb = adj.pop(best)
+        for a in nb:
+            na = adj[a]
+            na.update(nb)
+            na.discard(a)
+            na.discard(best)
+        order.append(best)
+        sizes.append(len(nb))
+        remaining.remove(best)
     return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+
+
+def _fill_in(adj: Mapping[int, set[int]], nb: set[int]) -> int:
+    """Number of non-adjacent pairs among the neighbours `nb`."""
+    k = len(nb) - 1
+    return sum(k - len(nb & adj[a]) for a in nb) // 2
 
 
 def _exhaustive_order(g: Hypergraph, elim: frozenset[int]) -> EliminationOrder:

@@ -261,7 +261,8 @@ class ChoiceTable:
 
     Eliminated assignments are flat indices over the eliminated variables in
     ascending id order, last fastest.  `representative` holds the lowest such
-    index (the deterministic tie-break), `attaining` the full set.
+    index (the deterministic tie-break), `attaining` the full set, or None
+    when the sets were not asked for.
     """
 
     retained_scope: tuple[int, ...]
@@ -269,7 +270,7 @@ class ChoiceTable:
     elim_scope: tuple[int, ...]
     elim_sizes: tuple[int, ...]
     representative: np.ndarray
-    attaining: tuple[tuple[int, ...], ...]
+    attaining: tuple[tuple[int, ...], ...] | None
 
     def decode(self, flat: int) -> tuple[int, ...]:
         """Flat eliminated index -> per-variable values (ascending id order)."""
@@ -281,8 +282,10 @@ class ChoiceTable:
         return tuple(reversed(out))
 
 
-def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter | None = None) -> tuple[ScopedTable, ChoiceTable]:
-    """MAX-marginalize and record, per retained cell, the attaining set."""
+def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter | None = None,
+                       sets: bool = True) -> tuple[ScopedTable, ChoiceTable]:
+    """MAX-marginalize and record, per retained cell, the lowest attaining
+    index and, when `sets` is true, the whole attaining set."""
     elim = tuple(sorted(dict.fromkeys(vars)))
     missing = [v for v in elim if v not in t.scope]
     if missing:
@@ -297,7 +300,8 @@ def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter |
     best = flat.max(axis=1)
     (counter or current_counter()).add(int(flat.size - best.size), Op.MAX.value)
     rep = flat.argmax(axis=1)
-    attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx)) for row, mx in zip(flat, best))
+    attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
+                   for row, mx in zip(flat, best)) if sets else None
     marg = ScopedTable(keep, keep_sizes, best.copy(), t.tag)
     choice = ChoiceTable(keep, keep_sizes, elim, elim_sizes, rep.copy(), attain)
     return marg, choice

@@ -93,35 +93,43 @@ class NodeStore:
 
     def composite(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
                   children: Iterable[int]) -> int:
-        return self.intern(CompNode(canonical_sov(sov), comb,
-                                    tuple(sorted(set(children)))))
+        return self.intern(CompNode(tuple(sov), comb, tuple(children)))
 
     def intern(self, node: CompNode) -> int:
-        """Return the id of a structurally equal stored node, interning if new."""
+        """Return the id of a structurally equal stored node, interning if new.
+
+        A composite node's sov and children are canonicalized here, so they
+        may arrive in any order.  Only a new key is validated: every stored
+        key passed validation when it was stored.
+        """
         if node.is_atomic:
             key: object = ("atom", id(node.table))
+            found = self._index.get(key)
+            if found is not None:
+                return found
             scope = frozenset(node.table.scope)
         else:
+            sov = canonical_sov(node.sov)
+            children = tuple(sorted(set(node.children)))
+            key = (sov, node.comb, children)
+            found = self._index.get(key)
+            if found is not None:
+                return found
             if node.comb not in COMBINE_OPS:
                 raise InternalError(f"bad combination operator {node.comb}")
-            node = CompNode(canonical_sov(node.sov), node.comb,
-                            tuple(sorted(set(node.children))))
-            for op, _ in node.sov:
+            for op, block in sov:
                 if op not in MARGINAL_OPS:
                     raise InternalError(f"{op} cannot marginalize")
-            for c in node.children:
+                for v in block:
+                    if not 0 <= v < len(self.sizes):
+                        raise InternalError(f"unknown variable {v} in sov")
+            for c in children:
                 if not 0 <= c < len(self.nodes):
                     raise InternalError(f"dangling child id {c}")
+            node = CompNode(sov, node.comb, children)
             sv = node.sov_vars()
-            for v in sv:
-                if not 0 <= v < len(self.sizes):
-                    raise InternalError(f"unknown variable {v} in sov")
-            key = (node.sov, node.comb, node.children)
-            scope = frozenset().union(*(self._scopes[c] for c in node.children)) - sv \
-                if node.children else frozenset()
-        found = self._index.get(key)
-        if found is not None:
-            return found
+            scope = frozenset().union(*(self._scopes[c] for c in children)) - sv \
+                if children else frozenset()
         nid = len(self.nodes)
         self.nodes.append(node)
         self._index[key] = nid

@@ -158,7 +158,11 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
             size = d.size_of(x)
             choice = ChoiceTable((), (), (x,), (size,), np.zeros(1, dtype=np.intp),
                                  (tuple(range(size)),))
-        sets = tuple(frozenset(row) for row in choice.attaining) if with_sets else None
+        sets = None
+        if with_sets:
+            if choice.attaining is None:
+                raise InternalError(f"tie sets of decision {x} were not recorded")
+            sets = tuple(frozenset(row) for row in choice.attaining)
         out.append(Policy(x, tuple(d.parents[x]), _rule(d, x, choice), sets))
     return out
 
@@ -203,7 +207,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
                 f"rule for decision {x} would depend on unobserved {stray}")
         if x not in t.scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
-        _, choices[x] = argmax_marginalize(t, [x], counter)
+        _, choices[x] = argmax_marginalize(t, [x], counter, sets=with_sets)
     values.clear()  # free the messages before the rules are built
     return policies_from_choices(d, choices, with_sets)
 

@@ -1,12 +1,19 @@
-"""Independent enumeration oracle for the optimal value of a diagram.
+"""Independent oracles for the solver's layers.
 
-Works directly off the diagram's temporal blocks and tables, bypassing the
-node algebra, the cluster engine, and the potential baseline, so any of those
-can be checked against it.  Exponential; keep diagrams small.
+`oracle_value` gives the optimal value of a diagram directly off its temporal
+blocks and tables, bypassing the node algebra, the cluster engine, and the
+potential baseline, so any of those can be checked against it.  Exponential;
+keep diagrams small.
+
+`oracle_order` is the hyperedge-scan min-fill/min-degree loop that
+`clusters.find_order` replaced with neighbour-set bookkeeping; the two must
+pick the same orders.
 """
 
 import itertools
+from typing import Iterable
 
+from infdiag.clusters import EliminationOrder, Hypergraph
 from infdiag.diagram import InfluenceDiagram
 
 
@@ -40,3 +47,43 @@ def oracle_value(d: InfluenceDiagram) -> float:
                     for a in itertools.product(*ranges))
 
     return rec(0, {})
+
+
+def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:
+    pairs = {(a, b) for e in edges for a in e for b in e if a < b}
+    new = 0
+    cl = sorted(created)
+    for i, a in enumerate(cl):
+        for b in cl[i + 1:]:
+            if (a, b) not in pairs:
+                new += 1
+    return new
+
+
+def oracle_order(g: Hypergraph, elim: Iterable[int],
+                 heuristic: str = "min-fill") -> EliminationOrder:
+    """Greedy order that rescans every hyperedge for every candidate."""
+    edges = set(g.edges)
+    order: list[int] = []
+    sizes: list[int] = []
+    remaining = sorted(set(elim))
+    while remaining:
+        best = None
+        for x in remaining:  # ascending scan: ties keep the lowest id
+            hits = [e for e in edges if x in e]
+            created = frozenset().union(*hits) - {x} if hits else frozenset()
+            if heuristic == "min-degree":
+                score = len(created)
+            else:
+                score = _fill_count(edges, created)
+            if best is None or score < best[0]:
+                best = (score, x, created)
+        _, x, created = best
+        hit = any(x in e for e in edges)
+        edges = {e for e in edges if x not in e}
+        if hit:
+            edges.add(created)
+        order.append(x)
+        sizes.append(len(created))
+        remaining.remove(x)
+    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from infdiag import clusters
 from infdiag.clusters import (
     Cluster,
     EliminationOrder,
@@ -20,6 +21,7 @@ from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, store_for
 from infdiag.rewrite import macrostructure
+from oracles import oracle_order
 
 R1, R2, D = 0, 1, 2  # fig2 variable ids
 
@@ -153,6 +155,40 @@ def test_heuristics_never_beat_exhaustive():
             assert sorted(order.order) == elim
             assert order.width >= wexact
             assert width_of_order(g, order.order) == order
+
+
+def test_find_order_matches_hyperedge_scan_oracle():
+    rng = np.random.default_rng(17)
+    isolated_elim = outside = 0
+    for _ in range(500):
+        nv = int(rng.integers(1, 31))
+        # the last vertices may stay in no edge at all
+        span = int(rng.integers(1, nv + 1))
+        edges = set()
+        for _ in range(int(rng.integers(0, 2 * span + 1))):
+            k = int(rng.integers(1, min(5, span) + 1))
+            edges.add(frozenset(int(v) for v in rng.choice(span, size=k, replace=False)))
+        g = Hypergraph(frozenset(range(nv)), frozenset(edges))
+        elim = [v for v in range(nv) if rng.random() < 0.8]
+        covered = set().union(*edges)
+        isolated_elim += any(v not in covered for v in elim)
+        outside += len(elim) < nv
+        for heuristic in ("min-fill", "min-degree"):
+            assert find_order(g, elim, heuristic) == oracle_order(g, elim, heuristic), \
+                (sorted(map(sorted, edges)), elim, heuristic)
+    assert isolated_elim > 50 and outside > 50
+
+
+@pytest.mark.parametrize("family", ["chain", "star"])
+@pytest.mark.parametrize("n", list(range(2, 12)) + [64, 128])
+def test_assemble_matches_oracle_order_replay(family, n, monkeypatch):
+    store, root = macro_root(fixture(family, n))
+    got = assemble(store, root)
+    monkeypatch.setattr(clusters, "find_order", oracle_order)
+    want = assemble(store, root)
+    assert got.root == want.root and got.node_widths == want.node_widths
+    assert [(c.V, c.elim, c.sons, c.ops) for c in got.clusters] == \
+        [(c.V, c.elim, c.sons, c.ops) for c in want.clusters]
 
 
 # -- clusterize ---------------------------------------------------------------

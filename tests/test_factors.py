@@ -235,6 +235,22 @@ def test_argmax_multi_variable_decode():
     assert choice.representative[0] == 1  # lowest flat index wins ties
 
 
+def test_argmax_without_sets_keeps_marginal_and_representative():
+    rng = np.random.default_rng(5)
+    for scope, sizes, elim in [((0, 2), (2, 3), [2]), ((1, 3, 4), (3, 2, 4), [3, 1]),
+                               ((0,), (4,), [0])]:
+        # few distinct values, so most rows hold ties
+        t = ScopedTable(scope, sizes, rng.integers(0, 3, int(np.prod(sizes))).astype(float))
+        full_marg, full = argmax_marginalize(t, elim)
+        marg, choice = argmax_marginalize(t, elim, sets=False)
+        assert choice.attaining is None and full.attaining is not None
+        assert marg.scope == full_marg.scope
+        assert np.array_equal(marg.values, full_marg.values)
+        assert np.array_equal(choice.representative, full.representative)
+        assert (choice.retained_scope, choice.elim_scope) == \
+            (full.retained_scope, full.elim_scope)
+
+
 def test_counter_counts_combine_and_marginalize():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((1,), (3,), np.array([1.0, 2.0, 3.0]))

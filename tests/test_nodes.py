@@ -52,6 +52,29 @@ def test_composite_interning_canonicalizes():
     assert store.intern(store.node(a)) == a
 
 
+def test_intern_canonicalizes_raw_parts_once():
+    store = NodeStore((2, 2, 2, 2))
+    a = store.atomic(_table((0,), (2,), [1.0, 2.0]))
+    b = store.atomic(_table((1, 2), (2, 2), [1.0, 2.0, 3.0, 4.0]))
+    c = store.atomic(_table((3,), (2,), [5.0, 6.0]))
+    n1 = store.intern(CompNode(((Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (c, a, b)))
+    size = len(store)
+    raw = [
+        CompNode(((Op.MAX, (1, 2)), (Op.SUM, (3,))), Op.TIMES, (a, b, c)),
+        CompNode(((Op.MAX, (2,)), (Op.MAX, (1,)), (Op.SUM, (3,))), Op.TIMES,
+                 (b, c, a, b, c)),
+        CompNode(((Op.SUM, ()), (Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (a, a, b, c)),
+    ]
+    for node in raw:
+        assert store.intern(node) == n1
+    assert store.composite([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
+    assert len(store) == size  # found keys add nothing
+    stored = store.node(n1)
+    assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
+    assert stored.children == tuple(sorted((a, b, c)))
+    assert store.scope(n1) == {0}
+
+
 def test_scope_formula():
     d = fixture("fig2")
     store = store_for(d)
@@ -178,16 +201,23 @@ def test_eval_env_must_match_scope():
         eval_node(store, a, {0: 0, 1: 1})
 
 
+BAD_CONSTRUCTIONS = [
+    ([], Op.TIMES, [7]),  # dangling child
+    ([], Op.SUM, []),  # SUM cannot combine
+    ([(Op.TIMES, (0,))], Op.PLUS, []),  # TIMES cannot marginalize
+    ([(Op.SUM, (9,))], Op.TIMES, []),  # unknown variable
+    ([(Op.MAX, (0,)), (Op.SUM, (0,))], Op.TIMES, []),  # variable in two blocks
+]
+
+
 def test_bad_constructions_raise_internal_errors():
     store = NodeStore((2,))
-    with pytest.raises(InternalError):
-        store.composite([], Op.TIMES, [7])
-    with pytest.raises(InternalError):
-        store.composite([], Op.SUM, [])  # SUM cannot combine
-    with pytest.raises(InternalError):
-        store.composite([(Op.TIMES, (0,))], Op.PLUS, [])  # TIMES cannot marginalize
-    with pytest.raises(InternalError):
-        store.composite([(Op.SUM, (9,))], Op.TIMES, [])
+    for sov, comb, children in BAD_CONSTRUCTIONS:
+        with pytest.raises(InternalError):
+            store.composite(sov, comb, children)
+        with pytest.raises(InternalError):
+            store.intern(CompNode(tuple(sov), comb, tuple(children)))
+    assert len(store) == 0
 
 
 def test_structural_signature_is_store_independent():

@@ -7,7 +7,14 @@ import pytest
 
 from infdiag.clusters import assemble, merge_clusters
 from infdiag.diagram import fixture, parse, random_id
-from infdiag.factors import InternalError, Op, OpCounter, ResourceGuardError, ScopedTable
+from infdiag.factors import (
+    ChoiceTable,
+    InternalError,
+    Op,
+    OpCounter,
+    ResourceGuardError,
+    ScopedTable,
+)
 from infdiag.nodes import initial_node, store_for
 from infdiag.rewrite import macrostructure
 from infdiag.solve import (
@@ -17,6 +24,7 @@ from infdiag.solve import (
     evaluate,
     evaluate_policy,
     extract_policies,
+    policies_from_choices,
     solve_diagram,
 )
 
@@ -60,6 +68,31 @@ def test_tie_keeps_lowest_index_and_full_set():
     (policy,) = extract_policies(mcdag_of(d), d, with_sets=True)
     assert int(policy.rule.lookup({})) == 0
     assert policy.choices_for({}) == {0, 1}
+
+
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 6),
+                               random_id(8, 2, 3, 2, seed=4),
+                               random_id(8, 2, 3, 2, mode="poss", seed=4)],
+                         ids=["fig2", "fig3", "chain6", "prob", "poss"])
+def test_rules_do_not_depend_on_tie_sets(d):
+    plain = solve_diagram(d, with_sets=False)
+    full = solve_diagram(d, with_sets=True)
+    assert plain.meu == full.meu
+    assert len(plain.policies) == len(full.policies)
+    for p, q in zip(plain.policies, full.policies):
+        assert (p.var, p.context, p.rule.scope) == (q.var, q.context, q.rule.scope)
+        assert p.rule.values.tobytes() == q.rule.values.tobytes()
+        assert p.choice_sets is None and q.choice_sets is not None
+
+
+def test_policies_from_choices_needs_recorded_sets():
+    d = parse("IDNET 1\nMODE prob\nVAR d 2 DECISION\n"
+              "UTIL u d : 4 4\nORDER / d /\n")
+    choice = ChoiceTable((), (), (0,), (2,), np.zeros(1, dtype=np.intp), None)
+    (policy,) = policies_from_choices(d, {0: choice})
+    assert int(policy.rule.lookup({})) == 0
+    with pytest.raises(InternalError, match="tie sets"):
+        policies_from_choices(d, {0: choice}, with_sets=True)
 
 
 def test_fig2_value_and_policy_match_oracle():
