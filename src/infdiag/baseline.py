@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clusters import Hypergraph, find_order
+from .clusters import Hypergraph, _eliminate_step, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
     FactorError,
@@ -200,10 +200,7 @@ def constrained_width(d: InfluenceDiagram, mode: str = "heuristic") -> int:
             sub, block, "exhaustive" if mode == "exhaustive" else "min-fill")
         width = max(width, found.width)
         for x in found.order:
-            hit = [e for e in edges if x in e]
-            edges = {e for e in edges if x not in e}
-            if hit:
-                edges.add(frozenset().union(*hit) - {x})
+            edges, _ = _eliminate_step(edges, x)
     return width
 
 

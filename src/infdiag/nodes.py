@@ -77,7 +77,6 @@ class NodeStore:
         self.nodes: list[CompNode] = []
         self._index: dict[object, int] = {}
         self._scopes: list[frozenset[int]] = []
-        self._scope_order: list[tuple[int, ...]] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -134,7 +133,6 @@ class NodeStore:
         self.nodes.append(node)
         self._index[key] = nid
         self._scopes.append(scope)
-        self._scope_order.append(tuple(sorted(scope)))
         return nid
 
 
@@ -180,7 +178,8 @@ def eval_node(store: NodeStore, nid: int, env: Mapping[int, int]) -> float:
 
 def _eval(store: NodeStore, nid: int, env: dict[int, int],
           memo: dict[tuple[int, tuple[int, ...]], float]) -> float:
-    key = (nid, tuple(env[v] for v in store._scope_order[nid]))
+    # scope(nid) is the same frozenset on every call, so its order is stable
+    key = (nid, tuple(env[v] for v in store.scope(nid)))
     if key in memo:
         return memo[key]
     node = store.nodes[nid]

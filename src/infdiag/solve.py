@@ -2,10 +2,12 @@
 
 Messages travel leaves-to-root: each cluster combines its tables with its
 sons' messages and eliminates its own variable.  Shared clusters are computed
-once.  Policies come from a second, root-to-leaves pass: at the cluster that
-eliminates a decision, choices made closer to the root are substituted into
-the combined table before taking the argmax, so each rule ends up a function
-of the decision's own observations only.
+once.  That single pass gives the value and keeps every message.  Policies
+come from a second, root-to-leaves pass that reads those messages rather than
+recomputing them: at the cluster that eliminates a decision, choices made
+closer to the root are substituted into the combined table before taking the
+argmax, so each rule ends up a function of the decision's own observations
+only.
 """
 
 from __future__ import annotations
@@ -89,13 +91,16 @@ def _ident(ops: tuple[Op, Op]) -> float:
     return identity(ops[1], unit_interval=ops in POSS_OPS)
 
 
-def _messages(m: MCDag, sizes: Sequence[int] | None,
-              counter: OpCounter | None = None) -> dict[int, ScopedTable]:
-    """One message per cluster, sons before parents, each computed once."""
+def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
+             counter: OpCounter | None = None) -> tuple[float, dict[int, ScopedTable]]:
+    """The leaves-to-root pass: the MEU and one message per cluster by id.
+
+    Sons come before parents and each cluster is computed once.
+    """
     _check_ops(m)
-    values: dict[int, ScopedTable] = {}
+    messages: dict[int, ScopedTable] = {}
     for c in m.clusters:  # ascending ids are topological
-        parts = list(c.psi) + [values[s] for s in c.sons]
+        parts = list(c.psi) + [messages[s] for s in c.sons]
         combined = combine_all(parts, c.ops[1], _ident(c.ops), counter)
         present = [v for v in c.elim if v in combined.scope]
         absent = [v for v in c.elim if v not in combined.scope]
@@ -108,18 +113,13 @@ def _messages(m: MCDag, sizes: Sequence[int] | None,
             for v in absent:
                 scale *= sizes[v]
             out = combine(out, ScopedTable.scalar(scale), Op.TIMES, counter)
-        if c.id in values:
+        if c.id in messages:
             raise InternalError("cluster evaluated twice")
-        values[c.id] = out
-    return values
-
-
-def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
-             counter: OpCounter | None = None) -> float:
-    root = _messages(m, sizes, counter)[m.root]
+        messages[c.id] = out
+    root = messages[m.root]
     if root.scope:
         raise InternalError(f"root message kept scope {root.scope}")
-    return float(root.values[0])
+    return float(root.values[0]), messages
 
 
 # --------------------------------------------------------------------------
@@ -167,9 +167,14 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     return out
 
 
-def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
+def extract_policies(m: MCDag, d: InfluenceDiagram, messages: dict[int, ScopedTable],
+                     with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    values = _messages(m, d.sizes, counter)
+    """The root-to-leaves pass over the messages `evaluate` returned for `m`.
+
+    Consumes `messages`: the dict is cleared before the rules are built, so
+    the tables are freed early.
+    """
     decisions = set(d.decision_ids)
     cluster_of: dict[int, int] = {}
     mentioned: set[int] = set()
@@ -188,7 +193,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
     choices: dict[int, ChoiceTable] = {}
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
         c = m.clusters[cid]
-        parts = list(c.psi) + [values[s] for s in c.sons]
+        parts = list(c.psi) + [messages[s] for s in c.sons]
         t = combine_all(parts, c.ops[1], _ident(c.ops), counter)
         pa = set(d.parents[x])
         while True:
@@ -208,7 +213,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, with_sets: bool = False,
         if x not in t.scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
         _, choices[x] = argmax_marginalize(t, [x], counter, sets=with_sets)
-    values.clear()  # free the messages before the rules are built
+    messages.clear()  # free the messages before the rules are built
     return policies_from_choices(d, choices, with_sets)
 
 
@@ -246,8 +251,7 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # End to end
 
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
-                  merge: bool = True, want_policies: bool = True,
-                  with_sets: bool = False,
+                  merge: bool = True, with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
     start = time.perf_counter()
     store = store_for(d)
@@ -255,11 +259,10 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     m = assemble(store, root, heuristic=heuristic)
     if merge:
         m = merge_clusters(m)
-    meu = evaluate(m, d.sizes, counter)
-    policies = extract_policies(m, d, with_sets, counter) if want_policies else []
+    meu, messages = evaluate(m, d.sizes, counter)
     return RunReport(
         meu=meu,
-        policies=policies,
+        policies=extract_policies(m, d, messages, with_sets, counter),
         engine="mcdag",
         w_mcdag=m.w_mcdag,
         node_count=node_count(store, root),

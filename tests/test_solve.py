@@ -19,7 +19,6 @@ from infdiag.nodes import initial_node, store_for
 from infdiag.rewrite import macrostructure
 from infdiag.solve import (
     Policy,
-    _messages,
     _substitute,
     evaluate,
     evaluate_policy,
@@ -44,20 +43,25 @@ def mcdag_of(d, heuristic="min-fill", merge=True):
     return merge_clusters(m) if merge else m
 
 
+def policies_of(m, d, with_sets=False):
+    return extract_policies(m, d, evaluate(m, d.sizes)[1], with_sets=with_sets)
+
+
 # -- evaluate -----------------------------------------------------------------
 
 def test_zero_utilities_give_zero():
     d = parse("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nVAR d 2 DECISION\n"
               "PROB c | : 0.3 0.7\nUTIL u c d : 0 0 0 0\nORDER / d / c\n")
-    assert evaluate(mcdag_of(d), d.sizes) == 0.0
+    assert evaluate(mcdag_of(d), d.sizes)[0] == 0.0
 
 
 def test_single_decision_direct_arithmetic():
     d = parse("IDNET 1\nMODE prob\nVAR d 3 DECISION\n"
               "UTIL u d : 1 5 3\nORDER / d /\n")
     m = mcdag_of(d)
-    assert evaluate(m, d.sizes) == 5.0
-    (policy,) = extract_policies(m, d)
+    meu, messages = evaluate(m, d.sizes)
+    assert meu == 5.0
+    (policy,) = extract_policies(m, d, messages)
     assert policy.var == 0 and policy.context == ()
     assert int(policy.rule.lookup({})) == 1
 
@@ -65,7 +69,7 @@ def test_single_decision_direct_arithmetic():
 def test_tie_keeps_lowest_index_and_full_set():
     d = parse("IDNET 1\nMODE prob\nVAR d 2 DECISION\n"
               "UTIL u d : 4 4\nORDER / d /\n")
-    (policy,) = extract_policies(mcdag_of(d), d, with_sets=True)
+    (policy,) = policies_of(mcdag_of(d), d, with_sets=True)
     assert int(policy.rule.lookup({})) == 0
     assert policy.choices_for({}) == {0, 1}
 
@@ -98,18 +102,18 @@ def test_policies_from_choices_needs_recorded_sets():
 def test_fig2_value_and_policy_match_oracle():
     d = fixture("fig2")
     m = mcdag_of(d)
-    meu = evaluate(m, d.sizes)
+    meu, messages = evaluate(m, d.sizes)
     assert close(meu, oracle_value(d))
-    policies = extract_policies(m, d)
+    policies = extract_policies(m, d, messages)
     assert close(evaluate_policy(d, policies), meu)
 
 
 def test_fig3_policy_substitution_chain():
     d = fixture("fig3")
     m = mcdag_of(d)
-    meu = evaluate(m, d.sizes)
+    meu, messages = evaluate(m, d.sizes)
     assert close(meu, oracle_value(d))
-    policies = {p.var: p for p in extract_policies(m, d)}
+    policies = {p.var: p for p in extract_policies(m, d, messages)}
     d2 = d.names.index("d2")
     d3 = d.names.index("d3")
     r2 = d.names.index("r2")
@@ -124,14 +128,14 @@ def test_merging_preserves_the_value():
         d = random_id(7, 2, 3, 2, seed=seed)
         plain = mcdag_of(d, merge=False)
         merged = merge_clusters(plain)
-        a, b = evaluate(plain, d.sizes), evaluate(merged, d.sizes)
+        a, b = evaluate(plain, d.sizes)[0], evaluate(merged, d.sizes)[0]
         assert close(a, b, 1e-12)
 
 
 def test_every_cluster_evaluated_once():
     d = fixture("fig3")
     m = mcdag_of(d)
-    values = _messages(m, d.sizes)
+    _, values = evaluate(m, d.sizes)
     assert len(values) == len(m.clusters)
 
 
@@ -172,9 +176,9 @@ def test_random_prob_diagrams_match_oracle_and_policies():
     for seed in range(30):
         d = random_id(6, 2, 3, 2, seed=seed)
         m = mcdag_of(d)
-        meu = evaluate(m, d.sizes)
+        meu, messages = evaluate(m, d.sizes)
         assert close(meu, oracle_value(d)), f"seed {seed}"
-        policies = extract_policies(m, d, with_sets=True)
+        policies = extract_policies(m, d, messages, with_sets=True)
         assert close(evaluate_policy(d, policies), meu), f"seed {seed}"
         for p in policies:
             assert set(p.rule.scope) <= set(p.context)
@@ -184,9 +188,9 @@ def test_random_poss_diagrams_match_oracle_exactly():
     for seed in range(20):
         d = random_id(6, 2, 3, 2, mode="poss", seed=seed)
         m = mcdag_of(d)
-        meu = evaluate(m, d.sizes)
+        meu, messages = evaluate(m, d.sizes)
         assert meu == oracle_value(d), f"seed {seed}"
-        policies = extract_policies(m, d)
+        policies = extract_policies(m, d, messages)
         assert evaluate_policy(d, policies) == meu, f"seed {seed}"
 
 
@@ -194,7 +198,7 @@ def test_heuristic_choice_never_changes_the_value():
     d = random_id(7, 3, 3, 2, seed=42)
     want = oracle_value(d)
     for heuristic in ("min-fill", "min-degree", "exhaustive"):
-        assert close(evaluate(mcdag_of(d, heuristic=heuristic), d.sizes), want)
+        assert close(evaluate(mcdag_of(d, heuristic=heuristic), d.sizes)[0], want)
 
 
 def test_positive_scaling_keeps_representative_policies():
@@ -204,8 +208,8 @@ def test_positive_scaling_keeps_representative_policies():
             d, utilities=tuple(
                 ScopedTable(t.scope, t.sizes, t.values * 3.7, t.tag, t.name)
                 for t in d.utilities))
-        a = extract_policies(mcdag_of(d), d)
-        b = extract_policies(mcdag_of(scaled), scaled)
+        a = policies_of(mcdag_of(d), d)
+        b = policies_of(mcdag_of(scaled), scaled)
         for pa, pb in zip(a, b):
             assert pa.var == pb.var and pa.rule.scope == pb.rule.scope
             assert np.array_equal(pa.rule.values, pb.rule.values)
@@ -233,8 +237,8 @@ def test_deterministic_path_reaches_one():
         "UTIL u c : 0 1\n"
         "ORDER / d / c\n")
     m = mcdag_of(d)
-    meu = evaluate(m, d.sizes)
-    policies = extract_policies(m, d)
+    meu, messages = evaluate(m, d.sizes)
+    policies = extract_policies(m, d, messages)
     assert close(meu, 1.0)
     assert close(evaluate_policy(d, policies), 1.0)
     assert int(policies[0].rule.lookup({})) == 1
@@ -253,9 +257,34 @@ def test_solve_diagram_report():
     assert report.wall_time >= 0.0
     assert len(report.policies) == 1
     assert close(evaluate_policy(d, report.policies), report.meu)
+    fig3 = fixture("fig3")
+    assert close(solve_diagram(fig3).meu, oracle_value(fig3))
 
 
-def test_solve_diagram_without_policies():
-    report = solve_diagram(fixture("fig3"), want_policies=False)
-    assert report.policies == []
-    assert close(report.meu, oracle_value(fixture("fig3")))
+@pytest.mark.parametrize("d", [fixture("fig3"), fixture("chain", 8), fixture("star", 6),
+                               random_id(8, 2, 3, 2, seed=4),
+                               random_id(10, 3, 3, 3, seed=7)],
+                         ids=["fig3", "chain8", "star6", "prob4", "prob7"])
+def test_solve_runs_the_message_pass_once(d):
+    # sum and times occur only in chance clusters, i.e. in the message pass
+    alone = OpCounter()
+    evaluate(mcdag_of(d), d.sizes, alone)
+    solved = OpCounter()
+    solve_diagram(d, counter=solved)
+    assert alone.by_kind.get("sum", 0) > 0
+    for kind in ("sum", "times"):
+        assert solved.by_kind.get(kind, 0) == alone.by_kind.get(kind, 0), kind
+
+
+def test_fig3_solve_op_total():
+    counter = OpCounter()
+    solve_diagram(fixture("fig3"), counter=counter)
+    assert counter.total == 94
+
+
+def test_extract_policies_consumes_the_messages():
+    d = fixture("fig3")
+    m = mcdag_of(d)
+    _, messages = evaluate(m, d.sizes)
+    extract_policies(m, d, messages)
+    assert messages == {}
