@@ -81,16 +81,6 @@ def _eliminate_step(edges: set[frozenset[int]], x: int
     return rest, created
 
 
-def width_of_order(g: Hypergraph, order: Sequence[int]) -> EliminationOrder:
-    """Replay a fixed order and record the created-edge sizes."""
-    edges = set(g.edges)
-    sizes = []
-    for x in order:
-        edges, created = _eliminate_step(edges, x)
-        sizes.append(len(created))
-    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
-
-
 def find_order(g: Hypergraph, elim: Iterable[int],
                heuristic: str = "min-fill") -> EliminationOrder:
     todo = set(elim)

@@ -33,6 +33,10 @@ class Op(enum.Enum):
     def __repr__(self) -> str:  # keep golden traces readable
         return self.value
 
+    # Members are singletons compared by identity; the C-level hash keeps
+    # every node-store key lookup out of Enum.__hash__'s Python frame.
+    __hash__ = object.__hash__
+
 
 MARGINAL_OPS = frozenset({Op.SUM, Op.MAX, Op.MIN})
 COMBINE_OPS = frozenset({Op.PLUS, Op.TIMES, Op.MAX, Op.MIN})

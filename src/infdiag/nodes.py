@@ -99,7 +99,10 @@ class NodeStore:
 
         A composite node's sov and children are canonicalized here, so they
         may arrive in any order.  Only a new key is validated: every stored
-        key passed validation when it was stored.
+        key passed validation when it was stored.  Validation relies on the
+        canonical form: each sov block is sorted and non-empty and the
+        children are sorted, so checking the end points of each range covers
+        every id in it.
         """
         if node.is_atomic:
             key: object = ("atom", id(node.table))
@@ -119,16 +122,13 @@ class NodeStore:
             for op, block in sov:
                 if op not in MARGINAL_OPS:
                     raise InternalError(f"{op} cannot marginalize")
-                for v in block:
-                    if not 0 <= v < len(self.sizes):
-                        raise InternalError(f"unknown variable {v} in sov")
-            for c in children:
-                if not 0 <= c < len(self.nodes):
-                    raise InternalError(f"dangling child id {c}")
+                if block[0] < 0 or block[-1] >= len(self.sizes):
+                    raise InternalError(f"unknown variable in sov block {block}")
+            if children and (children[0] < 0 or children[-1] >= len(self.nodes)):
+                raise InternalError(f"dangling child id in {children}")
             node = CompNode(sov, node.comb, children)
-            sv = node.sov_vars()
-            scope = frozenset().union(*(self._scopes[c] for c in children)) - sv \
-                if children else frozenset()
+            scope = frozenset().union(*map(self._scopes.__getitem__, children)) \
+                - node.sov_vars()
         nid = len(self.nodes)
         self.nodes.append(node)
         self._index[key] = nid

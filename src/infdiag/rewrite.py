@@ -333,9 +333,12 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
         new_groups = []
         for sub in subs:
             members3, _ = _group_members(store, sub, gcomb)
+            if not n2:
+                new_groups.append(sub)  # the merged group is `sub` itself
+                continue
             if set(n2) & set(members3):
                 raise InternalError("merge would silently drop a shared factor")
-            new_groups.append(store.composite([], gcomb, list(n2) + list(members3)))
+            new_groups.append(store.composite([], gcomb, n2 + list(members3)))
         if len(set(new_groups)) != len(subs):
             raise InternalError("recompose-max collapsed two inner groups")
         kids = siblings + new_groups
@@ -349,14 +352,19 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
 # --------------------------------------------------------------------------
 # Driver
 
-def created_inner_nodes(store: NodeStore, root: int, op: Op, x: int) -> list[int]:
+def created_inner_nodes(store: NodeStore, root: int, op: Op, x: int,
+                        since: int) -> list[int]:
     """Grandchildren of `root` that eliminate exactly `x` with `op`.
 
-    Valid right after a decompose step: no older node can eliminate x.
+    Valid right after a decompose step: no older node can eliminate x.  So
+    children of `root` with ids below `since`, the store size before that
+    step, are skipped: they and their children are older.
     """
     out: list[int] = []
     seen: set[int] = set()
     for gid in store.nodes[root].children:
+        if gid < since:
+            continue
         gn = store.nodes[gid]
         if gn.is_atomic:
             continue
@@ -380,8 +388,9 @@ def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int]) -> int:
 
 def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     marg = store.nodes[root].sov[-1][0]
+    since = len(store)
     root = decompose_sum(store, root, x, trace)
-    inners = created_inner_nodes(store, root, marg, x)
+    inners = created_inner_nodes(store, root, marg, x, since)
     outs: dict[int, int] = {}
     for i in inners:
         outs[i] = recompose_sum(store, i, trace)
@@ -408,8 +417,9 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
 
 def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
               debug: bool) -> int:
+    since = len(store)
     root = decompose_max(store, root, x, trace, debug)
-    inners = created_inner_nodes(store, root, Op.MAX, x)
+    inners = created_inner_nodes(store, root, Op.MAX, x, since)
     if not inners:
         return root  # the decision was irrelevant and silently dropped
     if len(inners) != 1:

@@ -145,7 +145,7 @@ def _substitute(t: ScopedTable, var: int, rule: ScopedTable) -> ScopedTable:
 def _rule(d: InfluenceDiagram, x: int, choice: ChoiceTable) -> ScopedTable:
     return ScopedTable(choice.retained_scope, choice.retained_sizes,
                        choice.representative.astype(float),
-                       tag="policy", name=f"rule_{d.names[x]}")
+                       tag="policy", name=f"rule_{d.variables[x].name}")
 
 
 def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],

@@ -7,11 +7,12 @@ keep diagrams small.
 
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
-pick the same orders.
+pick the same orders.  `width_of_order` replays a fixed order on the
+hyperedges and records the size of each created edge.
 """
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from infdiag.clusters import EliminationOrder, Hypergraph
 from infdiag.diagram import InfluenceDiagram
@@ -60,6 +61,28 @@ def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:
     return new
 
 
+def _eliminate(edges: set[frozenset[int]], x: int
+               ) -> tuple[set[frozenset[int]], frozenset[int]]:
+    """Replace the hyperedges holding `x` by their union minus `x`."""
+    hits = [e for e in edges if x in e]
+    rest = {e for e in edges if x not in e}
+    created: frozenset[int] = frozenset()
+    if hits:
+        created = frozenset().union(*hits) - {x}
+        rest.add(created)
+    return rest, created
+
+
+def width_of_order(g: Hypergraph, order: Sequence[int]) -> EliminationOrder:
+    """Replay a fixed order and record the created-edge sizes."""
+    edges = set(g.edges)
+    sizes = []
+    for x in order:
+        edges, created = _eliminate(edges, x)
+        sizes.append(len(created))
+    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+
+
 def oracle_order(g: Hypergraph, elim: Iterable[int],
                  heuristic: str = "min-fill") -> EliminationOrder:
     """Greedy order that rescans every hyperedge for every candidate."""
@@ -79,10 +102,7 @@ def oracle_order(g: Hypergraph, elim: Iterable[int],
             if best is None or score < best[0]:
                 best = (score, x, created)
         _, x, created = best
-        hit = any(x in e for e in edges)
-        edges = {e for e in edges if x not in e}
-        if hit:
-            edges.add(created)
+        edges, _ = _eliminate(edges, x)
         order.append(x)
         sizes.append(len(created))
         remaining.remove(x)

@@ -15,13 +15,12 @@ from infdiag.clusters import (
     hypergraph_of,
     merge_clusters,
     to_dot,
-    width_of_order,
 )
 from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, store_for
 from infdiag.rewrite import macrostructure
-from oracles import oracle_order
+from oracles import oracle_order, width_of_order
 
 R1, R2, D = 0, 1, 2  # fig2 variable ids
 

@@ -201,23 +201,37 @@ def test_eval_env_must_match_scope():
         eval_node(store, a, {0: 0, 1: 1})
 
 
+# Checked against a store over one variable that holds one node, id 0.
 BAD_CONSTRUCTIONS = [
     ([], Op.TIMES, [7]),  # dangling child
+    ([], Op.TIMES, [7, 0]),  # dangling child sorting after a valid one
+    ([], Op.TIMES, [-1]),  # negative child id
+    ([], Op.TIMES, [0, -1]),  # negative child id before a valid one
     ([], Op.SUM, []),  # SUM cannot combine
     ([(Op.TIMES, (0,))], Op.PLUS, []),  # TIMES cannot marginalize
     ([(Op.SUM, (9,))], Op.TIMES, []),  # unknown variable
+    ([(Op.SUM, (0, 9))], Op.TIMES, [0]),  # unknown variable after a known one
+    ([(Op.SUM, (-1,))], Op.TIMES, [0]),  # negative variable
     ([(Op.MAX, (0,)), (Op.SUM, (0,))], Op.TIMES, []),  # variable in two blocks
 ]
 
 
 def test_bad_constructions_raise_internal_errors():
     store = NodeStore((2,))
+    store.atomic(_table((0,), (2,), [0.3, 0.7]))
     for sov, comb, children in BAD_CONSTRUCTIONS:
         with pytest.raises(InternalError):
             store.composite(sov, comb, children)
         with pytest.raises(InternalError):
             store.intern(CompNode(tuple(sov), comb, tuple(children)))
-    assert len(store) == 0
+    assert len(store) == 1
+
+
+def test_op_members_hash_as_singletons():
+    assert {Op.SUM: 1}[Op("sum")] == 1
+    assert hash(Op.MAX) == hash(Op("max"))
+    assert Op("times") is Op.TIMES
+    assert len({Op.SUM, Op("sum"), Op.MAX}) == 2
 
 
 def test_structural_signature_is_store_independent():

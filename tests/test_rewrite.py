@@ -455,3 +455,25 @@ def test_trace_serializes_to_json_lines():
     for line in lines:
         assert set(json.loads(line)) <= {"rule", "target", "produced", "var", "inner"}
     assert trace_to_jsonl([]) == ""
+
+
+def test_macro_interning_grows_linearly_on_chains(monkeypatch):
+    # A rule interns only what it changes: doubling the chain about doubles
+    # the NodeStore.intern calls of the rewrite instead of quadrupling them.
+    intern = NodeStore.intern
+    calls = {}
+    for n in (64, 128):
+        d = fixture("chain", n=n)
+        store = store_for(d)
+        root = initial_node(store, d)
+        count = [0]
+
+        def counting(self, node, count=count):
+            count[0] += 1
+            return intern(self, node)
+
+        monkeypatch.setattr(NodeStore, "intern", counting)
+        macrostructure(store, root)
+        monkeypatch.setattr(NodeStore, "intern", intern)
+        calls[n] = count[0]
+    assert 0 < calls[64] < calls[128] <= 2.2 * calls[64]
