@@ -27,7 +27,7 @@ from .factors import (
     ResourceGuardError,
     ScopedTable,
     ChoiceTable,
-    _aligned_view,
+    align,
     argmax_marginalize,
     combine,
     current_counter,
@@ -80,8 +80,8 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
         if v not in pi.p.scope:  # summed a variable p never mentioned
             den = combine(den, ScopedTable.scalar(float(pi.u.size_of(v))),
                           Op.TIMES, counter)
-    n_arr = _aligned_view(num, num.scope)
-    d_arr = np.broadcast_to(_aligned_view(den, num.scope), n_arr.shape)
+    n_arr = num.array
+    d_arr = np.broadcast_to(align(den.array, den.scope, num.scope), n_arr.shape)
     if bool(np.any((d_arr == 0.0) & (n_arr != 0.0))):
         raise InternalError("nonzero expected mass over zero probability")
     q = np.where(d_arr == 0.0, 0.0, n_arr / np.where(d_arr == 0.0, 1.0, d_arr))

@@ -27,7 +27,7 @@ HEURISTICS = ("min-fill", "min-degree", "exhaustive")
 
 
 def _load(path: str) -> InfluenceDiagram:
-    return parse(Path(path).read_text())
+    return parse(Path(path).read_bytes())
 
 
 def _policy_json(d: InfluenceDiagram, p: solve.Policy) -> dict:

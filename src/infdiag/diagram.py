@@ -14,6 +14,7 @@ Two quantification modes are supported:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -214,7 +215,11 @@ def parse(text: str | bytes) -> InfluenceDiagram:
     Errors carry the 1-based line number of the offending construct.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"byte {text[e.start]:#04x} is not valid UTF-8",
+                              text.count(b"\n", 0, e.start) + 1) from None
 
     var_ids: dict[str, int] = {}
     variables: list[Variable] = []
@@ -284,7 +289,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in PROB scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(tokens[colon + 1:], int(np.prod(sizes)),
+            values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
                                    f"PROB {tokens[1]}", lineno)
             if np.any(values < 0):
                 raise NormalizationError(
@@ -309,7 +314,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in UTIL scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(tokens[colon + 1:], int(np.prod(sizes)),
+            values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
                                    f"UTIL {name}", lineno)
             loc.util[len(utilities)] = lineno
             utilities.append(ScopedTable(scope, sizes, values, tag="utility", name=name))
@@ -612,14 +617,14 @@ class _Builder:
         scope = tuple(self.ids[p] for p in parents) + (x,)
         sizes = tuple(self.vars[v].size for v in scope)
         size = sizes[-1]
-        values = _norm_rows(self.rng, int(np.prod(sizes)) // size, size, self.mode)
+        values = _norm_rows(self.rng, math.prod(sizes) // size, size, self.mode)
         self.cpts[x] = ScopedTable(scope, sizes, values, tag="probability",
                                    name=f"P_{child}", cpt_for=x)
 
     def util(self, name: str, scope_names: Iterable[str]) -> None:
         scope = tuple(self.ids[s] for s in scope_names)
         sizes = tuple(self.vars[v].size for v in scope)
-        values = _util_values(self.rng, int(np.prod(sizes)), self.mode)
+        values = _util_values(self.rng, math.prod(sizes), self.mode)
         self.utils.append(ScopedTable(scope, sizes, values, tag="utility", name=name))
 
     def done(self, order: str) -> InfluenceDiagram:

@@ -5,10 +5,15 @@ laid out so that the *last* scope variable varies fastest (C order over the
 scope axes).  Combination canonicalizes the output scope to ascending variable
 id; marginalization and restriction keep the surviving order of their input.
 
-Every combine/marginalize call charges a context-local operation counter with
-one unit per binary scalar operation performed (combine: one per output cell;
-marginalize: one per folded-away cell), which is what the operation-count
-comparisons in the test suite rely on.
+The arithmetic lives in array-level helpers over (scope, ndarray) parts:
+`align` lays a part out over a union scope, `fold` combines parts and
+`eliminate` marginalizes one.  `combine`, `combine_all` and `marginalize` are
+thin `ScopedTable` wrappers over them, and the cluster engine's message pass
+calls them on bare arrays.  Each step charges an operation counter (the
+context-local one unless another is passed) with one unit per binary scalar
+operation performed (combination: one per output cell; marginalization: one
+per folded-away cell), which is what the operation-count comparisons in the
+test suite rely on.
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ class ScopedTable:
         if any(s < 1 for s in self.sizes):
             raise FactorError("domain sizes must be positive")
         vals = np.asarray(self.values, dtype=float)
-        want = int(np.prod(self.sizes)) if self.sizes else 1
+        want = math.prod(self.sizes)
         if vals.ndim != 1 or vals.size != want:
             vals = vals.reshape(-1)
             if vals.size != want:
@@ -188,51 +193,86 @@ class ScopedTable:
         return ScopedTable((), (), np.asarray([value], dtype=float), tag, name)
 
 
-def _universe(tables: Sequence[ScopedTable]) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    for t in tables:
-        for var, size in zip(t.scope, t.sizes):
-            if sizes.setdefault(var, size) != size:
+Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)
+
+
+def align(arr: np.ndarray, scope: tuple[int, ...], union: Sequence[int]) -> np.ndarray:
+    """View of `arr` broadcastable over `union`: its axes permuted into union
+    order and a size-1 axis for each union variable it lacks."""
+    if scope == union:
+        return arr
+    order = [scope.index(v) for v in union if v in scope]
+    shape = tuple(arr.shape[scope.index(v)] if v in scope else 1 for v in union)
+    return arr.transpose(order).reshape(shape)
+
+
+def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Part:
+    """Combine the parts left to right under `op`, charging one op per cell
+    of the union reached after each step.
+
+    Two or more parts give the ascending-id union scope and a C-contiguous
+    array, so a later reduction sums in a fixed order.  One part comes back
+    as it is; none gives the 0-d identity.
+    """
+    if op not in COMBINE_OPS:
+        raise FactorError(f"{op} is not a combination operator")
+    if len(parts) < 2:
+        return parts[0] if parts else ((), np.full((), ident))
+    size_of: dict[int, int] = {}
+    for scope, arr in parts:
+        for var, size in zip(scope, arr.shape):
+            if size_of.setdefault(var, size) != size:
                 raise UniverseError(
-                    f"variable {var} has size {sizes[var]} in one table and {size} in another"
+                    f"variable {var} has size {size_of[var]} in one table and {size} in another"
                 )
-    return sizes
+    union = tuple(sorted(size_of))
+    full = math.prod(size_of.values())
+    ufunc, kind = _UFUNC[op], op.value
+    scope, arr = parts[0]
+    acc = align(arr, scope, union)
+    owned = False  # acc is an array this call allocated, not a caller's
+    for scope, arr in parts[1:]:
+        if owned and union and acc.size == full:  # a 0-d result is a numpy scalar
+            ufunc(acc, align(arr, scope, union), out=acc)
+        else:
+            acc = ufunc(acc, align(arr, scope, union), order="C")
+            owned = True
+        counter.add(acc.size, kind)
+    return union, acc
 
 
-def _aligned_view(t: ScopedTable, union: tuple[int, ...]) -> np.ndarray:
-    """View of t broadcastable over the union scope (axes in union order)."""
-    arr = t.values.reshape(t.sizes) if t.scope else t.values.reshape(())
-    order = [t.scope.index(v) for v in union if v in t.scope]
-    arr = arr.transpose(order) if order else arr
-    shape = tuple(t.size_of(v) if v in t.scope else 1 for v in union)
-    return arr.reshape(shape)
+def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Part:
+    """Fold `op` over the axes of the distinct scope variables `elim`,
+    charging one op per folded-away cell; kept axes keep their order."""
+    if op not in MARGINAL_OPS:
+        raise FactorError(f"{op} is not a marginalization operator")
+    scope, arr = part
+    out = np.asarray(_UFUNC[op].reduce(arr, axis=tuple(scope.index(v) for v in elim)))
+    counter.add(arr.size - out.size, op.value)
+    return tuple(v for v in scope if v not in elim), out
+
+
+def _tag(tables: Sequence[ScopedTable], op: Op) -> str:
+    tags = {t.tag for t in tables}
+    if tags == {"probability"} and op is Op.TIMES:
+        return "probability"
+    if tags == {"utility"} and op is Op.PLUS:
+        return "utility"
+    return "generic"
 
 
 def combine(t1: ScopedTable, t2: ScopedTable, op: Op, counter: OpCounter | None = None) -> ScopedTable:
     """Pointwise combination over the union scope (ascending variable id)."""
-    if op not in COMBINE_OPS:
-        raise FactorError(f"{op} is not a combination operator")
-    sizes = _universe((t1, t2))
-    union = tuple(sorted(sizes))
-    out = _UFUNC[op](_aligned_view(t1, union), _aligned_view(t2, union))
-    out = np.broadcast_to(out, tuple(sizes[v] for v in union))
-    (counter or current_counter()).add(int(out.size), op.value)
-    tag = "generic"
-    if t1.tag == t2.tag == "probability" and op is Op.TIMES:
-        tag = "probability"
-    elif t1.tag == t2.tag == "utility" and op is Op.PLUS:
-        tag = "utility"
-    return ScopedTable(union, tuple(sizes[v] for v in union), out.reshape(-1).copy(), tag)
+    return combine_all((t1, t2), op, identity(op), counter)
 
 
 def combine_all(tables: Sequence[ScopedTable], op: Op, ident: float, counter: OpCounter | None = None) -> ScopedTable:
     """Fold `combine` over a sequence; empty sequences give the scalar identity."""
-    if not tables:
-        return ScopedTable.scalar(ident)
-    acc = tables[0]
-    for t in tables[1:]:
-        acc = combine(acc, t, op, counter)
-    return acc
+    if len(tables) == 1:
+        return tables[0]
+    scope, arr = fold([(t.scope, t.array) for t in tables], op, ident,
+                      counter or current_counter())
+    return ScopedTable(scope, arr.shape, arr.reshape(-1), _tag(tables, op))
 
 
 def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter | None = None) -> ScopedTable:
@@ -245,18 +285,8 @@ def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter 
     missing = [v for v in elim if v not in t.scope]
     if missing:
         raise UnknownVariableError(f"variables {missing} not in scope {t.scope}")
-    arr = t.values.reshape(t.sizes)
-    axes = tuple(t.scope.index(v) for v in elim)
-    if op is Op.SUM:
-        out = arr.sum(axis=axes)
-    elif op is Op.MAX:
-        out = arr.max(axis=axes)
-    else:
-        out = arr.min(axis=axes)
-    (counter or current_counter()).add(int(arr.size - out.size), op.value)
-    keep = tuple(v for v in t.scope if v not in elim)
-    keep_sizes = tuple(t.size_of(v) for v in keep)
-    return ScopedTable(keep, keep_sizes, np.asarray(out).reshape(-1).copy(), t.tag)
+    keep, out = eliminate((t.scope, t.array), elim, op, counter or current_counter())
+    return ScopedTable(keep, out.shape, out.reshape(-1), t.tag)
 
 
 @dataclass(frozen=True)
@@ -299,7 +329,7 @@ def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter |
     perm = [t.scope.index(v) for v in keep] + [t.scope.index(v) for v in elim]
     keep_sizes = tuple(t.size_of(v) for v in keep)
     elim_sizes = tuple(t.size_of(v) for v in elim)
-    ret_n = int(np.prod(keep_sizes)) if keep else 1
+    ret_n = math.prod(keep_sizes)
     flat = arr.transpose(perm).reshape(ret_n, -1)
     best = flat.max(axis=1)
     (counter or current_counter()).add(int(flat.size - best.size), Op.MAX.value)

@@ -1,13 +1,14 @@
 """Cluster DAG evaluation, policy extraction, and end-to-end solving.
 
-Messages travel leaves-to-root: each cluster combines its tables with its
-sons' messages and eliminates its own variable.  Shared clusters are computed
-once.  That single pass gives the value and keeps every message.  Policies
-come from a second, root-to-leaves pass that reads those messages rather than
-recomputing them: at the cluster that eliminates a decision, choices made
-closer to the root are substituted into the combined table before taking the
-argmax, so each rule ends up a function of the decision's own observations
-only.
+Messages travel leaves-to-root: each cluster folds its tables and its sons'
+messages under its combination operator and eliminates its own variable.
+The pass runs on bare arrays, shared clusters are computed once, and each
+message is dropped once its last parent has read it.  What the pass keeps is
+the value and, for every cluster that max-eliminates a decision, the combined
+table before that elimination.  Policies come from a second, root-to-leaves
+pass over those decision tables: choices made closer to the root are
+substituted into a decision's table before taking the argmax, so each rule
+ends up a function of the decision's own observations only.
 """
 
 from __future__ import annotations
@@ -21,17 +22,22 @@ import numpy as np
 
 from .clusters import MCDag, assemble, merge_clusters
 from .diagram import InfluenceDiagram
-from .factors import (
+# `combine_all` and `marginalize` are unused here but stay imported:
+# perfbench/tracing.py wraps them by name on this module.
+from .factors import (  # noqa: F401
     ChoiceTable,
     InternalError,
     Op,
     OpCounter,
     ResourceGuardError,
+    Part,
     ScopedTable,
-    _aligned_view,
+    align,
     argmax_marginalize,
-    combine,
     combine_all,
+    current_counter,
+    eliminate,
+    fold,
     identity,
     marginalize,
 )
@@ -93,53 +99,64 @@ def _ident(ops: tuple[Op, Op]) -> float:
 
 def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
              counter: OpCounter | None = None) -> tuple[float, dict[int, ScopedTable]]:
-    """The leaves-to-root pass: the MEU and one message per cluster by id.
+    """The leaves-to-root pass: the MEU and, by cluster id, the combined
+    table of every cluster that max-eliminates a variable.
 
-    Sons come before parents and each cluster is computed once.
+    Sons come before parents and each cluster is computed once.  A message
+    is freed once the last cluster that reads it has read it.
     """
     _check_ops(m)
-    messages: dict[int, ScopedTable] = {}
+    counter = counter or current_counter()
+    last_reader = {s: c.id for c in m.clusters for s in c.sons}
+    messages: dict[int, Part] = {}
+    tables: dict[int, ScopedTable] = {}
+    done: set[int] = set()
     for c in m.clusters:  # ascending ids are topological
-        parts = list(c.psi) + [messages[s] for s in c.sons]
-        combined = combine_all(parts, c.ops[1], _ident(c.ops), counter)
-        present = [v for v in c.elim if v in combined.scope]
-        absent = [v for v in c.elim if v not in combined.scope]
-        out = marginalize(combined, present, c.ops[0], counter) if present else combined
-        if absent and c.ops[0] is Op.SUM:
+        if c.id in done:
+            raise InternalError("cluster evaluated twice")
+        done.add(c.id)
+        marg, comb = c.ops
+        parts = [(t.scope, t.array) for t in c.psi] + [messages[s] for s in c.sons]
+        for s in c.sons:
+            if last_reader[s] == c.id:
+                messages.pop(s, None)  # a merged cluster may list a son twice
+        scope, arr = fold(parts, comb, _ident(c.ops), counter)
+        if marg is Op.MAX and c.elim:
+            tables[c.id] = ScopedTable(scope, arr.shape, arr.reshape(-1))
+        present = [v for v in c.elim if v in scope]
+        absent = [v for v in c.elim if v not in scope]
+        out = eliminate((scope, arr), present, marg, counter) if present else (scope, arr)
+        if absent and marg is Op.SUM:
             if sizes is None:
                 raise InternalError(
                     "domain sizes are needed to sum out a variable no table mentions")
             scale = 1.0
             for v in absent:
                 scale *= sizes[v]
-            out = combine(out, ScopedTable.scalar(scale), Op.TIMES, counter)
-        if c.id in messages:
-            raise InternalError("cluster evaluated twice")
+            out = fold([out, ((), np.full((), scale))], Op.TIMES, 1.0, counter)
         messages[c.id] = out
-    root = messages[m.root]
-    if root.scope:
-        raise InternalError(f"root message kept scope {root.scope}")
-    return float(root.values[0]), messages
+        del parts, arr, out  # free this cluster's arrays before the next fold
+    scope, arr = messages[m.root]
+    if scope:
+        raise InternalError(f"root message kept scope {scope}")
+    return float(arr), tables
 
 
 # --------------------------------------------------------------------------
 # Policies
 
-def _substitute(t: ScopedTable, var: int, rule: ScopedTable) -> ScopedTable:
-    """Replace `var` in `t` by the choice the rule makes in each context."""
-    if var not in t.scope or var in rule.scope:
+def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
+                rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
+    """Replace `var` in the part by the value index the rule (an integer
+    array over `rule_scope`) picks in each context."""
+    if var not in scope or var in rule_scope:
         raise InternalError("substitution needs the variable free in the table only")
-    union = tuple(sorted(set(t.scope) | set(rule.scope)))
-    size_of = dict(zip(t.scope, t.sizes)) | dict(zip(rule.scope, rule.sizes))
-    shape = tuple(size_of[v] for v in union)
+    union = tuple(sorted(set(scope) | set(rule_scope)))
     axis = union.index(var)
-    arr = np.broadcast_to(_aligned_view(t, union), shape)
-    idx = np.broadcast_to(np.rint(_aligned_view(rule, union)).astype(np.intp),
-                          shape[:axis] + (1,) + shape[axis + 1:])
-    picked = np.take_along_axis(arr, idx, axis=axis)
-    keep = tuple(v for v in union if v != var)
-    return ScopedTable(keep, tuple(size_of[v] for v in keep),
-                       picked.reshape(-1).copy())
+    # size-1 axes on either side broadcast against the other's full axes
+    picked = np.take_along_axis(align(arr, scope, union), align(rule, rule_scope, union),
+                                axis=axis)
+    return union[:axis] + union[axis + 1:], picked.squeeze(axis)
 
 
 def _rule(d: InfluenceDiagram, x: int, choice: ChoiceTable) -> ScopedTable:
@@ -167,13 +184,14 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     return out
 
 
-def extract_policies(m: MCDag, d: InfluenceDiagram, messages: dict[int, ScopedTable],
+def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, ScopedTable],
                      with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    """The root-to-leaves pass over the messages `evaluate` returned for `m`.
+    """The root-to-leaves pass over the decision tables `evaluate` returned
+    for `m`.
 
-    Consumes `messages`: the dict is cleared before the rules are built, so
-    the tables are freed early.
+    Consumes `tables`: each is popped when its decision is processed, so the
+    dict is empty before the rules are built.
     """
     decisions = set(d.decision_ids)
     cluster_of: dict[int, int] = {}
@@ -192,12 +210,11 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, messages: dict[int, ScopedTa
 
     choices: dict[int, ChoiceTable] = {}
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
-        c = m.clusters[cid]
-        parts = list(c.psi) + [messages[s] for s in c.sons]
-        t = combine_all(parts, c.ops[1], _ident(c.ops), counter)
+        t = tables.pop(cid)
+        scope, arr = t.scope, t.array
         pa = set(d.parents[x])
         while True:
-            later = sorted(v for v in t.scope
+            later = sorted(v for v in scope
                            if v != x and v in decisions and v not in pa)
             if not later:
                 break
@@ -205,15 +222,18 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, messages: dict[int, ScopedTa
             if y not in choices:
                 raise InternalError(
                     f"decision {y} reached before its own cluster was processed")
-            t = _substitute(t, y, _rule(d, y, choices[y]))
-        stray = [v for v in t.scope if v != x and v not in pa]
+            ch = choices[y]
+            scope, arr = _substitute(scope, arr, y, ch.retained_scope,
+                                     ch.representative.reshape(ch.retained_sizes))
+        stray = [v for v in scope if v != x and v not in pa]
         if stray:
             raise InternalError(
                 f"rule for decision {x} would depend on unobserved {stray}")
-        if x not in t.scope:
+        if x not in scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
+        if scope != t.scope:
+            t = ScopedTable(scope, arr.shape, arr.reshape(-1))
         _, choices[x] = argmax_marginalize(t, [x], counter, sets=with_sets)
-    messages.clear()  # free the messages before the rules are built
     return policies_from_choices(d, choices, with_sets)
 
 
@@ -259,10 +279,10 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     m = assemble(store, root, heuristic=heuristic)
     if merge:
         m = merge_clusters(m)
-    meu, messages = evaluate(m, d.sizes, counter)
+    meu, tables = evaluate(m, d.sizes, counter)
     return RunReport(
         meu=meu,
-        policies=extract_policies(m, d, messages, with_sets, counter),
+        policies=extract_policies(m, d, tables, with_sets, counter),
         engine="mcdag",
         w_mcdag=m.w_mcdag,
         node_count=node_count(store, root),

@@ -5,6 +5,11 @@ blocks and tables, bypassing the node algebra, the cluster engine, and the
 potential baseline, so any of those can be checked against it.  Exponential;
 keep diagrams small.
 
+`oracle_evaluate` is the cluster engine's message pass written with
+`ScopedTable` operations: a pairwise `combine` fold and `marginalize` per
+cluster, every message kept.  `solve.evaluate` runs the same arithmetic on
+bare arrays and must match it bit for bit, op counts included.
+
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
 pick the same orders.  `width_of_order` replays a fixed order on the
@@ -14,8 +19,9 @@ hyperedges and records the size of each created edge.
 import itertools
 from typing import Iterable, Sequence
 
-from infdiag.clusters import EliminationOrder, Hypergraph
+from infdiag.clusters import EliminationOrder, Hypergraph, MCDag
 from infdiag.diagram import InfluenceDiagram
+from infdiag.factors import Op, OpCounter, ScopedTable, combine, identity, marginalize
 
 
 def _leaf(d: InfluenceDiagram, env: dict[int, int]) -> float:
@@ -48,6 +54,35 @@ def oracle_value(d: InfluenceDiagram) -> float:
                     for a in itertools.product(*ranges))
 
     return rec(0, {})
+
+
+def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
+                    ) -> tuple[float, dict[int, ScopedTable]]:
+    """The MEU and the combined table of every max-eliminating cluster."""
+    messages: dict[int, ScopedTable] = {}
+    tables: dict[int, ScopedTable] = {}
+    for c in m.clusters:
+        marg, comb = c.ops
+        parts = list(c.psi) + [messages[s] for s in c.sons]
+        if parts:
+            combined = parts[0]
+            for t in parts[1:]:
+                combined = combine(combined, t, comb, counter)
+        else:
+            unit = c.ops in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
+            combined = ScopedTable.scalar(identity(comb, unit_interval=unit))
+        if marg is Op.MAX and c.elim:
+            tables[c.id] = combined
+        present = [v for v in c.elim if v in combined.scope]
+        absent = [v for v in c.elim if v not in combined.scope]
+        out = marginalize(combined, present, marg, counter)
+        if absent and marg is Op.SUM:
+            scale = 1.0
+            for v in absent:
+                scale *= sizes[v]
+            out = combine(out, ScopedTable.scalar(scale), Op.TIMES, counter)
+        messages[c.id] = out
+    return float(messages[m.root].values[0]), tables
 
 
 def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:

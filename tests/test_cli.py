@@ -191,6 +191,37 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert main(["solve", str(path)]) == 1
 
 
+HUGE_DOMAINS = b"""\
+IDNET 1
+MODE prob
+VAR a 4294967296 DECISION
+VAR b 4294967296 DECISION
+UTIL u a b :
+ORDER / a / / b /
+"""
+
+
+@pytest.mark.parametrize("engine", ["mcdag", "potential"])
+def test_huge_domain_product_is_input_error(engine, tmp_path, capsys):
+    # the table needs 2**64 values; a wrapping product would ask for 0
+    path = tmp_path / "huge.idnet"
+    path.write_bytes(HUGE_DOMAINS)
+    assert main(["solve", str(path), "--engine", engine]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [(b"\xff\xfeIDNET 1\n", 1),
+                                        (b"IDNET 1\nMODE prob\n# caf\xe9\n", 3)],
+                         ids=["leading-bom", "comment-byte"])
+def test_non_utf8_input_is_input_error(text, line, tmp_path, capsys):
+    path = tmp_path / "bytes.idnet"
+    path.write_bytes(text)
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "UTF-8" in err and "Traceback" not in err
+
+
 def test_usage_error_maps_to_1(capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from infdiag.factors import (
     AssignmentError,
     ChoiceTable,
+    FactorError,
     Op,
     ScopedTable,
     UniverseError,
@@ -279,6 +280,12 @@ def test_tally_isolates_nesting():
 def test_combine_all_identity_on_empty():
     out = combine_all([], Op.TIMES, identity(Op.TIMES))
     assert out.scope == () and out.values[0] == 1.0
+
+
+def test_scope_size_product_does_not_wrap():
+    # 2**32 * 2**32 wraps to 0 in int64, which would match an empty buffer
+    with pytest.raises(FactorError, match="does not match"):
+        ScopedTable((0, 1), (2**32, 2**32), np.zeros(0))
 
 
 def test_universe_mismatch_rejected():

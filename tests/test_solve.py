@@ -27,7 +27,7 @@ from infdiag.solve import (
     solve_diagram,
 )
 
-from oracles import oracle_value
+from oracles import oracle_evaluate, oracle_value
 
 TOL = 1e-9
 
@@ -135,8 +135,51 @@ def test_merging_preserves_the_value():
 def test_every_cluster_evaluated_once():
     d = fixture("fig3")
     m = mcdag_of(d)
-    _, values = evaluate(m, d.sizes)
-    assert len(values) == len(m.clusters)
+    _, tables = evaluate(m, d.sizes)
+    assert set(tables) == {c.id for c in m.clusters if c.ops[0] is Op.MAX and c.elim}
+    assert len(tables) == len(d.decision_ids)
+    doubled = dataclasses.replace(m, clusters=m.clusters[:1] + m.clusters)
+    with pytest.raises(InternalError, match="evaluated twice"):
+        evaluate(doubled, d.sizes)
+
+
+def descending_scopes(d):
+    """The same diagram with each utility's scope and each CPT's parents
+    listed in descending id order, so the message pass must transpose them."""
+    def flipped(t, fixed):  # the last `fixed` axes stay in place
+        k = len(t.scope) - fixed
+        order = list(range(k))[::-1] + list(range(k, len(t.scope)))
+        return ScopedTable(tuple(t.scope[i] for i in order), tuple(t.sizes[i] for i in order),
+                           t.array.transpose(order).reshape(-1), t.tag, t.name, t.cpt_for)
+
+    return dataclasses.replace(d, cpts={x: flipped(t, 1) for x, t in d.cpts.items()},
+                               utilities=tuple(flipped(u, 0) for u in d.utilities))
+
+
+# Domains of up to 16 make numpy sum a contiguous axis pairwise, so a fold
+# that left its result in another memory layout would change the bits.
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3")]
+                         + [fixture(f, n) for f in ("chain", "star") for n in range(2, 12)]
+                         + [random_id(7, 2, 3, 2, seed=s) for s in range(20)]
+                         + [random_id(7, 2, 3, 2, mode="poss", seed=s) for s in range(20)]
+                         + [descending_scopes(random_id(6, 2, 16, 3, seed=s))
+                            for s in range(10)],
+                         ids=["fig2", "fig3"]
+                         + [f"{f}{n}" for f in ("chain", "star") for n in range(2, 12)]
+                         + [f"prob{s}" for s in range(20)] + [f"poss{s}" for s in range(20)]
+                         + [f"wide{s}" for s in range(10)])
+def test_evaluate_matches_the_table_fold(d):
+    m = mcdag_of(d)
+    got_ops, want_ops = OpCounter(), OpCounter()
+    meu, tables = evaluate(m, d.sizes, got_ops)
+    want_meu, want_tables = oracle_evaluate(m, d.sizes, want_ops)
+    assert meu == want_meu
+    assert set(tables) == set(want_tables)
+    for cid, t in tables.items():
+        w = want_tables[cid]
+        assert (t.scope, t.sizes) == (w.scope, w.sizes), cid
+        assert t.values.tobytes() == w.values.tobytes(), cid
+    assert got_ops.by_kind == want_ops.by_kind
 
 
 def test_mixed_mode_ops_are_rejected():
@@ -151,23 +194,21 @@ def test_mixed_mode_ops_are_rejected():
 # -- substitution -------------------------------------------------------------
 
 def test_substitute_picks_ruled_values():
-    t = ScopedTable((0, 1), (2, 2), np.array([1.0, 2.0, 3.0, 4.0]))
-    rule = ScopedTable((), (), np.array([1.0]))
-    out = _substitute(t, 1, rule)
-    assert out.scope == (0,)
-    assert list(out.values) == [2.0, 4.0]
-    ctx_rule = ScopedTable((2,), (2,), np.array([0.0, 1.0]))
-    out = _substitute(t, 1, ctx_rule)
-    assert out.scope == (0, 2)
-    assert list(out.values) == [1.0, 2.0, 3.0, 4.0]
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+    scope, out = _substitute((0, 1), arr, 1, (), np.array(1))
+    assert scope == (0,)
+    assert list(out.reshape(-1)) == [2.0, 4.0]
+    scope, out = _substitute((0, 1), arr, 1, (2,), np.array([0, 1]))
+    assert scope == (0, 2)
+    assert list(out.reshape(-1)) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_substitute_rejects_bad_shapes():
-    t = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
+    arr = np.array([1.0, 2.0])
     with pytest.raises(InternalError):
-        _substitute(t, 1, ScopedTable.scalar(0.0))
+        _substitute((0,), arr, 1, (), np.array(0))
     with pytest.raises(InternalError):
-        _substitute(t, 0, ScopedTable((0,), (2,), np.zeros(2)))
+        _substitute((0,), arr, 0, (0,), np.zeros(2, dtype=np.intp))
 
 
 # -- random sweeps ------------------------------------------------------------
@@ -263,28 +304,30 @@ def test_solve_diagram_report():
 
 @pytest.mark.parametrize("d", [fixture("fig3"), fixture("chain", 8), fixture("star", 6),
                                random_id(8, 2, 3, 2, seed=4),
-                               random_id(10, 3, 3, 3, seed=7)],
-                         ids=["fig3", "chain8", "star6", "prob4", "prob7"])
+                               random_id(10, 3, 3, 3, seed=7),
+                               random_id(8, 2, 3, 2, mode="poss", seed=0)],
+                         ids=["fig3", "chain8", "star6", "prob4", "prob7", "poss0"])
 def test_solve_runs_the_message_pass_once(d):
-    # sum and times occur only in chance clusters, i.e. in the message pass
+    # the policy pass adds only the argmax's max ops to the message pass
     alone = OpCounter()
     evaluate(mcdag_of(d), d.sizes, alone)
     solved = OpCounter()
     solve_diagram(d, counter=solved)
-    assert alone.by_kind.get("sum", 0) > 0
-    for kind in ("sum", "times"):
+    kinds = (set(alone.by_kind) | set(solved.by_kind)) - {"max"}
+    assert kinds
+    for kind in kinds:
         assert solved.by_kind.get(kind, 0) == alone.by_kind.get(kind, 0), kind
 
 
 def test_fig3_solve_op_total():
     counter = OpCounter()
     solve_diagram(fixture("fig3"), counter=counter)
-    assert counter.total == 94
+    assert counter.total == 76
 
 
 def test_extract_policies_consumes_the_messages():
     d = fixture("fig3")
     m = mcdag_of(d)
-    _, messages = evaluate(m, d.sizes)
-    extract_policies(m, d, messages)
-    assert messages == {}
+    _, tables = evaluate(m, d.sizes)
+    extract_policies(m, d, tables)
+    assert tables == {}
