@@ -89,28 +89,24 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
     return Potential(den, ScopedTable(num.scope, num.sizes, q.reshape(-1).copy()))
 
 
-def pot_marg_decision(pi: Potential, vars: Sequence[int],
-                      counter: OpCounter | None = None
+def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
                       ) -> tuple[Potential, ChoiceTable]:
-    elim = tuple(dict.fromkeys(vars))
-    if not set(elim) <= set(pi.u.scope):
-        raise FactorError(f"decision set {elim} must appear in the utility part")
+    if x not in pi.u.scope:
+        raise FactorError(f"decision {x} must appear in the utility part")
     p = pi.p
-    nominal = [v for v in elim if v in p.scope]
-    if nominal:
-        arr = p.values.reshape(p.sizes)
-        axes = tuple(p.scope.index(v) for v in nominal)
-        spread = arr.max(axis=axes) - arr.min(axis=axes)
+    if x in p.scope:
+        arr = p.array
+        axis = p.scope.index(x)
+        spread = arr.max(axis=axis) - arr.min(axis=axis)
         limit = CONSTANT_TOL * max(1.0, float(np.abs(arr).max(initial=0.0)))
         if float(spread.max(initial=0.0)) > limit:
             raise InvalidEliminationError(
-                f"probability part depends on decision variables {nominal}")
-        index = tuple(0 if v in nominal else slice(None) for v in p.scope)
-        keep = tuple(v for v in p.scope if v not in nominal)
-        p = ScopedTable(keep, tuple(p.size_of(v) for v in keep),
-                        arr[index].reshape(-1).copy(), p.tag)
-    marg, choice = argmax_marginalize(pi.u, elim, counter)
-    return Potential(p, marg), choice
+                f"probability part depends on decision variable {x}")
+        keep = p.scope[:axis] + p.scope[axis + 1:]
+        p = ScopedTable(keep, p.sizes[:axis] + p.sizes[axis + 1:],
+                        arr.take(0, axis=axis).reshape(-1), p.tag)
+    (scope, best), choice = argmax_marginalize((pi.u.scope, pi.u.array), x, counter)
+    return Potential(p, ScopedTable(scope, best.shape, best.reshape(-1), pi.u.tag)), choice
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                 acc = pot_combine(acc, pi, counter)
             width = max(width, len(acc.W - {x}))
             if op is Op.MAX:
-                acc, choice = pot_marg_decision(acc, [x], counter)
+                acc, choice = pot_marg_decision(acc, x, counter)
                 if not set(choice.retained_scope) <= set(d.parents[x]):
                     raise InternalError(
                         f"rule for {d.names[x]} would depend on "

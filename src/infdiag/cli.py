@@ -64,8 +64,7 @@ def _brute_policies(d: InfluenceDiagram,
         pa = tuple(d.parents[x])
         sizes = tuple(d.size_of(v) for v in pa)
         rows = [tuple(sorted(table[ctx])) for ctx in product(*(range(s) for s in sizes))]
-        choices[x] = ChoiceTable(pa, sizes, (x,), (d.size_of(x),),
-                                 np.array([row[0] for row in rows]), tuple(rows))
+        choices[x] = ChoiceTable(pa, sizes, np.array([row[0] for row in rows]), tuple(rows))
     return solve.policies_from_choices(d, choices, with_sets)
 
 

@@ -6,14 +6,15 @@ scope axes).  Combination canonicalizes the output scope to ascending variable
 id; marginalization and restriction keep the surviving order of their input.
 
 The arithmetic lives in array-level helpers over (scope, ndarray) parts:
-`align` lays a part out over a union scope, `fold` combines parts and
-`eliminate` marginalizes one.  `combine`, `combine_all` and `marginalize` are
-thin `ScopedTable` wrappers over them, and the cluster engine's message pass
-calls them on bare arrays.  Each step charges an operation counter (the
-context-local one unless another is passed) with one unit per binary scalar
-operation performed (combination: one per output cell; marginalization: one
-per folded-away cell), which is what the operation-count comparisons in the
-test suite rely on.
+`align` lays a part out over a union scope, `fold` combines parts,
+`eliminate` marginalizes one, and `argmax_marginalize` max-eliminates one
+variable of one and records which values attain the max.  `combine`,
+`combine_all` and `marginalize` are thin `ScopedTable` wrappers over them;
+the cluster engine's message pass and policy pass call them on bare arrays.
+Each step charges an operation counter (the context-local one unless another
+is passed) with one unit per binary scalar operation performed (combination:
+one per output cell; marginalization: one per folded-away cell), which is
+what the operation-count comparisons in the test suite rely on.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ class ScopedTable:
 
 Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)
 
+CELL_GUARD = 2 ** 24  # largest union `fold` allocates
+
 
 def align(arr: np.ndarray, scope: tuple[int, ...], union: Sequence[int]) -> np.ndarray:
     """View of `arr` broadcastable over `union`: its axes permuted into union
@@ -212,7 +215,8 @@ def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Par
 
     Two or more parts give the ascending-id union scope and a C-contiguous
     array, so a later reduction sums in a fixed order.  One part comes back
-    as it is; none gives the 0-d identity.
+    as it is; none gives the 0-d identity.  A union over more than
+    CELL_GUARD cells is refused before anything is allocated.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"{op} is not a combination operator")
@@ -227,6 +231,8 @@ def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Par
                 )
     union = tuple(sorted(size_of))
     full = math.prod(size_of.values())
+    if full > CELL_GUARD:
+        raise ResourceGuardError(f"combination over {full} cells (limit {CELL_GUARD})")
     ufunc, kind = _UFUNC[op], op.value
     scope, arr = parts[0]
     acc = align(arr, scope, union)
@@ -291,54 +297,39 @@ def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter 
 
 @dataclass(frozen=True)
 class ChoiceTable:
-    """Per retained assignment: which eliminated assignments attain the max.
+    """Per retained assignment: which values of the eliminated variable
+    attain the max.
 
-    Eliminated assignments are flat indices over the eliminated variables in
-    ascending id order, last fastest.  `representative` holds the lowest such
-    index (the deterministic tie-break), `attaining` the full set, or None
-    when the sets were not asked for.
+    Rows run over the retained scope, last variable fastest.
+    `representative` holds the lowest attaining value (the deterministic
+    tie-break), `attaining` the full set, or None when the sets were not
+    asked for.
     """
 
     retained_scope: tuple[int, ...]
     retained_sizes: tuple[int, ...]
-    elim_scope: tuple[int, ...]
-    elim_sizes: tuple[int, ...]
     representative: np.ndarray
     attaining: tuple[tuple[int, ...], ...] | None
 
-    def decode(self, flat: int) -> tuple[int, ...]:
-        """Flat eliminated index -> per-variable values (ascending id order)."""
-        out = []
-        rem = int(flat)
-        for size in reversed(self.elim_sizes):
-            out.append(rem % size)
-            rem //= size
-        return tuple(reversed(out))
 
-
-def argmax_marginalize(t: ScopedTable, vars: Sequence[int], counter: OpCounter | None = None,
-                       sets: bool = True) -> tuple[ScopedTable, ChoiceTable]:
-    """MAX-marginalize and record, per retained cell, the lowest attaining
-    index and, when `sets` is true, the whole attaining set."""
-    elim = tuple(sorted(dict.fromkeys(vars)))
-    missing = [v for v in elim if v not in t.scope]
-    if missing:
-        raise UnknownVariableError(f"variables {missing} not in scope {t.scope}")
-    keep = tuple(v for v in t.scope if v not in elim)
-    arr = t.values.reshape(t.sizes)
-    perm = [t.scope.index(v) for v in keep] + [t.scope.index(v) for v in elim]
-    keep_sizes = tuple(t.size_of(v) for v in keep)
-    elim_sizes = tuple(t.size_of(v) for v in elim)
-    ret_n = math.prod(keep_sizes)
-    flat = arr.transpose(perm).reshape(ret_n, -1)
-    best = flat.max(axis=1)
-    (counter or current_counter()).add(int(flat.size - best.size), Op.MAX.value)
-    rep = flat.argmax(axis=1)
+def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
+                       sets: bool = True) -> tuple[Part, ChoiceTable]:
+    """MAX-eliminate `var` from the part, charging one op per folded-away
+    cell, and record per retained cell the lowest attaining value and, when
+    `sets` is true, the whole attaining set.  Kept axes keep their order."""
+    scope, arr = part
+    if var not in scope:
+        raise UnknownVariableError(f"variable {var} not in scope {scope}")
+    axis = scope.index(var)
+    keep = scope[:axis] + scope[axis + 1:]
+    keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
+    rows = np.moveaxis(arr, axis, -1).reshape(-1, arr.shape[axis])
+    best = rows.max(axis=1)
+    (counter or current_counter()).add(int(rows.size - best.size), Op.MAX.value)
+    rep = rows.argmax(axis=1)
     attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
-                   for row, mx in zip(flat, best)) if sets else None
-    marg = ScopedTable(keep, keep_sizes, best.copy(), t.tag)
-    choice = ChoiceTable(keep, keep_sizes, elim, elim_sizes, rep.copy(), attain)
-    return marg, choice
+                   for row, mx in zip(rows, best)) if sets else None
+    return (keep, best.reshape(keep_sizes)), ChoiceTable(keep, keep_sizes, rep, attain)
 
 
 def restrict(t: ScopedTable, assignment: Mapping[int, int]) -> ScopedTable:

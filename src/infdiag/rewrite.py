@@ -112,8 +112,12 @@ def _sample_nonneg(store: NodeStore, ids: list[int]) -> None:
 # The six rules
 
 def decompose_sum(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace | None = None) -> int:
-    """Push the innermost chance elimination of `x` into every group child."""
+                  trace: RewriteTrace | None = None) -> tuple[int, list[int]]:
+    """Push the innermost chance elimination of `x` into every group child.
+
+    Returns the new root and the distinct new nodes eliminating `x`, in the
+    order first built.
+    """
     node = store.nodes[root]
     if node.is_atomic or not node.sov:
         raise InternalError("decompose-sum needs a composite root with a sov")
@@ -122,6 +126,7 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         raise InternalError(f"variable {x} is not in the innermost chance block")
     comb: Op | None = None
     wrappers = []
+    inners: dict[int, None] = {}  # insertion-ordered set
     for gid in node.children:
         members, comb = _group_members(store, gid, comb)
         plus = [m for m in members if x in store.scope(m)]
@@ -132,13 +137,14 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         inner = store.composite([(marg, (x,))], comb, plus)
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
+        inners[inner] = None
         wrappers.append(store.composite([], comb, minus + [inner]))
     if len(set(wrappers)) != len(node.children):
         raise InternalError("decomposition collapsed two distinct groups")
     new_sov = node.sov[:-1] + ((marg, tuple(v for v in last if v != x)),)
     out = store.composite(new_sov, node.comb, wrappers)
     _emit(trace, "decompose-sum", root, out, var=x)
-    return out
+    return out, list(inners)
 
 
 def recompose_sum(store: NodeStore, nid: int,
@@ -240,11 +246,13 @@ def drop_unit_children(store: NodeStore, nid: int,
 
 
 def decompose_max(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace | None = None, debug: bool = False) -> int:
+                  trace: RewriteTrace | None = None,
+                  debug: bool = False) -> tuple[int, int | None]:
     """Push the innermost decision elimination of `x` into the groups.
 
     Factors common to every group mentioning x, and themselves free of x,
-    are hoisted out of the new max node.
+    are hoisted out of the new max node.  Returns the new root and the new
+    node eliminating `x`, or None when no group mentions `x`.
     """
     node = store.nodes[root]
     if node.is_atomic or not node.sov:
@@ -261,7 +269,7 @@ def decompose_max(store: NodeStore, root: int, x: int,
     if not plus:
         out = store.composite(new_sov, node.comb, node.children)
         _emit(trace, "decompose-max", root, out, var=x)
-        return out
+        return out, None
     common = set(store.nodes[plus[0]].children)
     for gid in plus[1:]:
         common &= set(store.nodes[gid].children)
@@ -285,7 +293,7 @@ def decompose_max(store: NodeStore, root: int, x: int,
         raise InternalError("decision wrapper collides with an unrelated group")
     out = store.composite(new_sov, node.comb, kids)
     _emit(trace, "decompose-max", root, out, var=x, inner=inner)
-    return out
+    return out, inner
 
 
 def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
@@ -352,32 +360,6 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
 # --------------------------------------------------------------------------
 # Driver
 
-def created_inner_nodes(store: NodeStore, root: int, op: Op, x: int,
-                        since: int) -> list[int]:
-    """Grandchildren of `root` that eliminate exactly `x` with `op`.
-
-    Valid right after a decompose step: no older node can eliminate x.  So
-    children of `root` with ids below `since`, the store size before that
-    step, are skipped: they and their children are older.
-    """
-    out: list[int] = []
-    seen: set[int] = set()
-    for gid in store.nodes[root].children:
-        if gid < since:
-            continue
-        gn = store.nodes[gid]
-        if gn.is_atomic:
-            continue
-        for m in gn.children:
-            if m in seen:
-                continue
-            mn = store.nodes[m]
-            if not mn.is_atomic and mn.sov == ((op, (x,)),):
-                seen.add(m)
-                out.append(m)
-    return out
-
-
 def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int]) -> int:
     node = store.nodes[root]
     kids = [repl.get(c, c) for c in node.children]
@@ -387,10 +369,7 @@ def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int]) -> int:
 
 
 def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
-    marg = store.nodes[root].sov[-1][0]
-    since = len(store)
-    root = decompose_sum(store, root, x, trace)
-    inners = created_inner_nodes(store, root, marg, x, since)
+    root, inners = decompose_sum(store, root, x, trace)
     outs: dict[int, int] = {}
     for i in inners:
         outs[i] = recompose_sum(store, i, trace)
@@ -417,14 +396,9 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
 
 def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
               debug: bool) -> int:
-    since = len(store)
-    root = decompose_max(store, root, x, trace, debug)
-    inners = created_inner_nodes(store, root, Op.MAX, x, since)
-    if not inners:
+    root, inner = decompose_max(store, root, x, trace, debug)
+    if inner is None:
         return root  # the decision was irrelevant and silently dropped
-    if len(inners) != 1:
-        raise InternalError("expected exactly one new decision node")
-    inner = inners[0]
     merged = recompose_max(store, inner, trace, debug)
     if merged == inner:
         return root

@@ -98,9 +98,9 @@ def _ident(ops: tuple[Op, Op]) -> float:
 
 
 def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
-             counter: OpCounter | None = None) -> tuple[float, dict[int, ScopedTable]]:
+             counter: OpCounter | None = None) -> tuple[float, dict[int, Part]]:
     """The leaves-to-root pass: the MEU and, by cluster id, the combined
-    table of every cluster that max-eliminates a variable.
+    part of every cluster that max-eliminates a variable.
 
     Sons come before parents and each cluster is computed once.  A message
     is freed once the last cluster that reads it has read it.
@@ -109,7 +109,7 @@ def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
     counter = counter or current_counter()
     last_reader = {s: c.id for c in m.clusters for s in c.sons}
     messages: dict[int, Part] = {}
-    tables: dict[int, ScopedTable] = {}
+    tables: dict[int, Part] = {}
     done: set[int] = set()
     for c in m.clusters:  # ascending ids are topological
         if c.id in done:
@@ -122,7 +122,7 @@ def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
                 messages.pop(s, None)  # a merged cluster may list a son twice
         scope, arr = fold(parts, comb, _ident(c.ops), counter)
         if marg is Op.MAX and c.elim:
-            tables[c.id] = ScopedTable(scope, arr.shape, arr.reshape(-1))
+            tables[c.id] = scope, arr
         present = [v for v in c.elim if v in scope]
         absent = [v for v in c.elim if v not in scope]
         out = eliminate((scope, arr), present, marg, counter) if present else (scope, arr)
@@ -173,8 +173,7 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
         choice = choices.get(x)
         if choice is None:  # no influence anywhere: every choice is optimal
             size = d.size_of(x)
-            choice = ChoiceTable((), (), (x,), (size,), np.zeros(1, dtype=np.intp),
-                                 (tuple(range(size)),))
+            choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), (tuple(range(size)),))
         sets = None
         if with_sets:
             if choice.attaining is None:
@@ -184,10 +183,10 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     return out
 
 
-def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, ScopedTable],
+def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, Part],
                      with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    """The root-to-leaves pass over the decision tables `evaluate` returned
+    """The root-to-leaves pass over the decision parts `evaluate` returned
     for `m`.
 
     Consumes `tables`: each is popped when its decision is processed, so the
@@ -210,8 +209,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, ScopedTabl
 
     choices: dict[int, ChoiceTable] = {}
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
-        t = tables.pop(cid)
-        scope, arr = t.scope, t.array
+        scope, arr = tables.pop(cid)
         pa = set(d.parents[x])
         while True:
             later = sorted(v for v in scope
@@ -231,9 +229,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, ScopedTabl
                 f"rule for decision {x} would depend on unobserved {stray}")
         if x not in scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
-        if scope != t.scope:
-            t = ScopedTable(scope, arr.shape, arr.reshape(-1))
-        _, choices[x] = argmax_marginalize(t, [x], counter, sets=with_sets)
+        _, choices[x] = argmax_marginalize((scope, arr), x, counter, sets=with_sets)
     return policies_from_choices(d, choices, with_sets)
 
 

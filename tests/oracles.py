@@ -10,6 +10,10 @@ keep diagrams small.
 cluster, every message kept.  `solve.evaluate` runs the same arithmetic on
 bare arrays and must match it bit for bit, op counts included.
 
+`oracle_argmax` walks the rows of a table one value at a time, the way
+`factors.argmax_marginalize` must see them: the max, the lowest attaining
+value and every attaining value, per assignment of the other variables.
+
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
 pick the same orders.  `width_of_order` replays a fixed order on the
@@ -18,6 +22,8 @@ hyperedges and records the size of each created edge.
 
 import itertools
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from infdiag.clusters import EliminationOrder, Hypergraph, MCDag
 from infdiag.diagram import InfluenceDiagram
@@ -83,6 +89,27 @@ def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
             out = combine(out, ScopedTable.scalar(scale), Op.TIMES, counter)
         messages[c.id] = out
     return float(messages[m.root].values[0]), tables
+
+
+def oracle_argmax(scope: tuple[int, ...], arr: np.ndarray, var: int
+                  ) -> tuple[tuple[int, ...], list[float], list[int], list[tuple[int, ...]]]:
+    """Kept scope, then per kept assignment (last variable fastest) the max
+    over `var`, the lowest value attaining it and all values attaining it."""
+    axis = scope.index(var)
+    keep = scope[:axis] + scope[axis + 1:]
+    kept_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
+    best, lowest, attaining = [], [], []
+    for ctx in itertools.product(*(range(s) for s in kept_sizes)):
+        row = [float(arr[ctx[:axis] + (j,) + ctx[axis:]]) for j in range(arr.shape[axis])]
+        top = row[0]
+        for v in row[1:]:
+            if v > top:
+                top = v
+        hits = tuple(j for j, v in enumerate(row) if v == top)
+        best.append(top)
+        lowest.append(hits[0])
+        attaining.append(hits)
+    return keep, best, lowest, attaining
 
 
 def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:

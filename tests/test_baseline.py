@@ -109,11 +109,11 @@ def test_marg_chance_scales_mass_for_u_only_variables():
 
 def test_marg_decision_examples():
     pi = Potential(ScopedTable.scalar(1.0), tab((0,), (2,), [1.0, 5.0]))
-    out, choice = pot_marg_decision(pi, [0])
+    out, choice = pot_marg_decision(pi, 0)
     assert float(out.u.values[0]) == 5.0
     assert choice.representative[0] == 1
     tie, choice = pot_marg_decision(
-        Potential(ScopedTable.scalar(1.0), tab((0,), (2,), [4.0, 4.0])), [0])
+        Potential(ScopedTable.scalar(1.0), tab((0,), (2,), [4.0, 4.0])), 0)
     assert choice.representative[0] == 0
     assert choice.attaining[0] == (0, 1)
 
@@ -121,7 +121,7 @@ def test_marg_decision_examples():
 def test_marg_decision_projects_nominal_scope():
     p = tab((0, 1), (2, 2), [0.3, 0.7, 0.3, 0.7])  # constant in the decision 0
     u = tab((0,), (2,), [1.0, 2.0])
-    out, _ = pot_marg_decision(Potential(p, u), [0])
+    out, _ = pot_marg_decision(Potential(p, u), 0)
     assert out.p.scope == (1,)
     assert np.allclose(out.p.values, [0.3, 0.7])
 
@@ -130,13 +130,13 @@ def test_marg_decision_rejects_genuine_dependence():
     p = tab((0, 1), (2, 2), [0.3, 0.7, 0.6, 0.4])
     u = tab((0,), (2,), [1.0, 2.0])
     with pytest.raises(InvalidEliminationError):
-        pot_marg_decision(Potential(p, u), [0])
+        pot_marg_decision(Potential(p, u), 0)
 
 
 def test_marg_decision_requires_utility_scope():
     with pytest.raises(FactorError):
         pot_marg_decision(Potential(ScopedTable.scalar(1.0),
-                                    ScopedTable.scalar(0.0)), [0])
+                                    ScopedTable.scalar(0.0)), 0)
 
 
 def test_shenoy_shafer_commutation():
@@ -154,8 +154,8 @@ def test_shenoy_shafer_commutation():
         # decision marginal commutes when the other operand ignores it
         da = Potential(tab((1,), (2,), rng.uniform(0.1, 1, 2)),
                        tab((0, 1), (2, 2), rng.normal(size=4)))
-        lhs2, _ = pot_marg_decision(pot_combine(da, b), [0])
-        rhs2 = pot_combine(pot_marg_decision(da, [0])[0], b)
+        lhs2, _ = pot_marg_decision(pot_combine(da, b), 0)
+        rhs2 = pot_combine(pot_marg_decision(da, 0)[0], b)
         assert np.allclose(lhs2.u.values, rhs2.u.values, rtol=1e-12)
 
 

@@ -239,6 +239,16 @@ def test_brute_guard_exits_2(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["mcdag", "potential"])
+def test_cell_guard_exits_2(engine, tmp_path, capsys):
+    # the largest cluster would hold 4.5e11 cells
+    path = tmp_path / "wide.idnet"
+    path.write_text(serialize(random_id(60, 6, 6, 6, seed=0)))
+    assert main(["solve", str(path), "--engine", engine]) == 2
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "Traceback" not in err
+
+
 def test_exhaustive_width_guard_exits_2(tmp_path, capsys):
     path = tmp_path / "nine.idnet"
     path.write_text(serialize(random_id(9, 1, 2, 2, seed=1)))

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infdiag.factors import (
+    CELL_GUARD,
     AssignmentError,
-    ChoiceTable,
     FactorError,
     Op,
+    OpCounter,
+    ResourceGuardError,
     ScopedTable,
     UniverseError,
     UnknownVariableError,
@@ -28,11 +30,13 @@ from infdiag.factors import (
     combine,
     combine_all,
     current_counter,
+    fold,
     identity,
     marginalize,
     restrict,
     tally,
 )
+from oracles import oracle_argmax
 
 SCALAR = {
     Op.SUM: lambda a, b: a + b,
@@ -217,39 +221,52 @@ def test_sum_then_restrict_commutes(t):
 
 def test_argmax_tracks_sets_and_representative():
     # over variable 2 (size 3), keeping variable 0 (size 2)
-    t = ScopedTable((0, 2), (2, 3), np.array([1.0, 5.0, 5.0, 7.0, 2.0, 7.0]))
-    marg, choice = argmax_marginalize(t, [2])
-    assert np.allclose(marg.values, [5.0, 7.0])
+    arr = np.array([[1.0, 5.0, 5.0], [7.0, 2.0, 7.0]])
+    (scope, best), choice = argmax_marginalize(((0, 2), arr), 2)
+    assert scope == (0,) and best.tolist() == [5.0, 7.0]
     assert choice.attaining == ((1, 2), (0, 2))
     assert list(choice.representative) == [1, 0]
-    assert choice.decode(2) == (2,)
-
-
-def test_argmax_multi_variable_decode():
-    t = ScopedTable((1, 3), (2, 2), np.array([0.0, 9.0, 9.0, 1.0]))
-    marg, choice = argmax_marginalize(t, [3, 1])
-    assert marg.scope == ()
-    assert marg.values[0] == 9.0
-    assert choice.elim_scope == (1, 3)
-    assert choice.attaining == ((1, 2),)
-    assert choice.decode(1) == (0, 1) and choice.decode(2) == (1, 0)
-    assert choice.representative[0] == 1  # lowest flat index wins ties
+    with pytest.raises(UnknownVariableError):
+        argmax_marginalize(((0, 2), arr), 1)
 
 
 def test_argmax_without_sets_keeps_marginal_and_representative():
     rng = np.random.default_rng(5)
-    for scope, sizes, elim in [((0, 2), (2, 3), [2]), ((1, 3, 4), (3, 2, 4), [3, 1]),
-                               ((0,), (4,), [0])]:
+    for scope, sizes, var in [((0, 2), (2, 3), 2), ((1, 3, 4), (3, 2, 4), 3),
+                              ((0,), (4,), 0)]:
         # few distinct values, so most rows hold ties
-        t = ScopedTable(scope, sizes, rng.integers(0, 3, int(np.prod(sizes))).astype(float))
-        full_marg, full = argmax_marginalize(t, elim)
-        marg, choice = argmax_marginalize(t, elim, sets=False)
+        arr = rng.integers(0, 3, sizes).astype(float)
+        full_marg, full = argmax_marginalize((scope, arr), var)
+        marg, choice = argmax_marginalize((scope, arr), var, sets=False)
         assert choice.attaining is None and full.attaining is not None
-        assert marg.scope == full_marg.scope
-        assert np.array_equal(marg.values, full_marg.values)
+        assert marg[0] == full_marg[0]
+        assert marg[1].tobytes() == full_marg[1].tobytes()
         assert np.array_equal(choice.representative, full.representative)
-        assert (choice.retained_scope, choice.elim_scope) == \
-            (full.retained_scope, full.elim_scope)
+        assert (choice.retained_scope, choice.retained_sizes) == \
+            (full.retained_scope, full.retained_sizes)
+
+
+def test_argmax_matches_the_row_oracle():
+    rng = np.random.default_rng(17)
+    values = np.array([-np.inf, 0.0, 1.0, 2.0])  # few values, so rows tie often
+    for ndim in range(1, 5):
+        for _ in range(6):
+            scope = tuple(int(v) for v in rng.permutation(8)[:ndim])  # not sorted
+            sizes = tuple(int(s) for s in rng.integers(1, 5, ndim))
+            arr = rng.choice(values, sizes)
+            for var in scope:
+                keep, best, lowest, attaining = oracle_argmax(scope, arr, var)
+                kept_sizes = tuple(s for v, s in zip(scope, sizes) if v != var)
+                for sets in (True, False):
+                    with tally() as counter:
+                        (got_scope, got), choice = argmax_marginalize(
+                            (scope, arr), var, sets=sets)
+                    assert got_scope == choice.retained_scope == keep
+                    assert got.shape == choice.retained_sizes == kept_sizes
+                    assert got.reshape(-1).tolist() == best
+                    assert choice.representative.tolist() == lowest
+                    assert choice.attaining == (tuple(attaining) if sets else None)
+                    assert counter.by_kind == {"max": arr.size - got.size}
 
 
 def test_counter_counts_combine_and_marginalize():
@@ -293,6 +310,16 @@ def test_universe_mismatch_rejected():
     b = ScopedTable((0,), (3,), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(UniverseError):
         combine(a, b, Op.TIMES)
+
+
+def test_fold_refuses_a_union_over_the_cell_guard():
+    axis = np.broadcast_to(1.0, (2 ** 9,))  # no memory behind the axis
+    parts = [((v,), axis) for v in range(3)]
+    with tally() as counter, pytest.raises(ResourceGuardError, match="cells"):
+        fold(parts, Op.TIMES, 1.0, counter)
+    assert counter.total == 0
+    scope, arr = fold(parts[:2], Op.TIMES, 1.0, OpCounter())  # 2**18 cells fit
+    assert scope == (0, 1) and arr.size == 2 ** 18 <= CELL_GUARD
 
 
 def test_unknown_variable_rejected():

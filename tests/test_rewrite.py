@@ -46,7 +46,7 @@ def fig2_store():
 def test_decompose_sum_shares_the_inner_node():
     d, store, root = fig2_store()
     trace = []
-    out = decompose_sum(store, root, 0, trace)
+    out, inners = decompose_sum(store, root, 0, trace)
     node = store.nodes[out]
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (1,)))
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
@@ -58,6 +58,7 @@ def test_decompose_sum_shares_the_inner_node():
         store.composite([], Op.TIMES, [atom(store, "u_d"), shared]),
     }
     assert set(node.children) == want
+    assert sorted(inners) == sorted({shared, full})
     assert trace == [TraceEvent("decompose-sum", root, out, var=0)]
 
 
@@ -147,11 +148,11 @@ def test_decompose_max_wraps_the_whole_root_when_nothing_is_common():
     w3 = store.composite([], Op.TIMES, [atom(store, "u_d")])
     root = store.composite([(Op.MAX, (2,))], Op.PLUS, [w1, w2, w3])
     trace = []
-    out = decompose_max(store, root, 2, trace)
+    out, inner = decompose_max(store, root, 2, trace)
     node = store.nodes[out]
     assert node.sov == ()
     (wrap,) = node.children
-    inner = trace[-1].inner
+    assert inner == trace[-1].inner
     assert store.nodes[wrap].children == (inner,)
     assert store.nodes[inner].sov == ((Op.MAX, (2,)),)
     assert set(store.nodes[inner].children) == {w1, w2, w3}
@@ -162,10 +163,10 @@ def test_decompose_max_hoists_common_factors():
     store = store_for(d)
     root = initial_node(store, d)
     trace = []
-    out = decompose_max(store, root, 4, trace)
+    out, inner = decompose_max(store, root, 4, trace)
     node = store.nodes[out]
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (1,)), (Op.MAX, (3,)), (Op.SUM, (0,)))
-    inner = trace[-1].inner
+    assert inner == trace[-1].inner
     wraps = [c for c in node.children if inner in store.nodes[c].children]
     assert len(wraps) == 1
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
@@ -183,10 +184,10 @@ def test_decompose_max_drops_an_absent_decision():
     w = store.composite([], Op.TIMES, [u])
     root = store.composite([(Op.MAX, (1,))], Op.PLUS, [w])
     trace = []
-    out = decompose_max(store, root, 1, trace)
+    out, inner = decompose_max(store, root, 1, trace)
     assert store.nodes[out].sov == ()
     assert store.nodes[out].children == (w,)
-    assert trace[-1].inner is None
+    assert inner is None and trace[-1].inner is None
 
 
 def test_decompose_max_refuses_signed_common_factors():

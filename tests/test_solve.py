@@ -1,6 +1,7 @@
 """Cluster DAG evaluation, policies, and the end-to-end solver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_rules_do_not_depend_on_tie_sets(d):
 def test_policies_from_choices_needs_recorded_sets():
     d = parse("IDNET 1\nMODE prob\nVAR d 2 DECISION\n"
               "UTIL u d : 4 4\nORDER / d /\n")
-    choice = ChoiceTable((), (), (0,), (2,), np.zeros(1, dtype=np.intp), None)
+    choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), None)
     (policy,) = policies_from_choices(d, {0: choice})
     assert int(policy.rule.lookup({})) == 0
     with pytest.raises(InternalError, match="tie sets"):
@@ -175,10 +176,10 @@ def test_evaluate_matches_the_table_fold(d):
     want_meu, want_tables = oracle_evaluate(m, d.sizes, want_ops)
     assert meu == want_meu
     assert set(tables) == set(want_tables)
-    for cid, t in tables.items():
+    for cid, (scope, arr) in tables.items():
         w = want_tables[cid]
-        assert (t.scope, t.sizes) == (w.scope, w.sizes), cid
-        assert t.values.tobytes() == w.values.tobytes(), cid
+        assert (scope, arr.shape) == (w.scope, w.sizes), cid
+        assert arr.tobytes() == w.values.tobytes(), cid
     assert got_ops.by_kind == want_ops.by_kind
 
 
@@ -268,6 +269,18 @@ def test_policy_evaluation_guards_enumeration():
     d = random_id(17, 0, 2, 2, seed=0)
     with pytest.raises(ResourceGuardError):
         evaluate_policy(d, [])
+
+
+def test_cell_guard_refuses_before_allocating():
+    d = random_id(60, 6, 6, 6, seed=0)  # largest cluster: 4.5e11 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="cells"):
+            solve_diagram(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_deterministic_path_reaches_one():
