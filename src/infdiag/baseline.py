@@ -11,6 +11,7 @@ and is the ground truth everything else is compared against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ import numpy as np
 from .clusters import Hypergraph, _eliminate_step, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
+    CELL_GUARD,
     FactorError,
     InternalError,
     Op,
@@ -112,28 +114,75 @@ def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
 # --------------------------------------------------------------------------
 # Whole-diagram engines
 
-def _pool_graph(pool: Sequence[Potential], block: Iterable[int]) -> Hypergraph:
-    edges = frozenset(pi.W for pi in pool)
-    verts = frozenset(set(block).union(*[pi.W for pi in pool])) if pool else frozenset(block)
-    return Hypergraph(verts, edges)
+def _pool_graph(scopes: Sequence[frozenset[int]], block: Iterable[int]) -> Hypergraph:
+    return Hypergraph(frozenset(set(block).union(*scopes)), frozenset(scopes))
+
+
+def _plan(d: InfluenceDiagram, heuristic: str) -> list[tuple[Op, tuple[int, ...]]]:
+    """The elimination order of each block for `potential_ve`, innermost
+    block first, worked out on the (p, u) scopes alone.
+
+    The scopes go through the same steps the tables will, so a step whose
+    combination `fold` would refuse is refused here, before any table is
+    built: a chance step folds p and u together, a decision step folds the
+    p parts and the u parts apart (and only when two or more meet).
+    """
+    def guard(x: int | None, scope: frozenset[int]) -> None:
+        cells = math.prod(d.sizes[v] for v in scope)
+        if cells > CELL_GUARD:
+            where = f"eliminating {d.names[x]}" if x is not None else "the final product"
+            raise ResourceGuardError(
+                f"potential engine: {where} combines {cells} cells (limit {CELL_GUARD})")
+
+    pool = [(frozenset(t.scope), frozenset()) for _, t in sorted(d.cpts.items())]
+    pool += [(frozenset(), frozenset(t.scope)) for t in d.utilities]
+    plan = []
+    for op, block in reversed(sov0(d)):
+        if op is Op.MAX:
+            order: Sequence[int] = tuple(reversed(block))
+        else:
+            order = find_order(_pool_graph([p | u for p, u in pool], block),
+                               block, heuristic).order
+        plan.append((op, tuple(order)))
+        for x in order:
+            hits = [(p, u) for p, u in pool if x in p or x in u]
+            if not hits:
+                continue  # skipped, or refused with an InternalError, by potential_ve
+            p = frozenset().union(*(h[0] for h in hits))
+            u = frozenset().union(*(h[1] for h in hits))
+            if op is Op.MAX:
+                if len(hits) > 1:
+                    guard(x, p)
+                    guard(x, u)
+                u = u - {x}
+            else:
+                guard(x, p | u)
+                u = (p | u) - {x}
+            pool = [(q, w) for q, w in pool if x not in q and x not in w]
+            pool.append((p - {x}, u))
+    if len(pool) > 1:
+        guard(None, frozenset().union(*(p for p, _ in pool)))
+        guard(None, frozenset().union(*(u for _, u in pool)))
+    return plan
 
 
 def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                  counter: OpCounter | None = None, with_sets: bool = False
                  ) -> tuple[float, list[Policy], int]:
-    """Reverse-temporal bucket elimination over (p, u) potentials."""
+    """Reverse-temporal bucket elimination over (p, u) potentials.
+
+    The orders come from `_plan`, which also refuses up front a diagram whose
+    elimination would combine more than CELL_GUARD cells in one table.
+    """
     if d.mode != "prob":
         raise DiagramError("the potential engine handles prob mode only")
+    plan = _plan(d, heuristic)
     pool: list[Potential] = [Potential(t, ScopedTable.scalar(0.0))
                              for _, t in sorted(d.cpts.items())]
     pool += [Potential(ScopedTable.scalar(1.0), t) for t in d.utilities]
     width = 0
     choices: dict[int, ChoiceTable] = {}
-    for op, block in reversed(sov0(d)):
-        if op is Op.MAX:
-            order: Sequence[int] = tuple(reversed(block))
-        else:
-            order = find_order(_pool_graph(pool, block), block, heuristic).order
+    for op, order in plan:
         for x in order:
             hits = [pi for pi in pool if x in pi.W]
             if not hits:

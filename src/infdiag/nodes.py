@@ -61,9 +61,6 @@ class CompNode:
     def is_atomic(self) -> bool:
         return self.table is not None
 
-    def sov_vars(self) -> frozenset[int]:
-        return frozenset(v for _, block in self.sov for v in block)
-
 
 class NodeStore:
     """Append-only interning arena; single writer, then safe to read concurrently."""
@@ -77,6 +74,11 @@ class NodeStore:
         self.nodes: list[CompNode] = []
         self._index: dict[object, int] = {}
         self._scopes: list[frozenset[int]] = []
+        # Per-node facts read by root-wide checks in one C-level pass: the
+        # comb of a sov-less composite (a group), and the comb of a node
+        # with a single MAX block; None elsewhere.
+        self._group_combs: list[Op | None] = []
+        self._max_combs: list[Op | None] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -91,10 +93,11 @@ class NodeStore:
         return self.intern(CompNode((), None, (), table))
 
     def composite(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
-                  children: Iterable[int]) -> int:
-        return self.intern(CompNode(tuple(sov), comb, tuple(children)))
+                  children: Iterable[int], scope: frozenset[int] | None = None) -> int:
+        """Intern a composite; `scope` is passed on to `intern` (see there)."""
+        return self.intern(CompNode(tuple(sov), comb, tuple(children)), scope=scope)
 
-    def intern(self, node: CompNode) -> int:
+    def intern(self, node: CompNode, scope: frozenset[int] | None = None) -> int:
         """Return the id of a structurally equal stored node, interning if new.
 
         A composite node's sov and children are canonicalized here, so they
@@ -103,15 +106,21 @@ class NodeStore:
         canonical form: each sov block is sorted and non-empty and the
         children are sorted, so checking the end points of each range covers
         every id in it.
+
+        A caller that derived a composite node from stored ones may pass its
+        `scope`.  It then promises two things: `node.sov` is already
+        canonical, and `scope` equals the union of the children's scopes
+        minus the sov variables.  The sov is then used as given and no union
+        is taken; the children are still sorted and every check still runs.
         """
-        if node.is_atomic:
+        if node.table is not None:
             key: object = ("atom", id(node.table))
             found = self._index.get(key)
             if found is not None:
                 return found
             scope = frozenset(node.table.scope)
         else:
-            sov = canonical_sov(node.sov)
+            sov = node.sov if scope is not None else canonical_sov(node.sov)
             children = tuple(sorted(set(node.children)))
             key = (sov, node.comb, children)
             found = self._index.get(key)
@@ -126,13 +135,18 @@ class NodeStore:
                     raise InternalError(f"unknown variable in sov block {block}")
             if children and (children[0] < 0 or children[-1] >= len(self.nodes)):
                 raise InternalError(f"dangling child id in {children}")
-            node = CompNode(sov, node.comb, children)
-            scope = frozenset().union(*map(self._scopes.__getitem__, children)) \
-                - node.sov_vars()
+            if sov != node.sov or children != node.children:
+                node = CompNode(sov, node.comb, children)
+            if scope is None:
+                scope = frozenset().union(*map(self._scopes.__getitem__, children)) \
+                    .difference(*(block for _, block in sov))
         nid = len(self.nodes)
         self.nodes.append(node)
         self._index[key] = nid
         self._scopes.append(scope)
+        self._group_combs.append(None if node.sov else node.comb)  # atoms: None
+        self._max_combs.append(node.comb if len(node.sov) == 1 and node.sov[0][0] is Op.MAX
+                               else None)
         return nid
 
 

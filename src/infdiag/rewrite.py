@@ -16,6 +16,25 @@ rewritten node's predecessor stays valid for soundness checks.  Set unions in
 the rules must never silently collapse two distinct factors; every place
 where that could change the value asserts and raises InternalError instead.
 
+A step should cost what it changes, so a rule that knows a new node's scope
+and a canonical sov hands both to `NodeStore.intern`, which then takes no
+union and does not re-sort the sov:
+  - the new root of decompose-sum/-max, and the result of recompose-sum/-max,
+    keeps the scope of the node it replaces; its sov is the stored one with
+    `x` taken out of the innermost block (an emptied block dropped), or
+    with the merged block sorted;
+  - a decompose-sum wrapper has scope(group) - {x}, and drop-unit keeps
+    the scope;
+  - simplify-normalized may shrink a scope: the dropped table's parents
+    leave unless another child mentions them.  Its result gets the union
+    its precondition already took, and a group or root rebuilt over a
+    shrunk node is re-unioned (or, for the root, intersected with the union
+    of its new children).
+The other builds (inner elimination nodes, hoisting wrappers) go through the
+ordinary path.  Root-wide checks (is every child a group of one comb, which
+members hold a nested max, which groups mention `x`) run as one C-level pass
+over per-node facts the store keeps, not as a Python call per group.
+
 Hoisting a common factor out of a max is only sound when the factor cannot
 be negative.  Probability-derived factors (all atomic descendants are
 probability-tagged) are nonnegative by construction, and in the pessimistic
@@ -28,13 +47,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, filterfalse, repeat
+from operator import attrgetter, contains, is_, is_not, not_
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .factors import InternalError, Op
-from .nodes import NodeStore, canonical_sov, eval_node, reachable
+from .nodes import NodeStore, SovPairs, canonical_sov, eval_node, reachable
 
 CHANCE_MARGS = (Op.SUM, Op.MIN)
+_CHILDREN = attrgetter("children")
 
 
 @dataclass(frozen=True)
@@ -72,6 +95,39 @@ def _group_members(store: NodeStore, gid: int, comb: Op | None) -> tuple[tuple[i
     if g.is_atomic or g.sov != () or (comb is not None and g.comb is not comb):
         raise InternalError(f"node {gid} is not a combination group")
     return g.children, g.comb
+
+
+def _groups_comb(store: NodeStore, gids: Sequence[int], comb: Op | None = None) -> Op | None:
+    """The one comb shared by the groups `gids` (`comb` when given), read in
+    one C-level pass; otherwise `_group_members` names the first offender."""
+    combs = set(map(store._group_combs.__getitem__, gids))
+    if None in combs or len(combs) > 1 or (comb is not None and not combs <= {comb}):
+        for gid in gids:
+            _, comb = _group_members(store, gid, comb)
+    return next(iter(combs), comb)
+
+
+def _split(store: NodeStore, ids: Sequence[int], x: int) -> tuple[list[int], list[int]]:
+    """(the ids whose scope mentions x, the others), each in input order."""
+    has = list(map(contains, map(store._scopes.__getitem__, ids), repeat(x)))
+    return list(compress(ids, has)), list(compress(ids, map(not_, has)))
+
+
+def _union(store: NodeStore, ids: Iterable[int]) -> frozenset[int]:
+    return frozenset().union(*map(store._scopes.__getitem__, ids))
+
+
+def _children(store: NodeStore, ids: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    return map(_CHILDREN, map(store.nodes.__getitem__, ids))
+
+
+def _without(sov: SovPairs, x: int) -> SovPairs:
+    """A canonical sov minus `x` from its innermost block: still canonical
+    once an emptied block is dropped."""
+    marg, last = sov[-1]
+    i = last.index(x)
+    rest = last[:i] + last[i + 1:]
+    return sov[:-1] + (((marg, rest),) if rest else ())
 
 
 def _prob_derived(store: NodeStore, nid: int, memo: dict[int, bool]) -> bool:
@@ -124,25 +180,26 @@ def decompose_sum(store: NodeStore, root: int, x: int,
     marg, last = node.sov[-1]
     if marg not in CHANCE_MARGS or x not in last:
         raise InternalError(f"variable {x} is not in the innermost chance block")
+    scopes = store._scopes
+    inner_sov = ((marg, (x,)),)
     comb: Op | None = None
     wrappers = []
     inners: dict[int, None] = {}  # insertion-ordered set
     for gid in node.children:
         members, comb = _group_members(store, gid, comb)
-        plus = [m for m in members if x in store.scope(m)]
-        minus = [m for m in members if x not in store.scope(m)]
+        plus, minus = _split(store, members, x)
         if not plus:
             # the conditional table of x keeps x in every group's scope until now
             raise InternalError(f"group {gid} lost all factors over variable {x}")
-        inner = store.composite([(marg, (x,))], comb, plus)
+        inner = store.composite(inner_sov, comb, plus)
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
         inners[inner] = None
-        wrappers.append(store.composite([], comb, minus + [inner]))
+        minus.append(inner)
+        wrappers.append(store.composite((), comb, minus, scope=scopes[gid] - {x}))
     if len(set(wrappers)) != len(node.children):
         raise InternalError("decomposition collapsed two distinct groups")
-    new_sov = node.sov[:-1] + ((marg, tuple(v for v in last if v != x)),)
-    out = store.composite(new_sov, node.comb, wrappers)
+    out = store.composite(_without(node.sov, x), node.comb, wrappers, scope=scopes[root])
     _emit(trace, "decompose-sum", root, out, var=x)
     return out, list(inners)
 
@@ -168,16 +225,14 @@ def recompose_sum(store: NodeStore, nid: int,
             if len(cn.sov) != 1 or cn.sov[0][0] is not marg:
                 continue
             inner_block = cn.sov[0][1]
-            rest = [c for c in node.children if c != cand]
-            rest_scope: set[int] = set()
-            for c in rest:
-                rest_scope |= store.scope(c)
-            if set(inner_block) & (set(block) | rest_scope):
+            rest = list(filter(cand.__ne__, node.children))
+            if not _union(store, rest).union(block).isdisjoint(inner_block):
                 continue
-            if set(cn.children) & set(rest):
+            if not set(cn.children).isdisjoint(rest):
                 continue  # a shared factor would be silently deduplicated
-            merged = store.composite([(marg, block + inner_block)], node.comb,
-                                     rest + list(cn.children))
+            merged = store.composite(((marg, tuple(sorted(block + inner_block))),),
+                                     node.comb, rest + list(cn.children),
+                                     scope=store._scopes[nid])
             break
         if merged is None:
             return nid
@@ -191,7 +246,9 @@ def simplify_normalized(store: NodeStore, nid: int,
 
     Sound because each row of a conditional table sums to 1 (prob) or has
     minimum co-possibility 0 (poss).  The only rule with a real precondition:
-    the variable must not appear in any other child's scope.
+    the variable must not appear in any other child's scope.  Dropping the
+    table can shrink the scope: its parents leave unless another child
+    mentions them.
     """
     while True:
         node = store.nodes[nid]
@@ -206,21 +263,20 @@ def simplify_normalized(store: NodeStore, nid: int,
                 cn = store.nodes[c]
                 if not cn.is_atomic or cn.table.cpt_for != x:
                     continue
-                rest = [k for k in node.children if k != c]
-                rest_scope: set[int] = set()
-                for k in rest:
-                    rest_scope |= store.scope(k)
+                rest = list(filter(c.__ne__, node.children))
+                rest_scope = _union(store, rest)
                 if x in rest_scope:
                     continue
-                found = (x, rest)
+                found = (x, rest, rest_scope)
                 break
             if found:
                 break
         if found is None:
             return nid
-        x, rest = found
-        out = store.composite([(marg, tuple(v for v in block if v != x))],
-                              node.comb, rest)
+        x, rest, rest_scope = found
+        keep = tuple(v for v in block if v != x)
+        out = store.composite(((marg, keep),) if keep else (), node.comb, rest,
+                              scope=rest_scope.difference(keep))
         _emit(trace, "simplify-normalized", nid, out, var=x)
         nid = out
 
@@ -231,16 +287,12 @@ def drop_unit_children(store: NodeStore, nid: int,
     node = store.nodes[nid]
     if node.is_atomic or node.sov != ():
         return nid
-    keep = []
-    for c in node.children:
-        cn = store.nodes[c]
-        unit = (not cn.is_atomic and cn.sov == () and cn.children == ()
-                and cn.comb is node.comb)
-        if not unit:
-            keep.append(c)
-    if len(keep) == len(node.children):
+    # the one empty product under this comb, if it was ever interned
+    unit = store._index.get(((), node.comb, ()))
+    if unit is None or unit not in node.children:
         return nid
-    out = store.composite([], node.comb, keep)
+    out = store.composite((), node.comb, list(filter(unit.__ne__, node.children)),
+                          scope=store._scopes[nid])
     _emit(trace, "drop-unit", nid, out)
     return out
 
@@ -260,38 +312,31 @@ def decompose_max(store: NodeStore, root: int, x: int,
     marg, last = node.sov[-1]
     if marg is not Op.MAX or x not in last:
         raise InternalError(f"variable {x} is not in the innermost decision block")
-    new_sov = node.sov[:-1] + ((marg, tuple(v for v in last if v != x)),)
-    comb: Op | None = None
-    plus, minus = [], []
-    for gid in node.children:
-        _, comb = _group_members(store, gid, comb)
-        (plus if x in store.scope(gid) else minus).append(gid)
+    new_sov = _without(node.sov, x)
+    scope = store._scopes[root]
+    comb = _groups_comb(store, node.children)
+    plus, minus = _split(store, node.children, x)
     if not plus:
-        out = store.composite(new_sov, node.comb, node.children)
+        out = store.composite(new_sov, node.comb, node.children, scope=scope)
         _emit(trace, "decompose-max", root, out, var=x)
         return out, None
-    common = set(store.nodes[plus[0]].children)
-    for gid in plus[1:]:
-        common &= set(store.nodes[gid].children)
-    pulled = sorted(m for m in common if x not in store.scope(m))
+    common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
+    pulled = sorted(_split(store, list(common), x)[1])
     _require_nonneg(store, pulled, "decompose-max")
     if debug:
-        _sample_nonneg(store, [m for gid in plus
-                               for m in store.nodes[gid].children
-                               if x not in store.scope(m)])
+        _sample_nonneg(store, [m for members in _children(store, plus)
+                               for m in _split(store, members, x)[1]])
     pulled_set = set(pulled)
-    inner_groups = []
-    for gid in plus:
-        members = [m for m in store.nodes[gid].children if m not in pulled_set]
-        inner_groups.append(store.composite([], comb, members))
+    inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
+                    for members in _children(store, plus)]
     if len(set(inner_groups)) != len(plus):
         raise InternalError("decision decomposition collapsed two groups")
-    inner = store.composite([(Op.MAX, (x,))], node.comb, inner_groups)
-    wrapper = store.composite([], comb, pulled + [inner])
-    kids = minus + [wrapper]
-    if len(set(kids)) != len(minus) + 1:
+    inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups)
+    wrapper = store.composite((), comb, pulled + [inner])
+    minus.append(wrapper)
+    if len(set(minus)) != len(minus):
         raise InternalError("decision wrapper collides with an unrelated group")
-    out = store.composite(new_sov, node.comb, kids)
+    out = store.composite(new_sov, node.comb, minus, scope=scope)
     _emit(trace, "decompose-max", root, out, var=x, inner=inner)
     return out, inner
 
@@ -300,6 +345,7 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
                   debug: bool = False) -> int:
     """Merge a nested decision elimination into this one when its variables
     are absent from everything else in sight.  Fixpoint; no-op on non-match."""
+    scopes, group_combs, max_combs = store._scopes, store._group_combs, store._max_combs
     while True:
         node = store.nodes[nid]
         if node.is_atomic or len(node.sov) != 1:
@@ -307,28 +353,23 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
         marg, block = node.sov[0]
         if marg is not Op.MAX:
             return nid
+        kids = node.children
+        groups = list(compress(kids, map(is_not, map(group_combs.__getitem__, kids), repeat(None))))
+        members = list(_children(store, groups))
+        if node.comb not in map(max_combs.__getitem__, chain.from_iterable(members)):
+            return nid  # no group holds a nested max to merge
         hit = None
-        for gid in node.children:
-            gn = store.nodes[gid]
-            if gn.is_atomic or gn.sov != ():
-                continue
-            for m in gn.children:
-                mn = store.nodes[m]
-                if mn.is_atomic or len(mn.sov) != 1:
+        for gid, gn_children in zip(groups, members):
+            # single-block MAX members over this node's comb, in member order
+            for m in compress(gn_children, map(is_, map(max_combs.__getitem__, gn_children),
+                                               repeat(node.comb))):
+                sub_block = store.nodes[m].sov[0][1]
+                siblings = list(filter(gid.__ne__, node.children))
+                n2 = list(filter(m.__ne__, gn_children))
+                blocked = _union(store, siblings).union(block, *map(scopes.__getitem__, n2))
+                if not blocked.isdisjoint(sub_block):
                     continue
-                if mn.sov[0][0] is not Op.MAX or mn.comb is not node.comb:
-                    continue
-                sub_block = mn.sov[0][1]
-                siblings = [h for h in node.children if h != gid]
-                n2 = [k for k in gn.children if k != m]
-                blocked: set[int] = set(block)
-                for h in siblings:
-                    blocked |= store.scope(h)
-                for k in n2:
-                    blocked |= store.scope(k)
-                if set(sub_block) & blocked:
-                    continue
-                hit = (gn.comb, mn.children, siblings, n2, sub_block)
+                hit = (group_combs[gid], store.nodes[m].children, siblings, n2, sub_block)
                 break
             if hit:
                 break
@@ -338,21 +379,24 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
         _require_nonneg(store, n2, "recompose-max")
         if debug:
             _sample_nonneg(store, n2)
-        new_groups = []
-        for sub in subs:
-            members3, _ = _group_members(store, sub, gcomb)
-            if not n2:
-                new_groups.append(sub)  # the merged group is `sub` itself
-                continue
-            if set(n2) & set(members3):
-                raise InternalError("merge would silently drop a shared factor")
-            new_groups.append(store.composite([], gcomb, n2 + list(members3)))
+        _groups_comb(store, subs, gcomb)
+        if n2:  # otherwise each merged group is `sub` itself
+            n2_set, n2_scope = set(n2), _union(store, n2)
+            new_groups = []
+            for sub, members3 in zip(subs, _children(store, subs)):
+                if not n2_set.isdisjoint(members3):
+                    raise InternalError("merge would silently drop a shared factor")
+                new_groups.append(store.composite((), gcomb, n2 + list(members3),
+                                                  scope=n2_scope | scopes[sub]))
+        else:
+            new_groups = list(subs)
         if len(set(new_groups)) != len(subs):
             raise InternalError("recompose-max collapsed two inner groups")
         kids = siblings + new_groups
         if len(set(kids)) != len(siblings) + len(new_groups):
             raise InternalError("recompose-max collided with a sibling group")
-        out = store.composite([(Op.MAX, block + sub_block)], node.comb, kids)
+        out = store.composite(((Op.MAX, tuple(sorted(block + sub_block))),), node.comb,
+                              kids, scope=scopes[nid])
         _emit(trace, "recompose-max", nid, out)
         nid = out
 
@@ -360,12 +404,18 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
 # --------------------------------------------------------------------------
 # Driver
 
-def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int]) -> int:
+def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int], shrunk: bool) -> int:
+    """The root over its children with `repl` applied.  A replacement's scope
+    is within the one it replaces (`shrunk` says whether any is smaller), so
+    the root keeps its scope but for variables no child mentions any more."""
     node = store.nodes[root]
-    kids = [repl.get(c, c) for c in node.children]
+    kids = list(map(repl.get, node.children, node.children))
     if len(set(kids)) != len(node.children):
         raise InternalError("rebuilding the root collapsed two children")
-    return store.composite(node.sov, node.comb, kids)
+    scope = store._scopes[root]
+    if shrunk and scope:
+        scope = scope & _union(store, kids)
+    return store.composite(node.sov, node.comb, kids, scope=scope)
 
 
 def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
@@ -378,20 +428,23 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     changed = {k: v for k, v in outs.items() if k != v}
     if not changed:
         return root
+    scopes = store._scopes
+    # simplify may shrink a scope; a group holding such a node is re-unioned
+    shrunk = {k for k, v in changed.items() if scopes[k] != scopes[v]}
     repl: dict[int, int] = {}
-    for w in store.nodes[root].children:
-        wn = store.nodes[w]
-        members = list(wn.children)
-        new_members = [changed.get(m, m) for m in members]
+    for w, members in zip(store.nodes[root].children,
+                          _children(store, store.nodes[root].children)):
+        new_members = tuple(map(changed.get, members, members))
         if new_members == members:
             continue
         if len(set(new_members)) != len(members):
             raise InternalError("rewriting collapsed two factors of one group")
-        w2 = store.composite([], wn.comb, new_members)
+        w2 = store.composite((), store.nodes[w].comb, new_members,
+                             scope=scopes[w] if shrunk.isdisjoint(members) else None)
         repl[w] = drop_unit_children(store, w2, trace)
     if not repl:
         raise InternalError("rewritten elimination nodes appear in no group")
-    return _rebuild_root(store, root, repl)
+    return _rebuild_root(store, root, repl, bool(shrunk))
 
 
 def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
@@ -402,17 +455,18 @@ def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
     merged = recompose_max(store, inner, trace, debug)
     if merged == inner:
         return root
-    repl: dict[int, int] = {}
-    for w in store.nodes[root].children:
-        wn = store.nodes[w]
-        if inner in wn.children:
-            members = [merged if m == inner else m for m in wn.children]
-            if len(set(members)) != len(wn.children):
-                raise InternalError("merged decision node collides with a factor")
-            repl[w] = store.composite([], wn.comb, members)
-    if len(repl) != 1:
+    kids = store.nodes[root].children
+    holders = list(compress(kids, map(contains, _children(store, kids), repeat(inner))))
+    if len(holders) != 1:
         raise InternalError("the new decision node must live in exactly one group")
-    return _rebuild_root(store, root, repl)
+    w = holders[0]
+    wn = store.nodes[w]
+    members = [merged if m == inner else m for m in wn.children]
+    if len(set(members)) != len(wn.children):
+        raise InternalError("merged decision node collides with a factor")
+    # recompose-max keeps the scope of what it merges, so every scope stays
+    repl = {w: store.composite((), wn.comb, members, scope=store._scopes[w])}
+    return _rebuild_root(store, root, repl, False)
 
 
 def remove_passthrough(store: NodeStore, root: int) -> int:
@@ -446,7 +500,9 @@ def remove_passthrough(store: NodeStore, root: int) -> int:
             continue
         if len(set(kids)) != len(kids):
             raise InternalError("cleanup collapsed two distinct children")
-        resolved[nid] = store.composite(node.sov, node.comb, kids)
+        # a pass-through node has its one child's scope, so the scope stays
+        resolved[nid] = store.composite(node.sov, node.comb, kids,
+                                        scope=store._scopes[nid])
     return resolved[root]
 
 

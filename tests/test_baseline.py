@@ -1,8 +1,11 @@
 """Potential-pair elimination, constrained widths, and the brute-force engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from infdiag import baseline, factors
 from infdiag.baseline import (
     InvalidEliminationError,
     Potential,
@@ -16,7 +19,7 @@ from infdiag.baseline import (
 )
 from infdiag.diagram import DiagramError, fixture, parse, random_id
 from infdiag.factors import FactorError, InternalError, Op, OpCounter, ResourceGuardError, ScopedTable
-from infdiag.solve import evaluate_policy
+from infdiag.solve import evaluate_policy, solve_diagram
 
 from oracles import oracle_value
 
@@ -198,6 +201,47 @@ def test_potential_ve_random_sweep():
         assert close(value, brute), f"seed {seed}"
         assert close(evaluate_policy(d, policies), value), f"seed {seed}"
         assert width >= constrained_width(d, "exhaustive"), f"seed {seed}"
+
+
+def test_potential_ve_refuses_before_building_a_table(monkeypatch):
+    d = random_id(60, 6, 6, 6, seed=0)  # largest cluster: 4.5e11 cells
+    peaks = {}
+    for name, run in (("mcdag", solve_diagram), ("potential", potential_ve)):
+        if name == "potential":
+            def no_fold(*args, **kwargs):
+                raise AssertionError("the potential engine combined a table")
+            monkeypatch.setattr(factors, "fold", no_fold)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="cells"):
+                run(d)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["potential"] < peaks["mcdag"], peaks
+
+
+@pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])
+def test_potential_ve_refuses_up_front_exactly_what_fold_refuses(monkeypatch, limit):
+    # Lower the guard of the scope pass and of `fold` in turn: the pass must
+    # refuse a diagram iff the arithmetic would, so it never refuses work
+    # that would fit.
+    def refuses(d, up_front, in_fold):
+        monkeypatch.setattr(baseline, "CELL_GUARD", up_front)
+        monkeypatch.setattr(factors, "CELL_GUARD", in_fold)
+        try:
+            potential_ve(d)
+        except ResourceGuardError:
+            return True
+        return False
+
+    seen = set()
+    for seed in range(120):
+        d = random_id(6 + seed % 14, 1 + seed % 3, 4, 3, seed=seed)
+        refused = refuses(d, limit, 2 ** 62)
+        assert refused == refuses(d, 2 ** 62, limit), f"seed {seed}"
+        seen.add(refused)
+    assert seen == {False, True}
 
 
 def test_potential_ve_heuristics_agree_on_value():
