@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -62,10 +63,6 @@ class PartitionError(ValidationError):
     """The temporal blocks do not partition the variables as required."""
 
 
-class NoForgettingError(ValidationError):
-    """A decision's parent set is not exactly the union of earlier blocks."""
-
-
 class UtilityLeafError(ValidationError):
     """A utility is referenced as if it were a variable, or shadows one."""
 
@@ -106,19 +103,32 @@ class InfluenceDiagram:
     """Validated decision problem.  Immutable; share freely across threads.
 
     variables: dense ids 0..n-1 in declaration order.
-    parents:   per-variable sorted id tuple (chance: table scope minus self;
-               decision: derived from the temporal blocks).
     cpts:      chance id -> table with scope (pa..., x), x varying fastest.
     utilities: named leaf tables; never empty after validation.
     blocks:    2q+1 id tuples I0, D1, ..., Dq, Iq; empties preserved.
+
+    ``parents`` is derived from these on first use, not stored.
     """
 
     variables: tuple[Variable, ...]
-    parents: tuple[tuple[int, ...], ...]
     cpts: dict[int, ScopedTable]
     utilities: tuple[ScopedTable, ...]
     blocks: tuple[tuple[int, ...], ...]
     mode: str
+
+    @cached_property
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """Per-variable sorted id tuple: a chance variable's table scope minus
+        itself; a decision's every variable in an earlier block."""
+        parents: list[tuple[int, ...]] = [() for _ in self.variables]
+        for x, t in self.cpts.items():
+            parents[x] = tuple(sorted(t.scope[:-1]))
+        seen: list[int] = []
+        for i, block in enumerate(self.blocks):
+            if i % 2:
+                parents[block[0]] = tuple(sorted(seen))
+            seen.extend(block)
+        return tuple(parents)
 
     @property
     def chance_ids(self) -> tuple[int, ...]:
@@ -204,6 +214,7 @@ class _Loc:
     """Line numbers for validation errors; empty for programmatic diagrams."""
 
     def __init__(self) -> None:
+        self.var: dict[int, int] = {}
         self.cpt: dict[int, int] = {}
         self.util: dict[int, int] = {}
         self.order: int | None = None
@@ -239,7 +250,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 f"utility {name!r} used as a variable; utilities are leaves", lineno)
         raise FormatError(f"unknown variable {name!r}", lineno)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -271,6 +283,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 raise FormatError(f"domain size must be >= 1, got {size}", lineno)
             if kind_tok not in ("CHANCE", "DECISION"):
                 raise FormatError(f"kind must be CHANCE or DECISION, got {kind_tok!r}", lineno)
+            loc.var[len(variables)] = lineno
             var_ids[name] = len(variables)
             variables.append(Variable(len(variables), name, size, kind_tok.lower()))
 
@@ -332,7 +345,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
     if not saw_header or mode is None:
         raise FormatError("missing IDNET header", 1)
     if order_segs is None:
-        raise FormatError("missing ORDER line")
+        raise FormatError("missing ORDER line", len(lines))
 
     oline = loc.order
     if len(order_segs) % 2 == 0:
@@ -350,7 +363,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
     if not utilities:
         utilities.append(_constant_utility(mode, util_names | set(var_ids)))
 
-    d = _assemble(variables, cpts, tuple(utilities), tuple(blocks), mode)
+    d = InfluenceDiagram(tuple(variables), cpts, tuple(utilities), tuple(blocks), mode)
     _validate(d, loc)
     return d
 
@@ -364,24 +377,6 @@ def _constant_utility(mode: str, taken: set[str]) -> ScopedTable:
         k += 1
         name = f"u_const{k}"
     return ScopedTable((), (), np.array([value]), tag="utility", name=name)
-
-
-def _assemble(variables: Sequence[Variable], cpts: dict[int, ScopedTable],
-              utilities: tuple[ScopedTable, ...], blocks: tuple[tuple[int, ...], ...],
-              mode: str) -> InfluenceDiagram:
-    """Fill in the derived parent sets; no validation."""
-    parents: list[tuple[int, ...]] = [() for _ in variables]
-    for x, t in cpts.items():
-        parents[x] = tuple(sorted(t.scope[:-1]))
-    seen: list[int] = []
-    for i, block in enumerate(blocks):
-        if i % 2 == 1:
-            for dvar in block:
-                if 0 <= dvar < len(parents):
-                    parents[dvar] = tuple(sorted(seen))
-        seen.extend(block)
-    return InfluenceDiagram(tuple(variables), tuple(parents), dict(cpts),
-                            utilities, blocks, mode)
 
 
 # --------------------------------------------------------------------------
@@ -426,6 +421,7 @@ def structurally_equal(a: InfluenceDiagram, b: InfluenceDiagram) -> bool:
 
 def validate(d: InfluenceDiagram) -> None:
     """Raise a ValidationError subclass on the first problem found."""
+    _check_shape(d)
     _validate(d, _Loc())
 
 
@@ -437,7 +433,19 @@ def _row_label(d: InfluenceDiagram, t: ScopedTable, row: int) -> str:
     return ", ".join(f"{d.variables[p].name}={int(i)}" for p, i in zip(pscope, idx))
 
 
-def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
+def _check_table(d: InfluenceDiagram, t: ScopedTable, tag: str, what: str) -> None:
+    if t.tag != tag:
+        raise ValidationError(f"{what} must be {tag}-tagged")
+    if any(not (0 <= v < len(d.variables)) for v in t.scope):
+        raise ValidationError(f"{what} names an unknown variable")
+    if t.sizes != tuple(d.variables[v].size for v in t.scope):
+        raise ValidationError(f"{what} has sizes that mismatch its variables")
+
+
+def _check_shape(d: InfluenceDiagram) -> None:
+    """What `parse` already enforces line by line, for diagrams built in code:
+    dense ids, legal unique names, kinds, sizes, the block grammar, and each
+    table's tag, scope and sizes."""
     n = len(d.variables)
     for i, v in enumerate(d.variables):
         if v.id != i:
@@ -448,135 +456,123 @@ def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
             raise ValidationError(f"domain of {v.name!r} must be >= 1")
         if not _NAME_RE.match(v.name):
             raise ValidationError(f"illegal variable name {v.name!r}")
-    names = [v.name for v in d.variables]
-    if len(set(names)) != n:
+    names = set(d.names)
+    if len(names) != n:
         raise ValidationError("duplicate variable names")
-    if len(d.parents) != n:
-        raise ValidationError("parents list length mismatch")
 
-    # Temporal blocks: odd count, alternating chance groups / decision singletons,
-    # together an exact partition of the variables.
     if len(d.blocks) % 2 == 0:
-        raise PartitionError(f"expected 2q+1 blocks, got {len(d.blocks)}", loc.order)
-    seen: list[int] = []
-    seen_set: set[int] = set()
+        raise PartitionError(f"expected 2q+1 blocks, got {len(d.blocks)}")
     for i, block in enumerate(d.blocks):
+        if any(not (0 <= x < n) for x in block):
+            raise PartitionError(f"segment {i + 1} names an unknown variable id")
+        if i % 2 and len(block) != 1:
+            raise PartitionError("decision segments hold exactly one decision")
+
+    for x, t in d.cpts.items():
+        if not (0 <= x < n) or d.variables[x].kind != CHANCE:
+            raise ValidationError(f"table {t.name!r} is attached to id {x}, not a chance variable")
+        what = f"table for {d.variables[x].name!r}"
+        if t.cpt_for != x or not t.scope or t.scope[-1] != x:
+            raise ValidationError(f"{what} must have it last in scope")
+        _check_table(d, t, "probability", what)
+
+    if not d.utilities:
+        raise ValidationError("at least one utility is required")
+    seen: set[str] = set()
+    for j, u in enumerate(d.utilities):
+        if not u.name or not _NAME_RE.match(u.name):
+            raise ValidationError(f"utility {j} needs a legal name")
+        if u.name in names:
+            raise UtilityLeafError(f"utility {u.name!r} shadows a variable; utilities are leaves")
+        if u.name in seen:
+            raise ValidationError(f"duplicate utility name {u.name!r}")
+        seen.add(u.name)
+        _check_table(d, u, "utility", f"utility {u.name!r}")
+
+
+def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
+    """The checks that need the whole diagram, on a shape-checked one: the
+    ORDER partition, a table per chance variable, the numbers, acyclicity."""
+    names = d.names
+    pos = [-1] * len(names)  # ORDER segment index per variable
+    for i, block in enumerate(d.blocks):
+        want = DECISION if i % 2 else CHANCE
         for x in block:
-            if not (0 <= x < n):
-                raise PartitionError(f"block names unknown variable id {x}", loc.order)
-            if x in seen_set:
-                raise PartitionError(
-                    f"{d.variables[x].name!r} appears twice in the ORDER", loc.order)
-            want = DECISION if i % 2 else CHANCE
+            if pos[x] >= 0:
+                raise PartitionError(f"{names[x]!r} appears twice in the ORDER", loc.order)
             if d.variables[x].kind != want:
                 raise PartitionError(
-                    f"{d.variables[x].name!r} is a {d.variables[x].kind}, but "
+                    f"{names[x]!r} is a {d.variables[x].kind}, but "
                     f"segment {i + 1} holds {want} variables", loc.order)
-            seen_set.add(x)
-        if i % 2 == 1:
-            if len(block) != 1:
-                raise PartitionError("decision segments hold exactly one decision", loc.order)
-            if d.parents[block[0]] != tuple(sorted(seen)):
-                raise NoForgettingError(
-                    f"pa({d.variables[block[0]].name}) must be exactly the variables "
-                    "before it in the ORDER", loc.order)
-        seen.extend(block)
-    if len(seen_set) != n:
-        missing = [v.name for v in d.variables if v.id not in seen_set]
+            pos[x] = i
+    if -1 in pos:
+        missing = [names[x] for x, i in enumerate(pos) if i < 0]
         raise PartitionError(f"ORDER omits {missing}", loc.order)
 
     for x in d.chance_ids:
         if x not in d.cpts:
-            raise ValidationError(f"chance variable {d.variables[x].name!r} has no table")
-    for x in d.cpts:
-        if d.variables[x].kind != CHANCE:
-            raise ValidationError(f"table attached to decision {d.variables[x].name!r}")
-        t = d.cpts[x]
+            raise ValidationError(f"chance variable {names[x]!r} has no table", loc.var.get(x))
+    for x, t in d.cpts.items():
         line = loc.cpt.get(x)
-        if t.cpt_for != x or not t.scope or t.scope[-1] != x:
-            raise ValidationError(
-                f"table for {d.variables[x].name!r} must have it last in scope", line)
-        if any(not (0 <= v < n) for v in t.scope):
-            raise ValidationError(
-                f"table for {d.variables[x].name!r} names an unknown variable", line)
-        if tuple(sorted(t.scope[:-1])) != d.parents[x]:
-            raise ValidationError(
-                f"table scope for {d.variables[x].name!r} disagrees with parents", line)
-        if t.sizes != tuple(d.variables[v].size for v in t.scope):
-            raise ValidationError(f"table sizes for {d.variables[x].name!r} mismatch", line)
-        if t.tag != "probability":
-            raise ValidationError(f"table for {d.variables[x].name!r} must be probability-tagged")
         if not np.all(np.isfinite(t.values)):
-            raise ValidationError(f"non-finite value in table for {d.variables[x].name!r}", line)
-        rows = t.values.reshape(-1, d.variables[x].size)
+            raise ValidationError(f"non-finite value in table for {names[x]!r}", line)
+        rows = t.values.reshape(-1, t.sizes[-1])
         if d.mode == "prob":
             sums = rows.sum(axis=1)
             bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
             if bad.size:
                 raise NormalizationError(
-                    f"rows of P({d.variables[x].name}|...) must sum to 1: got "
+                    f"rows of P({names[x]}|...) must sum to 1: got "
                     f"{sums[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
         else:
             if np.any(t.values > 1.0):
                 raise NormalizationError(
-                    f"possibility values for {d.variables[x].name!r} must lie in [0,1]", line)
+                    f"possibility values for {names[x]!r} must lie in [0,1]", line)
             tops = rows.max(axis=1)
             bad = np.flatnonzero(np.abs(tops - 1.0) > NORMALIZATION_TOL)
             if bad.size:
                 raise NormalizationError(
-                    f"rows of pi({d.variables[x].name}|...) must reach 1: got "
+                    f"rows of pi({names[x]}|...) must reach 1: got "
                     f"{tops[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
 
-    if not d.utilities:
-        raise ValidationError("at least one utility is required")
-    seen_names: set[str] = set()
     for j, u in enumerate(d.utilities):
         line = loc.util.get(j)
-        if not u.name or not _NAME_RE.match(u.name):
-            raise ValidationError(f"utility {j} needs a legal name", line)
-        if u.name in names:
-            raise UtilityLeafError(
-                f"utility {u.name!r} shadows a variable; utilities are leaves", line)
-        if u.name in seen_names:
-            raise ValidationError(f"duplicate utility name {u.name!r}", line)
-        seen_names.add(u.name)
-        if u.tag != "utility":
-            raise ValidationError(f"utility {u.name!r} must be utility-tagged")
-        if any(not (0 <= v < n) for v in u.scope):
-            raise ValidationError(f"utility {u.name!r} names an unknown variable", line)
-        if u.sizes != tuple(d.variables[v].size for v in u.scope):
-            raise ValidationError(f"utility sizes for {u.name!r} mismatch", line)
         if not np.all(np.isfinite(u.values)):
             raise ValidationError(f"non-finite value in utility {u.name!r}", line)
         if d.mode == "poss" and (np.any(u.values < 0) or np.any(u.values > 1)):
             raise NormalizationError(f"utility {u.name!r} must lie in [0,1]", line)
 
-    # Parent-graph acyclicity (iterative DFS; decision parents are temporal,
-    # so any cycle necessarily passes through chance tables).
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(n):
-        if color[root]:
+    # Acyclicity from the tables alone.  A decision's parents are all the
+    # variables before it in the ORDER, so the parent graph has a cycle
+    # exactly when the table edges do, or when a chance variable depends
+    # through tables on a decision later than itself.  One DFS over table
+    # edges finds both; `latest` holds, per finished variable, the segment of
+    # the latest decision it depends on (a decision's own segment).
+    latest = pos[:]
+    state = [2 if v.kind == DECISION else 0 for v in d.variables]  # 1 on stack, 2 done
+    for root in d.cpts:
+        if state[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
+        state[root] = 1
+        stack = [(root, iter(d.cpts[root].scope[:-1]))]
         while stack:
-            node, i = stack[-1]
-            if i < len(d.parents[node]):
-                stack[-1] = (node, i + 1)
-                p = d.parents[node][i]
-                if not (0 <= p < n):
-                    raise ValidationError(f"unknown parent id {p}")
-                if p == node:
-                    raise CycleError(f"{d.variables[node].name!r} is its own parent")
-                if color[p] == 1:
-                    raise CycleError(
-                        f"cycle through {d.variables[p].name!r} in the variable DAG")
-                if color[p] == 0:
-                    color[p] = 1
-                    stack.append((p, 0))
+            x, pending = stack[-1]
+            for p in pending:
+                if state[p] == 1:
+                    raise CycleError(f"cycle through {names[p]!r} in the variable DAG",
+                                     loc.cpt.get(x))
+                if state[p] == 0:
+                    state[p] = 1
+                    stack.append((p, iter(d.cpts[p].scope[:-1])))
+                    break
             else:
-                color[node] = 2
                 stack.pop()
+                state[x] = 2
+                latest[x] = max((latest[p] for p in d.cpts[x].scope[:-1]), default=-1)
+                if latest[x] > pos[x]:
+                    raise CycleError(
+                        f"cycle through {names[d.blocks[latest[x]][0]]!r}: {names[x]!r} "
+                        "depends on it but comes before it in the ORDER", loc.cpt.get(x))
 
 
 # --------------------------------------------------------------------------
@@ -632,8 +628,8 @@ class _Builder:
         blocks = tuple(tuple(self.ids[t] for t in seg) for seg in segs)
         if not self.utils:
             self.utils.append(_constant_utility(self.mode, set(self.ids)))
-        d = _assemble(self.vars, self.cpts, tuple(self.utils), blocks, self.mode)
-        _validate(d, _Loc())
+        d = InfluenceDiagram(tuple(self.vars), self.cpts, tuple(self.utils), blocks, self.mode)
+        validate(d)
         return d
 
 

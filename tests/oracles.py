@@ -18,6 +18,10 @@ value and every attaining value, per assignment of the other variables.
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
 pick the same orders.  `width_of_order` replays a fixed order on the
 hyperedges and records the size of each created edge.
+
+`oracle_acyclic` runs a three-colour DFS over the full parent graph, decision
+parents included.  `diagram.validate` reads only table scopes and ORDER
+positions to find cycles, and must agree with it on every diagram.
 """
 
 import itertools
@@ -169,3 +173,28 @@ def oracle_order(g: Hypergraph, elim: Iterable[int],
         sizes.append(len(created))
         remaining.remove(x)
     return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+
+
+def oracle_acyclic(d: InfluenceDiagram) -> bool:
+    """Whether `d.parents`, read as edges parent -> child, has no cycle."""
+    n = len(d.variables)
+    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        stack: list[tuple[int, int]] = [(root, 0)]
+        color[root] = 1
+        while stack:
+            node, i = stack[-1]
+            if i < len(d.parents[node]):
+                stack[-1] = (node, i + 1)
+                p = d.parents[node][i]
+                if color[p] == 1:
+                    return False
+                if color[p] == 0:
+                    color[p] = 1
+                    stack.append((p, 0))
+            else:
+                color[node] = 2
+                stack.pop()
+    return True

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from infdiag import diagram
 from infdiag.factors import Op, ScopedTable, combine_all, marginalize, restrict
 from infdiag.diagram import (
     CHANCE,
@@ -11,7 +13,6 @@ from infdiag.diagram import (
     DiagramError,
     FormatError,
     InfeasibleParamsError,
-    NoForgettingError,
     NormalizationError,
     PartitionError,
     UtilityLeafError,
@@ -25,6 +26,7 @@ from infdiag.diagram import (
     structurally_equal,
     validate,
 )
+from oracles import oracle_acyclic
 
 MINIMAL = """\
 IDNET 1
@@ -183,26 +185,109 @@ def test_order_grammar_and_partition_errors():
     _expect(MINIMAL.replace("ORDER / d / r2 r1", "ORDER d r2 r1"), PartitionError,
             "segment 1", line=9)
     _expect("IDNET 1\nMODE prob\nVAR x 2 CHANCE\nPROB x | : 0.5 0.5\n"
-            "UTIL u x : 0.0 0.0\n", FormatError, "missing ORDER")
+            "UTIL u x : 0.0 0.0\n", FormatError, "missing ORDER", line=5)
 
 
 def test_cycle_detection():
     text = ("IDNET 1\nMODE prob\nVAR a 2 CHANCE\nVAR b 2 CHANCE\n"
             "PROB a | b : 0.5 0.5 0.5 0.5\nPROB b | a : 0.5 0.5 0.5 0.5\n"
             "UTIL u a : 0.0 1.0\nORDER a b\n")
-    _expect(text, CycleError, "cycle")
+    _expect(text, CycleError, "cycle", line=6)
+    # d's parents are the variables before it in the ORDER, so c | d closes a cycle
+    text = ("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nVAR d 2 DECISION\n"
+            "PROB c | d : 0.5 0.5 0.5 0.5\nUTIL u c : 0.0 1.0\nORDER c / d /\n")
+    _expect(text, CycleError, "cycle through 'd'", line=5)
 
 
 def test_missing_cpt_detected():
     text = ("IDNET 1\nMODE prob\nVAR x 2 CHANCE\nUTIL u x : 0.0 1.0\nORDER x\n")
-    _expect(text, ValidationError, "no table")
+    _expect(text, ValidationError, "no table", line=3)
 
 
-def test_no_forgetting_violation_on_programmatic_diagram():
-    d = fixture("fig2")
-    tampered = dataclasses.replace(d, parents=(d.parents[0], d.parents[1], (0,)))
-    with pytest.raises(NoForgettingError):
-        validate(tampered)
+def _with_extra_parents(d, rng):
+    """`d` where each table, with odds 0.3, gains one or two random extra
+    parents from outside its scope, with fresh normalized rows."""
+    cpts = dict(d.cpts)
+    for x, t in d.cpts.items():
+        if rng.random() >= 0.3:
+            continue
+        others = [v for v in range(len(d.variables)) if v not in t.scope]
+        k = min(len(others), int(rng.integers(1, 3)))
+        scope = tuple(int(v) for v in rng.choice(others, size=k, replace=False)) + t.scope
+        sizes = tuple(d.size_of(v) for v in scope)
+        rows = rng.random((math.prod(sizes[:-1]), sizes[-1])) + 0.05
+        rows /= (rows.sum if d.mode == "prob" else rows.max)(axis=1, keepdims=True)
+        cpts[x] = ScopedTable(scope, sizes, rows.reshape(-1), "probability", t.name, x)
+    return dataclasses.replace(d, cpts=cpts)
+
+
+def test_cycle_check_agrees_with_the_full_parent_graph():
+    rng = np.random.default_rng(2024)
+    cyclic = 0
+    kinds = set()
+    for seed in range(2000):
+        d = _with_extra_parents(random_id(8, 3, 3, 2, ("prob", "poss")[seed % 2], seed=seed), rng)
+        text = serialize(d)
+        if oracle_acyclic(d):
+            validate(d)
+            assert structurally_equal(parse(text), d)
+            continue
+        cyclic += 1
+        with pytest.raises(CycleError):
+            validate(d)
+        with pytest.raises(CycleError) as info:
+            parse(text)
+        assert text.splitlines()[info.value.line - 1].startswith("PROB ")
+        kinds.add("ORDER" in str(info.value))
+    assert 500 < cyclic < 1500
+    assert kinds == {True, False}  # cycles through a later decision, and chance-only ones
+
+
+_FIG2 = fixture("fig2")
+_P_R1, _U_D = _FIG2.cpts[0], _FIG2.utilities[2]
+
+
+def _fig2_with(cpt=None, u_d=None, **changes):
+    """fig2 with `cpt` filed under its `cpt_for`, `u_d` in place of u_d, or `changes`."""
+    cpts = dict(_FIG2.cpts)
+    if cpt is not None:
+        cpts[cpt.cpt_for] = cpt
+    utilities = _FIG2.utilities[:2] + (u_d or _U_D,)
+    return dataclasses.replace(_FIG2, cpts=cpts, utilities=utilities, **changes)
+
+
+TAMPERED = {
+    "block-id-out-of-range": _fig2_with(blocks=((), (2,), (1, 0, 7))),
+    "even-block-count": _fig2_with(blocks=((), (2,), (1, 0), ())),
+    "two-variable-decision-block": _fig2_with(blocks=((), (2, 1), (0,))),
+    "table-on-a-decision": _fig2_with(dataclasses.replace(_P_R1, scope=(2,), cpt_for=2)),
+    "table-on-unknown-id": _fig2_with(dataclasses.replace(_P_R1, scope=(5,), cpt_for=5)),
+    "table-tag": _fig2_with(dataclasses.replace(_P_R1, tag="utility")),
+    "table-sizes": _fig2_with(dataclasses.replace(_P_R1, sizes=(3,), values=np.full(3, 1 / 3))),
+    "table-unknown-variable": _fig2_with(dataclasses.replace(
+        _P_R1, scope=(9, 0), sizes=(2, 2), values=np.full(4, 0.5))),
+    "utility-tag": _fig2_with(u_d=dataclasses.replace(_U_D, tag="generic")),
+    "utility-unknown-variable": _fig2_with(u_d=dataclasses.replace(_U_D, scope=(9,))),
+    "utility-shadows-variable": _fig2_with(u_d=dataclasses.replace(_U_D, name="r1")),
+    "duplicate-utility-name": _fig2_with(u_d=dataclasses.replace(_U_D, name="u_dr1")),
+    "no-utilities": dataclasses.replace(_FIG2, utilities=()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_validate_refuses_malformed_programmatic_diagrams(case):
+    with pytest.raises(ValidationError):
+        validate(TAMPERED[case])
+
+
+def test_parse_neither_reshapes_nor_reads_parents(monkeypatch):
+    def refuse(d):
+        raise AssertionError("parse re-checked the shape it built")
+
+    monkeypatch.setattr(diagram, "_check_shape", refuse)
+    d = parse(MINIMAL)
+    assert "parents" not in vars(d)
+    assert d.parents == ((), (0,), ())
 
 
 def test_empty_utilities_rejected_but_injected_by_parse():
