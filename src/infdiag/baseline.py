@@ -32,7 +32,6 @@ from .factors import (
     align,
     argmax_marginalize,
     combine,
-    current_counter,
     marginalize,
 )
 from .solve import Policy, policies_from_choices
@@ -87,7 +86,7 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
     if bool(np.any((d_arr == 0.0) & (n_arr != 0.0))):
         raise InternalError("nonzero expected mass over zero probability")
     q = np.where(d_arr == 0.0, 0.0, n_arr / np.where(d_arr == 0.0, 1.0, d_arr))
-    (counter or current_counter()).add(int(n_arr.size), "div")
+    (counter or OpCounter()).add(int(n_arr.size), "div")
     return Potential(den, ScopedTable(num.scope, num.sizes, q.reshape(-1).copy()))
 
 
@@ -106,9 +105,9 @@ def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
                 f"probability part depends on decision variable {x}")
         keep = p.scope[:axis] + p.scope[axis + 1:]
         p = ScopedTable(keep, p.sizes[:axis] + p.sizes[axis + 1:],
-                        arr.take(0, axis=axis).reshape(-1), p.tag)
+                        arr.take(0, axis=axis).reshape(-1))
     (scope, best), choice = argmax_marginalize((pi.u.scope, pi.u.array), x, counter)
-    return Potential(p, ScopedTable(scope, best.shape, best.reshape(-1), pi.u.tag)), choice
+    return Potential(p, ScopedTable(scope, best.shape, best.reshape(-1))), choice
 
 
 # --------------------------------------------------------------------------

@@ -73,8 +73,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report: dict = {"schema": 1, "engine": args.engine, "file": args.file}
     start = time.perf_counter()
     if args.engine == "mcdag":
-        run = solve.solve_diagram(d, heuristic=args.heuristic,
-                                  merge=not args.no_merge, with_sets=args.sets)
+        run = solve.solve_diagram(d, heuristic=args.heuristic, with_sets=args.sets)
         policies = run.policies
         report.update(meu=run.meu, w_mcdag=run.w_mcdag, w_potential=None,
                       node_count=run.node_count, cluster_count=run.cluster_count,
@@ -134,9 +133,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.stage == "nodes":
         dot = nodes.to_dot(store, root)
     else:
-        m = clusters.assemble(store, root, heuristic=args.heuristic)
-        if not args.no_merge:
-            m = clusters.merge_clusters(m)
+        m = clusters.merge_clusters(clusters.assemble(store, root, heuristic=args.heuristic))
         dot = clusters.to_dot(m, store.names)
     if args.dot:
         Path(args.dot).write_text(dot)
@@ -203,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("mcdag", "potential", "brute"),
                    default="mcdag")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-merge", action="store_true",
-                   help="skip unifying identical clusters")
     p.add_argument("--sets", action="store_true",
                    help="report full argmax sets, not just representatives")
     common(p)
@@ -221,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--stage", choices=("nodes", "mcdag"), default="nodes")
     p.add_argument("--dot", metavar="PATH", help="write to a file instead of stdout")
-    p.add_argument("--no-merge", action="store_true")
     common(p)
     p.set_defaults(func=cmd_compile)
 

@@ -304,10 +304,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             sizes = tuple(variables[v].size for v in scope)
             values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
                                    f"PROB {tokens[1]}", lineno)
-            if np.any(values < 0):
-                raise NormalizationError(
-                    f"negative value in table for {tokens[1]!r}", lineno)
-            cpts[child] = ScopedTable(scope, sizes, values, tag="probability",
+            cpts[child] = ScopedTable(scope, sizes, values,
                                       name=f"P_{tokens[1]}", cpt_for=child)
             loc.cpt[child] = lineno
 
@@ -330,7 +327,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
                                    f"UTIL {name}", lineno)
             loc.util[len(utilities)] = lineno
-            utilities.append(ScopedTable(scope, sizes, values, tag="utility", name=name))
+            utilities.append(ScopedTable(scope, sizes, values, name=name))
             util_names.add(name)
 
         elif kw == "ORDER":
@@ -376,7 +373,7 @@ def _constant_utility(mode: str, taken: set[str]) -> ScopedTable:
     while name in taken:
         k += 1
         name = f"u_const{k}"
-    return ScopedTable((), (), np.array([value]), tag="utility", name=name)
+    return ScopedTable((), (), np.array([value]), name=name)
 
 
 # --------------------------------------------------------------------------
@@ -433,9 +430,7 @@ def _row_label(d: InfluenceDiagram, t: ScopedTable, row: int) -> str:
     return ", ".join(f"{d.variables[p].name}={int(i)}" for p, i in zip(pscope, idx))
 
 
-def _check_table(d: InfluenceDiagram, t: ScopedTable, tag: str, what: str) -> None:
-    if t.tag != tag:
-        raise ValidationError(f"{what} must be {tag}-tagged")
+def _check_table(d: InfluenceDiagram, t: ScopedTable, what: str) -> None:
     if any(not (0 <= v < len(d.variables)) for v in t.scope):
         raise ValidationError(f"{what} names an unknown variable")
     if t.sizes != tuple(d.variables[v].size for v in t.scope):
@@ -444,8 +439,9 @@ def _check_table(d: InfluenceDiagram, t: ScopedTable, tag: str, what: str) -> No
 
 def _check_shape(d: InfluenceDiagram) -> None:
     """What `parse` already enforces line by line, for diagrams built in code:
-    dense ids, legal unique names, kinds, sizes, the block grammar, and each
-    table's tag, scope and sizes."""
+    dense ids, legal unique names, kinds, sizes, the block grammar, each
+    table's scope and sizes, and which tables are conditional ones: a chance
+    variable's table has `cpt_for` set to it, a utility's has none."""
     n = len(d.variables)
     for i, v in enumerate(d.variables):
         if v.id != i:
@@ -474,7 +470,7 @@ def _check_shape(d: InfluenceDiagram) -> None:
         what = f"table for {d.variables[x].name!r}"
         if t.cpt_for != x or not t.scope or t.scope[-1] != x:
             raise ValidationError(f"{what} must have it last in scope")
-        _check_table(d, t, "probability", what)
+        _check_table(d, t, what)
 
     if not d.utilities:
         raise ValidationError("at least one utility is required")
@@ -487,7 +483,9 @@ def _check_shape(d: InfluenceDiagram) -> None:
         if u.name in seen:
             raise ValidationError(f"duplicate utility name {u.name!r}")
         seen.add(u.name)
-        _check_table(d, u, "utility", f"utility {u.name!r}")
+        if u.cpt_for is not None:
+            raise ValidationError(f"utility {u.name!r} is marked as the table of a variable")
+        _check_table(d, u, f"utility {u.name!r}")
 
 
 def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
@@ -514,6 +512,8 @@ def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
             raise ValidationError(f"chance variable {names[x]!r} has no table", loc.var.get(x))
     for x, t in d.cpts.items():
         line = loc.cpt.get(x)
+        if np.any(t.values < 0):
+            raise NormalizationError(f"negative value in table for {names[x]!r}", line)
         if not np.all(np.isfinite(t.values)):
             raise ValidationError(f"non-finite value in table for {names[x]!r}", line)
         rows = t.values.reshape(-1, t.sizes[-1])
@@ -614,14 +614,13 @@ class _Builder:
         sizes = tuple(self.vars[v].size for v in scope)
         size = sizes[-1]
         values = _norm_rows(self.rng, math.prod(sizes) // size, size, self.mode)
-        self.cpts[x] = ScopedTable(scope, sizes, values, tag="probability",
-                                   name=f"P_{child}", cpt_for=x)
+        self.cpts[x] = ScopedTable(scope, sizes, values, name=f"P_{child}", cpt_for=x)
 
     def util(self, name: str, scope_names: Iterable[str]) -> None:
         scope = tuple(self.ids[s] for s in scope_names)
         sizes = tuple(self.vars[v].size for v in scope)
         values = _util_values(self.rng, math.prod(sizes), self.mode)
-        self.utils.append(ScopedTable(scope, sizes, values, tag="utility", name=name))
+        self.utils.append(ScopedTable(scope, sizes, values, name=name))
 
     def done(self, order: str) -> InfluenceDiagram:
         segs = _split_segments(order.split())

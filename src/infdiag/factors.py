@@ -11,20 +11,19 @@ The arithmetic lives in array-level helpers over (scope, ndarray) parts:
 variable of one and records which values attain the max.  `combine`,
 `combine_all` and `marginalize` are thin `ScopedTable` wrappers over them;
 the cluster engine's message pass and policy pass call them on bare arrays.
-Each step charges an operation counter (the context-local one unless another
-is passed) with one unit per binary scalar operation performed (combination:
-one per output cell; marginalization: one per folded-away cell), which is
-what the operation-count comparisons in the test suite rely on.
+Each step charges the operation counter it is passed (a fresh one, read by
+no one, when the argument is optional and omitted) with one unit per binary
+scalar operation performed (combination: one per output cell;
+marginalization: one per folded-away cell), which is what the
+operation-count comparisons in the test suite rely on.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -115,33 +114,14 @@ class OpCounter:
         return self.by_kind.get("sum", 0) + self.by_kind.get("plus", 0)
 
 
-_GLOBAL_COUNTER = OpCounter()
-_counter_var: ContextVar[OpCounter] = ContextVar("op_counter", default=_GLOBAL_COUNTER)
-
-
-def current_counter() -> OpCounter:
-    return _counter_var.get()
-
-
-@contextmanager
-def tally() -> Iterator[OpCounter]:
-    """Swap in a fresh counter for the enclosed block (context-local)."""
-    counter = OpCounter()
-    token = _counter_var.set(counter)
-    try:
-        yield counter
-    finally:
-        _counter_var.reset(token)
-
-
 @dataclass(frozen=True, eq=False)
 class ScopedTable:
     scope: tuple[int, ...]
     sizes: tuple[int, ...]
     values: np.ndarray
-    tag: str = "generic"  # "probability" | "utility" | "generic"
+    _: KW_ONLY
     name: str | None = None
-    cpt_for: int | None = field(default=None, compare=False)
+    cpt_for: int | None = None  # the child variable when this is its conditional table
 
     def __post_init__(self) -> None:
         if len(self.scope) != len(self.sizes):
@@ -158,8 +138,6 @@ class ScopedTable:
                 raise FactorError(
                     f"value count {vals.size} does not match scope size {want}"
                 )
-        if self.tag == "probability" and vals.size and float(vals.min()) < 0.0:
-            raise FactorError("probability-tagged table has a negative cell")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -190,8 +168,8 @@ class ScopedTable:
         return float(self.array[tuple(idx)]) if self.scope else float(self.values[0])
 
     @staticmethod
-    def scalar(value: float, tag: str = "generic", name: str | None = None) -> "ScopedTable":
-        return ScopedTable((), (), np.asarray([value], dtype=float), tag, name)
+    def scalar(value: float) -> "ScopedTable":
+        return ScopedTable((), (), np.asarray([value], dtype=float))
 
 
 Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)
@@ -258,15 +236,6 @@ def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Pa
     return tuple(v for v in scope if v not in elim), out
 
 
-def _tag(tables: Sequence[ScopedTable], op: Op) -> str:
-    tags = {t.tag for t in tables}
-    if tags == {"probability"} and op is Op.TIMES:
-        return "probability"
-    if tags == {"utility"} and op is Op.PLUS:
-        return "utility"
-    return "generic"
-
-
 def combine(t1: ScopedTable, t2: ScopedTable, op: Op, counter: OpCounter | None = None) -> ScopedTable:
     """Pointwise combination over the union scope (ascending variable id)."""
     return combine_all((t1, t2), op, identity(op), counter)
@@ -277,8 +246,8 @@ def combine_all(tables: Sequence[ScopedTable], op: Op, ident: float, counter: Op
     if len(tables) == 1:
         return tables[0]
     scope, arr = fold([(t.scope, t.array) for t in tables], op, ident,
-                      counter or current_counter())
-    return ScopedTable(scope, arr.shape, arr.reshape(-1), _tag(tables, op))
+                      counter or OpCounter())
+    return ScopedTable(scope, arr.shape, arr.reshape(-1))
 
 
 def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter | None = None) -> ScopedTable:
@@ -291,8 +260,8 @@ def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter 
     missing = [v for v in elim if v not in t.scope]
     if missing:
         raise UnknownVariableError(f"variables {missing} not in scope {t.scope}")
-    keep, out = eliminate((t.scope, t.array), elim, op, counter or current_counter())
-    return ScopedTable(keep, out.shape, out.reshape(-1), t.tag)
+    keep, out = eliminate((t.scope, t.array), elim, op, counter or OpCounter())
+    return ScopedTable(keep, out.shape, out.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -325,7 +294,7 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
     rows = np.moveaxis(arr, axis, -1).reshape(-1, arr.shape[axis])
     best = rows.max(axis=1)
-    (counter or current_counter()).add(int(rows.size - best.size), Op.MAX.value)
+    (counter or OpCounter()).add(int(rows.size - best.size), Op.MAX.value)
     rep = rows.argmax(axis=1)
     attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
                    for row, mx in zip(rows, best)) if sets else None
@@ -351,7 +320,8 @@ def restrict(t: ScopedTable, assignment: Mapping[int, int]) -> ScopedTable:
     arr = t.values.reshape(t.sizes)[tuple(index)]
     keep = tuple(v for v in t.scope if v not in assignment)
     keep_sizes = tuple(t.size_of(v) for v in keep)
-    return ScopedTable(keep, keep_sizes, np.asarray(arr).reshape(-1).copy(), t.tag, t.name, t.cpt_for)
+    return ScopedTable(keep, keep_sizes, np.asarray(arr).reshape(-1).copy(),
+                       name=t.name, cpt_for=t.cpt_for)
 
 
 # -- semiring sanity -------------------------------------------------------

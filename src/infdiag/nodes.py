@@ -174,7 +174,7 @@ def initial_node(store: NodeStore, d: InfluenceDiagram) -> int:
 
 
 def _complement(t: ScopedTable) -> ScopedTable:
-    return ScopedTable(t.scope, t.sizes, 1.0 - t.values, tag="probability",
+    return ScopedTable(t.scope, t.sizes, 1.0 - t.values,
                        name=f"co_{t.name}" if t.name else None, cpt_for=t.cpt_for)
 
 

@@ -36,11 +36,11 @@ members hold a nested max, which groups mention `x`) run as one C-level pass
 over per-node facts the store keeps, not as a Python call per group.
 
 Hoisting a common factor out of a max is only sound when the factor cannot
-be negative.  Probability-derived factors (all atomic descendants are
-probability-tagged) are nonnegative by construction, and in the pessimistic
-possibilistic mode every value lives in [0, 1]; both rules verify the cheap
-structural fact in release mode and can additionally sample values in debug
-mode.
+be negative.  Probability-derived factors (every atomic descendant is a
+conditional table or its possibilistic complement, i.e. has `cpt_for` set)
+are nonnegative because validation refuses a negative conditional cell, and
+in the pessimistic possibilistic mode every value lives in [0, 1]; both
+rules check this structural fact on every hoist.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter, contains, is_, is_not, not_
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .factors import InternalError, Op
-from .nodes import NodeStore, SovPairs, canonical_sov, eval_node, reachable
+from .nodes import NodeStore, SovPairs, canonical_sov, reachable
 
 CHANCE_MARGS = (Op.SUM, Op.MIN)
 _CHILDREN = attrgetter("children")
@@ -135,7 +133,7 @@ def _prob_derived(store: NodeStore, nid: int, memo: dict[int, bool]) -> bool:
         return memo[nid]
     node = store.nodes[nid]
     if node.is_atomic:
-        out = node.table.tag == "probability"
+        out = node.table.cpt_for is not None
     else:
         out = all(_prob_derived(store, c, memo) for c in node.children)
     memo[nid] = out
@@ -152,16 +150,6 @@ def _require_nonneg(store: NodeStore, ids: list[int], rule: str) -> None:
         if not _prob_derived(store, nid, memo):
             raise InternalError(
                 f"{rule}: factor {nid} could be negative and cannot leave the max")
-
-
-def _sample_nonneg(store: NodeStore, ids: list[int]) -> None:
-    rng = np.random.default_rng(0)
-    for nid in sorted(set(ids)):
-        sc = sorted(store.scope(nid))
-        for _ in range(4):
-            env = {v: int(rng.integers(0, store.sizes[v])) for v in sc}
-            if eval_node(store, nid, env) < -1e-9:
-                raise InternalError(f"sampled negative value in factor {nid}")
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +286,7 @@ def drop_unit_children(store: NodeStore, nid: int,
 
 
 def decompose_max(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace | None = None,
-                  debug: bool = False) -> tuple[int, int | None]:
+                  trace: RewriteTrace | None = None) -> tuple[int, int | None]:
     """Push the innermost decision elimination of `x` into the groups.
 
     Factors common to every group mentioning x, and themselves free of x,
@@ -323,9 +310,6 @@ def decompose_max(store: NodeStore, root: int, x: int,
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
     pulled = sorted(_split(store, list(common), x)[1])
     _require_nonneg(store, pulled, "decompose-max")
-    if debug:
-        _sample_nonneg(store, [m for members in _children(store, plus)
-                               for m in _split(store, members, x)[1]])
     pulled_set = set(pulled)
     inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
                     for members in _children(store, plus)]
@@ -341,8 +325,7 @@ def decompose_max(store: NodeStore, root: int, x: int,
     return out, inner
 
 
-def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
-                  debug: bool = False) -> int:
+def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None) -> int:
     """Merge a nested decision elimination into this one when its variables
     are absent from everything else in sight.  Fixpoint; no-op on non-match."""
     scopes, group_combs, max_combs = store._scopes, store._group_combs, store._max_combs
@@ -377,8 +360,6 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None,
             return nid
         gcomb, subs, siblings, n2, sub_block = hit
         _require_nonneg(store, n2, "recompose-max")
-        if debug:
-            _sample_nonneg(store, n2)
         _groups_comb(store, subs, gcomb)
         if n2:  # otherwise each merged group is `sub` itself
             n2_set, n2_scope = set(n2), _union(store, n2)
@@ -447,12 +428,11 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     return _rebuild_root(store, root, repl, bool(shrunk))
 
 
-def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace,
-              debug: bool) -> int:
-    root, inner = decompose_max(store, root, x, trace, debug)
+def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
+    root, inner = decompose_max(store, root, x, trace)
     if inner is None:
         return root  # the decision was irrelevant and silently dropped
-    merged = recompose_max(store, inner, trace, debug)
+    merged = recompose_max(store, inner, trace)
     if merged == inner:
         return root
     kids = store.nodes[root].children
@@ -507,8 +487,8 @@ def remove_passthrough(store: NodeStore, root: int) -> int:
 
 
 def macrostructure(store: NodeStore, root: int,
-                   plan: list[tuple[Op, tuple[int, ...]]] | None = None,
-                   debug: bool = False) -> tuple[int, RewriteTrace]:
+                   plan: list[tuple[Op, tuple[int, ...]]] | None = None
+                   ) -> tuple[int, RewriteTrace]:
     """Run the full rewrite: consume the elimination plan right to left,
     variables within a block right to left, then clean up pass-through nodes.
 
@@ -527,7 +507,7 @@ def macrostructure(store: NodeStore, root: int,
     for op, block in reversed(list(plan)):
         for x in reversed(list(block)):
             if op is Op.MAX:
-                root = _max_step(store, root, x, trace, debug)
+                root = _max_step(store, root, x, trace)
             else:
                 root = _sum_step(store, root, x, trace)
     return remove_passthrough(store, root), trace

@@ -35,7 +35,6 @@ from .factors import (  # noqa: F401
     align,
     argmax_marginalize,
     combine_all,
-    current_counter,
     eliminate,
     fold,
     identity,
@@ -106,7 +105,7 @@ def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
     is freed once the last cluster that reads it has read it.
     """
     _check_ops(m)
-    counter = counter or current_counter()
+    counter = counter or OpCounter()
     last_reader = {s: c.id for c in m.clusters for s in c.sons}
     messages: dict[int, Part] = {}
     tables: dict[int, Part] = {}
@@ -162,7 +161,7 @@ def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
 def _rule(d: InfluenceDiagram, x: int, choice: ChoiceTable) -> ScopedTable:
     return ScopedTable(choice.retained_scope, choice.retained_sizes,
                        choice.representative.astype(float),
-                       tag="policy", name=f"rule_{d.variables[x].name}")
+                       name=f"rule_{d.variables[x].name}")
 
 
 def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],
@@ -267,14 +266,12 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # End to end
 
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
-                  merge: bool = True, with_sets: bool = False,
+                  with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
     start = time.perf_counter()
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
-    m = assemble(store, root, heuristic=heuristic)
-    if merge:
-        m = merge_clusters(m)
+    m = merge_clusters(assemble(store, root, heuristic=heuristic))
     meu, tables = evaluate(m, d.sizes, counter)
     return RunReport(
         meu=meu,

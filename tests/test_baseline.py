@@ -30,8 +30,8 @@ def close(a, b, tol=TOL):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def tab(scope, sizes, values, tag="generic"):
-    return ScopedTable(tuple(scope), tuple(sizes), np.asarray(values, float), tag)
+def tab(scope, sizes, values):
+    return ScopedTable(tuple(scope), tuple(sizes), np.asarray(values, float))
 
 
 # -- potential algebra --------------------------------------------------------
@@ -42,8 +42,8 @@ def test_potential_rejects_negative_mass():
 
 
 def test_combine_identity_components():
-    p = tab((0,), (2,), [0.3, 0.7], tag="probability")
-    u = tab((1,), (2,), [2.0, 4.0], tag="utility")
+    p = tab((0,), (2,), [0.3, 0.7])
+    u = tab((1,), (2,), [2.0, 4.0])
     out = pot_combine(Potential(p, ScopedTable.scalar(0.0)),
                       Potential(ScopedTable.scalar(1.0), u))
     assert out.p.scope == (0,) and np.allclose(out.p.values, [0.3, 0.7])

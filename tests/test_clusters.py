@@ -42,9 +42,9 @@ def fig2_parts():
     return store, root, by_len[1], by_len[2]  # root, sum over r1, sum over r1 r2
 
 
-def table(scope, sizes, tag="generic", name=None, cpt_for=None):
+def table(scope, sizes, name=None, cpt_for=None):
     shape = tuple(sizes[v] for v in scope)
-    return ScopedTable(tuple(scope), shape, np.ones(shape), tag, name, cpt_for)
+    return ScopedTable(tuple(scope), shape, np.ones(shape), name=name, cpt_for=cpt_for)
 
 
 # -- hypergraphs ------------------------------------------------------------
@@ -316,10 +316,10 @@ def test_assemble_exhaustive_never_wider():
 
 def test_merge_unifies_identical_chance_blocks():
     store = NodeStore([2, 2], ["x", "y"])
-    p_x = table((0,), [2, 2], tag="probability", name="P_x", cpt_for=0)
-    p_yx = table((0, 1), [2, 2], tag="probability", name="P_y", cpt_for=1)
-    u1 = table((1,), [2, 2], tag="utility", name="u1")
-    u2 = table((1,), [2, 2], tag="utility", name="u2")
+    p_x = table((0,), [2, 2], name="P_x", cpt_for=0)
+    p_yx = table((0, 1), [2, 2], name="P_y", cpt_for=1)
+    u1 = table((1,), [2, 2], name="u1")
+    u2 = table((1,), [2, 2], name="u2")
     ax, ayx = store.atomic(p_x), store.atomic(p_yx)
     g1 = store.composite([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u1)])
     g2 = store.composite([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u2)])
@@ -346,8 +346,8 @@ def test_merge_keeps_distinct_clusters():
 def test_merge_requires_same_table_objects():
     # Equal values in distinct table objects must not be unified.
     store = NodeStore([2, 2], ["x", "y"])
-    u = table((1,), [2, 2], tag="utility", name="u")
-    mk = lambda: table((0, 1), [2, 2], tag="probability", name="P", cpt_for=1)
+    u = table((1,), [2, 2], name="u")
+    mk = lambda: table((0, 1), [2, 2], name="P", cpt_for=1)
     g1 = store.composite([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
     g2 = store.composite([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
     root = store.composite([], Op.PLUS, [g1, g2])

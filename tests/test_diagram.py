@@ -136,6 +136,14 @@ def test_poss_rows_must_reach_one():
     _expect(text, NormalizationError, "reach 1", line=4)
 
 
+@pytest.mark.parametrize("mode, row", [("prob", "-0.5 1.5"), ("poss", "-0.5 1.0")])
+def test_negative_table_cell_rejected_at_its_prob_line(mode, row):
+    # the row sums (prob) or reaches (poss) 1, so only the sign is wrong
+    text = (f"IDNET 1\nMODE {mode}\nVAR x 2 CHANCE\nPROB x | : {row}\n"
+            "UTIL u x : 0.1 0.2\nORDER x\n")
+    _expect(text, NormalizationError, "negative", line=4)
+
+
 def test_poss_utilities_confined_to_unit_interval():
     text = ("IDNET 1\nMODE poss\nVAR x 2 CHANCE\nPROB x | : 1.0 0.8\n"
             "UTIL u x : 0.1 1.5\nORDER x\n")
@@ -217,7 +225,7 @@ def _with_extra_parents(d, rng):
         sizes = tuple(d.size_of(v) for v in scope)
         rows = rng.random((math.prod(sizes[:-1]), sizes[-1])) + 0.05
         rows /= (rows.sum if d.mode == "prob" else rows.max)(axis=1, keepdims=True)
-        cpts[x] = ScopedTable(scope, sizes, rows.reshape(-1), "probability", t.name, x)
+        cpts[x] = ScopedTable(scope, sizes, rows.reshape(-1), name=t.name, cpt_for=x)
     return dataclasses.replace(d, cpts=cpts)
 
 
@@ -262,11 +270,10 @@ TAMPERED = {
     "two-variable-decision-block": _fig2_with(blocks=((), (2, 1), (0,))),
     "table-on-a-decision": _fig2_with(dataclasses.replace(_P_R1, scope=(2,), cpt_for=2)),
     "table-on-unknown-id": _fig2_with(dataclasses.replace(_P_R1, scope=(5,), cpt_for=5)),
-    "table-tag": _fig2_with(dataclasses.replace(_P_R1, tag="utility")),
     "table-sizes": _fig2_with(dataclasses.replace(_P_R1, sizes=(3,), values=np.full(3, 1 / 3))),
     "table-unknown-variable": _fig2_with(dataclasses.replace(
         _P_R1, scope=(9, 0), sizes=(2, 2), values=np.full(4, 0.5))),
-    "utility-tag": _fig2_with(u_d=dataclasses.replace(_U_D, tag="generic")),
+    "utility-attached-to-a-variable": _fig2_with(u_d=dataclasses.replace(_U_D, cpt_for=0)),
     "utility-unknown-variable": _fig2_with(u_d=dataclasses.replace(_U_D, scope=(9,))),
     "utility-shadows-variable": _fig2_with(u_d=dataclasses.replace(_U_D, name="r1")),
     "duplicate-utility-name": _fig2_with(u_d=dataclasses.replace(_U_D, name="u_dr1")),
@@ -278,6 +285,12 @@ TAMPERED = {
 def test_validate_refuses_malformed_programmatic_diagrams(case):
     with pytest.raises(ValidationError):
         validate(TAMPERED[case])
+
+
+def test_negative_table_cell_rejected_in_programmatic_diagram():
+    d = _fig2_with(dataclasses.replace(_P_R1, values=np.array([-0.5, 1.5])))
+    with pytest.raises(NormalizationError, match="negative"):
+        validate(d)
 
 
 def test_parse_neither_reshapes_nor_reads_parents(monkeypatch):

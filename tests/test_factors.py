@@ -29,12 +29,10 @@ from infdiag.factors import (
     check_semiring_axioms,
     combine,
     combine_all,
-    current_counter,
     fold,
     identity,
     marginalize,
     restrict,
-    tally,
 )
 from oracles import oracle_argmax
 
@@ -258,9 +256,9 @@ def test_argmax_matches_the_row_oracle():
                 keep, best, lowest, attaining = oracle_argmax(scope, arr, var)
                 kept_sizes = tuple(s for v, s in zip(scope, sizes) if v != var)
                 for sets in (True, False):
-                    with tally() as counter:
-                        (got_scope, got), choice = argmax_marginalize(
-                            (scope, arr), var, sets=sets)
+                    counter = OpCounter()
+                    (got_scope, got), choice = argmax_marginalize(
+                        (scope, arr), var, counter, sets=sets)
                     assert got_scope == choice.retained_scope == keep
                     assert got.shape == choice.retained_sizes == kept_sizes
                     assert got.reshape(-1).tolist() == best
@@ -272,26 +270,15 @@ def test_argmax_matches_the_row_oracle():
 def test_counter_counts_combine_and_marginalize():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((1,), (3,), np.array([1.0, 2.0, 3.0]))
-    with tally() as counter:
-        out = combine(a, b, Op.TIMES)
-        assert counter.total == 6  # one per output cell
-        marginalize(out, [1], Op.SUM)
-        assert counter.total == 6 + (6 - 2)
-        marginalize(out, [0, 1], Op.MAX)
-        assert counter.total == 10 + (6 - 1)
-        assert counter.by_kind == {"times": 6, "sum": 4, "max": 5}
-        assert counter.additions() == 4
-    assert current_counter() is not counter
-
-
-def test_tally_isolates_nesting():
-    a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
-    with tally() as outer:
-        combine(a, a, Op.TIMES)
-        with tally() as inner:
-            combine(a, a, Op.TIMES)
-        assert inner.total == 2
-        assert outer.total == 2
+    counter = OpCounter()
+    out = combine(a, b, Op.TIMES, counter)
+    assert counter.total == 6  # one per output cell
+    marginalize(out, [1], Op.SUM, counter)
+    assert counter.total == 6 + (6 - 2)
+    marginalize(out, [0, 1], Op.MAX, counter)
+    assert counter.total == 10 + (6 - 1)
+    assert counter.by_kind == {"times": 6, "sum": 4, "max": 5}
+    assert counter.additions() == 4
 
 
 def test_combine_all_identity_on_empty():
@@ -315,7 +302,8 @@ def test_universe_mismatch_rejected():
 def test_fold_refuses_a_union_over_the_cell_guard():
     axis = np.broadcast_to(1.0, (2 ** 9,))  # no memory behind the axis
     parts = [((v,), axis) for v in range(3)]
-    with tally() as counter, pytest.raises(ResourceGuardError, match="cells"):
+    counter = OpCounter()
+    with pytest.raises(ResourceGuardError, match="cells"):
         fold(parts, Op.TIMES, 1.0, counter)
     assert counter.total == 0
     scope, arr = fold(parts[:2], Op.TIMES, 1.0, OpCounter())  # 2**18 cells fit

@@ -122,7 +122,7 @@ def test_simplify_normalized_keeps_needed_tables():
     assert simplify_normalized(store, g) == g
     # a plain table over the same variables is not a conditional table
     w = store.atomic(ScopedTable((0, 1), (2, 2), store.nodes[p2].table.values,
-                                 tag="utility", name="w"))
+                                 name="w"))
     g2 = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, w])
     assert simplify_normalized(store, g2) == g2
 
@@ -182,7 +182,7 @@ def test_decompose_max_hoists_common_factors():
 def test_decompose_max_drops_an_absent_decision():
     store = NodeStore((2, 2))
     u = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]),
-                                 tag="utility", name="u"))
+                                 name="u"))
     w = store.composite([], Op.TIMES, [u])
     root = store.composite([(Op.MAX, (1,))], Op.PLUS, [w])
     trace = []
@@ -195,11 +195,11 @@ def test_decompose_max_drops_an_absent_decision():
 def test_decompose_max_refuses_signed_common_factors():
     store = NodeStore((2, 2))
     shared = store.atomic(ScopedTable((0,), (2,), np.array([-1.0, 1.0]),
-                                      tag="utility", name="s"))
+                                      name="s"))
     ua = store.atomic(ScopedTable((1,), (2,), np.array([0.0, 1.0]),
-                                  tag="utility", name="ua"))
+                                  name="ua"))
     ub = store.atomic(ScopedTable((1,), (2,), np.array([2.0, 1.0]),
-                                  tag="utility", name="ub"))
+                                  name="ub"))
     g1 = store.composite([], Op.TIMES, [shared, ua])
     g2 = store.composite([], Op.TIMES, [shared, ub])
     root = store.composite([(Op.MAX, (1,))], Op.PLUS, [g1, g2])
@@ -210,11 +210,11 @@ def test_decompose_max_refuses_signed_common_factors():
 def test_recompose_max_merges_a_nested_decision():
     store = NodeStore((2, 2, 2))  # outer decision 0, nested decision 1, chance 2
     u1 = store.atomic(ScopedTable((1,), (2,), np.array([0.2, 0.9]),
-                                  tag="utility", name="u1"))
+                                  name="u1"))
     u2 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]),
-                                  tag="utility", name="u2"))
+                                  name="u2"))
     pf = store.atomic(ScopedTable((2,), (2,), np.array([0.3, 0.7]),
-                                  tag="probability", name="pf"))
+                                  name="pf", cpt_for=2))
     nested = store.composite([(Op.MAX, (1,))], Op.PLUS,
                              [store.composite([], Op.TIMES, [u1])])
     g = store.composite([], Op.TIMES, [pf, nested])
@@ -235,13 +235,13 @@ def test_recompose_max_merges_a_nested_decision():
 def test_recompose_max_gates():
     store = NodeStore((2, 2, 2))
     u1 = store.atomic(ScopedTable((1,), (2,), np.array([0.2, 0.9]),
-                                  tag="utility", name="u1"))
+                                  name="u1"))
     u3 = store.atomic(ScopedTable((0, 1), (2, 2), np.array([0.1, 0.2, 0.3, 0.4]),
-                                  tag="utility", name="u3"))
+                                  name="u3"))
     pf = store.atomic(ScopedTable((2,), (2,), np.array([0.3, 0.7]),
-                                  tag="probability", name="pf"))
+                                  name="pf", cpt_for=2))
     neg = store.atomic(ScopedTable((2,), (2,), np.array([-1.0, 1.0]),
-                                   tag="utility", name="neg"))
+                                   name="neg"))
     nested = store.composite([(Op.MAX, (1,))], Op.PLUS,
                              [store.composite([], Op.TIMES, [u1])])
     # the nested decision appears in a sibling group: no merge
@@ -252,7 +252,7 @@ def test_recompose_max_gates():
     # a possibly negative factor cannot be pushed inside the nested max
     g2 = store.composite([], Op.TIMES, [neg, nested])
     u2 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]),
-                                  tag="utility", name="u2"))
+                                  name="u2"))
     sib2 = store.composite([], Op.TIMES, [u2])
     node2 = store.composite([(Op.MAX, (0,))], Op.PLUS, [g2, sib2])
     with pytest.raises(InternalError):
@@ -384,7 +384,7 @@ def test_macro_matches_enumeration_on_random_diagrams():
             d = random_id(nvars, min(seed % 3, nvars), 3, 2, mode=mode, seed=seed)
             store = store_for(d)
             final, _ = macrostructure(store, initial_node(store, d),
-                                      plan=sov0(d), debug=True)
+                                      plan=sov0(d))
             got = eval_node(store, final, {})
             assert got == pytest.approx(oracle_value(d), rel=1e-9, abs=1e-12), (mode, seed)
 

@@ -151,7 +151,7 @@ def descending_scopes(d):
         k = len(t.scope) - fixed
         order = list(range(k))[::-1] + list(range(k, len(t.scope)))
         return ScopedTable(tuple(t.scope[i] for i in order), tuple(t.sizes[i] for i in order),
-                           t.array.transpose(order).reshape(-1), t.tag, t.name, t.cpt_for)
+                           t.array.transpose(order).reshape(-1), name=t.name, cpt_for=t.cpt_for)
 
     return dataclasses.replace(d, cpts={x: flipped(t, 1) for x, t in d.cpts.items()},
                                utilities=tuple(flipped(u, 0) for u in d.utilities))
@@ -248,7 +248,7 @@ def test_positive_scaling_keeps_representative_policies():
         d = random_id(6, 2, 3, 2, seed=seed)
         scaled = dataclasses.replace(
             d, utilities=tuple(
-                ScopedTable(t.scope, t.sizes, t.values * 3.7, t.tag, t.name)
+                ScopedTable(t.scope, t.sizes, t.values * 3.7, name=t.name)
                 for t in d.utilities))
         a = policies_of(mcdag_of(d), d)
         b = policies_of(mcdag_of(scaled), scaled)
