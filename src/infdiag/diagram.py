@@ -198,13 +198,26 @@ def _split_segments(tokens: list[str]) -> list[list[str]]:
     return segs
 
 
-def _parse_floats(tokens: list[str], expected: int, what: str, line: int) -> np.ndarray:
-    vals = []
-    for tok in tokens:
-        try:
-            vals.append(float(tok))
-        except ValueError:
-            raise FormatError(f"bad numeric value {tok!r}", line) from None
+def _parse_floats(text: str, expected: int, what: str, line: int) -> np.ndarray:
+    """The numbers of one line segment, in ASCII decimal float syntax.
+
+    `float()` alone would also read '1_0' and non-ASCII digits, so the whole
+    segment is searched for those once; only a segment that holds one, or a
+    token `float()` refuses, is walked token by token to name the first bad
+    token."""
+    tokens = text.split()
+    try:
+        vals = list(map(float, tokens))
+    except ValueError:
+        vals = None
+    if vals is None or "_" in text or not text.isascii():
+        for tok in tokens:
+            try:
+                if "_" in tok or not tok.isascii():
+                    raise ValueError
+                float(tok)
+            except ValueError:
+                raise FormatError(f"bad numeric value {tok!r}", line) from None
     if len(vals) != expected:
         raise FormatError(f"{what}: expected {expected} values, got {len(vals)}", line)
     return np.asarray(vals, dtype=np.float64)
@@ -252,7 +265,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
 
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
+        body = raw.split("#", 1)[0]
+        tokens = body.split()
         if not tokens:
             continue
         if not saw_header:
@@ -276,6 +290,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if name in var_ids or name in util_names:
                 raise FormatError(f"name {name!r} already declared", lineno)
             try:
+                if "_" in size_tok or not size_tok.isascii():
+                    raise ValueError  # int() reads '1_0' and non-ASCII digits
                 size = int(size_tok)
             except ValueError:
                 raise FormatError(f"bad domain size {size_tok!r}", lineno) from None
@@ -302,7 +318,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in PROB scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
+            values = _parse_floats(body.split(":", 1)[1], math.prod(sizes),
                                    f"PROB {tokens[1]}", lineno)
             cpts[child] = ScopedTable(scope, sizes, values,
                                       name=f"P_{tokens[1]}", cpt_for=child)
@@ -324,7 +340,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in UTIL scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(tokens[colon + 1:], math.prod(sizes),
+            values = _parse_floats(body.split(":", 1)[1], math.prod(sizes),
                                    f"UTIL {name}", lineno)
             loc.util[len(utilities)] = lineno
             utilities.append(ScopedTable(scope, sizes, values, name=name))
@@ -510,37 +526,8 @@ def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
     for x in d.chance_ids:
         if x not in d.cpts:
             raise ValidationError(f"chance variable {names[x]!r} has no table", loc.var.get(x))
-    for x, t in d.cpts.items():
-        line = loc.cpt.get(x)
-        if np.any(t.values < 0):
-            raise NormalizationError(f"negative value in table for {names[x]!r}", line)
-        if not np.all(np.isfinite(t.values)):
-            raise ValidationError(f"non-finite value in table for {names[x]!r}", line)
-        rows = t.values.reshape(-1, t.sizes[-1])
-        if d.mode == "prob":
-            sums = rows.sum(axis=1)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
-            if bad.size:
-                raise NormalizationError(
-                    f"rows of P({names[x]}|...) must sum to 1: got "
-                    f"{sums[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
-        else:
-            if np.any(t.values > 1.0):
-                raise NormalizationError(
-                    f"possibility values for {names[x]!r} must lie in [0,1]", line)
-            tops = rows.max(axis=1)
-            bad = np.flatnonzero(np.abs(tops - 1.0) > NORMALIZATION_TOL)
-            if bad.size:
-                raise NormalizationError(
-                    f"rows of pi({names[x]}|...) must reach 1: got "
-                    f"{tops[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
-
-    for j, u in enumerate(d.utilities):
-        line = loc.util.get(j)
-        if not np.all(np.isfinite(u.values)):
-            raise ValidationError(f"non-finite value in utility {u.name!r}", line)
-        if d.mode == "poss" and (np.any(u.values < 0) or np.any(u.values > 1)):
-            raise NormalizationError(f"utility {u.name!r} must lie in [0,1]", line)
+    if not _numbers_pass_screen(d):
+        _check_numbers(d, loc)
 
     # Acyclicity from the tables alone.  A decision's parents are all the
     # variables before it in the ORDER, so the parent graph has a cycle
@@ -573,6 +560,69 @@ def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
                     raise CycleError(
                         f"cycle through {names[d.blocks[latest[x]][0]]!r}: {names[x]!r} "
                         "depends on it but comes before it in the ORDER", loc.cpt.get(x))
+
+
+def _numbers_pass_screen(d: InfluenceDiagram) -> bool:
+    """One batched pass over every table value: True when no table can fail
+    `_check_numbers`.  Conditional tables must be finite and nonnegative
+    (and at most 1 in poss mode), with every row sum (prob) or row maximum
+    (poss) within half the tolerance of 1; half, so that a batched row sum
+    that rounds differently from the per-table one cannot pass a row that
+    `_check_numbers` refuses.  Utilities must be finite (in [0, 1] in poss
+    mode).  False says only that `_check_numbers` must look table by table."""
+    poss = d.mode == "poss"
+    tables = list(d.cpts.values())
+    if tables:
+        values = np.concatenate([t.values for t in tables])
+        lo, hi = values.min(), values.max()  # NaN fails every comparison below
+        if not (lo >= 0.0 and (hi <= 1.0 if poss else hi < math.inf)):
+            return False
+        widths = [t.sizes[-1] for t in tables]
+        row_widths = np.repeat(widths, [t.values.size // w for t, w in zip(tables, widths)])
+        reduce = np.maximum.reduceat if poss else np.add.reduceat
+        row_ends = reduce(values, np.cumsum(row_widths) - row_widths)
+        if not np.abs(row_ends - 1.0).max() <= NORMALIZATION_TOL / 2:
+            return False
+    values = np.concatenate([u.values for u in d.utilities])
+    lo, hi = values.min(), values.max()
+    return bool(lo >= 0.0 and hi <= 1.0) if poss else bool(-math.inf < lo and hi < math.inf)
+
+
+def _check_numbers(d: InfluenceDiagram, loc: _Loc) -> None:
+    """The per-table number checks, in report order: each conditional table
+    (sign, finiteness, rows), then each utility (finiteness, poss range)."""
+    names = d.names
+    for x, t in d.cpts.items():
+        line = loc.cpt.get(x)
+        if np.any(t.values < 0):
+            raise NormalizationError(f"negative value in table for {names[x]!r}", line)
+        if not np.all(np.isfinite(t.values)):
+            raise ValidationError(f"non-finite value in table for {names[x]!r}", line)
+        rows = t.values.reshape(-1, t.sizes[-1])
+        if d.mode == "prob":
+            sums = rows.sum(axis=1)
+            bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
+            if bad.size:
+                raise NormalizationError(
+                    f"rows of P({names[x]}|...) must sum to 1: got "
+                    f"{sums[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
+        else:
+            if np.any(t.values > 1.0):
+                raise NormalizationError(
+                    f"possibility values for {names[x]!r} must lie in [0,1]", line)
+            tops = rows.max(axis=1)
+            bad = np.flatnonzero(np.abs(tops - 1.0) > NORMALIZATION_TOL)
+            if bad.size:
+                raise NormalizationError(
+                    f"rows of pi({names[x]}|...) must reach 1: got "
+                    f"{tops[bad[0]]!r} at {_row_label(d, t, int(bad[0]))}", line)
+
+    for j, u in enumerate(d.utilities):
+        line = loc.util.get(j)
+        if not np.all(np.isfinite(u.values)):
+            raise ValidationError(f"non-finite value in utility {u.name!r}", line)
+        if d.mode == "poss" and (np.any(u.values < 0) or np.any(u.values > 1)):
+            raise NormalizationError(f"utility {u.name!r} must lie in [0,1]", line)
 
 
 # --------------------------------------------------------------------------

@@ -6,15 +6,20 @@ to the combination of its children.  Nodes are immutable and live in an
 append-only store that interns structure, so structurally equal nodes share
 one id and the expression is a DAG rather than a tree.
 
-Equality is by interned child ids, not deep structure; atomic nodes compare
-by table identity, matching the table-identity semantics of ScopedTable.
+Each stored node is a `CompNode` record, a `NamedTuple`: a tuple subclass
+with no per-instance `__dict__`, so a field cannot be assigned after the
+record is built, and `is_atomic` is a field set then rather than a property.
+`NodeStore.intern` canonicalizes the parts and looks their key up first; a
+record is built only for a key the store does not hold.  Records compare by
+value, field by field, as tuples do.  Equality is therefore by interned child
+ids, not deep structure; atomic nodes compare by table identity, matching
+the table-identity semantics of ScopedTable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import InfluenceDiagram, mode_ops, sov0
 from .factors import (
@@ -48,18 +53,18 @@ def canonical_sov(pairs: Iterable[tuple[Op, Iterable[int]]]) -> SovPairs:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CompNode:
-    """Atomic when `table` is set (sov/children empty, comb None)."""
+class CompNode(NamedTuple):
+    """One stored node.  Atomic when `table` is set: `sov` and `children` are
+    then empty, `comb` is None and `is_atomic` is True."""
 
     sov: SovPairs
     comb: Op | None
     children: tuple[int, ...]
-    table: ScopedTable | None = None
+    table: ScopedTable | None
+    is_atomic: bool
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.table is not None
+
+_record = tuple.__new__  # builds a CompNode without NamedTuple's Python-level __new__
 
 
 class NodeStore:
@@ -90,44 +95,51 @@ class NodeStore:
         return self._scopes[nid]
 
     def atomic(self, table: ScopedTable) -> int:
-        return self.intern(CompNode((), None, (), table))
+        return self.intern((), None, (), table=table)
 
     def composite(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
                   children: Iterable[int], scope: frozenset[int] | None = None) -> int:
-        """Intern a composite; `scope` is passed on to `intern` (see there)."""
-        return self.intern(CompNode(tuple(sov), comb, tuple(children)), scope=scope)
+        """Intern a composite; the arguments are those of `intern` (see there)."""
+        return self.intern(sov, comb, children, scope)
 
-    def intern(self, node: CompNode, scope: frozenset[int] | None = None) -> int:
-        """Return the id of a structurally equal stored node, interning if new.
+    def intern(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op | None,
+               children: Iterable[int], scope: frozenset[int] | None = None,
+               table: ScopedTable | None = None) -> int:
+        """Return the id of the stored node with these parts, storing it if new.
 
-        A composite node's sov and children are canonicalized here, so they
-        may arrive in any order.  Only a new key is validated: every stored
-        key passed validation when it was stored.  Validation relies on the
-        canonical form: each sov block is sorted and non-empty and the
-        children are sorted, so checking the end points of each range covers
-        every id in it.
+        With `table` set the node is that table's atom (the other parts must
+        be empty), interned by table identity.  Otherwise it is a composite:
+        its sov and children are canonicalized here, so they may arrive in
+        any order, and the key is looked up before any record is built.
+        Only a new key is validated: every stored key passed validation when
+        it was stored.  Validation relies on the canonical form: each sov
+        block is sorted and non-empty and the children are sorted, so
+        checking the end points of each range covers every id in it.
 
-        A caller that derived a composite node from stored ones may pass its
-        `scope`.  It then promises two things: `node.sov` is already
-        canonical, and `scope` equals the union of the children's scopes
-        minus the sov variables.  The sov is then used as given and no union
-        is taken; the children are still sorted and every check still runs.
+        A caller that derived a composite from stored nodes may pass its
+        `scope`.  It then promises two things: `sov` is already canonical,
+        and `scope` equals the union of the children's scopes minus the sov
+        variables.  The sov is then used as given and no union is taken;
+        the children are still sorted and every check still runs.
         """
-        if node.table is not None:
-            key: object = ("atom", id(node.table))
+        if table is not None:
+            key: object = id(table)
             found = self._index.get(key)
             if found is not None:
                 return found
-            scope = frozenset(node.table.scope)
+            node = _record(CompNode, ((), None, (), table, True))
+            scope = frozenset(table.scope)
+            group_comb = max_comb = None
         else:
-            sov = node.sov if scope is not None else canonical_sov(node.sov)
-            children = tuple(sorted(set(node.children)))
-            key = (sov, node.comb, children)
+            if scope is None:
+                sov = canonical_sov(sov)
+            children = tuple(sorted(set(children)))
+            key = (sov, comb, children)
             found = self._index.get(key)
             if found is not None:
                 return found
-            if node.comb not in COMBINE_OPS:
-                raise InternalError(f"bad combination operator {node.comb}")
+            if comb not in COMBINE_OPS:
+                raise InternalError(f"bad combination operator {comb}")
             for op, block in sov:
                 if op not in MARGINAL_OPS:
                     raise InternalError(f"{op} cannot marginalize")
@@ -135,18 +147,18 @@ class NodeStore:
                     raise InternalError(f"unknown variable in sov block {block}")
             if children and (children[0] < 0 or children[-1] >= len(self.nodes)):
                 raise InternalError(f"dangling child id in {children}")
-            if sov != node.sov or children != node.children:
-                node = CompNode(sov, node.comb, children)
             if scope is None:
                 scope = frozenset().union(*map(self._scopes.__getitem__, children)) \
                     .difference(*(block for _, block in sov))
+            node = _record(CompNode, (sov, comb, children, None, False))
+            group_comb = None if sov else comb
+            max_comb = comb if len(sov) == 1 and sov[0][0] is Op.MAX else None
         nid = len(self.nodes)
         self.nodes.append(node)
         self._index[key] = nid
         self._scopes.append(scope)
-        self._group_combs.append(None if node.sov else node.comb)  # atoms: None
-        self._max_combs.append(node.comb if len(node.sov) == 1 and node.sov[0][0] is Op.MAX
-                               else None)
+        self._group_combs.append(group_comb)
+        self._max_combs.append(max_comb)
         return nid
 
 

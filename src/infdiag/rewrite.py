@@ -46,20 +46,21 @@ rules check this structural fact on every hoist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter, contains, is_, is_not, not_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .factors import InternalError, Op
-from .nodes import NodeStore, SovPairs, canonical_sov, reachable
+from .nodes import NodeStore, SovPairs, _record, canonical_sov, reachable
 
 CHANCE_MARGS = (Op.SUM, Op.MIN)
 _CHILDREN = attrgetter("children")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One rule application: a record that compares by value and cannot be
+    changed, built like `CompNode` without NamedTuple's Python-level __new__."""
+
     rule: str
     target: int
     produced: int
@@ -85,7 +86,7 @@ def trace_to_jsonl(trace: RewriteTrace) -> str:
 def _emit(trace: RewriteTrace | None, rule: str, target: int, produced: int,
           var: int | None = None, inner: int | None = None) -> None:
     if trace is not None:
-        trace.append(TraceEvent(rule, target, produced, var, inner))
+        trace.append(_record(TraceEvent, (rule, target, produced, var, inner)))
 
 
 def _group_members(store: NodeStore, gid: int, comb: Op | None) -> tuple[tuple[int, ...], Op]:

@@ -22,6 +22,10 @@ hyperedges and records the size of each created edge.
 `oracle_acyclic` runs a three-colour DFS over the full parent graph, decision
 parents included.  `diagram.validate` reads only table scopes and ORDER
 positions to find cycles, and must agree with it on every diagram.
+
+`oracle_numbers` checks a diagram's numbers one table at a time, the way
+`parse` checked them before it screened every table in one batch; `parse`
+must raise the same error, with the same message and line.
 """
 
 import itertools
@@ -30,7 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from infdiag.clusters import EliminationOrder, Hypergraph, MCDag
-from infdiag.diagram import InfluenceDiagram
+from infdiag.diagram import (NORMALIZATION_TOL, InfluenceDiagram, NormalizationError,
+                             ValidationError)
 from infdiag.factors import Op, OpCounter, ScopedTable, combine, identity, marginalize
 
 
@@ -198,3 +203,41 @@ def oracle_acyclic(d: InfluenceDiagram) -> bool:
                 color[node] = 2
                 stack.pop()
     return True
+
+
+def _row_label(d: InfluenceDiagram, t: ScopedTable, row: int) -> str:
+    if len(t.scope) == 1:
+        return "the prior row"
+    idx = np.unravel_index(row, t.sizes[:-1])
+    return ", ".join(f"{d.variables[p].name}={int(i)}" for p, i in zip(t.scope, idx))
+
+
+def oracle_numbers(d: InfluenceDiagram, cpt_lines: dict[int, int],
+                   util_lines: dict[int, int]) -> None:
+    """Each conditional table in `d.cpts` order (sign, finiteness, rows),
+    then each utility (finiteness, poss range); raises on the first fault.
+    `cpt_lines` maps a chance variable, `util_lines` a utility index, to the
+    line of its table."""
+    names = d.names
+    for x, t in d.cpts.items():
+        line = cpt_lines[x]
+        if np.any(t.values < 0):
+            raise NormalizationError(f"negative value in table for {names[x]!r}", line)
+        if not np.all(np.isfinite(t.values)):
+            raise ValidationError(f"non-finite value in table for {names[x]!r}", line)
+        rows = t.values.reshape(-1, t.sizes[-1])
+        if d.mode == "poss" and np.any(t.values > 1.0):
+            raise NormalizationError(
+                f"possibility values for {names[x]!r} must lie in [0,1]", line)
+        ends = rows.sum(axis=1) if d.mode == "prob" else rows.max(axis=1)
+        for row, end in enumerate(ends):
+            if abs(end - 1.0) > NORMALIZATION_TOL:
+                what = f"P({names[x]}|...) must sum to" if d.mode == "prob" \
+                    else f"pi({names[x]}|...) must reach"
+                raise NormalizationError(
+                    f"rows of {what} 1: got {end!r} at {_row_label(d, t, row)}", line)
+    for j, u in enumerate(d.utilities):
+        if not np.all(np.isfinite(u.values)):
+            raise ValidationError(f"non-finite value in utility {u.name!r}", util_lines[j])
+        if d.mode == "poss" and (np.any(u.values < 0) or np.any(u.values > 1)):
+            raise NormalizationError(f"utility {u.name!r} must lie in [0,1]", util_lines[j])

@@ -26,7 +26,7 @@ from infdiag.diagram import (
     structurally_equal,
     validate,
 )
-from oracles import oracle_acyclic
+from oracles import oracle_acyclic, oracle_numbers
 
 MINIMAL = """\
 IDNET 1
@@ -144,6 +144,71 @@ def test_negative_table_cell_rejected_at_its_prob_line(mode, row):
     _expect(text, NormalizationError, "negative", line=4)
 
 
+# Faults for the batched number check, by mode.  The row scalings include
+# deviations just past the tolerance and inside it.
+_ROW_EPS = (1e-3, 2e-9, 1.5e-9, 7e-10, 4e-10, 1e-12)
+NUMBER_FAULTS = {
+    "prob": ("negative", "nan", "inf", "-inf", "row", "utility-nan", "utility-inf"),
+    "poss": ("negative", "nan", "inf", "row", "above-one", "utility-nan",
+             "utility-below-zero", "utility-above-one"),
+}
+
+
+def _with_number_faults(d, rng):
+    """`d` with one to three faults drawn from NUMBER_FAULTS, tables in
+    declaration order as `parse` stores them."""
+    cpts = {x: d.cpts[x] for x in d.chance_ids}
+    utilities = list(d.utilities)
+    for _ in range(rng.integers(1, 4)):
+        kind = str(rng.choice(NUMBER_FAULTS[d.mode]))
+        if kind.startswith("utility"):
+            j = int(rng.integers(len(utilities)))
+            u = utilities[j]
+            v = u.values.copy()
+            v[rng.integers(v.size)] = {"utility-nan": math.nan, "utility-inf": math.inf,
+                                       "utility-below-zero": -0.25,
+                                       "utility-above-one": 1.0 + 1e-12}[kind]
+            utilities[j] = dataclasses.replace(u, values=v)
+            continue
+        x = int(rng.choice(list(cpts)))
+        t = cpts[x]
+        v = t.values.copy()
+        k = int(rng.integers(v.size))
+        if kind == "row":
+            row = slice(k - k % t.sizes[-1], k - k % t.sizes[-1] + t.sizes[-1])
+            eps = float(rng.choice(_ROW_EPS))
+            v[row] *= 1.0 + eps if d.mode == "prob" else 1.0 - eps
+        else:
+            v[k] = {"negative": -v[k] or -0.5, "nan": math.nan, "inf": math.inf,
+                    "-inf": -math.inf, "above-one": 1.0 + float(rng.choice((0.5, 1e-12)))}[kind]
+        cpts[x] = dataclasses.replace(t, values=v)
+    return dataclasses.replace(d, cpts=cpts, utilities=tuple(utilities))
+
+
+def _outcome(check):
+    try:
+        check()
+    except DiagramError as e:
+        return type(e), str(e), e.line
+    return None
+
+
+@pytest.mark.parametrize("mode", ["prob", "poss"])
+def test_batched_number_check_matches_the_per_table_loop(mode):
+    rng = np.random.default_rng(11)
+    refused = 0
+    for seed in range(120):
+        d = _with_number_faults(random_id(3 + seed % 12, seed % 3, 3, 3, mode, seed), rng)
+        text = serialize(d)
+        line_of = {tuple(l.split()[:2]): i for i, l in enumerate(text.splitlines(), 1)}
+        cpt_lines = {x: line_of["PROB", d.names[x]] for x in d.cpts}
+        util_lines = {j: line_of["UTIL", u.name] for j, u in enumerate(d.utilities)}
+        want = _outcome(lambda: oracle_numbers(d, cpt_lines, util_lines))
+        assert _outcome(lambda: parse(text)) == want, (seed, text)
+        refused += want is not None
+    assert 80 < refused < 120  # most inputs are refused; a few faults stay within tolerance
+
+
 def test_poss_utilities_confined_to_unit_interval():
     text = ("IDNET 1\nMODE poss\nVAR x 2 CHANCE\nPROB x | : 1.0 0.8\n"
             "UTIL u x : 0.1 1.5\nORDER x\n")
@@ -179,6 +244,34 @@ def test_value_count_mismatch():
             "expected 2 values, got 3", line=6)
     _expect(MINIMAL.replace("1.0 2.0 3.0 4.0", "1.0"), FormatError,
             "expected 4 values", line=8)
+
+
+@pytest.mark.parametrize("old, new, token, line", [
+    ("0.3 0.7", "0.3 0_7", "0_7", 6),  # float() reads '0_7' as 7.0
+    ("0.3 0.7", "0.3 ٠.7", "٠.7", 6),  # float() reads the Arabic-Indic zero as 0
+    ("1.0 2.0 3.0 4.0", "1.0 2.0 3.0 1_0", "1_0", 8),
+    ("1.0 2.0 3.0 4.0", "1.0 ２ 3.0 4.0", "２", 8),  # a fullwidth digit
+    ("1.0 2.0 3.0 4.0", "1.0 x 3.0 1_0", "x", 8),  # the first bad token is named
+])
+def test_table_values_use_ascii_float_syntax(old, new, token, line):
+    err = _expect(MINIMAL.replace(old, new), FormatError, "bad numeric value", line=line)
+    assert repr(token) in str(err)
+
+
+@pytest.mark.parametrize("size", ["1_0", "١", "２", "2_"])
+def test_domain_sizes_use_ascii_integer_syntax(size):
+    err = _expect(MINIMAL.replace("VAR d 2 DECISION", f"VAR d {size} DECISION"),
+                  FormatError, "bad domain size", line=5)
+    assert repr(size) in str(err)
+
+
+def test_non_ascii_stays_legal_in_comments_names_and_separators():
+    text = MINIMAL.replace("0.3 0.7", "0.3 0.7  # ٣ 1_0 ²").replace("r1", "r١")
+    text = text.replace("0.2 0.8 0.6 0.4", "0.2\u00a00.8 0.6 0.4")  # a no-break space
+    d = parse(text)
+    assert d.names[0] == "r١"
+    assert d.cpts[0].values.tolist() == [0.3, 0.7]
+    assert d.cpts[1].values.tolist() == [0.2, 0.8, 0.6, 0.4]
 
 
 def test_order_grammar_and_partition_errors():

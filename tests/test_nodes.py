@@ -4,7 +4,6 @@ import pytest
 from infdiag.diagram import fixture, mode_ops, parse, random_id
 from infdiag.factors import InternalError, Op, ScopedTable, UnknownVariableError
 from infdiag.nodes import (
-    CompNode,
     NodeStore,
     canonical_sov,
     eval_node,
@@ -47,9 +46,10 @@ def test_composite_interning_canonicalizes():
     n3 = store.composite([(Op.MAX, (2, 1))], Op.TIMES, [a, b, a])
     assert n1 == n2 == n3
     assert store.node(n1).children == tuple(sorted((a, b)))
-    # interning an already-stored node gives the same id back
-    assert store.intern(store.node(n1)) == n1
-    assert store.intern(store.node(a)) == a
+    # interning an already-stored node's parts gives the same id back
+    node = store.node(n1)
+    assert store.intern(node.sov, node.comb, node.children) == n1
+    assert store.intern((), None, (), table=store.node(a).table) == a
 
 
 def test_intern_canonicalizes_raw_parts_once():
@@ -57,16 +57,15 @@ def test_intern_canonicalizes_raw_parts_once():
     a = store.atomic(_table((0,), (2,), [1.0, 2.0]))
     b = store.atomic(_table((1, 2), (2, 2), [1.0, 2.0, 3.0, 4.0]))
     c = store.atomic(_table((3,), (2,), [5.0, 6.0]))
-    n1 = store.intern(CompNode(((Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (c, a, b)))
+    n1 = store.intern(((Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (c, a, b))
     size = len(store)
     raw = [
-        CompNode(((Op.MAX, (1, 2)), (Op.SUM, (3,))), Op.TIMES, (a, b, c)),
-        CompNode(((Op.MAX, (2,)), (Op.MAX, (1,)), (Op.SUM, (3,))), Op.TIMES,
-                 (b, c, a, b, c)),
-        CompNode(((Op.SUM, ()), (Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (a, a, b, c)),
+        (((Op.MAX, (1, 2)), (Op.SUM, (3,))), Op.TIMES, (a, b, c)),
+        (((Op.MAX, (2,)), (Op.MAX, (1,)), (Op.SUM, (3,))), Op.TIMES, (b, c, a, b, c)),
+        (((Op.SUM, ()), (Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (a, a, b, c)),
     ]
-    for node in raw:
-        assert store.intern(node) == n1
+    for sov, comb, children in raw:
+        assert store.intern(sov, comb, children) == n1
     assert store.composite([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
     assert len(store) == size  # found keys add nothing
     stored = store.node(n1)
@@ -223,7 +222,7 @@ def test_bad_constructions_raise_internal_errors():
         with pytest.raises(InternalError):
             store.composite(sov, comb, children)
         with pytest.raises(InternalError):
-            store.intern(CompNode(tuple(sov), comb, tuple(children)))
+            store.intern(tuple(sov), comb, tuple(children))
     assert len(store) == 1
 
 

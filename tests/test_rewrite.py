@@ -10,7 +10,7 @@ import pytest
 from infdiag import rewrite
 from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable
-from infdiag.nodes import (NodeStore, canonical_sov, eval_node, initial_node,
+from infdiag.nodes import (CompNode, NodeStore, canonical_sov, eval_node, initial_node,
                            node_count, store_for, structural_signature)
 from infdiag.rewrite import (TraceEvent, assert_mono_operator, decompose_max,
                              decompose_sum, drop_unit_children, macrostructure,
@@ -471,9 +471,9 @@ def test_macro_interning_grows_linearly_on_chains(monkeypatch):
         root = initial_node(store, d)
         count = [0]
 
-        def counting(self, node, scope=None, count=count):
+        def counting(self, sov, comb, children, scope=None, table=None, count=count):
             count[0] += 1
-            return intern(self, node, scope=scope)
+            return intern(self, sov, comb, children, scope=scope, table=table)
 
         monkeypatch.setattr(NodeStore, "intern", counting)
         macrostructure(store, root)
@@ -522,14 +522,14 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
     intern = NodeStore.intern
     derived = [0]
 
-    def checking(self, node, scope=None):
+    def checking(self, sov, comb, children, scope=None, table=None):
         if scope is not None:
             derived[0] += 1
-            assert canonical_sov(node.sov) == node.sov, node
-            union = frozenset().union(*(self.scope(c) for c in node.children))
-            eliminated = {v for _, block in node.sov for v in block}
-            assert scope == union - eliminated, (node, scope)
-        return intern(self, node, scope=scope)
+            assert canonical_sov(sov) == sov, (sov, comb, children)
+            union = frozenset().union(*(self.scope(c) for c in children))
+            eliminated = {v for _, block in sov for v in block}
+            assert scope == union - eliminated, ((sov, comb, children), scope)
+        return intern(self, sov, comb, children, scope=scope, table=table)
 
     monkeypatch.setattr(NodeStore, "intern", checking)
     ds = [fixture("fig2"), fixture("fig3")]
@@ -541,6 +541,62 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
     assert derived[0] > 10_000
+
+
+def _swept_stores():
+    """A store per `_sweep()` diagram and plan mode, after the full rewrite."""
+    for d in _sweep():
+        for plan in (None, sov0(d)):
+            store = store_for(d)
+            macrostructure(store, initial_node(store, d), plan=plan)
+            yield store
+
+
+def test_every_node_build_passes_through_intern(monkeypatch):
+    # Every stored node must be built by `NodeStore.intern`, looked up on the
+    # class at call time: the benchmark's traced passes wrap that name to
+    # count and time node builds, and a build that bypasses it goes unseen.
+    intern = NodeStore.intern
+    misses = [0]
+
+    def counting(self, sov, comb, children, scope=None, table=None):
+        size = len(self)
+        nid = intern(self, sov, comb, children, scope=scope, table=table)
+        misses[0] += len(self) - size
+        return nid
+
+    monkeypatch.setattr(NodeStore, "intern", counting)
+    stores = 0
+    for store in _swept_stores():
+        assert misses[0] == len(store)
+        misses[0] = 0
+        stores += 1
+    assert stores == 200
+
+
+def test_stored_node_records_hold_their_invariants():
+    for store in _swept_stores():
+        for node in store.nodes:
+            assert type(node) is CompNode
+            assert node.is_atomic == (node.table is not None)
+            if node.is_atomic:
+                assert (node.sov, node.comb, node.children) == ((), None, ())
+            else:
+                assert node.children == tuple(sorted(set(node.children)))
+                assert canonical_sov(node.sov) == node.sov
+    node = store.nodes[-1]
+    assert not hasattr(node, "__dict__")
+    for field in CompNode._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    event = TraceEvent("drop-unit", 3, 4)
+    assert event == TraceEvent("drop-unit", 3, 4, var=None, inner=None)
+    assert event != TraceEvent("drop-unit", 3, 5)
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(AttributeError):
+        event.produced = 5
 
 
 def test_rewrite_output_is_pinned():
