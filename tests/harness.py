@@ -5,6 +5,7 @@ append-only, so both sides of a step stay evaluable.  Value preservation is
 checked on sampled assignments of the old node's scope (the new scope may
 only shrink).  For the two max rules the freshly eliminated decisions are
 pinned on both sides and the full sets of maximizing assignments must agree.
+`assert_mono_operator` checks the rewrite's end state.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from infdiag.factors import Op
-from infdiag.nodes import NodeStore, eval_node
+from infdiag.factors import InternalError, Op
+from infdiag.nodes import NodeStore, eval_node, reachable
 from infdiag.rewrite import TraceEvent
 
 TOL = 1e-9
@@ -139,3 +140,27 @@ def check_trace(store: NodeStore, trace: list[TraceEvent], rng,
         assert_value_preserved(store, ev, rng, samples)
         assert_argmax_preserved(store, ev, rng, max(2, samples - 1))
     return len(trace)
+
+
+def assert_mono_operator(store: NodeStore, root: int, chance_marg: Op,
+                         group_comb: Op, outer_comb: Op) -> None:
+    """Every reachable composite is single-block with the comb its sov demands."""
+    for nid in reachable(store, root):
+        node = store.nodes[nid]
+        if node.is_atomic:
+            continue
+        if len(node.sov) > 1:
+            raise InternalError(f"node {nid} mixes elimination blocks")
+        if node.sov:
+            op = node.sov[0][0]
+            if op is chance_marg:
+                want = group_comb
+            elif op is Op.MAX:
+                want = outer_comb
+            else:
+                raise InternalError(f"node {nid} eliminates with foreign operator {op}")
+            if node.comb is not want:
+                raise InternalError(
+                    f"node {nid} pairs {op} with {node.comb}, expected {want}")
+        elif node.comb not in (group_comb, outer_comb):
+            raise InternalError(f"node {nid} combines with foreign operator {node.comb}")

@@ -23,12 +23,18 @@ hyperedges and records the size of each created edge.
 parents included.  `diagram.validate` reads only table scopes and ORDER
 positions to find cycles, and must agree with it on every diagram.
 
+`with_extra_parents` adds random parents to a diagram's tables, which
+`random_id` never does; the result may be cyclic, so pair it with
+`oracle_acyclic`.
+
 `oracle_numbers` checks a diagram's numbers one table at a time, the way
 `parse` checked them before it screened every table in one batch; `parse`
 must raise the same error, with the same message and line.
 """
 
+import dataclasses
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,6 +209,23 @@ def oracle_acyclic(d: InfluenceDiagram) -> bool:
                 color[node] = 2
                 stack.pop()
     return True
+
+
+def with_extra_parents(d: InfluenceDiagram, rng: np.random.Generator) -> InfluenceDiagram:
+    """`d` where each table, with odds 0.3, gains one or two random extra
+    parents from outside its scope, with fresh normalized rows."""
+    cpts = dict(d.cpts)
+    for x, t in d.cpts.items():
+        if rng.random() >= 0.3:
+            continue
+        others = [v for v in range(len(d.variables)) if v not in t.scope]
+        k = min(len(others), int(rng.integers(1, 3)))
+        scope = tuple(int(v) for v in rng.choice(others, size=k, replace=False)) + t.scope
+        sizes = tuple(d.size_of(v) for v in scope)
+        rows = rng.random((math.prod(sizes[:-1]), sizes[-1])) + 0.05
+        rows /= (rows.sum if d.mode == "prob" else rows.max)(axis=1, keepdims=True)
+        cpts[x] = ScopedTable(scope, sizes, rows.reshape(-1), name=t.name, cpt_for=x)
+    return dataclasses.replace(d, cpts=cpts)
 
 
 def _row_label(d: InfluenceDiagram, t: ScopedTable, row: int) -> str:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infdiag import diagram
-from infdiag.factors import Op, ScopedTable, combine_all, marginalize, restrict
+from infdiag.factors import Op, combine_all, marginalize, restrict
 from infdiag.diagram import (
     CHANCE,
     DECISION,
@@ -26,7 +26,7 @@ from infdiag.diagram import (
     structurally_equal,
     validate,
 )
-from oracles import oracle_acyclic, oracle_numbers
+from oracles import oracle_acyclic, oracle_numbers, with_extra_parents
 
 MINIMAL = """\
 IDNET 1
@@ -305,29 +305,12 @@ def test_missing_cpt_detected():
     _expect(text, ValidationError, "no table", line=3)
 
 
-def _with_extra_parents(d, rng):
-    """`d` where each table, with odds 0.3, gains one or two random extra
-    parents from outside its scope, with fresh normalized rows."""
-    cpts = dict(d.cpts)
-    for x, t in d.cpts.items():
-        if rng.random() >= 0.3:
-            continue
-        others = [v for v in range(len(d.variables)) if v not in t.scope]
-        k = min(len(others), int(rng.integers(1, 3)))
-        scope = tuple(int(v) for v in rng.choice(others, size=k, replace=False)) + t.scope
-        sizes = tuple(d.size_of(v) for v in scope)
-        rows = rng.random((math.prod(sizes[:-1]), sizes[-1])) + 0.05
-        rows /= (rows.sum if d.mode == "prob" else rows.max)(axis=1, keepdims=True)
-        cpts[x] = ScopedTable(scope, sizes, rows.reshape(-1), name=t.name, cpt_for=x)
-    return dataclasses.replace(d, cpts=cpts)
-
-
 def test_cycle_check_agrees_with_the_full_parent_graph():
     rng = np.random.default_rng(2024)
     cyclic = 0
     kinds = set()
     for seed in range(2000):
-        d = _with_extra_parents(random_id(8, 3, 3, 2, ("prob", "poss")[seed % 2], seed=seed), rng)
+        d = with_extra_parents(random_id(8, 3, 3, 2, ("prob", "poss")[seed % 2], seed=seed), rng)
         text = serialize(d)
         if oracle_acyclic(d):
             validate(d)

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from infdiag import rewrite
+from infdiag.baseline import brute_force
 from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable
 from infdiag.nodes import (CompNode, NodeStore, canonical_sov, eval_node, initial_node,
                            node_count, store_for, structural_signature)
-from infdiag.rewrite import (TraceEvent, assert_mono_operator, decompose_max,
-                             decompose_sum, drop_unit_children, macrostructure,
-                             recompose_max, recompose_sum, remove_passthrough,
-                             simplify_normalized, trace_to_jsonl)
+from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_barren,
+                             drop_unit_children, macrostructure, recompose_max,
+                             recompose_sum, remove_passthrough, simplify_normalized,
+                             trace_to_jsonl)
+from infdiag.solve import solve_diagram
 
-from harness import check_trace
-from oracles import oracle_value
+from harness import assert_mono_operator, check_trace
+from oracles import oracle_acyclic, oracle_value, with_extra_parents
 
 
 def atom(store: NodeStore, name: str) -> int:
@@ -259,6 +261,113 @@ def test_recompose_max_gates():
         recompose_max(store, node2)
 
 
+# x is observed before d and, through its table, tells d about y: the table
+# of x has a variable in a block inner to x's, so x is not barren.
+OBSERVED_BEFORE_A_DECISION = """\
+IDNET 1
+MODE prob
+VAR x 2 CHANCE
+VAR d 2 DECISION
+VAR y 2 CHANCE
+PROB y | : 0.5 0.5
+PROB x | y : 0.85 0.15 0.15 0.85
+UTIL u d y : 1.0 0.0 0.0 1.0
+ORDER x / d / y
+"""
+
+
+def test_drop_barren_keeps_a_table_over_an_inner_variable():
+    d = parse(OBSERVED_BEFORE_A_DECISION)
+    store = store_for(d)
+    root = initial_node(store, d)
+    trace = []
+    assert drop_barren(store, root, trace) == root and trace == []
+    _, trace = macrostructure(store, root)
+    assert "drop-barren" not in {e.rule for e in trace}
+    assert brute_force(d)[0] == pytest.approx(0.85, rel=1e-12)
+    assert solve_diagram(d).meu == pytest.approx(0.85, rel=1e-12)
+
+
+def _barren_chain(mode: str) -> str:
+    # b is barren; once its table is gone, so is its parent a.  Dropping
+    # them empties the chance block between d1 and d2.
+    prior, cond, other = {"prob": ("0.3 0.7", "0.9 0.1 0.2 0.8", "0.4 0.6"),
+                          "poss": ("1.0 0.4", "0.3 1.0 1.0 0.2", "0.6 1.0")}[mode]
+    return (f"IDNET 1\nMODE {mode}\nVAR d1 2 DECISION\nVAR a 2 CHANCE\n"
+            f"VAR b 2 CHANCE\nVAR d2 2 DECISION\nVAR c 2 CHANCE\n"
+            f"PROB a | : {prior}\nPROB b | a : {cond}\nPROB c | : {other}\n"
+            f"UTIL u d1 d2 c : 0.1 0.9 0.5 0.3 0.7 0.2 0.4 0.8\n"
+            f"UTIL v d2 : 0.3 0.6\nORDER / d1 / a b / d2 / c\n")
+
+
+@pytest.mark.parametrize("mode", ["prob", "poss"])
+def test_drop_barren_drops_a_chain_in_one_event(mode):
+    d = parse(_barren_chain(mode))
+    store = store_for(d)
+    root = initial_node(store, d)
+    final, trace = macrostructure(store, root)
+    (event,) = [e for e in trace if e.rule == "drop-barren"]
+    assert event == TraceEvent("drop-barren", root, event.produced)
+    d1, d2, c = (d.names.index(n) for n in ("d1", "d2", "c"))
+    ops = mode_ops(mode)
+    assert store.nodes[event.produced].sov == ((Op.MAX, (d1, d2)), (ops.chance_marg, (c,)))
+    check_trace(store, trace, np.random.default_rng(3))
+    want = brute_force(d)[0]
+    if mode == "prob":
+        assert eval_node(store, final, {}) == pytest.approx(want, rel=1e-9)
+        assert solve_diagram(d).meu == pytest.approx(want, rel=1e-9)
+    else:
+        assert eval_node(store, final, {}) == want
+        assert solve_diagram(d).meu == want
+
+
+def test_cluster_engine_matches_brute_force_with_extra_parents():
+    # Extra parents put tables over later variables, which `random_id`
+    # never does, so some barren variables must stay (condition 4).
+    rng = np.random.default_rng(12)
+    solved = fired = 0
+    for seed in range(300):
+        mode = ("prob", "poss")[seed % 2]
+        d = with_extra_parents(random_id(8, 3, 3, 2, mode, seed=seed), rng)
+        if not oracle_acyclic(d):
+            continue
+        store = store_for(d)
+        _, trace = macrostructure(store, initial_node(store, d))
+        fired += "drop-barren" in {e.rule for e in trace}
+        want, got = brute_force(d)[0], solve_diagram(d).meu
+        if mode == "prob":
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
+        else:
+            assert got == want, seed
+        solved += 1
+    assert solved > 100 and fired > solved // 2
+
+
+def test_drop_barren_needs_the_table_in_every_group():
+    store = NodeStore((2, 2))
+    px = store.atomic(ScopedTable((0,), (2,), np.array([0.3, 0.7]), name="px", cpt_for=0))
+    u1 = store.atomic(ScopedTable((), (), np.array([2.0]), name="u1"))
+    u2 = store.atomic(ScopedTable((), (), np.array([5.0]), name="u2"))
+    uy = store.atomic(ScopedTable((1,), (2,), np.array([1.0, 3.0]), name="uy"))
+    # sum_x (px*u1 + u2) counts u2 twice: px cannot leave one group alone
+    root = store.composite([(Op.SUM, (0,))], Op.PLUS,
+                           [store.composite([], Op.TIMES, [px, u1]),
+                            store.composite([], Op.TIMES, [u2])])
+    assert drop_barren(store, root) == root
+    # a root child that is not a group stops the rule
+    for other in (u2, store.composite([(Op.MAX, (1,))], Op.TIMES, [px, uy])):
+        root = store.composite([(Op.SUM, (0,))], Op.PLUS,
+                               [store.composite([], Op.TIMES, [px, u1]), other])
+        assert drop_barren(store, root) == root
+    root = store.composite([(Op.SUM, (0,))], Op.PLUS,
+                           [store.composite([], Op.TIMES, [px, u1]),
+                            store.composite([], Op.TIMES, [px, u2])])
+    trace = []
+    out = drop_barren(store, root, trace)
+    assert store.nodes[out].sov == () and trace == [TraceEvent("drop-barren", root, out)]
+    check_trace(store, trace, np.random.default_rng(0))
+
+
 def test_remove_passthrough_collapses_and_guards():
     store = NodeStore((2,))
     a = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="a"))
@@ -393,12 +502,15 @@ def test_every_rule_application_is_sound():
     rng = np.random.default_rng(7)
     checked = 0
     for mode in ("prob", "poss"):
+        barren = 0
         for seed in range(8):
             nvars = seed % 5 + 2
             d = random_id(nvars, min(2, nvars), 3, 2, mode=mode, seed=100 + seed)
             store = store_for(d)
             _, trace = macrostructure(store, initial_node(store, d), plan=sov0(d))
             checked += check_trace(store, trace, rng)
+            barren += sum(e.rule == "drop-barren" for e in trace)
+        assert barren >= 1, mode
     assert checked >= 50
 
 
@@ -599,10 +711,23 @@ def test_stored_node_records_hold_their_invariants():
         event.produced = 5
 
 
+def test_fixtures_have_no_barren_variable():
+    # Every chance variable of the worked figures and the two families is
+    # read by a utility or a later table, so their goldens do not move.
+    ds = [fixture("fig2"), fixture("fig3")]
+    ds += [fixture(name, n=n) for name in ("chain", "star") for n in range(1, 14)]
+    for d in ds:
+        store = store_for(d)
+        _, trace = macrostructure(store, initial_node(store, d))
+        assert "drop-barren" not in {e.rule for e in trace}, d.names
+
+
 def test_rewrite_output_is_pinned():
     # Node ids appear in the trace, so a change that builds, skips or
-    # reorders one interning shows here.  The digest was computed before
-    # the rules passed derived scopes to `intern`.
+    # reorders one interning shows here.  Re-pinned when the barren step
+    # came in: it removes whole events and nodes (every decompose-sum,
+    # simplify-normalized and drop-unit of a barren variable).  On the
+    # diagrams where it does not fire, trace and store size stayed the same.
     h = hashlib.sha256()
     ds = _sweep()
     for d in ds:
@@ -613,4 +738,4 @@ def test_rewrite_output_is_pinned():
             h.update(f"{final} {len(store)}\n".encode())
     assert len(ds) == 100
     assert h.hexdigest() == \
-        "4590b9bf11baec822dfddc3f61f807892dc1e8e5d1e9dd54884490b1a7aed308"
+        "ee052c72c7c3fd5b091f7484156c85a7af5fe97df07af062884a6313abefaf71"
