@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# `factors.fold` is looked up on the module at call time, so a test can stand in for it
+from . import factors
 from .clusters import Hypergraph, _eliminate_step, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
@@ -26,13 +28,12 @@ from .factors import (
     InternalError,
     Op,
     OpCounter,
+    Part,
     ResourceGuardError,
-    ScopedTable,
     ChoiceTable,
     align,
     argmax_marginalize,
-    combine,
-    marginalize,
+    eliminate,
 )
 from .solve import Policy, policies_from_choices
 
@@ -44,24 +45,30 @@ class InvalidEliminationError(FactorError):
     """A decision was eliminated while the probability part still depends on it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
-    p: ScopedTable
-    u: ScopedTable
+    """A (p, u) pair of parts.  Compared by identity: `potential_ve` drops
+    used potentials from its pool with `not in`, and `==` on arrays does not
+    give one truth value."""
+
+    p: Part
+    u: Part
 
     def __post_init__(self) -> None:
-        if self.p.values.size and float(self.p.values.min()) < 0.0:
+        arr = self.p[1]
+        if arr.size and float(arr.min()) < 0.0:
             raise FactorError("potential has a negative probability part")
 
     @property
     def W(self) -> frozenset[int]:
-        return frozenset(self.p.scope) | frozenset(self.u.scope)
+        return frozenset(self.p[0]) | frozenset(self.u[0])
 
 
 def pot_combine(a: Potential, b: Potential,
                 counter: OpCounter | None = None) -> Potential:
-    return Potential(combine(a.p, b.p, Op.TIMES, counter),
-                     combine(a.u, b.u, Op.PLUS, counter))
+    counter = counter or OpCounter()
+    return Potential(factors.fold((a.p, b.p), Op.TIMES, 1.0, counter),
+                     factors.fold((a.u, b.u), Op.PLUS, 0.0, counter))
 
 
 def pot_marg_chance(pi: Potential, vars: Sequence[int],
@@ -71,43 +78,42 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
         raise FactorError(f"variables {sorted(set(elim) - pi.W)} not in the potential")
     if not elim:
         return pi
-    pu = combine(pi.p, pi.u, Op.TIMES, counter)
-    num = marginalize(pu, elim, Op.SUM, counter)
+    counter = counter or OpCounter()
+    scope, n_arr = eliminate(factors.fold((pi.p, pi.u), Op.TIMES, 1.0, counter),
+                             elim, Op.SUM, counter)
+    p_scope = pi.p[0]
     den = pi.p
-    in_p = [v for v in elim if v in den.scope]
+    in_p = [v for v in elim if v in p_scope]
     if in_p:
-        den = marginalize(den, in_p, Op.SUM, counter)
+        den = eliminate(den, in_p, Op.SUM, counter)
+    u_scope, u_arr = pi.u
     for v in elim:
-        if v not in pi.p.scope:  # summed a variable p never mentioned
-            den = combine(den, ScopedTable.scalar(float(pi.u.size_of(v))),
-                          Op.TIMES, counter)
-    n_arr = num.array
-    d_arr = np.broadcast_to(align(den.array, den.scope, num.scope), n_arr.shape)
+        if v not in p_scope:  # summed a variable p never mentioned
+            size = np.full((), float(u_arr.shape[u_scope.index(v)]))
+            den = factors.fold((den, ((), size)), Op.TIMES, 1.0, counter)
+    d_arr = np.broadcast_to(align(den[1], den[0], scope), n_arr.shape)
     if bool(np.any((d_arr == 0.0) & (n_arr != 0.0))):
         raise InternalError("nonzero expected mass over zero probability")
     q = np.where(d_arr == 0.0, 0.0, n_arr / np.where(d_arr == 0.0, 1.0, d_arr))
-    (counter or OpCounter()).add(int(n_arr.size), "div")
-    return Potential(den, ScopedTable(num.scope, num.sizes, q.reshape(-1).copy()))
+    counter.add(int(n_arr.size), "div")
+    return Potential(den, (scope, q))
 
 
 def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
                       ) -> tuple[Potential, ChoiceTable]:
-    if x not in pi.u.scope:
+    if x not in pi.u[0]:
         raise FactorError(f"decision {x} must appear in the utility part")
-    p = pi.p
-    if x in p.scope:
-        arr = p.array
-        axis = p.scope.index(x)
+    scope, arr = p = pi.p
+    if x in scope:
+        axis = scope.index(x)
         spread = arr.max(axis=axis) - arr.min(axis=axis)
         limit = CONSTANT_TOL * max(1.0, float(np.abs(arr).max(initial=0.0)))
         if float(spread.max(initial=0.0)) > limit:
             raise InvalidEliminationError(
                 f"probability part depends on decision variable {x}")
-        keep = p.scope[:axis] + p.scope[axis + 1:]
-        p = ScopedTable(keep, p.sizes[:axis] + p.sizes[axis + 1:],
-                        arr.take(0, axis=axis).reshape(-1))
-    (scope, best), choice = argmax_marginalize((pi.u.scope, pi.u.array), x, counter)
-    return Potential(p, ScopedTable(scope, best.shape, best.reshape(-1))), choice
+        p = scope[:axis] + scope[axis + 1:], arr.take(0, axis=axis)
+    u, choice = argmax_marginalize(pi.u, x, counter)
+    return Potential(p, u), choice
 
 
 # --------------------------------------------------------------------------
@@ -176,9 +182,10 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
     if d.mode != "prob":
         raise DiagramError("the potential engine handles prob mode only")
     plan = _plan(d, heuristic)
-    pool: list[Potential] = [Potential(t, ScopedTable.scalar(0.0))
-                             for _, t in sorted(d.cpts.items())]
-    pool += [Potential(ScopedTable.scalar(1.0), t) for t in d.utilities]
+    counter = counter or OpCounter()
+    pool = [Potential((t.scope, t.array), ((), np.zeros(())))
+            for _, t in sorted(d.cpts.items())]
+    pool += [Potential(((), np.ones(())), (t.scope, t.array)) for t in d.utilities]
     width = 0
     choices: dict[int, ChoiceTable] = {}
     for op, order in plan:
@@ -206,12 +213,12 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
     final = pool[0]
     for pi in pool[1:]:
         final = pot_combine(final, pi, counter)
-    if final.p.scope or final.u.scope:
+    if final.p[0] or final.u[0]:
         raise InternalError("elimination left free variables behind")
-    mass = float(final.p.values[0])
+    mass = float(final.p[1])
     if abs(mass - 1.0) > 1e-6:
         raise InternalError(f"probability mass ended at {mass}, expected 1")
-    return float(final.u.values[0]), policies_from_choices(d, choices, with_sets), width
+    return float(final.u[1]), policies_from_choices(d, choices, with_sets), width
 
 
 def untyped_hypergraph(d: InfluenceDiagram) -> Hypergraph:

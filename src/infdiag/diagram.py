@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .factors import Op, ScopedTable
+from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable
 
 NORMALIZATION_TOL = 1e-9
 
@@ -658,18 +658,28 @@ class _Builder:
         self.vars.append(Variable(len(self.vars), name, size, kind))
         return self.ids[name]
 
+    def _cells(self, name: str, sizes: tuple[int, ...]) -> int:
+        """The table's cell count, refused before any number is drawn when
+        it exceeds CELL_GUARD."""
+        cells = math.prod(sizes)
+        if cells > CELL_GUARD:
+            raise ResourceGuardError(
+                f"table {name} would hold {cells} cells (limit {CELL_GUARD})")
+        return cells
+
     def cpt(self, child: str, parents: Iterable[str] = ()) -> None:
         x = self.ids[child]
         scope = tuple(self.ids[p] for p in parents) + (x,)
         sizes = tuple(self.vars[v].size for v in scope)
         size = sizes[-1]
-        values = _norm_rows(self.rng, math.prod(sizes) // size, size, self.mode)
+        cells = self._cells(f"P_{child}", sizes)
+        values = _norm_rows(self.rng, cells // size, size, self.mode)
         self.cpts[x] = ScopedTable(scope, sizes, values, name=f"P_{child}", cpt_for=x)
 
     def util(self, name: str, scope_names: Iterable[str]) -> None:
         scope = tuple(self.ids[s] for s in scope_names)
         sizes = tuple(self.vars[v].size for v in scope)
-        values = _util_values(self.rng, math.prod(sizes), self.mode)
+        values = _util_values(self.rng, self._cells(name, sizes), self.mode)
         self.utils.append(ScopedTable(scope, sizes, values, name=name))
 
     def done(self, order: str) -> InfluenceDiagram:
@@ -692,10 +702,19 @@ def fixture(name: str, n: int | None = None, seed: int = 0) -> InfluenceDiagram:
     fig3      three interleaved decisions over two chance variables
     chain(n)  n free decisions, a chance variable, then a final decision
     star(n)   n free decisions all coupled to one chance variable
+
+    The size of chain and star comes from ``n`` or from the name itself;
+    an ``n`` that the name contradicts, or that fig2 and fig3 would ignore,
+    is refused.
     """
     m = _FIXTURE_RE.match(name)
     if m:
-        name, n = m.group(1), int(m.group(2))
+        inline = int(m.group(2))
+        if n is not None and n != inline:
+            raise DiagramError(f"fixture {name!r} conflicts with n={n}")
+        name, n = m.group(1), inline
+    elif n is not None and name in ("fig2", "fig3"):
+        raise DiagramError(f"fixture {name!r} takes no n (got n={n})")
 
     if name == "fig2":
         b = _Builder("prob", seed)

@@ -3,14 +3,14 @@
 A table's scope is an ordered tuple of variable ids; the flat value buffer is
 laid out so that the *last* scope variable varies fastest (C order over the
 scope axes).  Combination canonicalizes the output scope to ascending variable
-id; marginalization and restriction keep the surviving order of their input.
+id; marginalization keeps the surviving order of its input.
 
 The arithmetic lives in array-level helpers over (scope, ndarray) parts:
 `align` lays a part out over a union scope, `fold` combines parts,
 `eliminate` marginalizes one, and `argmax_marginalize` max-eliminates one
-variable of one and records which values attain the max.  `combine`,
-`combine_all` and `marginalize` are thin `ScopedTable` wrappers over them;
-the cluster engine's message pass and policy pass call them on bare arrays.
+variable of one and records which values attain the max.  `combine_all`
+and `marginalize` are thin `ScopedTable` wrappers over them; both engines
+and the policy pass call the array-level helpers directly.
 Each step charges the operation counter it is passed (a fresh one, read by
 no one, when the argument is optional and omitted) with one unit per binary
 scalar operation performed (combination: one per output cell;
@@ -236,13 +236,9 @@ def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Pa
     return tuple(v for v in scope if v not in elim), out
 
 
-def combine(t1: ScopedTable, t2: ScopedTable, op: Op, counter: OpCounter | None = None) -> ScopedTable:
-    """Pointwise combination over the union scope (ascending variable id)."""
-    return combine_all((t1, t2), op, identity(op), counter)
-
-
 def combine_all(tables: Sequence[ScopedTable], op: Op, ident: float, counter: OpCounter | None = None) -> ScopedTable:
-    """Fold `combine` over a sequence; empty sequences give the scalar identity."""
+    """Pointwise combination over the union scope (ascending variable id);
+    empty sequences give the scalar identity."""
     if len(tables) == 1:
         return tables[0]
     scope, arr = fold([(t.scope, t.array) for t in tables], op, ident,
@@ -299,84 +295,3 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
                    for row, mx in zip(rows, best)) if sets else None
     return (keep, best.reshape(keep_sizes)), ChoiceTable(keep, keep_sizes, rep, attain)
-
-
-def restrict(t: ScopedTable, assignment: Mapping[int, int]) -> ScopedTable:
-    """Slice the table at the given values; assigned variables leave the scope."""
-    if not assignment:
-        return t
-    missing = [v for v in assignment if v not in t.scope]
-    if missing:
-        raise UnknownVariableError(f"variables {missing} not in scope {t.scope}")
-    index = []
-    for var, size in zip(t.scope, t.sizes):
-        if var in assignment:
-            val = assignment[var]
-            if not 0 <= val < size:
-                raise AssignmentError(f"value {val} out of range for variable {var}")
-            index.append(val)
-        else:
-            index.append(slice(None))
-    arr = t.values.reshape(t.sizes)[tuple(index)]
-    keep = tuple(v for v in t.scope if v not in assignment)
-    keep_sizes = tuple(t.size_of(v) for v in keep)
-    return ScopedTable(keep, keep_sizes, np.asarray(arr).reshape(-1).copy(),
-                       name=t.name, cpt_for=t.cpt_for)
-
-
-# -- semiring sanity -------------------------------------------------------
-
-
-@dataclass
-class SemiringReport:
-    pair: tuple[Op, Op]
-    samples: int
-    deviations: dict[str, float]
-    ok: bool
-
-
-def check_semiring_axioms(pair: tuple[Op, Op], samples: int = 10_000, seed: int = 0) -> SemiringReport:
-    """Sampled commutativity/associativity/distributivity/identity checks.
-
-    Pairs made of MIN/MAX only must hold exactly; pairs involving PLUS or
-    TIMES are allowed a 1e-12 relative slack for float re-association.
-    """
-    marg, comb = pair
-    if marg not in MARGINAL_OPS or comb not in COMBINE_OPS:
-        raise FactorError(f"{pair} is not a marginalization/combination pair")
-    unit = pair in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
-    rng = np.random.default_rng(seed)
-    if unit:
-        draw = lambda: rng.random(samples)
-        extras = np.array([0.0, 1.0, 0.5])
-    else:
-        draw = lambda: rng.uniform(-2.0, 2.0, samples)
-        extras = np.array([0.0, 1.0, -1.0, identity(marg, unit), identity(comb, unit)])
-        extras = extras[np.isfinite(extras) | (extras == identity(marg, unit))]
-    a, b, c = (np.concatenate([draw(), extras]) for _ in range(3))
-    plus, times = _UFUNC[marg], _UFUNC[comb]
-    e_plus, e_times = identity(marg, unit), identity(comb, unit)
-
-    def dev(x: np.ndarray, y: np.ndarray) -> float:
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(x - y)
-            diff[np.isnan(diff) & (x == y)] = 0.0  # inf == inf
-            scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-            rel = np.where(
-                np.isfinite(diff),
-                diff / np.where(np.isfinite(scale), scale, 1.0),
-                np.where(x == y, 0.0, np.inf),
-            )
-        return float(np.max(rel)) if rel.size else 0.0
-
-    checks = {
-        "aggregate-commutes": dev(plus(a, b), plus(b, a)),
-        "aggregate-associates": dev(plus(plus(a, b), c), plus(a, plus(b, c))),
-        "combine-commutes": dev(times(a, b), times(b, a)),
-        "combine-associates": dev(times(times(a, b), c), times(a, times(b, c))),
-        "distributes": dev(times(a, plus(b, c)), plus(times(a, b), times(a, c))),
-        "aggregate-identity": dev(plus(a, np.full_like(a, e_plus)), a),
-        "combine-identity": dev(times(a, np.full_like(a, e_times)), a),
-    }
-    tol = 0.0 if unit else 1e-12
-    return SemiringReport(pair, samples, checks, all(d <= tol for d in checks.values()))

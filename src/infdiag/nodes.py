@@ -18,8 +18,7 @@ the table-identity semantics of ScopedTable.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import InfluenceDiagram, mode_ops, sov0
 from .factors import (
@@ -28,8 +27,6 @@ from .factors import (
     InternalError,
     Op,
     ScopedTable,
-    UnknownVariableError,
-    identity,
 )
 
 SovPairs = tuple[tuple[Op, tuple[int, ...]], ...]
@@ -190,63 +187,6 @@ def _complement(t: ScopedTable) -> ScopedTable:
                        name=f"co_{t.name}" if t.name else None, cpt_for=t.cpt_for)
 
 
-def eval_node(store: NodeStore, nid: int, env: Mapping[int, int]) -> float:
-    """Reference evaluation by explicit enumeration of the sov assignments.
-
-    `env` must assign exactly scope(nid).  Exponential in the sov variables;
-    meant as a soundness oracle for small problems, not an engine.
-    """
-    if set(env) != store.scope(nid):
-        raise UnknownVariableError(
-            f"env keys {sorted(env)} != scope {sorted(store.scope(nid))}")
-    return _eval(store, nid, dict(env), {})
-
-
-def _eval(store: NodeStore, nid: int, env: dict[int, int],
-          memo: dict[tuple[int, tuple[int, ...]], float]) -> float:
-    # scope(nid) is the same frozenset on every call, so its order is stable
-    key = (nid, tuple(env[v] for v in store.scope(nid)))
-    if key in memo:
-        return memo[key]
-    node = store.nodes[nid]
-    if node.table is not None:
-        val = node.table.lookup(env)
-    else:
-        val = _eval_blocks(store, node, 0, env, memo)
-    memo[key] = val
-    return val
-
-
-def _eval_blocks(store: NodeStore, node: CompNode, i: int, env: dict[int, int],
-                 memo: dict) -> float:
-    if i == len(node.sov):
-        vals = [_eval(store, c, env, memo) for c in node.children]
-        acc = identity(node.comb, store.unit_interval)
-        for v in vals:
-            acc = _scalar(node.comb, acc, v)
-        return acc
-    op, block = node.sov[i]
-    acc = None
-    for assign in itertools.product(*(range(store.sizes[v]) for v in block)):
-        env2 = dict(env)
-        env2.update(zip(block, assign))
-        v = _eval_blocks(store, node, i + 1, env2, memo)
-        acc = v if acc is None else _scalar(op, acc, v)
-    if acc is None:
-        raise InternalError("empty sov block survived canonicalization")
-    return acc
-
-
-def _scalar(op: Op, a: float, b: float) -> float:
-    if op in (Op.SUM, Op.PLUS):
-        return a + b
-    if op is Op.TIMES:
-        return a * b
-    if op is Op.MAX:
-        return a if a >= b else b
-    return a if a <= b else b
-
-
 def reachable(store: NodeStore, root: int) -> list[int]:
     """Ids reachable from `root`, ascending."""
     seen: set[int] = set()
@@ -262,25 +202,6 @@ def reachable(store: NodeStore, root: int) -> list[int]:
 
 def node_count(store: NodeStore, root: int) -> int:
     return len(reachable(store, root))
-
-
-def structural_signature(store: NodeStore, nid: int,
-                         _memo: dict[int, object] | None = None) -> object:
-    """Store-independent structural fingerprint; atomic nodes hash by content."""
-    memo = _memo if _memo is not None else {}
-    if nid in memo:
-        return memo[nid]
-    node = store.nodes[nid]
-    if node.table is not None:
-        t = node.table
-        sig: object = ("t", t.scope, t.sizes, t.values.tobytes(), t.name, t.cpt_for)
-    else:
-        # repr gives a total order over the nested signature tuples
-        kids = tuple(sorted((structural_signature(store, c, memo)
-                             for c in node.children), key=repr))
-        sig = (node.sov, node.comb.value, kids)
-    memo[nid] = sig
-    return sig
 
 
 def _sov_label(store: NodeStore, sov: SovPairs) -> str:

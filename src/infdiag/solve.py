@@ -96,7 +96,7 @@ def _ident(ops: tuple[Op, Op]) -> float:
     return identity(ops[1], unit_interval=ops in POSS_OPS)
 
 
-def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
+def evaluate(m: MCDag, sizes: Sequence[int],
              counter: OpCounter | None = None) -> tuple[float, dict[int, Part]]:
     """The leaves-to-root pass: the MEU and, by cluster id, the combined
     part of every cluster that max-eliminates a variable.
@@ -126,9 +126,6 @@ def evaluate(m: MCDag, sizes: Sequence[int] | None = None,
         absent = [v for v in c.elim if v not in scope]
         out = eliminate((scope, arr), present, marg, counter) if present else (scope, arr)
         if absent and marg is Op.SUM:
-            if sizes is None:
-                raise InternalError(
-                    "domain sizes are needed to sum out a variable no table mentions")
             scale = 1.0
             for v in absent:
                 scale *= sizes[v]

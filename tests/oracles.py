@@ -6,7 +6,7 @@ potential baseline, so any of those can be checked against it.  Exponential;
 keep diagrams small.
 
 `oracle_evaluate` is the cluster engine's message pass written with
-`ScopedTable` operations: a pairwise `combine` fold and `marginalize` per
+`ScopedTable` operations: a pairwise `combine_all` fold and `marginalize` per
 cluster, every message kept.  `solve.evaluate` runs the same arithmetic on
 bare arrays and must match it bit for bit, op counts included.
 
@@ -30,19 +30,31 @@ positions to find cycles, and must agree with it on every diagram.
 `oracle_numbers` checks a diagram's numbers one table at a time, the way
 `parse` checked them before it screened every table in one batch; `parse`
 must raise the same error, with the same message and line.
+
+`eval_node` evaluates a stored node by enumerating its sov assignments, the
+semantics every rewrite step must keep.  `structural_signature` fingerprints
+a node's structure independently of the store that holds it.
+
+`check_semiring_axioms` samples the algebraic laws each (marginalization,
+combination) operator pair must obey for the rewrite and cluster layers to
+be sound.
 """
 
 import dataclasses
 import itertools
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from infdiag.clusters import EliminationOrder, Hypergraph, MCDag
 from infdiag.diagram import (NORMALIZATION_TOL, InfluenceDiagram, NormalizationError,
                              ValidationError)
-from infdiag.factors import Op, OpCounter, ScopedTable, combine, identity, marginalize
+from infdiag.factors import (_UFUNC, COMBINE_OPS, MARGINAL_OPS, FactorError, InternalError,
+                             Op, OpCounter, ScopedTable, UnknownVariableError, combine_all,
+                             identity, marginalize)
+from infdiag.nodes import CompNode, NodeStore
 
 
 def _leaf(d: InfluenceDiagram, env: dict[int, int]) -> float:
@@ -88,7 +100,7 @@ def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
         if parts:
             combined = parts[0]
             for t in parts[1:]:
-                combined = combine(combined, t, comb, counter)
+                combined = combine_all((combined, t), comb, identity(comb), counter)
         else:
             unit = c.ops in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
             combined = ScopedTable.scalar(identity(comb, unit_interval=unit))
@@ -101,7 +113,8 @@ def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
             scale = 1.0
             for v in absent:
                 scale *= sizes[v]
-            out = combine(out, ScopedTable.scalar(scale), Op.TIMES, counter)
+            out = combine_all((out, ScopedTable.scalar(scale)), Op.TIMES,
+                              identity(Op.TIMES), counter)
         messages[c.id] = out
     return float(messages[m.root].values[0]), tables
 
@@ -264,3 +277,139 @@ def oracle_numbers(d: InfluenceDiagram, cpt_lines: dict[int, int],
             raise ValidationError(f"non-finite value in utility {u.name!r}", util_lines[j])
         if d.mode == "poss" and (np.any(u.values < 0) or np.any(u.values > 1)):
             raise NormalizationError(f"utility {u.name!r} must lie in [0,1]", util_lines[j])
+
+
+# -- node evaluation ---------------------------------------------------------
+
+def eval_node(store: NodeStore, nid: int, env: Mapping[int, int]) -> float:
+    """Reference evaluation by explicit enumeration of the sov assignments.
+
+    `env` must assign exactly scope(nid).  Exponential in the sov variables;
+    meant as a soundness oracle for small problems, not an engine.
+    """
+    if set(env) != store.scope(nid):
+        raise UnknownVariableError(
+            f"env keys {sorted(env)} != scope {sorted(store.scope(nid))}")
+    return _eval(store, nid, dict(env), {})
+
+
+def _eval(store: NodeStore, nid: int, env: dict[int, int],
+          memo: dict[tuple[int, tuple[int, ...]], float]) -> float:
+    # scope(nid) is the same frozenset on every call, so its order is stable
+    key = (nid, tuple(env[v] for v in store.scope(nid)))
+    if key in memo:
+        return memo[key]
+    node = store.nodes[nid]
+    if node.table is not None:
+        val = node.table.lookup(env)
+    else:
+        val = _eval_blocks(store, node, 0, env, memo)
+    memo[key] = val
+    return val
+
+
+def _eval_blocks(store: NodeStore, node: CompNode, i: int, env: dict[int, int],
+                 memo: dict) -> float:
+    if i == len(node.sov):
+        vals = [_eval(store, c, env, memo) for c in node.children]
+        acc = identity(node.comb, store.unit_interval)
+        for v in vals:
+            acc = _scalar(node.comb, acc, v)
+        return acc
+    op, block = node.sov[i]
+    acc = None
+    for assign in itertools.product(*(range(store.sizes[v]) for v in block)):
+        env2 = dict(env)
+        env2.update(zip(block, assign))
+        v = _eval_blocks(store, node, i + 1, env2, memo)
+        acc = v if acc is None else _scalar(op, acc, v)
+    if acc is None:
+        raise InternalError("empty sov block survived canonicalization")
+    return acc
+
+
+def _scalar(op: Op, a: float, b: float) -> float:
+    if op in (Op.SUM, Op.PLUS):
+        return a + b
+    if op is Op.TIMES:
+        return a * b
+    if op is Op.MAX:
+        return a if a >= b else b
+    return a if a <= b else b
+
+
+def structural_signature(store: NodeStore, nid: int,
+                         _memo: dict[int, object] | None = None) -> object:
+    """Store-independent structural fingerprint; atomic nodes hash by content."""
+    memo = _memo if _memo is not None else {}
+    if nid in memo:
+        return memo[nid]
+    node = store.nodes[nid]
+    if node.table is not None:
+        t = node.table
+        sig: object = ("t", t.scope, t.sizes, t.values.tobytes(), t.name, t.cpt_for)
+    else:
+        # repr gives a total order over the nested signature tuples
+        kids = tuple(sorted((structural_signature(store, c, memo)
+                             for c in node.children), key=repr))
+        sig = (node.sov, node.comb.value, kids)
+    memo[nid] = sig
+    return sig
+
+
+# -- semiring sanity -------------------------------------------------------
+
+
+@dataclass
+class SemiringReport:
+    pair: tuple[Op, Op]
+    samples: int
+    deviations: dict[str, float]
+    ok: bool
+
+
+def check_semiring_axioms(pair: tuple[Op, Op], samples: int = 10_000, seed: int = 0) -> SemiringReport:
+    """Sampled commutativity/associativity/distributivity/identity checks.
+
+    Pairs made of MIN/MAX only must hold exactly; pairs involving PLUS or
+    TIMES are allowed a 1e-12 relative slack for float re-association.
+    """
+    marg, comb = pair
+    if marg not in MARGINAL_OPS or comb not in COMBINE_OPS:
+        raise FactorError(f"{pair} is not a marginalization/combination pair")
+    unit = pair in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
+    rng = np.random.default_rng(seed)
+    if unit:
+        draw = lambda: rng.random(samples)
+        extras = np.array([0.0, 1.0, 0.5])
+    else:
+        draw = lambda: rng.uniform(-2.0, 2.0, samples)
+        extras = np.array([0.0, 1.0, -1.0, identity(marg, unit), identity(comb, unit)])
+        extras = extras[np.isfinite(extras) | (extras == identity(marg, unit))]
+    a, b, c = (np.concatenate([draw(), extras]) for _ in range(3))
+    plus, times = _UFUNC[marg], _UFUNC[comb]
+    e_plus, e_times = identity(marg, unit), identity(comb, unit)
+
+    def dev(x: np.ndarray, y: np.ndarray) -> float:
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(x - y)
+            diff[np.isnan(diff) & (x == y)] = 0.0  # inf == inf
+            scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+            rel = np.where(
+                np.isfinite(diff),
+                diff / np.where(np.isfinite(scale), scale, 1.0),
+                np.where(x == y, 0.0, np.inf),
+            )
+        return float(np.max(rel)) if rel.size else 0.0
+
+    checks = {
+        "aggregate-commutes": dev(plus(a, b), plus(b, a)),
+        "aggregate-associates": dev(plus(plus(a, b), c), plus(a, plus(b, c))),
+        "combine-commutes": dev(times(a, b), times(b, a)),
+        "combine-associates": dev(times(times(a, b), c), times(a, times(b, c))),
+        "distributes": dev(times(a, plus(b, c)), plus(times(a, b), times(a, c))),
+        "aggregate-identity": dev(plus(a, np.full_like(a, e_plus)), a),
+        "combine-identity": dev(times(a, np.full_like(a, e_times)), a),
+    }
+    tol = 0.0 if unit else 1e-12
+    return SemiringReport(pair, samples, checks, all(d <= tol for d in checks.values()))

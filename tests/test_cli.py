@@ -180,6 +180,23 @@ def test_gen_fixture_rejects_poss(capsys):
     assert main(["gen", "--fixture", "fig2", "--mode", "poss"]) == 1
 
 
+@pytest.mark.parametrize("name", ["chain(3)", "fig2"])
+def test_gen_fixture_rejects_an_unused_n(name, capsys):
+    assert main(["gen", "--fixture", name, "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n=5" in captured.err
+
+
+def test_gen_refuses_a_table_over_the_cell_guard(capsys):
+    # one conditional table would hold up to 1e15 cells
+    argv = ["gen", "--vars", "3", "--decisions", "0", "--max-domain", "100000",
+            "--max-parents", "2", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource guard:" in captured.err and "Traceback" not in captured.err
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["solve", "/nonexistent/x.idnet"]) == 1
     assert "error:" in capsys.readouterr().err

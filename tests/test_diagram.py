@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infdiag import diagram
-from infdiag.factors import Op, combine_all, marginalize, restrict
+from infdiag.factors import Op, ScopedTable, combine_all, marginalize
 from infdiag.diagram import (
     CHANCE,
     DECISION,
@@ -458,6 +458,13 @@ def test_fixture_errors_and_seeding():
     assert not structurally_equal(a, fixture("fig2", seed=2))
 
 
+def test_fixture_refuses_an_n_it_would_ignore():
+    for name, n in [("chain(3)", 5), ("star(2)", 1), ("fig2", 5), ("fig3", 1)]:
+        with pytest.raises(DiagramError, match=f"n={n}"):
+            fixture(name, n=n)
+    assert structurally_equal(fixture("chain(3)", n=3), fixture("chain", 3))
+
+
 # -- random generator --------------------------------------------------------
 
 def test_generator_determinism_and_validity():
@@ -479,9 +486,12 @@ def test_generator_samples_all_validate():
 def test_generated_joint_sums_to_one():
     for seed in range(30):
         d = random_id(8, 2, 3, 3, "prob", seed=seed)
-        fixed = {x: 0 for x in d.decision_ids}
-        tables = [restrict(t, {v: 0 for v in t.scope if v in fixed})
-                  for t in d.cpts.values()]
+        fixed = set(d.decision_ids)  # each decision at value 0
+        tables = []
+        for t in d.cpts.values():
+            arr = t.array[tuple(0 if v in fixed else slice(None) for v in t.scope)]
+            keep = tuple(v for v in t.scope if v not in fixed)
+            tables.append(ScopedTable(keep, arr.shape, arr.reshape(-1)))
         joint = combine_all(tables, Op.TIMES, 1.0)
         total = marginalize(joint, joint.scope, Op.SUM)
         assert abs(float(total.values[0]) - 1.0) < 1e-9

@@ -26,15 +26,12 @@ from infdiag.factors import (
     UniverseError,
     UnknownVariableError,
     argmax_marginalize,
-    check_semiring_axioms,
-    combine,
     combine_all,
     fold,
     identity,
     marginalize,
-    restrict,
 )
-from oracles import oracle_argmax
+from oracles import check_semiring_axioms, oracle_argmax
 
 SCALAR = {
     Op.SUM: lambda a, b: a + b,
@@ -75,13 +72,6 @@ def enum_marginalize(t: ScopedTable, vars, op: Op) -> ScopedTable:
             x = t.lookup({**outer, **inner})
             acc = x if acc is None else SCALAR[op](acc, x)
         vals.append(acc)
-    return ScopedTable(keep, keep_sizes, np.array(vals))
-
-
-def enum_restrict(t: ScopedTable, assignment) -> ScopedTable:
-    keep = tuple(v for v in t.scope if v not in assignment)
-    keep_sizes = tuple(t.size_of(v) for v in keep)
-    vals = [t.lookup({**a, **assignment}) for a in assignments(keep, keep_sizes)]
     return ScopedTable(keep, keep_sizes, np.array(vals))
 
 
@@ -139,7 +129,7 @@ def test_layout_last_variable_fastest():
 def test_combine_known_product():
     a = ScopedTable((0,), (2,), np.array([0.3, 0.7]))
     b = ScopedTable((1,), (2,), np.array([2.0, 4.0]))
-    out = combine(a, b, Op.TIMES)
+    out = combine_all((a, b), Op.TIMES, identity(Op.TIMES))
     assert out.scope == (0, 1)
     assert np.allclose(out.values, [0.6, 1.2, 1.4, 2.8])
 
@@ -147,19 +137,10 @@ def test_combine_known_product():
 def test_combine_canonicalizes_scope_order():
     a = ScopedTable((5, 2), (2, 3), np.arange(6, dtype=float))
     b = ScopedTable((2,), (3,), np.array([1.0, 10.0, 100.0]))
-    out = combine(a, b, Op.TIMES)
+    out = combine_all((a, b), Op.TIMES, identity(Op.TIMES))
     assert out.scope == (2, 5)
     oracle = enum_combine(a, b, Op.TIMES)
     assert np.allclose(out.values, oracle.values)
-
-
-def test_restrict_layout():
-    t = ScopedTable((1, 4), (2, 2), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(restrict(t, {1: 0}).values, [1.0, 2.0])
-    assert np.allclose(restrict(t, {1: 1}).values, [3.0, 4.0])
-    assert np.allclose(restrict(t, {4: 0}).values, [1.0, 3.0])
-    assert restrict(t, {1: 1, 4: 0}).values[0] == 3.0
-    assert restrict(t, {1: 1, 4: 0}).scope == ()
 
 
 def test_scalar_table():
@@ -172,7 +153,7 @@ def test_scalar_table():
 @given(pairs, st.sampled_from([Op.TIMES, Op.PLUS, Op.MAX, Op.MIN]))
 def test_combine_matches_enumeration(ts, op):
     t1, t2 = ts
-    out = combine(t1, t2, op)
+    out = combine_all((t1, t2), op, identity(op))
     oracle = enum_combine(t1, t2, op)
     assert out.scope == oracle.scope
     assert np.allclose(out.values, oracle.values, rtol=1e-12, atol=1e-12)
@@ -189,32 +170,6 @@ def test_marginalize_matches_enumeration(t, op, data):
     oracle = enum_marginalize(t, subset, op)
     assert out.scope == oracle.scope
     assert np.allclose(out.values, oracle.values, rtol=1e-9, atol=1e-9)
-
-
-@settings(max_examples=200, deadline=None)
-@given(tables, st.data())
-def test_restrict_matches_enumeration(t, data):
-    if not t.scope:
-        assert restrict(t, {}) is t
-        return
-    chosen = data.draw(st.sets(st.sampled_from(list(t.scope))))
-    assignment = {v: data.draw(st.integers(0, t.size_of(v) - 1)) for v in chosen}
-    out = restrict(t, assignment)
-    oracle = enum_restrict(t, assignment)
-    assert out.scope == oracle.scope
-    assert np.allclose(out.values, oracle.values)
-
-
-@settings(max_examples=100, deadline=None)
-@given(tables)
-def test_sum_then_restrict_commutes(t):
-    if len(t.scope) < 2:
-        return
-    first, rest = t.scope[0], t.scope[1]
-    a = marginalize(restrict(t, {first: 0}), [rest], Op.SUM)
-    b = restrict(marginalize(t, [rest], Op.SUM), {first: 0})
-    assert a.scope == b.scope
-    assert np.allclose(a.values, b.values, rtol=1e-9, atol=1e-9)
 
 
 def test_argmax_tracks_sets_and_representative():
@@ -271,7 +226,7 @@ def test_counter_counts_combine_and_marginalize():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((1,), (3,), np.array([1.0, 2.0, 3.0]))
     counter = OpCounter()
-    out = combine(a, b, Op.TIMES, counter)
+    out = combine_all((a, b), Op.TIMES, identity(Op.TIMES), counter)
     assert counter.total == 6  # one per output cell
     marginalize(out, [1], Op.SUM, counter)
     assert counter.total == 6 + (6 - 2)
@@ -296,7 +251,7 @@ def test_universe_mismatch_rejected():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((0,), (3,), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(UniverseError):
-        combine(a, b, Op.TIMES)
+        combine_all((a, b), Op.TIMES, identity(Op.TIMES))
 
 
 def test_fold_refuses_a_union_over_the_cell_guard():
@@ -315,13 +270,13 @@ def test_unknown_variable_rejected():
     with pytest.raises(UnknownVariableError):
         marginalize(t, [5], Op.SUM)
     with pytest.raises(UnknownVariableError):
-        restrict(t, {5: 0})
+        t.lookup({5: 0})
 
 
 def test_out_of_range_assignment_rejected():
     t = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     with pytest.raises(AssignmentError):
-        restrict(t, {0: 2})
+        t.lookup({0: 2})
     with pytest.raises(AssignmentError):
         t.lookup({0: -1})
 

@@ -6,15 +6,13 @@ from infdiag.factors import InternalError, Op, ScopedTable, UnknownVariableError
 from infdiag.nodes import (
     NodeStore,
     canonical_sov,
-    eval_node,
     initial_node,
     node_count,
     reachable,
     store_for,
-    structural_signature,
     to_dot,
 )
-from oracles import oracle_value
+from oracles import eval_node, oracle_value, structural_signature
 
 
 def _table(scope, sizes, values, **kw):

@@ -11,8 +11,8 @@ from infdiag import rewrite
 from infdiag.baseline import brute_force
 from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable
-from infdiag.nodes import (CompNode, NodeStore, canonical_sov, eval_node, initial_node,
-                           node_count, store_for, structural_signature)
+from infdiag.nodes import (CompNode, NodeStore, canonical_sov, initial_node, node_count,
+                           store_for)
 from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_barren,
                              drop_unit_children, macrostructure, recompose_max,
                              recompose_sum, remove_passthrough, simplify_normalized,
@@ -20,7 +20,8 @@ from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_barr
 from infdiag.solve import solve_diagram
 
 from harness import assert_mono_operator, check_trace
-from oracles import oracle_acyclic, oracle_value, with_extra_parents
+from oracles import (eval_node, oracle_acyclic, oracle_value, structural_signature,
+                     with_extra_parents)
 
 
 def atom(store: NodeStore, name: str) -> int:
