@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # `factors.fold` is looked up on the module at call time, so a test can stand in for it
 from . import factors
-from .clusters import Hypergraph, _eliminate_step, find_order
+from .clusters import Hypergraph, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
     CELL_GUARD,
@@ -45,11 +45,9 @@ class InvalidEliminationError(FactorError):
     """A decision was eliminated while the probability part still depends on it."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Potential:
-    """A (p, u) pair of parts.  Compared by identity: `potential_ve` drops
-    used potentials from its pool with `not in`, and `==` on arrays does not
-    give one truth value."""
+    """A (p, u) pair of parts."""
 
     p: Part
     u: Part
@@ -58,10 +56,6 @@ class Potential:
         arr = self.p[1]
         if arr.size and float(arr.min()) < 0.0:
             raise FactorError("potential has a negative probability part")
-
-    @property
-    def W(self) -> frozenset[int]:
-        return frozenset(self.p[0]) | frozenset(self.u[0])
 
 
 def pot_combine(a: Potential, b: Potential,
@@ -74,23 +68,15 @@ def pot_combine(a: Potential, b: Potential,
 def pot_marg_chance(pi: Potential, vars: Sequence[int],
                     counter: OpCounter | None = None) -> Potential:
     elim = tuple(dict.fromkeys(vars))
-    if not set(elim) <= pi.W:
-        raise FactorError(f"variables {sorted(set(elim) - pi.W)} not in the potential")
+    outside = set(elim) - set(pi.p[0])
+    if outside:
+        raise FactorError(f"variables {sorted(outside)} not in the probability part")
     if not elim:
         return pi
     counter = counter or OpCounter()
     scope, n_arr = eliminate(factors.fold((pi.p, pi.u), Op.TIMES, 1.0, counter),
                              elim, Op.SUM, counter)
-    p_scope = pi.p[0]
-    den = pi.p
-    in_p = [v for v in elim if v in p_scope]
-    if in_p:
-        den = eliminate(den, in_p, Op.SUM, counter)
-    u_scope, u_arr = pi.u
-    for v in elim:
-        if v not in p_scope:  # summed a variable p never mentioned
-            size = np.full((), float(u_arr.shape[u_scope.index(v)]))
-            den = factors.fold((den, ((), size)), Op.TIMES, 1.0, counter)
+    den = eliminate(pi.p, elim, Op.SUM, counter)
     d_arr = np.broadcast_to(align(den[1], den[0], scope), n_arr.shape)
     if bool(np.any((d_arr == 0.0) & (n_arr != 0.0))):
         raise InternalError("nonzero expected mass over zero probability")
@@ -99,8 +85,8 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
     return Potential(den, (scope, q))
 
 
-def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
-                      ) -> tuple[Potential, ChoiceTable]:
+def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None,
+                      sets: bool = True) -> tuple[Potential, ChoiceTable]:
     if x not in pi.u[0]:
         raise FactorError(f"decision {x} must appear in the utility part")
     scope, arr = p = pi.p
@@ -112,147 +98,135 @@ def pot_marg_decision(pi: Potential, x: int, counter: OpCounter | None = None
             raise InvalidEliminationError(
                 f"probability part depends on decision variable {x}")
         p = scope[:axis] + scope[axis + 1:], arr.take(0, axis=axis)
-    u, choice = argmax_marginalize(pi.u, x, counter)
+    u, choice = argmax_marginalize(pi.u, x, counter, sets)
     return Potential(p, u), choice
 
 
 # --------------------------------------------------------------------------
 # Whole-diagram engines
 
-def _pool_graph(scopes: Sequence[frozenset[int]], block: Iterable[int]) -> Hypergraph:
-    return Hypergraph(frozenset(set(block).union(*scopes)), frozenset(scopes))
+class Step(NamedTuple):
+    """One combination of pool slots in `potential_ve`: the slots in pool
+    order and the union of their p and u scopes, then the elimination of
+    `x` (None for the final product).  A chance step folds p and u
+    together; a decision step and the final product fold the p parts and
+    the u parts apart."""
+
+    x: int | None
+    chance: bool
+    slots: tuple[int, ...]
+    p: frozenset[int]
+    u: frozenset[int]
 
 
-def _plan(d: InfluenceDiagram, heuristic: str) -> list[tuple[Op, tuple[int, ...]]]:
-    """The elimination order of each block for `potential_ve`, innermost
-    block first, worked out on the (p, u) scopes alone.
+def _plan(d: InfluenceDiagram, heuristic: str) -> tuple[list[Step], int]:
+    """The elimination walk over the (p, u) scopes of the tables, innermost
+    block first, and its width: the most variables a step leaves behind.
 
-    The scopes go through the same steps the tables will, so a step whose
-    combination `fold` would refuse is refused here, before any table is
-    built: a chance step folds p and u together, a decision step folds the
-    p parts and the u parts apart (and only when two or more meet).
+    Slots number the pool: the CPTs by child id, then the utilities, then
+    each step's result.  The last step is the final product of the slots
+    left over.  Only the order inside a chance block is up to the heuristic.
     """
-    def guard(x: int | None, scope: frozenset[int]) -> None:
-        cells = math.prod(d.sizes[v] for v in scope)
-        if cells > CELL_GUARD:
-            where = f"eliminating {d.names[x]}" if x is not None else "the final product"
-            raise ResourceGuardError(
-                f"potential engine: {where} combines {cells} cells (limit {CELL_GUARD})")
-
-    pool = [(frozenset(t.scope), frozenset()) for _, t in sorted(d.cpts.items())]
-    pool += [(frozenset(), frozenset(t.scope)) for t in d.utilities]
-    plan = []
+    scopes = [(frozenset(t.scope), frozenset()) for _, t in sorted(d.cpts.items())]
+    scopes += [(frozenset(), frozenset(t.scope)) for t in d.utilities]
+    live = list(range(len(scopes)))
+    steps: list[Step] = []
+    width = 0
     for op, block in reversed(sov0(d)):
-        if op is Op.MAX:
-            order: Sequence[int] = tuple(reversed(block))
+        chance = op is not Op.MAX
+        if chance:
+            edges = [scopes[i][0] | scopes[i][1] for i in live]
+            g = Hypergraph(frozenset(set(block).union(*edges)), frozenset(edges))
+            order: Sequence[int] = find_order(g, block, heuristic).order
         else:
-            order = find_order(_pool_graph([p | u for p, u in pool], block),
-                               block, heuristic).order
-        plan.append((op, tuple(order)))
+            order = tuple(reversed(block))
         for x in order:
-            hits = [(p, u) for p, u in pool if x in p or x in u]
-            if not hits:
-                continue  # skipped, or refused with an InternalError, by potential_ve
-            p = frozenset().union(*(h[0] for h in hits))
-            u = frozenset().union(*(h[1] for h in hits))
-            if op is Op.MAX:
-                if len(hits) > 1:
-                    guard(x, p)
-                    guard(x, u)
-                u = u - {x}
-            else:
-                guard(x, p | u)
-                u = (p | u) - {x}
-            pool = [(q, w) for q, w in pool if x not in q and x not in w]
-            pool.append((p - {x}, u))
-    if len(pool) > 1:
-        guard(None, frozenset().union(*(p for p, _ in pool)))
-        guard(None, frozenset().union(*(u for _, u in pool)))
-    return plan
+            slots = tuple(i for i in live if x in scopes[i][0] or x in scopes[i][1])
+            if not slots:
+                if chance:
+                    raise InternalError(f"no table mentions chance variable {x}")
+                continue  # decision without influence: any choice works
+            p = frozenset().union(*(scopes[i][0] for i in slots))
+            u = frozenset().union(*(scopes[i][1] for i in slots))
+            steps.append(Step(x, chance, slots, p, u))
+            width = max(width, len((p | u) - {x}))
+            live = [i for i in live if i not in slots] + [len(scopes)]
+            scopes.append((p - {x}, (p | u if chance else u) - {x}))
+    steps.append(Step(None, False, tuple(live),
+                      frozenset().union(*(scopes[i][0] for i in live)),
+                      frozenset().union(*(scopes[i][1] for i in live))))
+    return steps, width
 
 
 def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                  counter: OpCounter | None = None, with_sets: bool = False
                  ) -> tuple[float, list[Policy], int]:
-    """Reverse-temporal bucket elimination over (p, u) potentials.
+    """Reverse-temporal bucket elimination over (p, u) potentials, step by
+    step as `_plan` lays it out.
 
-    The orders come from `_plan`, which also refuses up front a diagram whose
-    elimination would combine more than CELL_GUARD cells in one table.
+    A diagram whose elimination would combine more than CELL_GUARD cells in
+    one table is refused from the plan's scopes, before any table is built.
     """
     if d.mode != "prob":
         raise DiagramError("the potential engine handles prob mode only")
-    plan = _plan(d, heuristic)
+    steps, width = _plan(d, heuristic)
+    for s in steps:
+        if s.chance:
+            folds = [s.p | s.u]
+        else:
+            folds = [s.p, s.u] if len(s.slots) > 1 else []
+        for scope in folds:
+            cells = math.prod(d.sizes[v] for v in scope)
+            if cells > CELL_GUARD:
+                where = (f"eliminating {d.names[s.x]}" if s.x is not None
+                         else "the final product")
+                raise ResourceGuardError(f"potential engine: {where} combines "
+                                         f"{cells} cells (limit {CELL_GUARD})")
     counter = counter or OpCounter()
-    pool = [Potential((t.scope, t.array), ((), np.zeros(())))
-            for _, t in sorted(d.cpts.items())]
+    pool: list[Potential | None] = [Potential((t.scope, t.array), ((), np.zeros(())))
+                                    for _, t in sorted(d.cpts.items())]
     pool += [Potential(((), np.ones(())), (t.scope, t.array)) for t in d.utilities]
-    width = 0
     choices: dict[int, ChoiceTable] = {}
-    for op, order in plan:
-        for x in order:
-            hits = [pi for pi in pool if x in pi.W]
-            if not hits:
-                if op is Op.MAX:
-                    continue  # decision without influence: any choice works
-                raise InternalError(f"no potential mentions chance variable {x}")
-            acc = hits[0]
-            for pi in hits[1:]:
-                acc = pot_combine(acc, pi, counter)
-            width = max(width, len(acc.W - {x}))
-            if op is Op.MAX:
-                acc, choice = pot_marg_decision(acc, x, counter)
-                if not set(choice.retained_scope) <= set(d.parents[x]):
-                    raise InternalError(
-                        f"rule for {d.names[x]} would depend on "
-                        f"{sorted(set(choice.retained_scope) - set(d.parents[x]))}")
-                choices[x] = choice
-            else:
-                acc = pot_marg_chance(acc, [x], counter)
-            pool = [pi for pi in pool if pi not in hits]
-            pool.append(acc)
-    final = pool[0]
-    for pi in pool[1:]:
-        final = pot_combine(final, pi, counter)
-    if final.p[0] or final.u[0]:
+    for s in steps:
+        acc = pool[s.slots[0]]
+        for i in s.slots[1:]:
+            acc = pot_combine(acc, pool[i], counter)
+        for i in s.slots:
+            pool[i] = None
+        if s.x is None:
+            break
+        if s.chance:
+            acc = pot_marg_chance(acc, [s.x], counter)
+        else:
+            acc, choice = pot_marg_decision(acc, s.x, counter, with_sets)
+            if not set(choice.retained_scope) <= set(d.parents[s.x]):
+                raise InternalError(
+                    f"rule for {d.names[s.x]} would depend on "
+                    f"{sorted(set(choice.retained_scope) - set(d.parents[s.x]))}")
+            choices[s.x] = choice
+        pool.append(acc)
+    if acc.p[0] or acc.u[0]:
         raise InternalError("elimination left free variables behind")
-    mass = float(final.p[1])
+    mass = float(acc.p[1])
     if abs(mass - 1.0) > 1e-6:
         raise InternalError(f"probability mass ended at {mass}, expected 1")
-    return float(final.u[1]), policies_from_choices(d, choices, with_sets), width
-
-
-def untyped_hypergraph(d: InfluenceDiagram) -> Hypergraph:
-    """All table scopes over all variables, blind to chance/decision typing."""
-    edges = {frozenset(t.scope) for t in d.cpts.values()}
-    edges |= {frozenset(t.scope) for t in d.utilities}
-    return Hypergraph(frozenset(range(len(d.variables))), frozenset(edges))
+    return float(acc.u[1]), policies_from_choices(d, choices, with_sets), width
 
 
 def constrained_width(d: InfluenceDiagram, mode: str = "heuristic") -> int:
-    """Best induced width over elimination orders respecting the temporal blocks.
+    """Best induced width over elimination orders respecting the temporal
+    blocks: the width of `potential_ve`'s walk under min-fill, or, with
+    "exhaustive", the exact one.
 
     The graph state after a block is independent of the order inside it, so
-    blocks can be optimized independently; "exhaustive" is exact.
+    blocks can be optimized independently.
     """
     if mode not in ("heuristic", "exhaustive"):
         raise InternalError(f"unknown width mode {mode!r}")
     if mode == "exhaustive" and len(d.variables) > 8:
         raise ResourceGuardError(
             "exhaustive constrained width is limited to 8 variables")
-    g = untyped_hypergraph(d)
-    edges = set(g.edges)
-    width = 0
-    for block in reversed(d.blocks):
-        if not block:
-            continue
-        sub = Hypergraph(frozenset(set(block).union(*edges) if edges else block),
-                         frozenset(edges))
-        found = find_order(
-            sub, block, "exhaustive" if mode == "exhaustive" else "min-fill")
-        width = max(width, found.width)
-        for x in found.order:
-            edges, _ = _eliminate_step(edges, x)
-    return width
+    return _plan(d, "exhaustive" if mode == "exhaustive" else "min-fill")[1]
 
 
 def brute_force(d: InfluenceDiagram, guard: int = BRUTE_GUARD

@@ -96,13 +96,16 @@ def _ident(ops: tuple[Op, Op]) -> float:
     return identity(ops[1], unit_interval=ops in POSS_OPS)
 
 
-def evaluate(m: MCDag, sizes: Sequence[int],
-             counter: OpCounter | None = None) -> tuple[float, dict[int, Part]]:
+def evaluate(m: MCDag, counter: OpCounter | None = None
+             ) -> tuple[float, dict[int, Part]]:
     """The leaves-to-root pass: the MEU and, by cluster id, the combined
     part of every cluster that max-eliminates a variable.
 
     Sons come before parents and each cluster is computed once.  A message
-    is freed once the last cluster that reads it has read it.
+    is freed once the last cluster that reads it has read it.  A cluster's
+    tables and son messages span its whole scope `V`, its own variable
+    included: bucket elimination sends every item that holds a variable to
+    that variable's bucket or to an earlier one, whose message carries it on.
     """
     _check_ops(m)
     counter = counter or OpCounter()
@@ -119,19 +122,17 @@ def evaluate(m: MCDag, sizes: Sequence[int],
         for s in c.sons:
             if last_reader[s] == c.id:
                 messages.pop(s, None)  # a merged cluster may list a son twice
-        scope, arr = fold(parts, comb, _ident(c.ops), counter)
-        if marg is Op.MAX and c.elim:
-            tables[c.id] = scope, arr
-        present = [v for v in c.elim if v in scope]
-        absent = [v for v in c.elim if v not in scope]
-        out = eliminate((scope, arr), present, marg, counter) if present else (scope, arr)
-        if absent and marg is Op.SUM:
-            scale = 1.0
-            for v in absent:
-                scale *= sizes[v]
-            out = fold([out, ((), np.full((), scale))], Op.TIMES, 1.0, counter)
+        out = fold(parts, comb, _ident(c.ops), counter)
+        if c.elim:
+            if marg is Op.MAX:
+                tables[c.id] = out
+            missing = [v for v in c.elim if v not in out[0]]
+            if missing:
+                raise InternalError(f"cluster {c.id} eliminates {missing}, "
+                                    "which none of its parts holds")
+            out = eliminate(out, c.elim, marg, counter)
         messages[c.id] = out
-        del parts, arr, out  # free this cluster's arrays before the next fold
+        del parts, out  # free this cluster's arrays before the next fold
     scope, arr = messages[m.root]
     if scope:
         raise InternalError(f"root message kept scope {scope}")
@@ -269,7 +270,7 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
-    meu, tables = evaluate(m, d.sizes, counter)
+    meu, tables = evaluate(m, counter)
     return RunReport(
         meu=meu,
         policies=extract_policies(m, d, tables, with_sets, counter),

@@ -184,7 +184,7 @@ def test_08_operation_counts_on_star():
             root, _ = macrostructure(store, initial_node(store, d))
             m = clusters.merge_clusters(clusters.assemble(store, root))
             split = OpCounter()
-            solve.evaluate(m, sizes=store.sizes, counter=split)
+            solve.evaluate(m, counter=split)
             joint = OpCounter()
             baseline.potential_ve(d, counter=joint)
             # duplicated route: one small sum per utility plus the final group

@@ -16,7 +16,6 @@ from infdiag.baseline import (
     pot_marg_chance,
     pot_marg_decision,
     potential_ve,
-    untyped_hypergraph,
 )
 from infdiag.diagram import DiagramError, fixture, parse, random_id
 from infdiag.factors import FactorError, InternalError, Op, OpCounter, ResourceGuardError
@@ -117,11 +116,13 @@ def test_marg_chance_against_enumeration():
             assert close(lookup(out.u, env), mean)
 
 
-def test_marg_chance_scales_mass_for_u_only_variables():
+def test_marg_chance_refuses_variables_outside_p():
+    # A chance variable's own CPT keeps it in p until its step, so a sum
+    # over a variable that only u holds, or no part holds, is refused.
     pi = Potential(scalar(1.0), tab((0,), (3,), [2.0, 2.0, 2.0]))
-    out = pot_marg_chance(pi, [0])
-    assert close(float(out.p[1]), 3.0)
-    assert close(float(out.u[1]), 2.0)
+    for elim in ([0], [1]):
+        with pytest.raises(FactorError, match="probability part"):
+            pot_marg_chance(pi, elim)
 
 
 def test_marg_decision_examples():
@@ -285,13 +286,6 @@ def test_potential_ve_heuristics_agree_on_value():
 
 # -- constrained width ----------------------------------------------------------
 
-def test_untyped_hypergraph_covers_all_tables():
-    d = fixture("fig2")
-    g = untyped_hypergraph(d)
-    assert g.vertices == {0, 1, 2}
-    assert frozenset({2}) in g.edges  # u_d scope
-
-
 def test_constrained_width_fig2():
     assert constrained_width(fixture("fig2"), "exhaustive") == 2
     assert constrained_width(fixture("fig2"), "heuristic") >= 2
@@ -308,6 +302,19 @@ def test_constrained_width_exhaustive_guard():
     with pytest.raises(ResourceGuardError):
         constrained_width(d, "exhaustive")
     assert constrained_width(d, "heuristic") >= 0
+
+
+def test_constrained_width_is_the_width_potential_ve_reaches():
+    # One walk gives both numbers: min-fill for "heuristic", and the exact
+    # width when both are asked for "exhaustive".
+    ds = [fixture("fig2"), fixture("fig3")]
+    ds += [fixture("chain", n) for n in range(1, 7)]
+    ds += [fixture("star", n) for n in range(1, 8)]
+    ds += [random_id(4 + seed % 5, seed % 3, 3, 2, seed=seed) for seed in range(40)]
+    for d in ds:
+        assert len(d.variables) <= 8
+        assert potential_ve(d)[2] == constrained_width(d, "heuristic")
+        assert potential_ve(d, "exhaustive")[2] == constrained_width(d, "exhaustive")
 
 
 def test_constrained_width_heuristic_never_below_exhaustive():

@@ -107,6 +107,19 @@ def test_width_gap_grows(name, w, tmp_path, capsys):
     assert report["w_constrained"]["exact"] == w
 
 
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 6),
+                               fixture("star", 5)]
+                         + [random_id(10 + 5 * s, 2 + s, 3, 3, seed=s) for s in range(4)],
+                         ids=["fig2", "fig3", "chain6", "star5"] + [f"random{s}" for s in range(4)])
+def test_width_reports_the_potential_engine_width(d, tmp_path, capsys):
+    # `w_constrained (heuristic)` and `w_potential` come from the same walk.
+    path = tmp_path / "d.idnet"
+    path.write_text(serialize(d))
+    width = run_json(capsys, ["width", str(path), "--json"])
+    solved = run_json(capsys, ["solve", str(path), "--engine", "potential", "--json"])
+    assert width["w_constrained"]["heuristic"] == solved["w_potential"]
+
+
 def test_width_text(fig2, capsys):
     assert main(["width", fig2]) == 0
     out = capsys.readouterr().out

@@ -355,6 +355,33 @@ def test_merge_requires_same_table_objects():
     assert len(merged.clusters) == len(assemble(store, root).clusters)
 
 
+# -- what the message pass rests on ------------------------------------------------
+
+FOLD_UNION_CASES = (
+    [("fig2", fixture("fig2")), ("fig3", fixture("fig3"))]
+    + [(f"{f}{n}", fixture(f, n)) for f in ("chain", "star") for n in range(1, 9)]
+    + [(f"{mode}{s}", random_id(9, 2, 3, 2, mode=mode, seed=s))
+       for mode in ("prob", "poss") for s in range(40)])
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["assembled", "merged"])
+def test_fold_union_is_the_cluster_scope(merge):
+    # `evaluate` folds a cluster's tables and son separators, then eliminates
+    # its variable.  Bucket elimination sends every item that holds a variable
+    # to that variable's bucket or to an earlier one, whose message carries it
+    # on, so the fold spans all of V and holds the variable it eliminates.
+    for name, d in FOLD_UNION_CASES:
+        m = assemble(*macro_root(d))
+        if merge:
+            m = merge_clusters(m)
+        for c in m.clusters:
+            union = set().union(*(t.scope for t in c.psi))
+            for s in c.sons:
+                union |= m.clusters[s].V - set(m.clusters[s].elim)
+            assert union == c.V, (name, c.id)
+            assert set(c.elim) <= union, (name, c.id)
+
+
 # -- rendering ------------------------------------------------------------------
 
 def test_to_dot_shape():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infdiag.clusters import assemble, merge_clusters
+from infdiag.clusters import Cluster, MCDag, assemble, merge_clusters
 from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import (
     ChoiceTable,
@@ -45,7 +45,7 @@ def mcdag_of(d, heuristic="min-fill", merge=True):
 
 
 def policies_of(m, d, with_sets=False):
-    return extract_policies(m, d, evaluate(m, d.sizes)[1], with_sets=with_sets)
+    return extract_policies(m, d, evaluate(m)[1], with_sets=with_sets)
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -53,14 +53,14 @@ def policies_of(m, d, with_sets=False):
 def test_zero_utilities_give_zero():
     d = parse("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nVAR d 2 DECISION\n"
               "PROB c | : 0.3 0.7\nUTIL u c d : 0 0 0 0\nORDER / d / c\n")
-    assert evaluate(mcdag_of(d), d.sizes)[0] == 0.0
+    assert evaluate(mcdag_of(d))[0] == 0.0
 
 
 def test_single_decision_direct_arithmetic():
     d = parse("IDNET 1\nMODE prob\nVAR d 3 DECISION\n"
               "UTIL u d : 1 5 3\nORDER / d /\n")
     m = mcdag_of(d)
-    meu, messages = evaluate(m, d.sizes)
+    meu, messages = evaluate(m)
     assert meu == 5.0
     (policy,) = extract_policies(m, d, messages)
     assert policy.var == 0 and policy.context == ()
@@ -103,7 +103,7 @@ def test_policies_from_choices_needs_recorded_sets():
 def test_fig2_value_and_policy_match_oracle():
     d = fixture("fig2")
     m = mcdag_of(d)
-    meu, messages = evaluate(m, d.sizes)
+    meu, messages = evaluate(m)
     assert close(meu, oracle_value(d))
     policies = extract_policies(m, d, messages)
     assert close(evaluate_policy(d, policies), meu)
@@ -112,7 +112,7 @@ def test_fig2_value_and_policy_match_oracle():
 def test_fig3_policy_substitution_chain():
     d = fixture("fig3")
     m = mcdag_of(d)
-    meu, messages = evaluate(m, d.sizes)
+    meu, messages = evaluate(m)
     assert close(meu, oracle_value(d))
     policies = {p.var: p for p in extract_policies(m, d, messages)}
     d2 = d.names.index("d2")
@@ -129,19 +129,19 @@ def test_merging_preserves_the_value():
         d = random_id(7, 2, 3, 2, seed=seed)
         plain = mcdag_of(d, merge=False)
         merged = merge_clusters(plain)
-        a, b = evaluate(plain, d.sizes)[0], evaluate(merged, d.sizes)[0]
+        a, b = evaluate(plain)[0], evaluate(merged)[0]
         assert close(a, b, 1e-12)
 
 
 def test_every_cluster_evaluated_once():
     d = fixture("fig3")
     m = mcdag_of(d)
-    _, tables = evaluate(m, d.sizes)
+    _, tables = evaluate(m)
     assert set(tables) == {c.id for c in m.clusters if c.ops[0] is Op.MAX and c.elim}
     assert len(tables) == len(d.decision_ids)
     doubled = dataclasses.replace(m, clusters=m.clusters[:1] + m.clusters)
     with pytest.raises(InternalError, match="evaluated twice"):
-        evaluate(doubled, d.sizes)
+        evaluate(doubled)
 
 
 def descending_scopes(d):
@@ -172,7 +172,7 @@ def descending_scopes(d):
 def test_evaluate_matches_the_table_fold(d):
     m = mcdag_of(d)
     got_ops, want_ops = OpCounter(), OpCounter()
-    meu, tables = evaluate(m, d.sizes, got_ops)
+    meu, tables = evaluate(m, got_ops)
     want_meu, want_tables = oracle_evaluate(m, d.sizes, want_ops)
     assert meu == want_meu
     assert set(tables) == set(want_tables)
@@ -189,7 +189,17 @@ def test_mixed_mode_ops_are_rejected():
     bad = dataclasses.replace(m.clusters[0], ops=(Op.MIN, Op.MAX))
     broken = dataclasses.replace(m, clusters=(bad,) + m.clusters[1:])
     with pytest.raises(InternalError):
-        evaluate(broken, d.sizes)
+        evaluate(broken)
+
+
+@pytest.mark.parametrize("ops", [(Op.SUM, Op.TIMES), (Op.MAX, Op.PLUS)])
+def test_eliminating_a_variable_no_part_holds_is_an_internal_error(ops):
+    # Assembly never builds such a cluster (see test_fold_union_is_the_cluster_scope);
+    # a hand-built one is refused instead of being summed or maximized away.
+    u = ScopedTable((1,), (2,), np.array([1.0, 2.0]))
+    c = Cluster(0, frozenset({0, 1}), (u,), (), (0,), ops)
+    with pytest.raises(InternalError, match="none of its parts holds"):
+        evaluate(MCDag((c,), 0, {}))
 
 
 # -- substitution -------------------------------------------------------------
@@ -218,7 +228,7 @@ def test_random_prob_diagrams_match_oracle_and_policies():
     for seed in range(30):
         d = random_id(6, 2, 3, 2, seed=seed)
         m = mcdag_of(d)
-        meu, messages = evaluate(m, d.sizes)
+        meu, messages = evaluate(m)
         assert close(meu, oracle_value(d)), f"seed {seed}"
         policies = extract_policies(m, d, messages, with_sets=True)
         assert close(evaluate_policy(d, policies), meu), f"seed {seed}"
@@ -230,7 +240,7 @@ def test_random_poss_diagrams_match_oracle_exactly():
     for seed in range(20):
         d = random_id(6, 2, 3, 2, mode="poss", seed=seed)
         m = mcdag_of(d)
-        meu, messages = evaluate(m, d.sizes)
+        meu, messages = evaluate(m)
         assert meu == oracle_value(d), f"seed {seed}"
         policies = extract_policies(m, d, messages)
         assert evaluate_policy(d, policies) == meu, f"seed {seed}"
@@ -240,7 +250,7 @@ def test_heuristic_choice_never_changes_the_value():
     d = random_id(7, 3, 3, 2, seed=42)
     want = oracle_value(d)
     for heuristic in ("min-fill", "min-degree", "exhaustive"):
-        assert close(evaluate(mcdag_of(d, heuristic=heuristic), d.sizes)[0], want)
+        assert close(evaluate(mcdag_of(d, heuristic=heuristic))[0], want)
 
 
 def test_positive_scaling_keeps_representative_policies():
@@ -291,7 +301,7 @@ def test_deterministic_path_reaches_one():
         "UTIL u c : 0 1\n"
         "ORDER / d / c\n")
     m = mcdag_of(d)
-    meu, messages = evaluate(m, d.sizes)
+    meu, messages = evaluate(m)
     policies = extract_policies(m, d, messages)
     assert close(meu, 1.0)
     assert close(evaluate_policy(d, policies), 1.0)
@@ -323,7 +333,7 @@ def test_solve_diagram_report():
 def test_solve_runs_the_message_pass_once(d):
     # the policy pass adds only the argmax's max ops to the message pass
     alone = OpCounter()
-    evaluate(mcdag_of(d), d.sizes, alone)
+    evaluate(mcdag_of(d), alone)
     solved = OpCounter()
     solve_diagram(d, counter=solved)
     kinds = (set(alone.by_kind) | set(solved.by_kind)) - {"max"}
@@ -341,6 +351,6 @@ def test_fig3_solve_op_total():
 def test_extract_policies_consumes_the_messages():
     d = fixture("fig3")
     m = mcdag_of(d)
-    _, tables = evaluate(m, d.sizes)
+    _, tables = evaluate(m)
     extract_policies(m, d, tables)
     assert tables == {}
