@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from itertools import product
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import baseline, clusters, nodes, solve
 from .diagram import DiagramError, InfluenceDiagram, fixture, parse, random_id, serialize
-from .factors import ChoiceTable, FactorError, InternalError, ResourceGuardError
+from .factors import ChoiceTable, FactorError, InternalError, OpCounter, ResourceGuardError
 from .rewrite import macrostructure
 
 HEURISTICS = ("min-fill", "min-degree", "exhaustive")
@@ -68,26 +69,33 @@ def _brute_policies(d: InfluenceDiagram,
     return solve.policies_from_choices(d, choices, with_sets)
 
 
+def _ops_json(counter: OpCounter) -> dict:
+    return {"total": counter.total, "by_kind": dict(sorted(counter.by_kind.items()))}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     d = _load(args.file)
     report: dict = {"schema": 1, "engine": args.engine, "file": args.file}
+    counter = OpCounter()
     start = time.perf_counter()
     if args.engine == "mcdag":
-        run = solve.solve_diagram(d, heuristic=args.heuristic, with_sets=args.sets)
+        run = solve.solve_diagram(d, heuristic=args.heuristic, with_sets=args.sets,
+                                  counter=counter)
         policies = run.policies
         report.update(meu=run.meu, w_mcdag=run.w_mcdag, w_potential=None,
                       node_count=run.node_count, cluster_count=run.cluster_count,
-                      trace_len=run.trace_len)
+                      trace_len=run.trace_len, ops=_ops_json(counter))
     elif args.engine == "potential":
         value, policies, width = baseline.potential_ve(
-            d, heuristic=args.heuristic, with_sets=args.sets)
+            d, heuristic=args.heuristic, counter=counter, with_sets=args.sets)
         report.update(meu=value, w_mcdag=None, w_potential=width,
-                      node_count=None, cluster_count=None, trace_len=None)
+                      node_count=None, cluster_count=None, trace_len=None,
+                      ops=_ops_json(counter))
     else:
         value, notes = baseline.brute_force(d)
         policies = _brute_policies(d, notes, args.sets)
         report.update(meu=value, w_mcdag=None, w_potential=None,
-                      node_count=None, cluster_count=None, trace_len=None)
+                      node_count=None, cluster_count=None, trace_len=None, ops=None)
     report["wall_time"] = time.perf_counter() - start
     report["policies"] = [_policy_json(d, p) for p in policies]
     if args.json:
@@ -143,8 +151,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    d = _load(args.file)
     tol = args.tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DiagramError(f"--tol must be a finite number >= 0, not {tol!r}")
+    d = _load(args.file)
 
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

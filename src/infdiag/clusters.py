@@ -86,13 +86,18 @@ def find_order(g: Hypergraph, elim: Iterable[int],
     todo = set(elim)
     if not todo <= g.vertices:
         raise InternalError("elimination set outside the hypergraph")
+    if heuristic not in ("min-fill", "min-degree", "exhaustive"):
+        raise InternalError(f"unknown ordering heuristic {heuristic!r}")
+    if len(todo) == 1:  # every heuristic agrees; no primal graph needed
+        (x,) = todo
+        created = set().union(*(e for e in g.edges if x in e))
+        created.discard(x)
+        return EliminationOrder((x,), (len(created),), len(created))
     if heuristic == "exhaustive":
         if len(todo) > EXHAUSTIVE_LIMIT:
             raise ResourceGuardError(
                 f"exhaustive ordering is limited to {EXHAUSTIVE_LIMIT} variables")
         return _exhaustive_order(g, frozenset(todo))
-    if heuristic not in ("min-fill", "min-degree"):
-        raise InternalError(f"unknown ordering heuristic {heuristic!r}")
     # Neighbour sets of the primal graph: a candidate's created edge is its
     # neighbourhood, and eliminating it turns that neighbourhood into a clique.
     adj: dict[int, set[int]] = {v: set() for v in g.vertices}
@@ -312,22 +317,23 @@ def merge_clusters(m: MCDag) -> MCDag:
 
     One bottom-up pass reaches the fixpoint because son ids are canonical by
     the time a parent is keyed.  Duplicate sons after merging are kept: the
-    message is deliberately combined once per original occurrence.
+    message is deliberately combined once per original occurrence.  A
+    cluster whose id and sons come through unchanged keeps its record.
     """
     canon: dict[tuple, int] = {}
     remap: dict[int, int] = {}
     out: list[Cluster] = []
     for c in m.clusters:
-        sons = tuple(sorted(remap[s] for s in c.sons))
-        key = (c.V, tuple(sorted(id(t) for t in c.psi)), sons,
-               tuple(sorted(c.elim)), c.ops)
+        sons = tuple(sorted(map(remap.__getitem__, c.sons)))
+        key = (c.V, tuple(sorted(map(id, c.psi))), sons, tuple(sorted(c.elim)), c.ops)
         if key in canon:
             remap[c.id] = canon[key]
             continue
         nid = len(out)
         canon[key] = nid
         remap[c.id] = nid
-        out.append(Cluster(nid, c.V, c.psi, sons, c.elim, c.ops))
+        out.append(c if nid == c.id and sons == c.sons
+                   else Cluster(nid, c.V, c.psi, sons, c.elim, c.ops))
     merged = MCDag(tuple(out), remap[m.root], dict(m.node_widths), m.w_mcdag)
     check_containment(merged)
     return merged

@@ -288,10 +288,14 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     axis = scope.index(var)
     keep = scope[:axis] + scope[axis + 1:]
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
+    (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], Op.MAX.value)
+    if not sets:  # along the axis: argmax keeps the first of tied values
+        best = np.asarray(arr.max(axis))
+        rep = arr.argmax(axis).reshape(-1)
+        return (keep, best), ChoiceTable(keep, keep_sizes, rep, None)
     rows = np.moveaxis(arr, axis, -1).reshape(-1, arr.shape[axis])
     best = rows.max(axis=1)
-    (counter or OpCounter()).add(int(rows.size - best.size), Op.MAX.value)
-    rep = rows.argmax(axis=1)
     attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
-                   for row, mx in zip(rows, best)) if sets else None
-    return (keep, best.reshape(keep_sizes)), ChoiceTable(keep, keep_sizes, rep, attain)
+                   for row, mx in zip(rows, best))
+    return ((keep, best.reshape(keep_sizes)),
+            ChoiceTable(keep, keep_sizes, rows.argmax(axis=1), attain))

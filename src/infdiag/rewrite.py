@@ -44,15 +44,19 @@ union and does not re-sort the sov:
     with the merged block sorted;
   - a decompose-sum wrapper has scope(group) - {x}, and drop-unit keeps
     the scope;
+  - decompose-max's new max node has the union of its inner groups minus
+    `x`, and its wrapper that scope plus the hoisted factors' (together,
+    the union of the groups holding `x`, minus `x`);
   - simplify-normalized may shrink a scope: the dropped table's parents
     leave unless another child mentions them.  Its result gets the union
     its precondition already took, and a group or root rebuilt over a
     shrunk node is re-unioned (or, for the root, intersected with the union
     of its new children).
-The other builds (inner elimination nodes, hoisting wrappers) go through the
-ordinary path.  Root-wide checks (is every child a group of one comb, which
-members hold a nested max, which groups mention `x`) run as one C-level pass
-over per-node facts the store keeps, not as a Python call per group.
+The other builds (decompose-sum's inner nodes, the groups inside a new max
+node) go through the ordinary path.  Root-wide checks (is every child a
+group of one comb, which members hold a nested max, which groups mention
+`x`) run as one C-level pass over per-node facts the store keeps, not as a
+Python call per group.
 
 Hoisting a common factor out of a max is only sound when the factor cannot
 be negative.  Probability-derived factors (every atomic descendant is a
@@ -376,15 +380,18 @@ def decompose_max(store: NodeStore, root: int, x: int,
         _emit(trace, "decompose-max", root, out, var=x)
         return out, None
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
-    pulled = sorted(_split(store, list(common), x)[1])
+    scopes = store._scopes
+    pulled_set = {m for m in common if x not in scopes[m]}
+    pulled = sorted(pulled_set)
     _require_nonneg(store, pulled, "decompose-max")
-    pulled_set = set(pulled)
     inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
                     for members in _children(store, plus)]
     if len(set(inner_groups)) != len(plus):
         raise InternalError("decision decomposition collapsed two groups")
-    inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups)
-    wrapper = store.composite((), comb, pulled + [inner])
+    inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups,
+                            scope=_union(store, inner_groups) - {x})
+    wrapper = store.composite((), comb, pulled + [inner],
+                              scope=scopes[inner].union(*map(scopes.__getitem__, pulled)))
     minus.append(wrapper)
     if len(set(minus)) != len(minus):
         raise InternalError("decision wrapper collides with an unrelated group")

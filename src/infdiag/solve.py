@@ -4,27 +4,35 @@ Messages travel leaves-to-root: each cluster folds its tables and its sons'
 messages under its combination operator and eliminates its own variable.
 The pass runs on bare arrays, shared clusters are computed once, and each
 message is dropped once its last parent has read it.  What the pass keeps is
-the value and, for every cluster that max-eliminates a decision, the combined
-table before that elimination.  Policies come from a second, root-to-leaves
-pass over those decision tables: choices made closer to the root are
-substituted into a decision's table before taking the argmax, so each rule
-ends up a function of the decision's own observations only.
+the value and, for every cluster that max-eliminates a decision, one of two
+things.  When the cluster's scope holds no other decision that the decision
+does not observe, its choice is taken by the argmax that eliminates it (the
+policy recording of Jensen, Jensen & Dittmer), and only that choice is kept.
+Otherwise the combined table before the elimination is kept.  Policies come
+from a second, root-to-leaves pass: choices made closer to the root are
+substituted into each kept table before taking its argmax, so each rule ends
+up a function of the decision's own observations only.  Every decision,
+chosen early or not, goes through the same checks there.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .clusters import MCDag, assemble, merge_clusters
 from .diagram import InfluenceDiagram
 # `combine_all` and `marginalize` are unused here but stay imported:
-# perfbench/tracing.py wraps them by name on this module.
+# perfbench/tracing.py wraps them by name on this module.  `check_cells`
+# reads CELL_GUARD through this module's name, so it can be lowered apart
+# from `fold`'s.
 from .factors import (  # noqa: F401
+    CELL_GUARD,
     ChoiceTable,
     InternalError,
     Op,
@@ -96,10 +104,32 @@ def _ident(ops: tuple[Op, Op]) -> float:
     return identity(ops[1], unit_interval=ops in POSS_OPS)
 
 
-def evaluate(m: MCDag, counter: OpCounter | None = None
-             ) -> tuple[float, dict[int, Part]]:
-    """The leaves-to-root pass: the MEU and, by cluster id, the combined
-    part of every cluster that max-eliminates a variable.
+# What evaluate keeps of a max-eliminating cluster: its combined part, or
+# that part's scope and the choice taken from it.
+Kept = tuple[tuple[int, ...], np.ndarray | ChoiceTable]
+
+
+def _later(scope: Iterable[int], x: int, observed: Mapping[int, Sequence[int]]
+           ) -> list[int]:
+    """The decisions in `scope` other than `x` that `x` does not observe,
+    ascending: each is chosen closer to the root, and its rule must be
+    substituted into `x`'s table before `x`'s argmax.  `observed` maps each
+    decision to its parents."""
+    pa = observed[x]
+    return sorted(v for v in scope if v != x and v in observed and v not in pa)
+
+
+def evaluate(m: MCDag, counter: OpCounter | None = None,
+             observed: Mapping[int, Sequence[int]] | None = None,
+             with_sets: bool = False) -> tuple[float, dict[int, Kept]]:
+    """The leaves-to-root pass: the MEU and, by cluster id, what the policy
+    pass needs from every cluster that max-eliminates a variable.
+
+    That is the combined part before the elimination, unless `observed`
+    (each decision's parents) shows that the eliminated decision needs no
+    later decision substituted (`_later` is empty on the cluster's scope).
+    Its choice is then taken here, by the same argmax that eliminates it,
+    with tie sets when `with_sets`, and kept as `(scope, ChoiceTable)`.
 
     Sons come before parents and each cluster is computed once.  A message
     is freed once the last cluster that reads it has read it.  A cluster's
@@ -109,9 +139,10 @@ def evaluate(m: MCDag, counter: OpCounter | None = None
     """
     _check_ops(m)
     counter = counter or OpCounter()
+    observed = observed or {}
     last_reader = {s: c.id for c in m.clusters for s in c.sons}
     messages: dict[int, Part] = {}
-    tables: dict[int, Part] = {}
+    kept: dict[int, Kept] = {}
     done: set[int] = set()
     for c in m.clusters:  # ascending ids are topological
         if c.id in done:
@@ -124,19 +155,26 @@ def evaluate(m: MCDag, counter: OpCounter | None = None
                 messages.pop(s, None)  # a merged cluster may list a son twice
         out = fold(parts, comb, _ident(c.ops), counter)
         if c.elim:
-            if marg is Op.MAX:
-                tables[c.id] = out
             missing = [v for v in c.elim if v not in out[0]]
             if missing:
                 raise InternalError(f"cluster {c.id} eliminates {missing}, "
                                     "which none of its parts holds")
-            out = eliminate(out, c.elim, marg, counter)
+            x = c.elim[0]
+            if marg is Op.MAX and c.elim == (x,) and x in observed \
+                    and not _later(out[0], x, observed):
+                scope = out[0]
+                out, choice = argmax_marginalize(out, x, counter, sets=with_sets)
+                kept[c.id] = scope, choice
+            else:
+                if marg is Op.MAX:
+                    kept[c.id] = out
+                out = eliminate(out, c.elim, marg, counter)
         messages[c.id] = out
         del parts, out  # free this cluster's arrays before the next fold
     scope, arr = messages[m.root]
     if scope:
         raise InternalError(f"root message kept scope {scope}")
-    return float(arr), tables
+    return float(arr), kept
 
 
 # --------------------------------------------------------------------------
@@ -180,16 +218,19 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     return out
 
 
-def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, Part],
+def extract_policies(m: MCDag, d: InfluenceDiagram, kept: dict[int, Kept],
                      with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    """The root-to-leaves pass over the decision parts `evaluate` returned
-    for `m`.
+    """The root-to-leaves pass over what `evaluate` kept for `m`.
 
-    Consumes `tables`: each is popped when its decision is processed, so the
-    dict is empty before the rules are built.
+    A decision whose choice `evaluate` took is checked like the others and
+    its choice used as it is; the rest get the rules of later decisions
+    substituted, then their argmax.  Consumes `kept`: each entry is popped
+    when its decision is processed, so the dict is empty before the rules
+    are built.
     """
     decisions = set(d.decision_ids)
+    observed = decision_parents(d)
     cluster_of: dict[int, int] = {}
     mentioned: set[int] = set()
     for c in m.clusters:
@@ -206,13 +247,9 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, Part],
 
     choices: dict[int, ChoiceTable] = {}
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
-        scope, arr = tables.pop(cid)
-        pa = set(d.parents[x])
-        while True:
-            later = sorted(v for v in scope
-                           if v != x and v in decisions and v not in pa)
-            if not later:
-                break
+        scope, arr = kept.pop(cid)
+        chosen = isinstance(arr, ChoiceTable)
+        while not chosen and (later := _later(scope, x, observed)):
             y = later[0]
             if y not in choices:
                 raise InternalError(
@@ -220,13 +257,15 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, tables: dict[int, Part],
             ch = choices[y]
             scope, arr = _substitute(scope, arr, y, ch.retained_scope,
                                      ch.representative.reshape(ch.retained_sizes))
-        stray = [v for v in scope if v != x and v not in pa]
+        stray = [v for v in scope if v != x and v not in observed[x]]
         if stray:
             raise InternalError(
                 f"rule for decision {x} would depend on unobserved {stray}")
         if x not in scope:
             raise InternalError(f"decision {x} missing from its own cluster table")
-        _, choices[x] = argmax_marginalize((scope, arr), x, counter, sets=with_sets)
+        if not chosen:
+            _, arr = argmax_marginalize((scope, arr), x, counter, sets=with_sets)
+        choices[x] = arr
     return policies_from_choices(d, choices, with_sets)
 
 
@@ -263,6 +302,26 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # --------------------------------------------------------------------------
 # End to end
 
+def check_cells(m: MCDag, sizes: Sequence[int]) -> None:
+    """Refuse, before any arithmetic, a cluster whose fold would combine more
+    than CELL_GUARD cells.  `fold` combines only a cluster of two or more
+    parts, and their union is the cluster's scope `V`."""
+    for c in m.clusters:
+        if len(c.psi) + len(c.sons) > 1:
+            cells = math.prod(map(sizes.__getitem__, c.V))
+            if cells > CELL_GUARD:
+                raise ResourceGuardError(
+                    f"cluster {c.id} combines {cells} cells (limit {CELL_GUARD})")
+
+
+def decision_parents(d: InfluenceDiagram) -> dict[int, tuple[int, ...]]:
+    """Each decision's observed parents, by decision id, as the tuples
+    `d.parents` already holds.  A decision observes every variable of an
+    earlier block, so on a long chain one set per decision would take several
+    times their memory (0.56 against 0.07 MB on chain(128))."""
+    return {x: d.parents[x] for x in d.decision_ids}
+
+
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
                   with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
@@ -270,10 +329,11 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
-    meu, tables = evaluate(m, counter)
+    check_cells(m, store.sizes)
+    meu, kept = evaluate(m, counter, decision_parents(d), with_sets)
     return RunReport(
         meu=meu,
-        policies=extract_policies(m, d, tables, with_sets, counter),
+        policies=extract_policies(m, d, kept, with_sets, counter),
         engine="mcdag",
         w_mcdag=m.w_mcdag,
         node_count=node_count(store, root),

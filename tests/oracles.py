@@ -89,9 +89,11 @@ def oracle_value(d: InfluenceDiagram) -> float:
     return rec(0, {})
 
 
-def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
+def oracle_evaluate(m: MCDag, counter: OpCounter
                     ) -> tuple[float, dict[int, ScopedTable]]:
-    """The MEU and the combined table of every max-eliminating cluster."""
+    """The MEU and the combined table of every max-eliminating cluster.  A
+    cluster that eliminates a variable its combined table lacks is an
+    internal error, as in `solve.evaluate`."""
     messages: dict[int, ScopedTable] = {}
     tables: dict[int, ScopedTable] = {}
     for c in m.clusters:
@@ -106,16 +108,11 @@ def oracle_evaluate(m: MCDag, sizes: Sequence[int], counter: OpCounter
             combined = ScopedTable.scalar(identity(comb, unit_interval=unit))
         if marg is Op.MAX and c.elim:
             tables[c.id] = combined
-        present = [v for v in c.elim if v in combined.scope]
         absent = [v for v in c.elim if v not in combined.scope]
-        out = marginalize(combined, present, marg, counter)
-        if absent and marg is Op.SUM:
-            scale = 1.0
-            for v in absent:
-                scale *= sizes[v]
-            out = combine_all((out, ScopedTable.scalar(scale)), Op.TIMES,
-                              identity(Op.TIMES), counter)
-        messages[c.id] = out
+        if absent:
+            raise InternalError(f"cluster {c.id} eliminates {absent}, "
+                                "which none of its parts holds")
+        messages[c.id] = marginalize(combined, c.elim, marg, counter)
     return float(messages[m.root].values[0]), tables
 
 

@@ -232,7 +232,8 @@ def test_potential_ve_refuses_before_building_a_table(monkeypatch):
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["potential"] < peaks["mcdag"], peaks
+    # both engines refuse from scopes, before any table is combined
+    assert max(peaks.values()) < 2 ** 20, peaks
 
 
 @pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])

@@ -37,6 +37,19 @@ def test_solve_json_fields(fig2, capsys):
     assert names == {"d"}
 
 
+def test_solve_json_reports_op_counts(tmp_path, capsys):
+    path = tmp_path / "fig3.idnet"
+    path.write_text(serialize(fixture("fig3")))
+    ops = {engine: run_json(capsys, ["solve", str(path), "--engine", engine, "--json"])["ops"]
+           for engine in ("mcdag", "potential", "brute")}
+    # 13 max ops: d1's and d3's choices are taken when `evaluate` eliminates
+    # them, so only d2's argmax is charged again by the policy pass
+    assert ops["mcdag"] == {"total": 71,
+                            "by_kind": {"max": 13, "plus": 18, "sum": 8, "times": 32}}
+    assert ops["potential"]["total"] == sum(ops["potential"]["by_kind"].values()) > 0
+    assert ops["brute"] is None
+
+
 def test_engines_agree(fig2, capsys):
     values = {}
     for engine in ("mcdag", "potential", "brute"):
@@ -159,6 +172,15 @@ def test_check_poss_exact(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "skipped (poss mode)" in out
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_check_refuses_a_bad_tolerance(tol, tmp_path, capsys):
+    path = tmp_path / "fig3.idnet"
+    path.write_text(serialize(fixture("fig3")))
+    assert main(["check", str(path), "--tol", tol]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: --tol") and out.out == ""
 
 
 def test_check_fail_exits_3(fig2, capsys, monkeypatch):

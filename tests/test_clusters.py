@@ -156,6 +156,30 @@ def test_heuristics_never_beat_exhaustive():
             assert width_of_order(g, order.order) == order
 
 
+def test_find_order_of_one_variable_matches_the_general_walk():
+    # One variable skips the primal graph: its step is the union of the edges
+    # holding it, less itself, and 0 for a variable in no edge.
+    rng = np.random.default_rng(23)
+    isolated = 0
+    for _ in range(200):
+        nv = int(rng.integers(1, 9))
+        span = int(rng.integers(1, nv + 1))  # vertices past `span` are in no edge
+        edges = set()
+        for _ in range(int(rng.integers(0, 2 * span + 1))):
+            k = int(rng.integers(1, min(4, span) + 1))
+            edges.add(frozenset(int(v) for v in rng.choice(span, size=k, replace=False)))
+        g = Hypergraph(frozenset(range(nv)), frozenset(edges))
+        for x in range(nv):
+            isolated += not any(x in e for e in edges)
+            want = width_of_order(g, [x])
+            assert clusters._exhaustive_order(g, frozenset({x})) == want
+            for heuristic in ("min-fill", "min-degree"):
+                assert oracle_order(g, [x], heuristic) == want
+            for heuristic in ("min-fill", "min-degree", "exhaustive"):
+                assert find_order(g, [x], heuristic) == want, (sorted(map(sorted, edges)), x)
+    assert isolated > 50
+
+
 def test_find_order_matches_hyperedge_scan_oracle():
     rng = np.random.default_rng(17)
     isolated_elim = outside = 0
@@ -341,6 +365,16 @@ def test_merge_keeps_distinct_clusters():
     assert len(merged.clusters) == len(m.clusters)
     again = merge_clusters(merged)
     assert len(again.clusters) == len(merged.clusters)
+
+
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 8),
+                               fixture("star", 8), random_id(9, 2, 3, 2, seed=1)],
+                         ids=["fig2", "fig3", "chain8", "star8", "random1"])
+def test_merge_keeps_the_records_it_does_not_change(d):
+    m = assemble(*macro_root(d))
+    merged = merge_clusters(m)
+    assert len(merged.clusters) == len(m.clusters)  # nothing merges here
+    assert all(a is b for a, b in zip(merged.clusters, m.clusters))
 
 
 def test_merge_requires_same_table_objects():

@@ -1,11 +1,13 @@
 """Cluster DAG evaluation, policies, and the end-to-end solver."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from infdiag import factors, solve
 from infdiag.clusters import Cluster, MCDag, assemble, merge_clusters
 from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import (
@@ -21,6 +23,7 @@ from infdiag.rewrite import macrostructure
 from infdiag.solve import (
     Policy,
     _substitute,
+    decision_parents,
     evaluate,
     evaluate_policy,
     extract_policies,
@@ -28,7 +31,7 @@ from infdiag.solve import (
     solve_diagram,
 )
 
-from oracles import oracle_evaluate, oracle_value
+from oracles import oracle_argmax, oracle_evaluate, oracle_value
 
 TOL = 1e-9
 
@@ -139,6 +142,13 @@ def test_every_cluster_evaluated_once():
     _, tables = evaluate(m)
     assert set(tables) == {c.id for c in m.clusters if c.ops[0] is Op.MAX and c.elim}
     assert len(tables) == len(d.decision_ids)
+    # with the observations known, d1 and d3 are chosen at elimination; d2's
+    # table is kept, as it holds d3, which d2 does not observe
+    _, kept = evaluate(m, observed=decision_parents(d))
+    assert set(kept) == set(tables)
+    chosen = {m.clusters[cid].elim[0] for cid, (_, k) in kept.items()
+              if isinstance(k, ChoiceTable)}
+    assert chosen == {d.names.index("d1"), d.names.index("d3")}
     doubled = dataclasses.replace(m, clusters=m.clusters[:1] + m.clusters)
     with pytest.raises(InternalError, match="evaluated twice"):
         evaluate(doubled)
@@ -170,17 +180,31 @@ def descending_scopes(d):
                          + [f"prob{s}" for s in range(20)] + [f"poss{s}" for s in range(20)]
                          + [f"wide{s}" for s in range(10)])
 def test_evaluate_matches_the_table_fold(d):
+    # A kept table equals the oracle's combined table byte for byte; a choice
+    # taken at elimination equals the oracle's argmax of that table, ties too.
     m = mcdag_of(d)
-    got_ops, want_ops = OpCounter(), OpCounter()
-    meu, tables = evaluate(m, got_ops)
-    want_meu, want_tables = oracle_evaluate(m, d.sizes, want_ops)
-    assert meu == want_meu
-    assert set(tables) == set(want_tables)
-    for cid, (scope, arr) in tables.items():
-        w = want_tables[cid]
-        assert (scope, arr.shape) == (w.scope, w.sizes), cid
-        assert arr.tobytes() == w.values.tobytes(), cid
-    assert got_ops.by_kind == want_ops.by_kind
+    want_ops = OpCounter()
+    want_meu, want_tables = oracle_evaluate(m, want_ops)
+    for observed in (None, decision_parents(d)):
+        for with_sets in (False, True):
+            got_ops = OpCounter()
+            meu, kept = evaluate(m, got_ops, observed, with_sets)
+            assert meu == want_meu
+            assert set(kept) == set(want_tables)
+            for cid, (scope, arr) in kept.items():
+                w = want_tables[cid]
+                assert scope == w.scope, cid
+                if isinstance(arr, ChoiceTable):
+                    (x,) = m.clusters[cid].elim
+                    keep, _, lowest, attaining = oracle_argmax(scope, w.array, x)
+                    assert (arr.retained_scope, arr.retained_sizes) == \
+                        (keep, tuple(w.size_of(v) for v in keep)), cid
+                    assert arr.representative.tolist() == lowest, cid
+                    assert arr.attaining == (tuple(attaining) if with_sets else None), cid
+                else:
+                    assert arr.shape == w.sizes, cid
+                    assert arr.tobytes() == w.values.tobytes(), cid
+            assert got_ops.by_kind == want_ops.by_kind
 
 
 def test_mixed_mode_ops_are_rejected():
@@ -200,6 +224,8 @@ def test_eliminating_a_variable_no_part_holds_is_an_internal_error(ops):
     c = Cluster(0, frozenset({0, 1}), (u,), (), (0,), ops)
     with pytest.raises(InternalError, match="none of its parts holds"):
         evaluate(MCDag((c,), 0, {}))
+    with pytest.raises(InternalError, match="none of its parts holds"):
+        oracle_evaluate(MCDag((c,), 0, {}), OpCounter())
 
 
 # -- substitution -------------------------------------------------------------
@@ -281,6 +307,31 @@ def test_policy_evaluation_guards_enumeration():
         evaluate_policy(d, [])
 
 
+@pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])
+def test_cluster_engine_refuses_up_front_exactly_what_fold_refuses(monkeypatch, limit):
+    # Lower the guard of `check_cells` and of `fold` in turn: the pre-flight
+    # must refuse a diagram iff the arithmetic would, so it never refuses work
+    # that would fit, and it refuses before `evaluate` runs.
+    def refuses(d, up_front, in_fold):
+        monkeypatch.setattr(solve, "CELL_GUARD", up_front)
+        monkeypatch.setattr(factors, "CELL_GUARD", in_fold)
+        try:
+            solve_diagram(d)
+        except ResourceGuardError as e:
+            assert str(e).startswith("cluster " if up_front < in_fold else "combination "), e
+            return True
+        return False
+
+    seen = set()
+    for seed in range(120):
+        d = random_id(6 + seed % 14, 1 + seed % 3, 4, 3, mode=("prob", "poss")[seed % 2],
+                      seed=seed)
+        refused = refuses(d, limit, 2 ** 62)
+        assert refused == refuses(d, 2 ** 62, limit), f"seed {seed}"
+        seen.add(refused)
+    assert seen == {False, True}
+
+
 def test_cell_guard_refuses_before_allocating():
     d = random_id(60, 6, 6, 6, seed=0)  # largest cluster: 4.5e11 cells
     tracemalloc.start()
@@ -345,7 +396,9 @@ def test_solve_runs_the_message_pass_once(d):
 def test_fig3_solve_op_total():
     counter = OpCounter()
     solve_diagram(fixture("fig3"), counter=counter)
-    assert counter.total == 76
+    # 13 max ops: d1's and d3's choices are taken when `evaluate` eliminates
+    # them, so only d2's argmax is charged again by the policy pass
+    assert counter.total == 71
 
 
 def test_extract_policies_consumes_the_messages():
@@ -354,3 +407,28 @@ def test_extract_policies_consumes_the_messages():
     _, tables = evaluate(m)
     extract_policies(m, d, tables)
     assert tables == {}
+
+
+def test_cluster_engine_outputs_are_pinned():
+    # MEU bytes, w_mcdag, cluster count, op counts by kind except `max`, and
+    # each policy's scope, value bytes and tie sets, with and without tie sets,
+    # on the fixtures and a seeded sweep in both modes.  `max` is left out:
+    # how often the policy pass charges it is bookkeeping, not output.
+    ds = [fixture("fig2"), fixture("fig3")]
+    ds += [fixture(f, n) for f in ("chain", "star") for n in range(1, 9)]
+    ds += [random_id(4 + seed % 9, seed % 3, 3, 3, mode=mode, seed=seed)
+           for mode in ("prob", "poss") for seed in range(80)]
+    h = hashlib.sha256()
+    for d in ds:
+        for with_sets in (False, True):
+            counter = OpCounter()
+            run = solve_diagram(d, with_sets=with_sets, counter=counter)
+            kinds = sorted((k, n) for k, n in counter.by_kind.items() if k != "max")
+            h.update(repr((np.float64(run.meu).tobytes(), run.w_mcdag, run.cluster_count,
+                           kinds)).encode())
+            for p in run.policies:
+                sets = None if p.choice_sets is None else [sorted(s) for s in p.choice_sets]
+                h.update(repr((p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
+                               sets)).encode())
+    assert h.hexdigest() == \
+        "51ba514f5c6285bd28ed20d3a3939bbcb2bffa876d5c30768d747cdf6db26a42"
