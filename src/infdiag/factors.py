@@ -110,9 +110,6 @@ class OpCounter:
         if kind is not None:
             self.by_kind[kind] = self.by_kind.get(kind, 0) + n
 
-    def additions(self) -> int:
-        return self.by_kind.get("sum", 0) + self.by_kind.get("plus", 0)
-
 
 @dataclass(frozen=True, eq=False)
 class ScopedTable:
@@ -166,10 +163,6 @@ class ScopedTable:
                 raise AssignmentError(f"value {val} out of range for variable {var}")
             idx.append(val)
         return float(self.array[tuple(idx)]) if self.scope else float(self.values[0])
-
-    @staticmethod
-    def scalar(value: float) -> "ScopedTable":
-        return ScopedTable((), (), np.asarray([value], dtype=float))
 
 
 Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)

@@ -85,9 +85,6 @@ class NodeStore:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node(self, nid: int) -> CompNode:
-        return self.nodes[nid]
-
     def scope(self, nid: int) -> frozenset[int]:
         return self._scopes[nid]
 
@@ -166,20 +163,24 @@ def store_for(d: InfluenceDiagram) -> NodeStore:
 def initial_node(store: NodeStore, d: InfluenceDiagram) -> int:
     """Root node whose value is the diagram's optimal value.
 
-    One group per utility: prob mode combines all conditional tables with the
+    One group per utility: prob mode combines the conditional tables with the
     utility under TIMES and sums groups; poss mode combines the complemented
     tables (1 - pi, built once and shared) with the utility under MAX and
     takes MIN over groups.  The root applies the initial elimination sequence.
+    The barren variables (`InfluenceDiagram.barren`) are left out, tables and
+    sov entries both: they do not change the value.  The decision blocks
+    around a chance block they empty merge into one.
     """
     ops = mode_ops(d.mode)
+    barren = d.barren
+    kept = [d.cpts[x] for x in sorted(d.cpts) if x not in barren]
     if d.mode == "poss":
-        base = [_complement(d.cpts[x]) for x in sorted(d.cpts)]
-    else:
-        base = [d.cpts[x] for x in sorted(d.cpts)]
-    base_ids = [store.atomic(t) for t in base]
+        kept = list(map(_complement, kept))
+    base_ids = [store.atomic(t) for t in kept]
     groups = [store.composite((), ops.group_comb, base_ids + [store.atomic(u)])
               for u in d.utilities]
-    return store.composite(sov0(d), ops.outer_comb, groups)
+    sov = [(op, [v for v in block if v not in barren]) for op, block in sov0(d)]
+    return store.composite(sov, ops.outer_comb, groups)
 
 
 def _complement(t: ScopedTable) -> ScopedTable:

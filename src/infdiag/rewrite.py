@@ -1,11 +1,9 @@
 """Rewriting rules that turn the initial node into a mono-operator DAG.
 
-Seven rules, applied by a deterministic driver.  One step first drops the
-barren chance variables; the rest run one elimination variable at a time,
-innermost first:
+Six rules, applied by a deterministic driver one elimination variable at a
+time, innermost first.  The barren chance variables never reach them:
+`initial_node` leaves them out (see `InfluenceDiagram.barren`).
 
-  drop_barren                     drop every barren chance variable with its
-                                  conditional table, in one step
   decompose_sum / decompose_max   push the innermost elimination into the
                                   children, sharing identical inner nodes
   recompose_sum / recompose_max   merge a nested elimination of the same
@@ -13,22 +11,6 @@ innermost first:
   simplify_normalized             drop a conditional table (and its variable)
                                   when elimination makes it sum/reach 1
   drop_unit_children              remove empty-product children (identity)
-
-A chance variable `x` is barren, and leaves the root, when all four hold:
-  1. `x` is in a chance (SUM/MIN) block of the root's sov;
-  2. every root child is a group, and the atom whose table has
-     `cpt_for == x` is a member of every group;
-  3. no other remaining member of any group mentions `x`;
-  4. no other variable of that table sits in a block inner to `x`'s (the
-     same or an outer block is fine).
-The argument is simplify_normalized's: the table sums to 1 over `x` (its
-complement has minimum 0 in poss mode), and being nonnegative and constant
-in every inner variable it passes through the inner eliminations and the
-group combination.  Condition 4 is what keeps that last part true: with
-`ORDER x / d / y` and `PROB x | y`, `x` is observed before `d` and tells it
-about `y`, and dropping it would lower the value (0.85 to 0.5 in the
-tests).  Without a chance block between them, the decision blocks around
-an emptied one merge.
 
 The store is append-only: rules build new nodes and return their ids, so a
 rewritten node's predecessor stays valid for soundness checks.  Set unions in
@@ -68,8 +50,6 @@ rules check this structural fact on every hoist.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter, contains, is_, is_not, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -93,18 +73,6 @@ class TraceEvent(NamedTuple):
 
 
 RewriteTrace = list[TraceEvent]
-
-
-def trace_to_jsonl(trace: RewriteTrace) -> str:
-    lines = []
-    for e in trace:
-        rec: dict[str, object] = {"rule": e.rule, "target": e.target, "produced": e.produced}
-        if e.var is not None:
-            rec["var"] = e.var
-        if e.inner is not None:
-            rec["inner"] = e.inner
-        lines.append(json.dumps(rec))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _emit(trace: RewriteTrace | None, rule: str, target: int, produced: int,
@@ -178,54 +146,7 @@ def _require_nonneg(store: NodeStore, ids: list[int], rule: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# The seven rules
-
-def drop_barren(store: NodeStore, root: int, trace: RewriteTrace | None = None) -> int:
-    """Drop every barren chance variable of the root (the four conditions
-    are in the module docstring) with its conditional table, in one step;
-    returns the input id when none is barren.
-
-    Dropping a table can make its parents barren; per-variable mention
-    counts reach the fixpoint in one pass over the members' scopes.
-    """
-    node = store.nodes[root]
-    kids = node.children
-    group_combs = store._group_combs
-    if not node.sov or None in map(group_combs.__getitem__, kids):
-        return root
-    scopes = store._scopes
-    members = set().union(*_children(store, kids))
-    mentions = Counter(chain.from_iterable(map(scopes.__getitem__, members)))
-    depth = {v: i for i, (_, block) in enumerate(node.sov) for v in block}
-    chance = {v for op, block in node.sov if op in CHANCE_MARGS for v in block}
-    cpt: dict[int, int] = {}  # barren candidate -> its table's atom
-    for m in members.intersection(*_children(store, kids)):
-        table = store.nodes[m].table
-        if table is not None and table.cpt_for in chance:
-            x = table.cpt_for
-            if all(depth.get(v, -1) <= depth[x] for v in table.scope):
-                cpt[x] = m
-    work = [x for x in cpt if mentions[x] == 1]
-    dropped: dict[int, int] = {}
-    while work:
-        x = work.pop()
-        dropped[x] = cpt[x]
-        for v in scopes[cpt[x]]:
-            mentions[v] -= 1
-            if mentions[v] == 1 and v in cpt:
-                work.append(v)
-    if not dropped:
-        return root
-    gone = set(dropped.values())
-    groups = [store.composite((), group_combs[g], filterfalse(gone.__contains__, children))
-              for g, children in zip(kids, _children(store, kids))]
-    if len(set(groups)) != len(kids):
-        raise InternalError("dropping barren variables collapsed two groups")
-    sov = [(op, filterfalse(dropped.__contains__, block)) for op, block in node.sov]
-    out = store.composite(sov, node.comb, groups)
-    _emit(trace, "drop-barren", root, out)
-    return out
-
+# The six rules
 
 def decompose_sum(store: NodeStore, root: int, x: int,
                   trace: RewriteTrace | None = None) -> tuple[int, list[int]]:
@@ -564,9 +485,8 @@ def remove_passthrough(store: NodeStore, root: int) -> int:
 def macrostructure(store: NodeStore, root: int,
                    plan: list[tuple[Op, tuple[int, ...]]] | None = None
                    ) -> tuple[int, RewriteTrace]:
-    """Run the full rewrite: drop the barren variables, consume the rest of
-    the elimination plan right to left, variables within a block right to
-    left, then clean up pass-through nodes.
+    """Run the full rewrite: consume the elimination plan right to left,
+    variables within a block right to left, then clean up pass-through nodes.
 
     `plan` is the uncanonicalized initial sequence (declaration order inside
     blocks); it must agree with the root's canonical sov.  Deterministic:
@@ -580,12 +500,8 @@ def macrostructure(store: NodeStore, root: int,
     if canonical_sov(plan) != node.sov:
         raise InternalError("elimination plan disagrees with the root")
     trace: RewriteTrace = []
-    root = drop_barren(store, root, trace)
-    kept = set(chain.from_iterable(block for _, block in store.nodes[root].sov))
     for op, block in reversed(list(plan)):
         for x in reversed(list(block)):
-            if x not in kept:
-                continue
             if op is Op.MAX:
                 root = _max_step(store, root, x, trace)
             else:

@@ -29,8 +29,8 @@ from .clusters import MCDag, assemble, merge_clusters
 from .diagram import InfluenceDiagram
 # `combine_all` and `marginalize` are unused here but stay imported:
 # perfbench/tracing.py wraps them by name on this module.  `check_cells`
-# reads CELL_GUARD through this module's name, so it can be lowered apart
-# from `fold`'s.
+# and `_substitute` read CELL_GUARD through this module's name, so it can
+# be lowered apart from `fold`'s.
 from .factors import (  # noqa: F401
     CELL_GUARD,
     ChoiceTable,
@@ -181,12 +181,20 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
 # Policies
 
 def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
-                rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
+                rule_scope: tuple[int, ...], rule: np.ndarray,
+                sizes: Sequence[int]) -> Part:
     """Replace `var` in the part by the value index the rule (an integer
-    array over `rule_scope`) picks in each context."""
+    array over `rule_scope`) picks in each context.  The union of the two
+    scopes can be larger than any cluster, so a union of more than
+    CELL_GUARD cells (`sizes` by variable) is refused before anything is
+    laid out over it."""
     if var not in scope or var in rule_scope:
         raise InternalError("substitution needs the variable free in the table only")
     union = tuple(sorted(set(scope) | set(rule_scope)))
+    cells = math.prod(map(sizes.__getitem__, union))
+    if cells > CELL_GUARD:
+        raise ResourceGuardError(
+            f"substituting decision {var} spans {cells} cells (limit {CELL_GUARD})")
     axis = union.index(var)
     # size-1 axes on either side broadcast against the other's full axes
     picked = np.take_along_axis(align(arr, scope, union), align(rule, rule_scope, union),
@@ -246,6 +254,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, kept: dict[int, Kept],
         raise InternalError(f"decision {x} appears but is never max-eliminated")
 
     choices: dict[int, ChoiceTable] = {}
+    sizes = d.sizes
     for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
         scope, arr = kept.pop(cid)
         chosen = isinstance(arr, ChoiceTable)
@@ -256,7 +265,7 @@ def extract_policies(m: MCDag, d: InfluenceDiagram, kept: dict[int, Kept],
                     f"decision {y} reached before its own cluster was processed")
             ch = choices[y]
             scope, arr = _substitute(scope, arr, y, ch.retained_scope,
-                                     ch.representative.reshape(ch.retained_sizes))
+                                     ch.representative.reshape(ch.retained_sizes), sizes)
         stray = [v for v in scope if v != x and v not in observed[x]]
         if stray:
             raise InternalError(

@@ -5,7 +5,9 @@ append-only, so both sides of a step stay evaluable.  Value preservation is
 checked on sampled assignments of the old node's scope (the new scope may
 only shrink).  For the two max rules the freshly eliminated decisions are
 pinned on both sides and the full sets of maximizing assignments must agree.
-`assert_mono_operator` checks the rewrite's end state.
+`assert_mono_operator` checks the rewrite's end state.  `root_plan` is the
+elimination plan the initial root consumes: `sov0` without the barren
+variables, which never enter the store.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from infdiag.diagram import InfluenceDiagram, sov0
 from infdiag.factors import InternalError, Op
 from infdiag.nodes import NodeStore, reachable
 from infdiag.rewrite import TraceEvent
@@ -22,6 +25,11 @@ from infdiag.rewrite import TraceEvent
 from oracles import eval_node
 
 TOL = 1e-9
+
+
+def root_plan(d: InfluenceDiagram) -> list[tuple[Op, tuple[int, ...]]]:
+    """`sov0(d)` without `d.barren`, declaration order kept in each block."""
+    return [(op, tuple(v for v in block if v not in d.barren)) for op, block in sov0(d)]
 
 
 def env_samples(store: NodeStore, scope, rng, limit: int = 5) -> Iterator[dict[int, int]]:

@@ -25,7 +25,8 @@ positions to find cycles, and must agree with it on every diagram.
 
 `with_extra_parents` adds random parents to a diagram's tables, which
 `random_id` never does; the result may be cyclic, so pair it with
-`oracle_acyclic`.
+`oracle_acyclic`.  `structurally_equal` compares two diagrams bit for bit,
+table identity aside, for the parse/serialize round trips.
 
 `oracle_numbers` checks a diagram's numbers one table at a time, the way
 `parse` checked them before it screened every table in one batch; `parse`
@@ -34,6 +35,8 @@ must raise the same error, with the same message and line.
 `eval_node` evaluates a stored node by enumerating its sov assignments, the
 semantics every rewrite step must keep.  `structural_signature` fingerprints
 a node's structure independently of the store that holds it.
+`trace_to_jsonl` writes a rewrite trace one JSON object per event, the
+bytes the pinned rewrite digest hashes.
 
 `check_semiring_axioms` samples the algebraic laws each (marginalization,
 combination) operator pair must obey for the rewrite and cluster layers to
@@ -42,6 +45,7 @@ be sound.
 
 import dataclasses
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -55,6 +59,7 @@ from infdiag.factors import (_UFUNC, COMBINE_OPS, MARGINAL_OPS, FactorError, Int
                              Op, OpCounter, ScopedTable, UnknownVariableError, combine_all,
                              identity, marginalize)
 from infdiag.nodes import CompNode, NodeStore
+from infdiag.rewrite import RewriteTrace
 
 
 def _leaf(d: InfluenceDiagram, env: dict[int, int]) -> float:
@@ -105,7 +110,7 @@ def oracle_evaluate(m: MCDag, counter: OpCounter
                 combined = combine_all((combined, t), comb, identity(comb), counter)
         else:
             unit = c.ops in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
-            combined = ScopedTable.scalar(identity(comb, unit_interval=unit))
+            combined = ScopedTable((), (), np.array([identity(comb, unit_interval=unit)]))
         if marg is Op.MAX and c.elim:
             tables[c.id] = combined
         absent = [v for v in c.elim if v not in combined.scope]
@@ -238,6 +243,19 @@ def with_extra_parents(d: InfluenceDiagram, rng: np.random.Generator) -> Influen
     return dataclasses.replace(d, cpts=cpts)
 
 
+def structurally_equal(a: InfluenceDiagram, b: InfluenceDiagram) -> bool:
+    """Bit-exact equality of structure and numbers (table identity ignored)."""
+    if (a.variables, a.parents, a.blocks, a.mode) != (b.variables, b.parents, b.blocks, b.mode):
+        return False
+    if set(a.cpts) != set(b.cpts) or len(a.utilities) != len(b.utilities):
+        return False
+    def same(s: ScopedTable, t: ScopedTable) -> bool:
+        return (s.scope == t.scope and s.sizes == t.sizes and s.name == t.name
+                and s.cpt_for == t.cpt_for and np.array_equal(s.values, t.values))
+    return (all(same(a.cpts[x], b.cpts[x]) for x in a.cpts)
+            and all(same(u, w) for u, w in zip(a.utilities, b.utilities)))
+
+
 def _row_label(d: InfluenceDiagram, t: ScopedTable, row: int) -> str:
     if len(t.scope) == 1:
         return "the prior row"
@@ -352,6 +370,18 @@ def structural_signature(store: NodeStore, nid: int,
         sig = (node.sov, node.comb.value, kids)
     memo[nid] = sig
     return sig
+
+
+def trace_to_jsonl(trace: RewriteTrace) -> str:
+    lines = []
+    for e in trace:
+        rec: dict[str, object] = {"rule": e.rule, "target": e.target, "produced": e.produced}
+        if e.var is not None:
+            rec["var"] = e.var
+        if e.inner is not None:
+            rec["inner"] = e.inner
+        lines.append(json.dumps(rec))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- semiring sanity -------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from infdiag import baseline
 from infdiag.cli import main
-from infdiag.diagram import fixture, parse, random_id, serialize, structurally_equal
+from infdiag.diagram import fixture, parse, random_id, serialize
+
+from oracles import structurally_equal
 
 
 @pytest.fixture

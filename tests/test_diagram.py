@@ -23,10 +23,10 @@ from infdiag.diagram import (
     random_id,
     serialize,
     sov0,
-    structurally_equal,
     validate,
 )
-from oracles import oracle_acyclic, oracle_numbers, with_extra_parents
+from oracles import (oracle_acyclic, oracle_numbers, structurally_equal,
+                     with_extra_parents)
 
 MINIMAL = """\
 IDNET 1

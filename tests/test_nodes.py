@@ -43,11 +43,11 @@ def test_composite_interning_canonicalizes():
     n2 = store.composite([(Op.MAX, (1, 2))], Op.TIMES, [b, a])
     n3 = store.composite([(Op.MAX, (2, 1))], Op.TIMES, [a, b, a])
     assert n1 == n2 == n3
-    assert store.node(n1).children == tuple(sorted((a, b)))
+    assert store.nodes[n1].children == tuple(sorted((a, b)))
     # interning an already-stored node's parts gives the same id back
-    node = store.node(n1)
+    node = store.nodes[n1]
     assert store.intern(node.sov, node.comb, node.children) == n1
-    assert store.intern((), None, (), table=store.node(a).table) == a
+    assert store.intern((), None, (), table=store.nodes[a].table) == a
 
 
 def test_intern_canonicalizes_raw_parts_once():
@@ -66,7 +66,7 @@ def test_intern_canonicalizes_raw_parts_once():
         assert store.intern(sov, comb, children) == n1
     assert store.composite([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
     assert len(store) == size  # found keys add nothing
-    stored = store.node(n1)
+    stored = store.nodes[n1]
     assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
     assert stored.children == tuple(sorted((a, b, c)))
     assert store.scope(n1) == {0}
@@ -120,12 +120,12 @@ def test_initial_node_fig2_shape():
     d = fixture("fig2")
     store = store_for(d)
     root = initial_node(store, d)
-    node = store.node(root)
+    node = store.nodes[root]
     assert node.comb is Op.PLUS
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (0, 1)))
     assert len(node.children) == 3
     for g in node.children:
-        group = store.node(g)
+        group = store.nodes[g]
         assert group.comb is Op.TIMES and group.sov == ()
         assert len(group.children) == 3
     # 2 shared conditional-table atoms + 3 utility atoms + 3 groups + root
@@ -138,12 +138,12 @@ def test_initial_node_no_chance_degenerate():
     d = parse("IDNET 1\nMODE prob\nVAR d 2 DECISION\nUTIL u d : 3.0 1.0\nORDER / d /\n")
     store = store_for(d)
     root = initial_node(store, d)
-    node = store.node(root)
+    node = store.nodes[root]
     assert node.sov == ((Op.MAX, (0,)),)
     (g,) = node.children
-    assert store.node(g).comb is Op.TIMES
-    (atom,) = store.node(g).children
-    assert store.node(atom).table is d.utilities[0]
+    assert store.nodes[g].comb is Op.TIMES
+    (atom,) = store.nodes[g].children
+    assert store.nodes[atom].table is d.utilities[0]
     assert eval_node(store, root, {}) == 3.0
 
 
@@ -152,11 +152,11 @@ def test_initial_node_poss_uses_complements():
     store = store_for(d)
     assert store.unit_interval
     root = initial_node(store, d)
-    node = store.node(root)
+    node = store.nodes[root]
     assert node.comb is Op.MIN
     ops = {op for op, _ in node.sov}
     assert ops <= {Op.MIN, Op.MAX}
-    groups = [store.node(g) for g in node.children]
+    groups = [store.nodes[g] for g in node.children]
     assert len(groups) == len(d.utilities)
     shared = set(groups[0].children)
     for g in groups[1:]:
@@ -164,7 +164,7 @@ def test_initial_node_poss_uses_complements():
     # every group holds all complement atoms plus its own utility
     assert len(shared) == len(d.cpts)
     for nid in shared:
-        t = store.node(nid).table
+        t = store.nodes[nid].table
         assert t.cpt_for is not None
         assert np.allclose(t.values, 1.0 - d.cpts[t.cpt_for].values)
     for g in groups:
@@ -261,7 +261,7 @@ def test_to_dot_is_deterministic_and_covers_reachable():
     root = initial_node(store, d)
     dot = to_dot(store, root)
     assert dot == to_dot(store, root)
-    assert dot.count("->") == sum(len(store.node(n).children)
+    assert dot.count("->") == sum(len(store.nodes[n].children)
                                   for n in reachable(store, root))
     assert "max_{d}" in dot and "sum_{r1,r2}" in dot and "plus" in dot
     assert dot.count("[label=") == 9

@@ -13,15 +13,14 @@ from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable
 from infdiag.nodes import (CompNode, NodeStore, canonical_sov, initial_node, node_count,
                            store_for)
-from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_barren,
-                             drop_unit_children, macrostructure, recompose_max,
-                             recompose_sum, remove_passthrough, simplify_normalized,
-                             trace_to_jsonl)
+from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_unit_children,
+                             macrostructure, recompose_max, recompose_sum,
+                             remove_passthrough, simplify_normalized)
 from infdiag.solve import solve_diagram
 
-from harness import assert_mono_operator, check_trace
+from harness import assert_mono_operator, check_trace, root_plan
 from oracles import (eval_node, oracle_acyclic, oracle_value, structural_signature,
-                     with_extra_parents)
+                     trace_to_jsonl, with_extra_parents)
 
 
 def atom(store: NodeStore, name: str) -> int:
@@ -279,12 +278,7 @@ ORDER x / d / y
 
 def test_drop_barren_keeps_a_table_over_an_inner_variable():
     d = parse(OBSERVED_BEFORE_A_DECISION)
-    store = store_for(d)
-    root = initial_node(store, d)
-    trace = []
-    assert drop_barren(store, root, trace) == root and trace == []
-    _, trace = macrostructure(store, root)
-    assert "drop-barren" not in {e.rule for e in trace}
+    assert d.barren == frozenset()
     assert brute_force(d)[0] == pytest.approx(0.85, rel=1e-12)
     assert solve_diagram(d).meu == pytest.approx(0.85, rel=1e-12)
 
@@ -303,15 +297,17 @@ def _barren_chain(mode: str) -> str:
 
 @pytest.mark.parametrize("mode", ["prob", "poss"])
 def test_drop_barren_drops_a_chain_in_one_event(mode):
+    # The chain leaves as a whole, found on the diagram: neither table is
+    # interned, and the decision blocks around the emptied block merge.
     d = parse(_barren_chain(mode))
+    d1, a, b, d2, c = (d.names.index(n) for n in ("d1", "a", "b", "d2", "c"))
+    assert d.barren == {a, b}
     store = store_for(d)
     root = initial_node(store, d)
-    final, trace = macrostructure(store, root)
-    (event,) = [e for e in trace if e.rule == "drop-barren"]
-    assert event == TraceEvent("drop-barren", root, event.produced)
-    d1, d2, c = (d.names.index(n) for n in ("d1", "d2", "c"))
     ops = mode_ops(mode)
-    assert store.nodes[event.produced].sov == ((Op.MAX, (d1, d2)), (ops.chance_marg, (c,)))
+    assert store.nodes[root].sov == ((Op.MAX, (d1, d2)), (ops.chance_marg, (c,)))
+    final, trace = macrostructure(store, root)
+    assert not {n.table.cpt_for for n in store.nodes if n.is_atomic} & {a, b}
     check_trace(store, trace, np.random.default_rng(3))
     want = brute_force(d)[0]
     if mode == "prob":
@@ -324,7 +320,8 @@ def test_drop_barren_drops_a_chain_in_one_event(mode):
 
 def test_cluster_engine_matches_brute_force_with_extra_parents():
     # Extra parents put tables over later variables, which `random_id`
-    # never does, so some barren variables must stay (condition 4).
+    # never does, so some barren variables must stay (condition 2 of
+    # `InfluenceDiagram.barren`).
     rng = np.random.default_rng(12)
     solved = fired = 0
     for seed in range(300):
@@ -332,9 +329,7 @@ def test_cluster_engine_matches_brute_force_with_extra_parents():
         d = with_extra_parents(random_id(8, 3, 3, 2, mode, seed=seed), rng)
         if not oracle_acyclic(d):
             continue
-        store = store_for(d)
-        _, trace = macrostructure(store, initial_node(store, d))
-        fired += "drop-barren" in {e.rule for e in trace}
+        fired += bool(d.barren)
         want, got = brute_force(d)[0], solve_diagram(d).meu
         if mode == "prob":
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
@@ -344,29 +339,12 @@ def test_cluster_engine_matches_brute_force_with_extra_parents():
     assert solved > 100 and fired > solved // 2
 
 
-def test_drop_barren_needs_the_table_in_every_group():
-    store = NodeStore((2, 2))
-    px = store.atomic(ScopedTable((0,), (2,), np.array([0.3, 0.7]), name="px", cpt_for=0))
-    u1 = store.atomic(ScopedTable((), (), np.array([2.0]), name="u1"))
-    u2 = store.atomic(ScopedTable((), (), np.array([5.0]), name="u2"))
-    uy = store.atomic(ScopedTable((1,), (2,), np.array([1.0, 3.0]), name="uy"))
-    # sum_x (px*u1 + u2) counts u2 twice: px cannot leave one group alone
-    root = store.composite([(Op.SUM, (0,))], Op.PLUS,
-                           [store.composite([], Op.TIMES, [px, u1]),
-                            store.composite([], Op.TIMES, [u2])])
-    assert drop_barren(store, root) == root
-    # a root child that is not a group stops the rule
-    for other in (u2, store.composite([(Op.MAX, (1,))], Op.TIMES, [px, uy])):
-        root = store.composite([(Op.SUM, (0,))], Op.PLUS,
-                               [store.composite([], Op.TIMES, [px, u1]), other])
-        assert drop_barren(store, root) == root
-    root = store.composite([(Op.SUM, (0,))], Op.PLUS,
-                           [store.composite([], Op.TIMES, [px, u1]),
-                            store.composite([], Op.TIMES, [px, u2])])
-    trace = []
-    out = drop_barren(store, root, trace)
-    assert store.nodes[out].sov == () and trace == [TraceEvent("drop-barren", root, out)]
-    check_trace(store, trace, np.random.default_rng(0))
+def test_plan_naming_a_barren_variable_is_refused():
+    d = parse(_barren_chain("prob"))
+    store = store_for(d)
+    with pytest.raises(InternalError):
+        macrostructure(store, initial_node(store, d), plan=sov0(d))
+    macrostructure(store, initial_node(store, d), plan=root_plan(d))
 
 
 def test_remove_passthrough_collapses_and_guards():
@@ -473,7 +451,7 @@ def test_macro_collapses_constant_value_to_an_atom():
     d = parse("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nPROB c | : 0.5 0.5\n"
               "UTIL u : 7.0\nORDER c\n")
     store = store_for(d)
-    final, _ = macrostructure(store, initial_node(store, d), plan=sov0(d))
+    final, _ = macrostructure(store, initial_node(store, d), plan=root_plan(d))
     assert store.nodes[final].is_atomic
     assert eval_node(store, final, {}) == pytest.approx(7.0)
 
@@ -494,7 +472,7 @@ def test_macro_matches_enumeration_on_random_diagrams():
             d = random_id(nvars, min(seed % 3, nvars), 3, 2, mode=mode, seed=seed)
             store = store_for(d)
             final, _ = macrostructure(store, initial_node(store, d),
-                                      plan=sov0(d))
+                                      plan=root_plan(d))
             got = eval_node(store, final, {})
             assert got == pytest.approx(oracle_value(d), rel=1e-9, abs=1e-12), (mode, seed)
 
@@ -508,9 +486,9 @@ def test_every_rule_application_is_sound():
             nvars = seed % 5 + 2
             d = random_id(nvars, min(2, nvars), 3, 2, mode=mode, seed=100 + seed)
             store = store_for(d)
-            _, trace = macrostructure(store, initial_node(store, d), plan=sov0(d))
+            _, trace = macrostructure(store, initial_node(store, d), plan=root_plan(d))
             checked += check_trace(store, trace, rng)
-            barren += sum(e.rule == "drop-barren" for e in trace)
+            barren += bool(d.barren)
         assert barren >= 1, mode
     assert checked >= 50
 
@@ -523,7 +501,7 @@ def test_macro_size_bound_and_mono_operator():
         cases.append(random_id(nvars, min(2, nvars), 3, 2, seed=seed))
     for d in cases:
         store = store_for(d)
-        final, _ = macrostructure(store, initial_node(store, d), plan=sov0(d))
+        final, _ = macrostructure(store, initial_node(store, d), plan=root_plan(d))
         n_p, n_u, n_v = len(d.cpts), len(d.utilities), len(d.variables)
         assert node_count(store, final) <= 4 * n_v * (n_u + n_p) + n_p + n_u + 4
         ops = mode_ops(d.mode)
@@ -650,7 +628,7 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
     ds += [random_id(3 + seed % 37, seed % 6, 3, 3, mode=mode, seed=seed)
            for seed in range(100) for mode in ("prob", "poss")]
     for d in ds:
-        for plan in (None, sov0(d)):
+        for plan in (None, root_plan(d)):
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
     assert derived[0] > 10_000
@@ -659,7 +637,7 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
 def _swept_stores():
     """A store per `_sweep()` diagram and plan mode, after the full rewrite."""
     for d in _sweep():
-        for plan in (None, sov0(d)):
+        for plan in (None, root_plan(d)):
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
             yield store
@@ -718,9 +696,7 @@ def test_fixtures_have_no_barren_variable():
     ds = [fixture("fig2"), fixture("fig3")]
     ds += [fixture(name, n=n) for name in ("chain", "star") for n in range(1, 14)]
     for d in ds:
-        store = store_for(d)
-        _, trace = macrostructure(store, initial_node(store, d))
-        assert "drop-barren" not in {e.rule for e in trace}, d.names
+        assert d.barren == frozenset(), d.names
 
 
 def test_rewrite_output_is_pinned():
@@ -729,14 +705,19 @@ def test_rewrite_output_is_pinned():
     # came in: it removes whole events and nodes (every decompose-sum,
     # simplify-normalized and drop-unit of a barren variable).  On the
     # diagrams where it does not fire, trace and store size stayed the same.
+    # Re-pinned again when barren variables left the store: their tables are
+    # no longer interned, which shifts node ids, and the drop-barren event is
+    # gone.  The rule sequence less that event, and the final node's
+    # structural signature, stayed the same on all 100 diagrams; on the 18
+    # without a barren variable, trace and store size stayed the same.
     h = hashlib.sha256()
     ds = _sweep()
     for d in ds:
-        for plan in (None, sov0(d)):
+        for plan in (None, root_plan(d)):
             store = store_for(d)
             final, trace = macrostructure(store, initial_node(store, d), plan=plan)
             h.update(trace_to_jsonl(trace).encode())
             h.update(f"{final} {len(store)}\n".encode())
     assert len(ds) == 100
     assert h.hexdigest() == \
-        "ee052c72c7c3fd5b091f7484156c85a7af5fe97df07af062884a6313abefaf71"
+        "c17526234e4823c4de288a345dd931c17cb9a2bc3ed894e3cbb3bd7fec41de28"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -232,10 +233,10 @@ def test_eliminating_a_variable_no_part_holds_is_an_internal_error(ops):
 
 def test_substitute_picks_ruled_values():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-    scope, out = _substitute((0, 1), arr, 1, (), np.array(1))
+    scope, out = _substitute((0, 1), arr, 1, (), np.array(1), (2, 2))
     assert scope == (0,)
     assert list(out.reshape(-1)) == [2.0, 4.0]
-    scope, out = _substitute((0, 1), arr, 1, (2,), np.array([0, 1]))
+    scope, out = _substitute((0, 1), arr, 1, (2,), np.array([0, 1]), (2, 2, 2))
     assert scope == (0, 2)
     assert list(out.reshape(-1)) == [1.0, 2.0, 3.0, 4.0]
 
@@ -243,9 +244,23 @@ def test_substitute_picks_ruled_values():
 def test_substitute_rejects_bad_shapes():
     arr = np.array([1.0, 2.0])
     with pytest.raises(InternalError):
-        _substitute((0,), arr, 1, (), np.array(0))
+        _substitute((0,), arr, 1, (), np.array(0), (2, 2))
     with pytest.raises(InternalError):
-        _substitute((0,), arr, 0, (0,), np.zeros(2, dtype=np.intp))
+        _substitute((0,), arr, 0, (0,), np.zeros(2, dtype=np.intp), (2,))
+
+
+@pytest.mark.parametrize("mode", ["prob", "poss"])
+def test_policy_pass_refuses_a_substitution_past_the_guard(monkeypatch, mode):
+    # Decision 7's rule (scope {2, 3, 5}) goes into decision 6's kept table
+    # ({3, 6, 7}): the union spans 108 cells, the largest cluster only 36.
+    d = random_id(10, 3, 3, 3, mode, seed=100)
+    want = solve_diagram(d).meu
+    assert max(math.prod(d.sizes[v] for v in c.V) for c in mcdag_of(d).clusters) == 36
+    monkeypatch.setattr(solve, "CELL_GUARD", 64)
+    with pytest.raises(ResourceGuardError, match=r"\b108 cells"):
+        solve_diagram(d)
+    monkeypatch.setattr(solve, "CELL_GUARD", 108)
+    assert solve_diagram(d).meu == want
 
 
 # -- random sweeps ------------------------------------------------------------
