@@ -40,7 +40,7 @@ def _policy_json(d: InfluenceDiagram, p: solve.Policy) -> dict:
         "rule": rule,
     }
     if p.choice_sets is not None:
-        out["choices"] = [sorted(s) for s in p.choice_sets]
+        out["choices"] = [np.flatnonzero(row).tolist() for row in p.choice_sets]
     return out
 
 
@@ -64,8 +64,9 @@ def _brute_policies(d: InfluenceDiagram,
     for x, table in notes.items():
         pa = tuple(d.parents[x])
         sizes = tuple(d.size_of(v) for v in pa)
-        rows = [tuple(sorted(table[ctx])) for ctx in product(*(range(s) for s in sizes))]
-        choices[x] = ChoiceTable(pa, sizes, np.array([row[0] for row in rows]), tuple(rows))
+        mask = np.array([[v in table[ctx] for v in range(d.size_of(x))]
+                         for ctx in product(*(range(s) for s in sizes))])
+        choices[x] = ChoiceTable(pa, sizes, mask.argmax(axis=1), mask)
     return solve.policies_from_choices(d, choices, with_sets)
 
 

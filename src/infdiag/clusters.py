@@ -10,7 +10,7 @@ multiple parents.  The induced width is the size of the largest hyperedge
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .factors import InternalError, Op, ResourceGuardError, ScopedTable
@@ -57,7 +57,6 @@ class Cluster:
 class MCDag:
     clusters: tuple[Cluster, ...]
     root: int
-    node_widths: dict[int, int] = field(compare=False)
     w_mcdag: int = 0
 
 
@@ -279,13 +278,13 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
     """Decompose every reachable composite node and wire the cluster DAG."""
     clusters: list[Cluster] = []
     fragment_of: dict[int, int] = {}
-    node_widths: dict[int, int] = {}
+    width = 0
     root_node = store.nodes[root]
     if root_node.is_atomic:
         ops = (Op.MAX, Op.MIN) if store.unit_interval else (Op.SUM, Op.TIMES)
         rid = _add_cluster(clusters, frozenset(root_node.table.scope),
                            [root_node.table], [], (), ops)
-        return MCDag(tuple(clusters), rid, {root: 0}, 0)
+        return MCDag(tuple(clusters), rid)
     for nid in reachable(store, root):  # ascending ids: children first
         node = store.nodes[nid]
         if node.is_atomic:
@@ -293,9 +292,8 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
         sov_vars = [v for _, block in node.sov for v in block]
         order = find_order(hypergraph_of(store, nid), sov_vars, heuristic)
         fragment_of[nid] = clusterize(store, nid, order, clusters, fragment_of)
-        node_widths[nid] = order.width
-    m = MCDag(tuple(clusters), fragment_of[root], node_widths,
-              max(node_widths.values(), default=0))
+        width = max(width, order.width)
+    m = MCDag(tuple(clusters), fragment_of[root], width)
     check_containment(m)
     return m
 
@@ -334,7 +332,7 @@ def merge_clusters(m: MCDag) -> MCDag:
         remap[c.id] = nid
         out.append(c if nid == c.id and sons == c.sons
                    else Cluster(nid, c.V, c.psi, sons, c.elim, c.ops))
-    merged = MCDag(tuple(out), remap[m.root], dict(m.node_widths), m.w_mcdag)
+    merged = MCDag(tuple(out), remap[m.root], m.w_mcdag)
     check_containment(merged)
     return merged
 

@@ -260,21 +260,22 @@ class ChoiceTable:
 
     Rows run over the retained scope, last variable fastest.
     `representative` holds the lowest attaining value (the deterministic
-    tie-break), `attaining` the full set, or None when the sets were not
-    asked for.
+    tie-break).  `attaining`, when the sets were asked for, is the rows ×
+    values boolean mask of the attaining values, and None otherwise.
     """
 
     retained_scope: tuple[int, ...]
     retained_sizes: tuple[int, ...]
     representative: np.ndarray
-    attaining: tuple[tuple[int, ...], ...] | None
+    attaining: np.ndarray | None
 
 
 def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
                        sets: bool = True) -> tuple[Part, ChoiceTable]:
     """MAX-eliminate `var` from the part, charging one op per folded-away
     cell, and record per retained cell the lowest attaining value and, when
-    `sets` is true, the whole attaining set.  Kept axes keep their order."""
+    `sets` is true, the mask of all attaining values.  Kept axes keep their
+    order; argmax keeps the first of tied values."""
     scope, arr = part
     if var not in scope:
         raise UnknownVariableError(f"variable {var} not in scope {scope}")
@@ -282,13 +283,11 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     keep = scope[:axis] + scope[axis + 1:]
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
     (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], Op.MAX.value)
-    if not sets:  # along the axis: argmax keeps the first of tied values
-        best = np.asarray(arr.max(axis))
-        rep = arr.argmax(axis).reshape(-1)
-        return (keep, best), ChoiceTable(keep, keep_sizes, rep, None)
-    rows = np.moveaxis(arr, axis, -1).reshape(-1, arr.shape[axis])
-    best = rows.max(axis=1)
-    attain = tuple(tuple(int(j) for j in np.flatnonzero(row == mx))
-                   for row, mx in zip(rows, best))
-    return ((keep, best.reshape(keep_sizes)),
-            ChoiceTable(keep, keep_sizes, rows.argmax(axis=1), attain))
+    best = np.asarray(arr.max(axis))
+    if sets:  # rows x values, so the first attaining value is read along rows
+        attaining = np.equal(np.moveaxis(arr, axis, -1), best[..., None],
+                             order="C").reshape(-1, arr.shape[axis])
+        rep = attaining.argmax(axis=1)
+    else:
+        attaining, rep = None, arr.argmax(axis).reshape(-1)
+    return (keep, best), ChoiceTable(keep, keep_sizes, rep, attaining)

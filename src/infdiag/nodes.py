@@ -82,9 +82,6 @@ class NodeStore:
         self._group_combs: list[Op | None] = []
         self._max_combs: list[Op | None] = []
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def scope(self, nid: int) -> frozenset[int]:
         return self._scopes[nid]
 

@@ -3,33 +3,31 @@
 Messages travel leaves-to-root: each cluster folds its tables and its sons'
 messages under its combination operator and eliminates its own variable.
 The pass runs on bare arrays, shared clusters are computed once, and each
-message is dropped once its last parent has read it.  What the pass keeps is
-the value and, for every cluster that max-eliminates a decision, one of two
-things.  When the cluster's scope holds no other decision that the decision
-does not observe, its choice is taken by the argmax that eliminates it (the
-policy recording of Jensen, Jensen & Dittmer), and only that choice is kept.
-Otherwise the combined table before the elimination is kept.  Policies come
-from a second, root-to-leaves pass: choices made closer to the root are
-substituted into each kept table before taking its argmax, so each rule ends
-up a function of the decision's own observations only.  Every decision,
-chosen early or not, goes through the same checks there.
+message is dropped once its last parent has read it.  Policies come from a
+root-to-leaves pass that `plan_policies` lays out from scopes alone, before
+any arithmetic: for each decision, the later decisions whose rules must be
+substituted into its cluster's combined table before its argmax, so that
+the rule depends on the decision's observations only.  A decision with none
+takes its choice from the argmax that eliminates it in the message pass
+(the policy recording of Jensen, Jensen & Dittmer); the others keep their
+combined table.  Like `check_cells`, the plan refuses a substitution whose
+result would span more than CELL_GUARD cells.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clusters import MCDag, assemble, merge_clusters
+from .clusters import Cluster, MCDag, assemble, merge_clusters
 from .diagram import InfluenceDiagram
 # `combine_all` and `marginalize` are unused here but stay imported:
 # perfbench/tracing.py wraps them by name on this module.  `check_cells`
-# and `_substitute` read CELL_GUARD through this module's name, so it can
+# and `plan_policies` read CELL_GUARD through this module's name, so it can
 # be lowered apart from `fold`'s.
 from .factors import (  # noqa: F401
     CELL_GUARD,
@@ -64,34 +62,25 @@ class Policy:
     `context` is the full observation set pa(D); `rule` may have a smaller
     scope (the relevant part) and is constant in the dropped variables, so
     `rule.lookup` accepts any assignment covering `rule.scope`.  When tie
-    sets were requested, `choice_sets` holds one frozenset per assignment of
-    `rule.scope` (row-major, last variable fastest).
+    sets were requested, `choice_sets` is a boolean array with one row per
+    assignment of `rule.scope` (row-major, last variable fastest) and one
+    column per value of the decision, true where that value attains the max.
     """
 
     var: int
     context: tuple[int, ...]
     rule: ScopedTable
-    choice_sets: tuple[frozenset[int], ...] | None = None
-
-    def choices_for(self, assignment: Mapping[int, int]) -> frozenset[int]:
-        if self.choice_sets is None:
-            return frozenset({int(self.rule.lookup(assignment))})
-        idx = 0
-        for var, size in zip(self.rule.scope, self.rule.sizes):
-            idx = idx * size + assignment[var]
-        return self.choice_sets[idx]
+    choice_sets: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass
 class RunReport:
     meu: float
     policies: list[Policy]
-    engine: str
     w_mcdag: int
     node_count: int
     cluster_count: int
     trace_len: int
-    wall_time: float
 
 
 def _check_ops(m: MCDag) -> None:
@@ -107,29 +96,21 @@ def _ident(ops: tuple[Op, Op]) -> float:
 # What evaluate keeps of a max-eliminating cluster: its combined part, or
 # that part's scope and the choice taken from it.
 Kept = tuple[tuple[int, ...], np.ndarray | ChoiceTable]
-
-
-def _later(scope: Iterable[int], x: int, observed: Mapping[int, Sequence[int]]
-           ) -> list[int]:
-    """The decisions in `scope` other than `x` that `x` does not observe,
-    ascending: each is chosen closer to the root, and its rule must be
-    substituted into `x`'s table before `x`'s argmax.  `observed` maps each
-    decision to its parents."""
-    pa = observed[x]
-    return sorted(v for v in scope if v != x and v in observed and v not in pa)
+# A policy pass step: (decision, its cluster's id, later decisions to substitute)
+PolicyStep = tuple[int, int, tuple[int, ...]]
 
 
 def evaluate(m: MCDag, counter: OpCounter | None = None,
-             observed: Mapping[int, Sequence[int]] | None = None,
+             plan: Sequence[PolicyStep] = (),
              with_sets: bool = False) -> tuple[float, dict[int, Kept]]:
     """The leaves-to-root pass: the MEU and, by cluster id, what the policy
     pass needs from every cluster that max-eliminates a variable.
 
-    That is the combined part before the elimination, unless `observed`
-    (each decision's parents) shows that the eliminated decision needs no
-    later decision substituted (`_later` is empty on the cluster's scope).
+    That is the combined part before the elimination, unless `plan` (from
+    `plan_policies` on `m`) substitutes nothing into the cluster's table.
     Its choice is then taken here, by the same argmax that eliminates it,
     with tie sets when `with_sets`, and kept as `(scope, ChoiceTable)`.
+    Without a plan every combined part is kept.
 
     Sons come before parents and each cluster is computed once.  A message
     is freed once the last cluster that reads it has read it.  A cluster's
@@ -139,7 +120,7 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
     """
     _check_ops(m)
     counter = counter or OpCounter()
-    observed = observed or {}
+    chosen = {cid for _, cid, later in plan if not later}
     last_reader = {s: c.id for c in m.clusters for s in c.sons}
     messages: dict[int, Part] = {}
     kept: dict[int, Kept] = {}
@@ -159,11 +140,9 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
             if missing:
                 raise InternalError(f"cluster {c.id} eliminates {missing}, "
                                     "which none of its parts holds")
-            x = c.elim[0]
-            if marg is Op.MAX and c.elim == (x,) and x in observed \
-                    and not _later(out[0], x, observed):
+            if c.id in chosen:
                 scope = out[0]
-                out, choice = argmax_marginalize(out, x, counter, sets=with_sets)
+                out, choice = argmax_marginalize(out, c.elim[0], counter, sets=with_sets)
                 kept[c.id] = scope, choice
             else:
                 if marg is Op.MAX:
@@ -180,21 +159,68 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
 # --------------------------------------------------------------------------
 # Policies
 
+def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
+    """The policy pass laid out from scopes, in descending cluster id.
+
+    Decision `x`'s table spans its cluster's scope `V`.  While that scope
+    holds other decisions that `x` does not observe, the smallest, `y`, goes
+    in: the scope becomes its union with `y`'s retained scope (`y`'s own
+    after its substitutions, less `y`), less `y`.  A result over CELL_GUARD
+    cells is refused.  So are, as internal errors, a decision eliminated in
+    two clusters or in none, one reached before its own cluster, and a rule
+    left over a variable that `x` does not observe.
+    """
+    decisions = set(d.decision_ids)
+    cluster_of: dict[int, Cluster] = {}
+    mentioned: set[int] = set()
+    for c in m.clusters:
+        mentioned |= c.V & decisions
+        if c.ops[0] is Op.MAX and c.elim:
+            (x,) = c.elim
+            if x not in decisions:
+                raise InternalError(f"variable {x} max-eliminated but not a decision")
+            if x in cluster_of:
+                raise InternalError(f"decision {x} eliminated in two clusters")
+            cluster_of[x] = c
+    for x in sorted(mentioned - set(cluster_of)):
+        raise InternalError(f"decision {x} appears but is never max-eliminated")
+
+    sizes = d.sizes
+    retained: dict[int, set[int]] = {}
+    plan = []
+    for x, c in sorted(cluster_of.items(), key=lambda kv: -kv[1].id):
+        pa = d.parents[x]
+        scope = set(c.V)
+        later = []
+        while ys := [v for v in scope if v != x and v in decisions and v not in pa]:
+            y = min(ys)
+            if y not in retained:
+                raise InternalError(
+                    f"decision {y} reached before its own cluster was processed")
+            scope |= retained[y]
+            scope.discard(y)
+            cells = math.prod(map(sizes.__getitem__, scope))
+            if cells > CELL_GUARD:
+                raise ResourceGuardError(
+                    f"substituting decision {y} spans {cells} cells (limit {CELL_GUARD})")
+            later.append(y)
+        stray = sorted(v for v in scope if v != x and v not in pa)
+        if stray:
+            raise InternalError(
+                f"rule for decision {x} would depend on unobserved {stray}")
+        retained[x] = scope - {x}
+        plan.append((x, c.id, tuple(later)))
+    return plan
+
+
 def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
-                rule_scope: tuple[int, ...], rule: np.ndarray,
-                sizes: Sequence[int]) -> Part:
+                rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
     """Replace `var` in the part by the value index the rule (an integer
-    array over `rule_scope`) picks in each context.  The union of the two
-    scopes can be larger than any cluster, so a union of more than
-    CELL_GUARD cells (`sizes` by variable) is refused before anything is
-    laid out over it."""
+    array over `rule_scope`) picks in each context.  The result spans the
+    union of the scopes less `var`, a size `plan_policies` has bounded."""
     if var not in scope or var in rule_scope:
         raise InternalError("substitution needs the variable free in the table only")
     union = tuple(sorted(set(scope) | set(rule_scope)))
-    cells = math.prod(map(sizes.__getitem__, union))
-    if cells > CELL_GUARD:
-        raise ResourceGuardError(
-            f"substituting decision {var} spans {cells} cells (limit {CELL_GUARD})")
     axis = union.index(var)
     # size-1 axes on either side broadcast against the other's full axes
     picked = np.take_along_axis(align(arr, scope, union), align(rule, rule_scope, union),
@@ -215,64 +241,33 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     for x in d.decision_ids:
         choice = choices.get(x)
         if choice is None:  # no influence anywhere: every choice is optimal
-            size = d.size_of(x)
-            choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), (tuple(range(size)),))
-        sets = None
-        if with_sets:
-            if choice.attaining is None:
-                raise InternalError(f"tie sets of decision {x} were not recorded")
-            sets = tuple(frozenset(row) for row in choice.attaining)
-        out.append(Policy(x, tuple(d.parents[x]), _rule(d, x, choice), sets))
+            choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp),
+                                 np.ones((1, d.size_of(x)), dtype=bool))
+        if with_sets and choice.attaining is None:
+            raise InternalError(f"tie sets of decision {x} were not recorded")
+        out.append(Policy(x, tuple(d.parents[x]), _rule(d, x, choice),
+                          choice.attaining if with_sets else None))
     return out
 
 
-def extract_policies(m: MCDag, d: InfluenceDiagram, kept: dict[int, Kept],
-                     with_sets: bool = False,
+def extract_policies(d: InfluenceDiagram, plan: Sequence[PolicyStep],
+                     kept: dict[int, Kept], with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    """The root-to-leaves pass over what `evaluate` kept for `m`.
+    """The root-to-leaves pass over what `evaluate` kept with the same plan.
 
-    A decision whose choice `evaluate` took is checked like the others and
-    its choice used as it is; the rest get the rules of later decisions
-    substituted, then their argmax.  Consumes `kept`: each entry is popped
-    when its decision is processed, so the dict is empty before the rules
-    are built.
+    A choice taken at elimination is used as it is; every other kept table
+    gets the rules of its step's later decisions substituted, then its
+    argmax.  Consumes `kept`: each entry is popped when its decision is
+    processed, so the dict is empty before the rules are built.
     """
-    decisions = set(d.decision_ids)
-    observed = decision_parents(d)
-    cluster_of: dict[int, int] = {}
-    mentioned: set[int] = set()
-    for c in m.clusters:
-        mentioned |= c.V & decisions
-        if c.ops[0] is Op.MAX and c.elim:
-            (x,) = c.elim
-            if x not in decisions:
-                raise InternalError(f"variable {x} max-eliminated but not a decision")
-            if x in cluster_of:
-                raise InternalError(f"decision {x} eliminated in two clusters")
-            cluster_of[x] = c.id
-    for x in sorted(mentioned - set(cluster_of)):
-        raise InternalError(f"decision {x} appears but is never max-eliminated")
-
     choices: dict[int, ChoiceTable] = {}
-    sizes = d.sizes
-    for x, cid in sorted(cluster_of.items(), key=lambda kv: -kv[1]):
+    for x, cid, later in plan:
         scope, arr = kept.pop(cid)
-        chosen = isinstance(arr, ChoiceTable)
-        while not chosen and (later := _later(scope, x, observed)):
-            y = later[0]
-            if y not in choices:
-                raise InternalError(
-                    f"decision {y} reached before its own cluster was processed")
-            ch = choices[y]
-            scope, arr = _substitute(scope, arr, y, ch.retained_scope,
-                                     ch.representative.reshape(ch.retained_sizes), sizes)
-        stray = [v for v in scope if v != x and v not in observed[x]]
-        if stray:
-            raise InternalError(
-                f"rule for decision {x} would depend on unobserved {stray}")
-        if x not in scope:
-            raise InternalError(f"decision {x} missing from its own cluster table")
-        if not chosen:
+        if later:
+            for y in later:
+                ch = choices[y]
+                scope, arr = _substitute(scope, arr, y, ch.retained_scope,
+                                         ch.representative.reshape(ch.retained_sizes))
             _, arr = argmax_marginalize((scope, arr), x, counter, sets=with_sets)
         choices[x] = arr
     return policies_from_choices(d, choices, with_sets)
@@ -323,30 +318,20 @@ def check_cells(m: MCDag, sizes: Sequence[int]) -> None:
                     f"cluster {c.id} combines {cells} cells (limit {CELL_GUARD})")
 
 
-def decision_parents(d: InfluenceDiagram) -> dict[int, tuple[int, ...]]:
-    """Each decision's observed parents, by decision id, as the tuples
-    `d.parents` already holds.  A decision observes every variable of an
-    earlier block, so on a long chain one set per decision would take several
-    times their memory (0.56 against 0.07 MB on chain(128))."""
-    return {x: d.parents[x] for x in d.decision_ids}
-
-
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
                   with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
-    start = time.perf_counter()
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
     check_cells(m, store.sizes)
-    meu, kept = evaluate(m, counter, decision_parents(d), with_sets)
+    plan = plan_policies(m, d)
+    meu, kept = evaluate(m, counter, plan, with_sets)
     return RunReport(
         meu=meu,
-        policies=extract_policies(m, d, kept, with_sets, counter),
-        engine="mcdag",
+        policies=extract_policies(d, plan, kept, with_sets, counter),
         w_mcdag=m.w_mcdag,
         node_count=node_count(store, root),
         cluster_count=len(m.clusters),
         trace_len=len(trace),
-        wall_time=time.perf_counter() - start,
     )

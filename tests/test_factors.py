@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ def test_argmax_tracks_sets_and_representative():
     arr = np.array([[1.0, 5.0, 5.0], [7.0, 2.0, 7.0]])
     (scope, best), choice = argmax_marginalize(((0, 2), arr), 2)
     assert scope == (0,) and best.tolist() == [5.0, 7.0]
-    assert choice.attaining == ((1, 2), (0, 2))
+    assert choice.attaining.tolist() == [[False, True, True], [True, False, True]]
     assert list(choice.representative) == [1, 0]
     with pytest.raises(UnknownVariableError):
         argmax_marginalize(((0, 2), arr), 1)
@@ -218,8 +219,32 @@ def test_argmax_matches_the_row_oracle():
                     assert got.shape == choice.retained_sizes == kept_sizes
                     assert got.reshape(-1).tolist() == best
                     assert choice.representative.tolist() == lowest
-                    assert choice.attaining == (tuple(attaining) if sets else None)
+                    if sets:
+                        assert choice.attaining.shape == (got.size, arr.shape[scope.index(var)])
+                        assert [tuple(np.flatnonzero(row).tolist())
+                                 for row in choice.attaining] == attaining
+                    else:
+                        assert choice.attaining is None
                     assert counter.by_kind == {"max": arr.size - got.size}
+
+
+@pytest.mark.parametrize("var", [0, 1])
+def test_tie_sets_cost_a_byte_per_cell(var):
+    # Every row of a 2^16 x 2 table ties.  The tie sets are a boolean mask,
+    # one byte per cell, where one Python tuple per row cost about 30.
+    arr = np.zeros((2 ** 16, 2))
+    peak = {}
+    for sets in (False, True):
+        tracemalloc.start()
+        try:
+            argmax_marginalize(((0, 1), arr), var, sets=sets)
+            peak[sets] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    if var == 0:  # two rows: the mask is nearly all there is
+        assert peak[True] < 8 * arr.size
+    else:  # 2^16 rows: the max and the lowest value take 8 bytes a cell anyway
+        assert peak[True] < peak[False] + 2 * arr.size
 
 
 def test_counter_counts_combine_and_marginalize():

@@ -56,7 +56,7 @@ def test_intern_canonicalizes_raw_parts_once():
     b = store.atomic(_table((1, 2), (2, 2), [1.0, 2.0, 3.0, 4.0]))
     c = store.atomic(_table((3,), (2,), [5.0, 6.0]))
     n1 = store.intern(((Op.MAX, (2, 1)), (Op.SUM, (3,))), Op.TIMES, (c, a, b))
-    size = len(store)
+    size = len(store.nodes)
     raw = [
         (((Op.MAX, (1, 2)), (Op.SUM, (3,))), Op.TIMES, (a, b, c)),
         (((Op.MAX, (2,)), (Op.MAX, (1,)), (Op.SUM, (3,))), Op.TIMES, (b, c, a, b, c)),
@@ -65,7 +65,7 @@ def test_intern_canonicalizes_raw_parts_once():
     for sov, comb, children in raw:
         assert store.intern(sov, comb, children) == n1
     assert store.composite([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
-    assert len(store) == size  # found keys add nothing
+    assert len(store.nodes) == size  # found keys add nothing
     stored = store.nodes[n1]
     assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
     assert stored.children == tuple(sorted((a, b, c)))
@@ -130,7 +130,7 @@ def test_initial_node_fig2_shape():
         assert len(group.children) == 3
     # 2 shared conditional-table atoms + 3 utility atoms + 3 groups + root
     assert node_count(store, root) == 9
-    assert len(store) == 9
+    assert len(store.nodes) == 9
     assert store.scope(root) == frozenset()
 
 
@@ -221,7 +221,7 @@ def test_bad_constructions_raise_internal_errors():
             store.composite(sov, comb, children)
         with pytest.raises(InternalError):
             store.intern(tuple(sov), comb, tuple(children))
-    assert len(store) == 1
+    assert len(store.nodes) == 1
 
 
 def test_op_members_hash_as_singletons():

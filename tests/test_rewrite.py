@@ -1,8 +1,10 @@
 """Rewriting rules: worked examples on the two figures, rule-level checks,
 and driver invariants (soundness, size bound, determinism)."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -339,6 +341,51 @@ def test_cluster_engine_matches_brute_force_with_extra_parents():
     assert solved > 100 and fired > solved // 2
 
 
+def with_an_informant(d, rng):
+    """`d` where a barren variable `x` observed before a decision `D` gets a
+    fresh table over a chance variable `y` of a block after `D`'s, and a new
+    utility reads `D` and `y`; with `x`, or None when `d` has no such triple.
+    `x` is still mentioned by its own table only, so condition 1 of
+    `InfluenceDiagram.barren` still holds for it."""
+    block_of = {v: i for i, block in enumerate(d.blocks) for v in block}
+    triples = [(x, D, y) for x in sorted(d.barren) for D in d.decision_ids
+               for y in d.chance_ids if block_of[x] < block_of[D] < block_of[y]]
+    if not triples:
+        return None
+    x, D, y = triples[int(rng.integers(len(triples)))]
+    t = d.cpts[x]
+    scope = (y,) + t.scope
+    sizes = tuple(d.size_of(v) for v in scope)
+    rows = rng.random((math.prod(sizes[:-1]), sizes[-1])) + 0.05
+    rows /= (rows.sum if d.mode == "prob" else rows.max)(axis=1, keepdims=True)
+    cpts = {**d.cpts, x: ScopedTable(scope, sizes, rows.reshape(-1), name=t.name, cpt_for=x)}
+    u = ScopedTable((D, y), (d.size_of(D), d.size_of(y)),
+                    rng.random(d.size_of(D) * d.size_of(y)), name="u_informed")
+    return dataclasses.replace(d, cpts=cpts, utilities=d.utilities + (u,)), x
+
+
+def test_a_table_over_a_later_variable_keeps_its_variable():
+    # Condition 2 of `InfluenceDiagram.barren` alone keeps `x`: dropped, it
+    # could no longer tell `D` about `y`, and the value would fall.
+    rng = np.random.default_rng(5)
+    kept = 0
+    for seed in range(120):
+        mode = ("prob", "poss")[seed % 2]
+        d = random_id(8, 2 + seed % 2, 3, 2, mode, seed=seed)
+        planted = with_an_informant(d, rng)
+        if planted is None:
+            continue
+        d, x = planted
+        assert x not in d.barren, seed
+        kept += 1
+        want, got = brute_force(d)[0], solve_diagram(d).meu
+        if mode == "prob":
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
+        else:
+            assert got == want, seed
+    assert kept > 50
+
+
 def test_plan_naming_a_barren_variable_is_refused():
     d = parse(_barren_chain("prob"))
     store = store_for(d)
@@ -651,15 +698,15 @@ def test_every_node_build_passes_through_intern(monkeypatch):
     misses = [0]
 
     def counting(self, sov, comb, children, scope=None, table=None):
-        size = len(self)
+        size = len(self.nodes)
         nid = intern(self, sov, comb, children, scope=scope, table=table)
-        misses[0] += len(self) - size
+        misses[0] += len(self.nodes) - size
         return nid
 
     monkeypatch.setattr(NodeStore, "intern", counting)
     stores = 0
     for store in _swept_stores():
-        assert misses[0] == len(store)
+        assert misses[0] == len(store.nodes)
         misses[0] = 0
         stores += 1
     assert stores == 200
@@ -717,7 +764,7 @@ def test_rewrite_output_is_pinned():
             store = store_for(d)
             final, trace = macrostructure(store, initial_node(store, d), plan=plan)
             h.update(trace_to_jsonl(trace).encode())
-            h.update(f"{final} {len(store)}\n".encode())
+            h.update(f"{final} {len(store.nodes)}\n".encode())
     assert len(ds) == 100
     assert h.hexdigest() == \
         "c17526234e4823c4de288a345dd931c17cb9a2bc3ed894e3cbb3bd7fec41de28"

@@ -24,10 +24,10 @@ from infdiag.rewrite import macrostructure
 from infdiag.solve import (
     Policy,
     _substitute,
-    decision_parents,
     evaluate,
     evaluate_policy,
     extract_policies,
+    plan_policies,
     policies_from_choices,
     solve_diagram,
 )
@@ -48,8 +48,16 @@ def mcdag_of(d, heuristic="min-fill", merge=True):
     return merge_clusters(m) if merge else m
 
 
+def run(m, d, with_sets=False):
+    """The message pass and the policy pass over `m`, as `solve_diagram`
+    runs them: the MEU and the policies."""
+    plan = plan_policies(m, d)
+    meu, kept = evaluate(m, None, plan, with_sets)
+    return meu, extract_policies(d, plan, kept, with_sets)
+
+
 def policies_of(m, d, with_sets=False):
-    return extract_policies(m, d, evaluate(m)[1], with_sets=with_sets)
+    return run(m, d, with_sets)[1]
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -63,10 +71,8 @@ def test_zero_utilities_give_zero():
 def test_single_decision_direct_arithmetic():
     d = parse("IDNET 1\nMODE prob\nVAR d 3 DECISION\n"
               "UTIL u d : 1 5 3\nORDER / d /\n")
-    m = mcdag_of(d)
-    meu, messages = evaluate(m)
+    meu, (policy,) = run(mcdag_of(d), d)
     assert meu == 5.0
-    (policy,) = extract_policies(m, d, messages)
     assert policy.var == 0 and policy.context == ()
     assert int(policy.rule.lookup({})) == 1
 
@@ -76,7 +82,7 @@ def test_tie_keeps_lowest_index_and_full_set():
               "UTIL u d : 4 4\nORDER / d /\n")
     (policy,) = policies_of(mcdag_of(d), d, with_sets=True)
     assert int(policy.rule.lookup({})) == 0
-    assert policy.choices_for({}) == {0, 1}
+    assert policy.choice_sets.tolist() == [[True, True]]
 
 
 @pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 6),
@@ -106,19 +112,16 @@ def test_policies_from_choices_needs_recorded_sets():
 
 def test_fig2_value_and_policy_match_oracle():
     d = fixture("fig2")
-    m = mcdag_of(d)
-    meu, messages = evaluate(m)
+    meu, policies = run(mcdag_of(d), d)
     assert close(meu, oracle_value(d))
-    policies = extract_policies(m, d, messages)
     assert close(evaluate_policy(d, policies), meu)
 
 
 def test_fig3_policy_substitution_chain():
     d = fixture("fig3")
-    m = mcdag_of(d)
-    meu, messages = evaluate(m)
+    meu, policies = run(mcdag_of(d), d)
     assert close(meu, oracle_value(d))
-    policies = {p.var: p for p in extract_policies(m, d, messages)}
+    policies = {p.var: p for p in policies}
     d2 = d.names.index("d2")
     d3 = d.names.index("d3")
     r2 = d.names.index("r2")
@@ -143,9 +146,9 @@ def test_every_cluster_evaluated_once():
     _, tables = evaluate(m)
     assert set(tables) == {c.id for c in m.clusters if c.ops[0] is Op.MAX and c.elim}
     assert len(tables) == len(d.decision_ids)
-    # with the observations known, d1 and d3 are chosen at elimination; d2's
-    # table is kept, as it holds d3, which d2 does not observe
-    _, kept = evaluate(m, observed=decision_parents(d))
+    # with the plan, d1 and d3 are chosen at elimination; d2's table is
+    # kept, as it holds d3, which d2 does not observe
+    _, kept = evaluate(m, plan=plan_policies(m, d))
     assert set(kept) == set(tables)
     chosen = {m.clusters[cid].elim[0] for cid, (_, k) in kept.items()
               if isinstance(k, ChoiceTable)}
@@ -186,10 +189,10 @@ def test_evaluate_matches_the_table_fold(d):
     m = mcdag_of(d)
     want_ops = OpCounter()
     want_meu, want_tables = oracle_evaluate(m, want_ops)
-    for observed in (None, decision_parents(d)):
+    for plan in ((), plan_policies(m, d)):
         for with_sets in (False, True):
             got_ops = OpCounter()
-            meu, kept = evaluate(m, got_ops, observed, with_sets)
+            meu, kept = evaluate(m, got_ops, plan, with_sets)
             assert meu == want_meu
             assert set(kept) == set(want_tables)
             for cid, (scope, arr) in kept.items():
@@ -201,7 +204,9 @@ def test_evaluate_matches_the_table_fold(d):
                     assert (arr.retained_scope, arr.retained_sizes) == \
                         (keep, tuple(w.size_of(v) for v in keep)), cid
                     assert arr.representative.tolist() == lowest, cid
-                    assert arr.attaining == (tuple(attaining) if with_sets else None), cid
+                    sets = None if arr.attaining is None else \
+                        [tuple(np.flatnonzero(row).tolist()) for row in arr.attaining]
+                    assert sets == (attaining if with_sets else None), cid
                 else:
                     assert arr.shape == w.sizes, cid
                     assert arr.tobytes() == w.values.tobytes(), cid
@@ -224,19 +229,19 @@ def test_eliminating_a_variable_no_part_holds_is_an_internal_error(ops):
     u = ScopedTable((1,), (2,), np.array([1.0, 2.0]))
     c = Cluster(0, frozenset({0, 1}), (u,), (), (0,), ops)
     with pytest.raises(InternalError, match="none of its parts holds"):
-        evaluate(MCDag((c,), 0, {}))
+        evaluate(MCDag((c,), 0))
     with pytest.raises(InternalError, match="none of its parts holds"):
-        oracle_evaluate(MCDag((c,), 0, {}), OpCounter())
+        oracle_evaluate(MCDag((c,), 0), OpCounter())
 
 
 # -- substitution -------------------------------------------------------------
 
 def test_substitute_picks_ruled_values():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-    scope, out = _substitute((0, 1), arr, 1, (), np.array(1), (2, 2))
+    scope, out = _substitute((0, 1), arr, 1, (), np.array(1))
     assert scope == (0,)
     assert list(out.reshape(-1)) == [2.0, 4.0]
-    scope, out = _substitute((0, 1), arr, 1, (2,), np.array([0, 1]), (2, 2, 2))
+    scope, out = _substitute((0, 1), arr, 1, (2,), np.array([0, 1]))
     assert scope == (0, 2)
     assert list(out.reshape(-1)) == [1.0, 2.0, 3.0, 4.0]
 
@@ -244,22 +249,25 @@ def test_substitute_picks_ruled_values():
 def test_substitute_rejects_bad_shapes():
     arr = np.array([1.0, 2.0])
     with pytest.raises(InternalError):
-        _substitute((0,), arr, 1, (), np.array(0), (2, 2))
+        _substitute((0,), arr, 1, (), np.array(0))
     with pytest.raises(InternalError):
-        _substitute((0,), arr, 0, (0,), np.zeros(2, dtype=np.intp), (2,))
+        _substitute((0,), arr, 0, (0,), np.zeros(2, dtype=np.intp))
 
 
 @pytest.mark.parametrize("mode", ["prob", "poss"])
 def test_policy_pass_refuses_a_substitution_past_the_guard(monkeypatch, mode):
     # Decision 7's rule (scope {2, 3, 5}) goes into decision 6's kept table
-    # ({3, 6, 7}): the union spans 108 cells, the largest cluster only 36.
+    # ({3, 6, 7}): the result, {2, 3, 5, 6}, spans 54 cells, the largest
+    # cluster only 36.  The plan refuses it before any fold runs.
     d = random_id(10, 3, 3, 3, mode, seed=100)
     want = solve_diagram(d).meu
     assert max(math.prod(d.sizes[v] for v in c.V) for c in mcdag_of(d).clusters) == 36
-    monkeypatch.setattr(solve, "CELL_GUARD", 64)
-    with pytest.raises(ResourceGuardError, match=r"\b108 cells"):
-        solve_diagram(d)
-    monkeypatch.setattr(solve, "CELL_GUARD", 108)
+    monkeypatch.setattr(solve, "CELL_GUARD", 53)
+    counter = OpCounter()
+    with pytest.raises(ResourceGuardError, match=r"\b54 cells"):
+        solve_diagram(d, counter=counter)
+    assert counter.total == 0
+    monkeypatch.setattr(solve, "CELL_GUARD", 54)
     assert solve_diagram(d).meu == want
 
 
@@ -268,10 +276,8 @@ def test_policy_pass_refuses_a_substitution_past_the_guard(monkeypatch, mode):
 def test_random_prob_diagrams_match_oracle_and_policies():
     for seed in range(30):
         d = random_id(6, 2, 3, 2, seed=seed)
-        m = mcdag_of(d)
-        meu, messages = evaluate(m)
+        meu, policies = run(mcdag_of(d), d, with_sets=True)
         assert close(meu, oracle_value(d)), f"seed {seed}"
-        policies = extract_policies(m, d, messages, with_sets=True)
         assert close(evaluate_policy(d, policies), meu), f"seed {seed}"
         for p in policies:
             assert set(p.rule.scope) <= set(p.context)
@@ -280,10 +286,8 @@ def test_random_prob_diagrams_match_oracle_and_policies():
 def test_random_poss_diagrams_match_oracle_exactly():
     for seed in range(20):
         d = random_id(6, 2, 3, 2, mode="poss", seed=seed)
-        m = mcdag_of(d)
-        meu, messages = evaluate(m)
+        meu, policies = run(mcdag_of(d), d)
         assert meu == oracle_value(d), f"seed {seed}"
-        policies = extract_policies(m, d, messages)
         assert evaluate_policy(d, policies) == meu, f"seed {seed}"
 
 
@@ -347,6 +351,72 @@ def test_cluster_engine_refuses_up_front_exactly_what_fold_refuses(monkeypatch, 
     assert seen == {False, True}
 
 
+def test_plan_refuses_what_the_policy_pass_would_build(monkeypatch):
+    # Measured at the normal guard: the largest fold (a cluster of two or
+    # more parts) and the largest substitution result.  With the guard
+    # lowered, `solve_diagram` refuses exactly when one of them is over it,
+    # for that reason, and before any arithmetic: its counter reads 0.
+    substitute, built = solve._substitute, [0]
+
+    def recorded(*args):
+        part = substitute(*args)
+        built[0] = max(built[0], part[1].size)
+        return part
+
+    monkeypatch.setattr(solve, "_substitute", recorded)
+    cases = []
+    for mode in ("prob", "poss"):
+        for seed in range(120):
+            d = random_id(6 + seed % 6, 3 + seed % 3, 8, 2, mode=mode, seed=seed)
+            folds = max((math.prod(d.sizes[v] for v in c.V) for c in mcdag_of(d).clusters
+                         if len(c.psi) + len(c.sons) > 1), default=0)
+            built[0] = 0
+            solve_diagram(d)
+            cases.append((mode, seed, d, folds, built[0]))
+    seen = set()
+    for limit in (2 ** 6, 2 ** 8, 2 ** 10):
+        monkeypatch.setattr(solve, "CELL_GUARD", limit)
+        for mode, seed, d, folds, substituted in cases:
+            want = "cluster" if folds > limit else \
+                "substituting" if substituted > limit else None
+            counter = OpCounter()
+            try:
+                solve_diagram(d, counter=counter)
+                got = None
+            except ResourceGuardError as e:
+                got = str(e).split()[0]
+                assert counter.total == 0, (mode, seed, limit)
+            assert got == want, (mode, seed, limit)
+            seen.add(got)
+    assert seen == {None, "cluster", "substituting"}
+
+
+def test_plan_refuses_a_malformed_cluster_dag():
+    # The plan reads only cluster ids, scopes, eliminations and operators,
+    # so each fault is planted by editing one record of fig3's cluster DAG.
+    d = fixture("fig3")
+    m = mcdag_of(d)
+    r1, r2, d1, d2, d3 = (d.names.index(n) for n in ("r1", "r2", "d1", "d2", "d3"))
+    by_elim = {c.elim: c for c in m.clusters if c.elim}
+    assert [x for x, _, _ in plan_policies(m, d)] == [d1, d3, d2]
+
+    def planted(old, **changes):
+        new = dataclasses.replace(old, **changes)
+        return dataclasses.replace(m, clusters=tuple(new if c is old else c
+                                                     for c in m.clusters))
+
+    twice = dataclasses.replace(m, clusters=m.clusters + (
+        dataclasses.replace(by_elim[(d1,)], id=len(m.clusters)),))
+    for bad, match in [
+            (twice, "eliminated in two clusters"),
+            (planted(by_elim[(d2,)], elim=()), "never max-eliminated"),
+            (planted(by_elim[(r2,)], ops=(Op.MAX, Op.PLUS)), "not a decision"),
+            (planted(by_elim[(d3,)], id=by_elim[(d2,)].id - 1), "reached before"),
+            (planted(by_elim[(d1,)], V=by_elim[(d1,)].V | {r1}), r"unobserved \[0\]")]:
+        with pytest.raises(InternalError, match=match):
+            plan_policies(bad, d)
+
+
 def test_cell_guard_refuses_before_allocating():
     d = random_id(60, 6, 6, 6, seed=0)  # largest cluster: 4.5e11 cells
     tracemalloc.start()
@@ -366,9 +436,7 @@ def test_deterministic_path_reaches_one():
         "PROB c | d : 1 0 0 1\n"
         "UTIL u c : 0 1\n"
         "ORDER / d / c\n")
-    m = mcdag_of(d)
-    meu, messages = evaluate(m)
-    policies = extract_policies(m, d, messages)
+    meu, policies = run(mcdag_of(d), d)
     assert close(meu, 1.0)
     assert close(evaluate_policy(d, policies), 1.0)
     assert int(policies[0].rule.lookup({})) == 1
@@ -379,12 +447,10 @@ def test_deterministic_path_reaches_one():
 def test_solve_diagram_report():
     d = fixture("fig2")
     report = solve_diagram(d)
-    assert report.engine == "mcdag"
     assert close(report.meu, oracle_value(d))
     assert report.w_mcdag == 1
     assert report.cluster_count == 4
     assert report.trace_len > 0
-    assert report.wall_time >= 0.0
     assert len(report.policies) == 1
     assert close(evaluate_policy(d, report.policies), report.meu)
     fig3 = fixture("fig3")
@@ -419,8 +485,9 @@ def test_fig3_solve_op_total():
 def test_extract_policies_consumes_the_messages():
     d = fixture("fig3")
     m = mcdag_of(d)
-    _, tables = evaluate(m)
-    extract_policies(m, d, tables)
+    plan = plan_policies(m, d)
+    _, tables = evaluate(m, plan=plan)
+    extract_policies(d, plan, tables)
     assert tables == {}
 
 
@@ -442,7 +509,8 @@ def test_cluster_engine_outputs_are_pinned():
             h.update(repr((np.float64(run.meu).tobytes(), run.w_mcdag, run.cluster_count,
                            kinds)).encode())
             for p in run.policies:
-                sets = None if p.choice_sets is None else [sorted(s) for s in p.choice_sets]
+                sets = None if p.choice_sets is None else \
+                    [np.flatnonzero(row).tolist() for row in p.choice_sets]
                 h.update(repr((p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
                                sets)).encode())
     assert h.hexdigest() == \
