@@ -11,6 +11,7 @@ multiple parents.  The induced width is the size of the largest hyperedge
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .factors import InternalError, Op, ResourceGuardError, ScopedTable
@@ -316,7 +317,9 @@ def merge_clusters(m: MCDag) -> MCDag:
     One bottom-up pass reaches the fixpoint because son ids are canonical by
     the time a parent is keyed.  Duplicate sons after merging are kept: the
     message is deliberately combined once per original occurrence.  A
-    cluster whose id and sons come through unchanged keeps its record.
+    cluster whose id and sons come through unchanged keeps its record, and
+    when every record does, `m` itself is returned: merging changed nothing
+    for `check_containment` to look at again.
     """
     canon: dict[tuple, int] = {}
     remap: dict[int, int] = {}
@@ -332,6 +335,8 @@ def merge_clusters(m: MCDag) -> MCDag:
         remap[c.id] = nid
         out.append(c if nid == c.id and sons == c.sons
                    else Cluster(nid, c.V, c.psi, sons, c.elim, c.ops))
+    if len(out) == len(m.clusters) and all(map(is_, out, m.clusters)):
+        return m
     merged = MCDag(tuple(out), remap[m.root], m.w_mcdag)
     check_containment(merged)
     return merged

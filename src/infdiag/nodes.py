@@ -81,6 +81,9 @@ class NodeStore:
         # with a single MAX block; None elsewhere.
         self._group_combs: list[Op | None] = []
         self._max_combs: list[Op | None] = []
+        # Single-MAX nodes proved to hold no group with a single-MAX member
+        # of their own comb: recompose-max has nothing to merge in them.
+        self._no_nested_max: set[int] = set()
 
     def scope(self, nid: int) -> frozenset[int]:
         return self._scopes[nid]

@@ -40,6 +40,21 @@ group of one comb, which members hold a nested max, which groups mention
 `x`) run as one C-level pass over per-node facts the store keeps, not as a
 Python call per group.
 
+Decompose-max and recompose-max read the members of the groups that
+mention `x` and of no other root group; the rest of the root is handled by
+C-level passes over ids and per-node facts (as is `_max_step`'s search for
+the group holding a merged node).  Decompose-max finds the groups
+mentioning `x` in one pass, keeps the others by slicing the sorted
+children around them, and tests the wrapper against the root by
+bisection; when nothing is hoisted, the groups themselves go under the new
+max node, as rebuilding each over all its members would return its own id.  Recompose-max records in the store each
+node it finds holding no nested max of its own comb; a merge that keeps
+exactly the nested node's groups (no sibling group, no other member beside
+it) inherits that record, so on `chain(n)` the merged node of every step is
+not scanned again.  Its distinctness checks run only where they can fire:
+over new groups when other members are merged in, and against siblings
+when there are any.
+
 Hoisting a common factor out of a max is only sound when the factor cannot
 be negative.  Probability-derived factors (every atomic descendant is a
 conditional table or its possibilistic complement, i.e. has `cpt_for` set)
@@ -50,6 +65,7 @@ rules check this structural fact on every hoist.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter, contains, is_, is_not, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -102,6 +118,18 @@ def _split(store: NodeStore, ids: Sequence[int], x: int) -> tuple[list[int], lis
     """(the ids whose scope mentions x, the others), each in input order."""
     has = list(map(contains, map(store._scopes.__getitem__, ids), repeat(x)))
     return list(compress(ids, has)), list(compress(ids, map(not_, has)))
+
+
+def _others(ids: Sequence[int], some: Sequence[int]) -> list[int]:
+    """The sorted `ids` less `some`, a subsequence of them: one slice per gap."""
+    out: list[int] = []
+    lo = 0
+    for s in some:
+        i = bisect_left(ids, s, lo)
+        out += ids[lo:i]
+        lo = i + 1
+    out += ids[lo:]
+    return out
 
 
 def _union(store: NodeStore, ids: Iterable[int]) -> frozenset[int]:
@@ -293,39 +321,54 @@ def decompose_max(store: NodeStore, root: int, x: int,
     if marg is not Op.MAX or x not in last:
         raise InternalError(f"variable {x} is not in the innermost decision block")
     new_sov = _without(node.sov, x)
-    scope = store._scopes[root]
-    comb = _groups_comb(store, node.children)
-    plus, minus = _split(store, node.children, x)
+    scopes = store._scopes
+    kids = node.children
+    comb = _groups_comb(store, kids)
+    plus = list(compress(kids, map(contains, map(scopes.__getitem__, kids), repeat(x))))
     if not plus:
-        out = store.composite(new_sov, node.comb, node.children, scope=scope)
+        out = store.composite(new_sov, node.comb, kids, scope=scopes[root])
         _emit(trace, "decompose-max", root, out, var=x)
         return out, None
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
-    scopes = store._scopes
     pulled_set = {m for m in common if x not in scopes[m]}
     pulled = sorted(pulled_set)
     _require_nonneg(store, pulled, "decompose-max")
-    inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
-                    for members in _children(store, plus)]
-    if len(set(inner_groups)) != len(plus):
-        raise InternalError("decision decomposition collapsed two groups")
+    if pulled:
+        inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
+                        for members in _children(store, plus)]
+        if len(set(inner_groups)) != len(plus):
+            raise InternalError("decision decomposition collapsed two groups")
+    else:
+        inner_groups = plus  # a group rebuilt over all its members is itself
     inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups,
                             scope=_union(store, inner_groups) - {x})
     wrapper = store.composite((), comb, pulled + [inner],
                               scope=scopes[inner].union(*map(scopes.__getitem__, pulled)))
-    minus.append(wrapper)
-    if len(set(minus)) != len(minus):
+    # The wrapper does not mention x, so a root child equal to it would be
+    # one of the groups it is to sit beside.
+    i = bisect_left(kids, wrapper)
+    if i < len(kids) and kids[i] == wrapper:
         raise InternalError("decision wrapper collides with an unrelated group")
-    out = store.composite(new_sov, node.comb, minus, scope=scope)
+    minus = _others(kids, plus)
+    minus.append(wrapper)
+    out = store.composite(new_sov, node.comb, minus, scope=scopes[root])
     _emit(trace, "decompose-max", root, out, var=x, inner=inner)
     return out, inner
 
 
 def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None) -> int:
     """Merge a nested decision elimination into this one when its variables
-    are absent from everything else in sight.  Fixpoint; no-op on non-match."""
+    are absent from everything else in sight.  Fixpoint; no-op on non-match.
+
+    A node found to hold no nested max of its own comb is recorded in
+    `store._no_nested_max`.  A merge with no sibling group and no other
+    member beside the nested max `m` keeps exactly `m`'s groups under `m`'s
+    comb, so its result inherits `m`'s entry and is not scanned again."""
     scopes, group_combs, max_combs = store._scopes, store._group_combs, store._max_combs
+    proved = store._no_nested_max
     while True:
+        if nid in proved:
+            return nid
         node = store.nodes[nid]
         if node.is_atomic or len(node.sov) != 1:
             return nid
@@ -336,6 +379,7 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
         groups = list(compress(kids, map(is_not, map(group_combs.__getitem__, kids), repeat(None))))
         members = list(_children(store, groups))
         if node.comb not in map(max_combs.__getitem__, chain.from_iterable(members)):
+            proved.add(nid)
             return nid  # no group holds a nested max to merge
         hit = None
         for gid, gn_children in zip(groups, members):
@@ -348,13 +392,14 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
                 blocked = _union(store, siblings).union(block, *map(scopes.__getitem__, n2))
                 if not blocked.isdisjoint(sub_block):
                     continue
-                hit = (group_combs[gid], store.nodes[m].children, siblings, n2, sub_block)
+                hit = (group_combs[gid], m, siblings, n2, sub_block)
                 break
             if hit:
                 break
         if hit is None:
             return nid
-        gcomb, subs, siblings, n2, sub_block = hit
+        gcomb, m, siblings, n2, sub_block = hit
+        subs = store.nodes[m].children
         _require_nonneg(store, n2, "recompose-max")
         _groups_comb(store, subs, gcomb)
         if n2:  # otherwise each merged group is `sub` itself
@@ -365,16 +410,18 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
                     raise InternalError("merge would silently drop a shared factor")
                 new_groups.append(store.composite((), gcomb, n2 + list(members3),
                                                   scope=n2_scope | scopes[sub]))
+            if len(set(new_groups)) != len(subs):
+                raise InternalError("recompose-max collapsed two inner groups")
         else:
             new_groups = list(subs)
-        if len(set(new_groups)) != len(subs):
-            raise InternalError("recompose-max collapsed two inner groups")
         kids = siblings + new_groups
-        if len(set(kids)) != len(siblings) + len(new_groups):
+        if siblings and len(set(kids)) != len(kids):
             raise InternalError("recompose-max collided with a sibling group")
         out = store.composite(((Op.MAX, tuple(sorted(block + sub_block))),), node.comb,
                               kids, scope=scopes[nid])
         _emit(trace, "recompose-max", nid, out)
+        if not (siblings or n2) and m in proved:
+            proved.add(out)
         nid = out
 
 

@@ -392,6 +392,13 @@ def test_merge_keeps_the_records_it_does_not_change(d):
     assert all(a is b for a, b in zip(merged.clusters, m.clusters))
 
 
+@pytest.mark.parametrize("d", [fixture("fig3"), fixture("chain", 8), fixture("star", 8)],
+                         ids=["fig3", "chain8", "star8"])
+def test_merge_returns_its_input_when_nothing_merges(d):
+    m = assemble(*macro_root(d))
+    assert merge_clusters(m) is m
+
+
 def test_merge_requires_same_table_objects():
     # Equal values in distinct table objects must not be unified.
     store = NodeStore([2, 2], ["x", "y"])

@@ -196,6 +196,19 @@ def test_decompose_max_drops_an_absent_decision():
     assert inner is None and trace[-1].inner is None
 
 
+def test_decompose_max_refuses_a_wrapper_that_collides_with_a_group():
+    # The wrapper built over the new max node is already a root group that
+    # does not mention the decision: merging the two would drop a term.
+    store = NodeStore((2,))
+    u = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="u"))
+    g1 = store.composite([], Op.TIMES, [u])
+    inner = store.composite([(Op.MAX, (0,))], Op.PLUS, [g1])
+    g2 = store.composite([], Op.TIMES, [inner])
+    root = store.composite([(Op.MAX, (0,))], Op.PLUS, [g1, g2])
+    with pytest.raises(InternalError, match="collides with an unrelated group"):
+        decompose_max(store, root, 0)
+
+
 def test_decompose_max_refuses_signed_common_factors():
     store = NodeStore((2, 2))
     shared = store.atomic(ScopedTable((0,), (2,), np.array([-1.0, 1.0]),
@@ -233,6 +246,36 @@ def test_recompose_max_merges_a_nested_decision():
     (merged,) = groups
     assert set(store.nodes[merged].children) == {pf, u1}
     assert [e.rule for e in trace] == ["recompose-max"]
+    check_trace(store, trace, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "with_sibling_and_factor"])
+def test_recompose_max_merges_to_the_fixpoint(beside):
+    # Three nested decisions merge in two steps.  The node the first merge
+    # builds still holds a nested max, so it must not be taken as proved
+    # free of one: neither when the nested node was never scanned (alone),
+    # nor when a sibling group and a factor beside it are merged in.
+    store = NodeStore((2, 2, 2, 2))  # decisions 0, 1, 2; chance 3
+    u = store.atomic(ScopedTable((2,), (2,), np.array([0.2, 0.9]), name="u"))
+    nested2 = store.composite([(Op.MAX, (2,))], Op.PLUS, [store.composite([], Op.TIMES, [u])])
+    nested1 = store.composite([(Op.MAX, (1,))], Op.PLUS,
+                              [store.composite([], Op.TIMES, [nested2])])
+    kids = [nested1]
+    groups = []
+    if beside:
+        pf = store.atomic(ScopedTable((3,), (2,), np.array([0.3, 0.7]), name="pf", cpt_for=3))
+        u0 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]), name="u0"))
+        kids.append(pf)
+        groups.append(store.composite([], Op.TIMES, [u0]))
+    groups.append(store.composite([], Op.TIMES, kids))
+    node = store.composite([(Op.MAX, (0,))], Op.PLUS, groups)
+    trace = []
+    out = recompose_max(store, node, trace)
+    assert [e.rule for e in trace] == ["recompose-max"] * 2
+    assert store.nodes[out].sov == ((Op.MAX, (0, 1, 2)),)
+    assert trace[0].produced not in store._no_nested_max
+    assert out in store._no_nested_max
+    assert recompose_max(store, out) == out
     check_trace(store, trace, np.random.default_rng(0))
 
 
@@ -645,6 +688,33 @@ def test_decision_steps_read_each_group_in_linear_python_work(monkeypatch):
         assert 0 < calls[64] <= calls[128] <= 2.2 * calls[64], (name, calls)
 
 
+def test_decision_steps_read_group_members_in_linear_python_work(monkeypatch):
+    # A merged decision node keeps the groups of the nested one, which the
+    # store records as holding no nested max, so it is not scanned again;
+    # and decompose-max reads the members of the groups mentioning the
+    # decision only.  Doubling the chain or the star must about double the
+    # group ids whose members the rewrite reads, not quadruple them.
+    children = rewrite._children
+    for name in ("chain", "star"):
+        reads = {}
+        for n in (128, 256):
+            d = fixture(name, n=n)
+            store = store_for(d)
+            root = initial_node(store, d)
+            count = [0]
+
+            def counting(store, ids, count=count):
+                ids = list(ids)
+                count[0] += len(ids)
+                return children(store, ids)
+
+            monkeypatch.setattr(rewrite, "_children", counting)
+            macrostructure(store, root)
+            monkeypatch.setattr(rewrite, "_children", children)
+            reads[n] = count[0]
+        assert 0 < reads[128] <= reads[256] <= 2.2 * reads[128], (name, reads)
+
+
 def _sweep():
     """Fixtures and seeded random diagrams in both modes: 100 diagrams."""
     ds = [fixture("fig2"), fixture("fig3")]
@@ -688,6 +758,32 @@ def _swept_stores():
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
             yield store
+
+
+def test_nodes_recorded_without_a_nested_max_hold_none():
+    # recompose-max returns at once on a node in `_no_nested_max`, so each
+    # recorded node must be a single-MAX node none of whose groups holds a
+    # single-MAX member of the node's own comb, scanned or inherited.
+    chains = [fixture(name, n=n) for name in ("chain", "star") for n in range(1, 14)]
+    stores = list(_swept_stores())
+    for d in chains:
+        store = store_for(d)
+        macrostructure(store, initial_node(store, d))
+        stores.append(store)
+    recorded = 0
+    for store in stores:
+        for nid in store._no_nested_max:
+            node = store.nodes[nid]
+            assert not node.is_atomic and len(node.sov) == 1
+            assert node.sov[0][0] is Op.MAX
+            for g in map(store.nodes.__getitem__, node.children):
+                if g.is_atomic or g.sov != ():
+                    continue
+                for member in map(store.nodes.__getitem__, g.children):
+                    assert member.is_atomic or member.comb is not node.comb \
+                        or len(member.sov) != 1 or member.sov[0][0] is not Op.MAX, nid
+            recorded += 1
+    assert recorded > 500
 
 
 def test_every_node_build_passes_through_intern(monkeypatch):
