@@ -1,11 +1,17 @@
 """Cluster DAG construction from a mono-operator node DAG.
 
-Every composite node is decomposed on its own: the scopes of its children
-form a hypergraph, an elimination order for the node's variables is found
-(heuristically or exhaustively), and bucket elimination turns the order into
-a chain of clusters.  Fragments of shared nodes are built once and acquire
-multiple parents.  The induced width is the size of the largest hyperedge
-*created* while eliminating, so the work per cluster reads d^(1+width).
+Every composite node is decomposed on its own, straight from its children's
+scopes.  A node with one variable or none needs no order: its variable's
+bucket takes exactly the children that mention it, and the rest go to the
+node's final cluster.  For a node with two or more, the scopes form a
+hypergraph, an elimination order is found (heuristically or exhaustively),
+and bucket elimination turns the order into a chain of clusters.  Fragments
+of shared nodes are built once and acquire multiple parents.
+
+The induced width is the size of the largest hyperedge *created* while
+eliminating, so the work per cluster reads d^(1+width).  A bucket spans its
+variable plus the hyperedge its elimination creates, so the width is read
+from the clusters: the largest one that eliminates a variable, less one.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .factors import InternalError, Op, ResourceGuardError, ScopedTable
 from .nodes import NodeStore, reachable
 
 EXHAUSTIVE_LIMIT = 10
+HEURISTICS = ("min-fill", "min-degree", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ def hypergraph_of(store: NodeStore, nid: int) -> Hypergraph:
     node = store.nodes[nid]
     if node.is_atomic:
         raise InternalError("hypergraph of an atomic node")
-    scopes = [frozenset(store.scope(c)) for c in node.children]
+    scopes = list(map(store._scopes.__getitem__, node.children))
     verts = frozenset().union(*scopes) if scopes else frozenset()
     return Hypergraph(verts, frozenset(scopes))
 
@@ -86,7 +93,7 @@ def find_order(g: Hypergraph, elim: Iterable[int],
     todo = set(elim)
     if not todo <= g.vertices:
         raise InternalError("elimination set outside the hypergraph")
-    if heuristic not in ("min-fill", "min-degree", "exhaustive"):
+    if heuristic not in HEURISTICS:
         raise InternalError(f"unknown ordering heuristic {heuristic!r}")
     if len(todo) == 1:  # every heuristic agrees; no primal graph needed
         (x,) = todo
@@ -182,14 +189,15 @@ def _exhaustive_order(g: Hypergraph, elim: frozenset[int]) -> EliminationOrder:
 # --------------------------------------------------------------------------
 # Bucket elimination per node
 
+_PROB_OPS = {Op.TIMES: (Op.SUM, Op.TIMES), Op.PLUS: (Op.MAX, Op.PLUS)}
+_POSS_OPS = {Op.MAX: (Op.MIN, Op.MAX), Op.MIN: (Op.MAX, Op.MIN)}
+
+
 def _ops_for(store: NodeStore, comb: Op) -> tuple[Op, Op]:
-    if store.unit_interval:
-        table = {Op.MAX: (Op.MIN, Op.MAX), Op.MIN: (Op.MAX, Op.MIN)}
-    else:
-        table = {Op.TIMES: (Op.SUM, Op.TIMES), Op.PLUS: (Op.MAX, Op.PLUS)}
-    if comb not in table:
+    ops = (_POSS_OPS if store.unit_interval else _PROB_OPS).get(comb)
+    if ops is None:
         raise InternalError(f"combination {comb} is foreign to this mode")
-    return table[comb]
+    return ops
 
 
 def _add_cluster(clusters: list[Cluster], V: Iterable[int],
@@ -201,49 +209,83 @@ def _add_cluster(clusters: list[Cluster], V: Iterable[int],
     return cid
 
 
-def clusterize(store: NodeStore, nid: int, order: EliminationOrder,
+def _unmentioned(x: int) -> InternalError:
+    return InternalError(f"variable {x} is eliminated but no child mentions it")
+
+
+def clusterize(store: NodeStore, nid: int, order: Sequence[int],
                clusters: list[Cluster], fragment_of: Mapping[int, int]) -> int:
     """Bucket-eliminate one mono-operator node; returns its fragment root.
 
-    `fragment_of` must already map every composite child to its fragment.
-    New clusters are appended to `clusters` sons-first, so ascending cluster
-    ids stay topological.
+    `order` lists the node's variables in elimination order; each must be
+    mentioned by some child.  `fragment_of` must already map every
+    composite child to its fragment.  New clusters are appended to
+    `clusters` sons-first, so ascending cluster ids stay topological.
     """
     node = store.nodes[nid]
     if node.is_atomic:
         raise InternalError("clusterize needs a composite node")
     if len(node.sov) > 1:
         raise InternalError("clusterize needs a mono-operator node")
-    sov_vars = set(node.sov[0][1]) if node.sov else set()
-    if set(order.order) != sov_vars:
+    if tuple(sorted(order)) != (node.sov[0][1] if node.sov else ()):
         raise InternalError("order must eliminate exactly the node's variables")
     ops = _ops_for(store, node.comb)
-    pos = {x: i for i, x in enumerate(order.order)}
-    buckets: list[list[tuple[frozenset[int], ScopedTable | None, int | None]]] = [
-        [] for _ in order.order]
-    leftovers: list[tuple[frozenset[int], ScopedTable | None, int | None]] = []
-
-    def route(item: tuple[frozenset[int], ScopedTable | None, int | None],
-              start: int) -> None:
-        scope = item[0]
-        idxs = [pos[v] for v in scope if v in pos and pos[v] >= start]
-        if idxs:
-            buckets[min(idxs)].append(item)
-        else:
-            leftovers.append(item)
-
-    for c in node.children:
-        cn = store.nodes[c]
-        if cn.is_atomic:
-            route((frozenset(cn.table.scope), cn.table, None), 0)
-        else:
-            route((frozenset(store.scope(c)), None, fragment_of[c]), 0)
-
-    finals: list[tuple[frozenset[int], int]] = []
-    for i, x in enumerate(order.order):
-        V = {x}
+    nodes = store.nodes
+    scopes = store._scopes
+    free = scopes[nid]
+    left_psi: list[ScopedTable] = []
+    left_sons: list[int] = []
+    if len(order) <= 1:
+        # One bucket at most: a child goes into it iff its scope holds x.
+        x = order[0] if order else None
+        V = set(order)
         psi: list[ScopedTable] = []
         sons: list[int] = []
+        for c in node.children:
+            scope = scopes[c]
+            cn = nodes[c]
+            if x in scope:
+                V |= scope
+                if cn.is_atomic:
+                    psi.append(cn.table)
+                else:
+                    sons.append(fragment_of[c])
+            elif cn.is_atomic:
+                left_psi.append(cn.table)
+            else:
+                left_sons.append(fragment_of[c])
+        if x is None:
+            return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
+        if not psi and not sons:
+            raise _unmentioned(x)
+        cid = _add_cluster(clusters, V, psi, sons, order, ops)
+        if not left_psi and not left_sons and V - {x} == free:
+            return cid  # the bucket already retains the free scope
+        left_sons.append(cid)
+        return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
+
+    pos = {x: i for i, x in enumerate(order)}
+    buckets: list[list[tuple[frozenset[int], ScopedTable | None, int | None]]] = [
+        [] for _ in order]
+    for c in node.children:
+        cn = nodes[c]
+        scope = scopes[c]
+        item = (scope, cn.table, None) if cn.is_atomic else (scope, None, fragment_of[c])
+        idxs = [pos[v] for v in scope if v in pos]
+        if idxs:
+            buckets[min(idxs)].append(item)
+        elif cn.is_atomic:
+            left_psi.append(cn.table)
+        else:
+            left_sons.append(fragment_of[c])
+
+    finals: list[tuple[frozenset[int], int]] = []
+    for i, x in enumerate(order):
+        if not buckets[i]:
+            raise _unmentioned(x)
+        V = {x}
+        psi = []
+        sons = []
         for scope, table, son in buckets[i]:
             V |= scope
             if table is not None:
@@ -258,42 +300,47 @@ def clusterize(store: NodeStore, nid: int, order: EliminationOrder,
         else:
             finals.append((msg_scope, cid))
 
-    free = frozenset(store.scope(nid))
-    if len(finals) == 1 and not leftovers and finals[0][0] == free:
+    if len(finals) == 1 and not left_psi and not left_sons and finals[0][0] == free:
         return finals[0][1]  # the last bucket already retains the free scope
-    psi = []
-    sons = []
-    for scope, table, son in leftovers:
-        if table is not None:
-            psi.append(table)
-        else:
-            sons.append(son)
-    sons.extend(cid for _, cid in finals)
-    return _add_cluster(clusters, free, psi, sons, (), ops)
+    left_sons.extend(cid for _, cid in finals)
+    return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
 
 
 # --------------------------------------------------------------------------
 # Whole-DAG assembly
 
 def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
-    """Decompose every reachable composite node and wire the cluster DAG."""
+    """Decompose every reachable composite node and wire the cluster DAG.
+
+    A node with one variable or none takes its order from its sov; only a
+    node with two or more asks `find_order`.  `w_mcdag` is the largest
+    cluster that eliminates a variable, less one.
+    """
+    if heuristic not in HEURISTICS:
+        raise InternalError(f"unknown ordering heuristic {heuristic!r}")
     clusters: list[Cluster] = []
     fragment_of: dict[int, int] = {}
-    width = 0
     root_node = store.nodes[root]
     if root_node.is_atomic:
         ops = (Op.MAX, Op.MIN) if store.unit_interval else (Op.SUM, Op.TIMES)
         rid = _add_cluster(clusters, frozenset(root_node.table.scope),
                            [root_node.table], [], (), ops)
         return MCDag(tuple(clusters), rid)
+    nodes = store.nodes
     for nid in reachable(store, root):  # ascending ids: children first
-        node = store.nodes[nid]
+        node = nodes[nid]
         if node.is_atomic:
             continue
-        sov_vars = [v for _, block in node.sov for v in block]
-        order = find_order(hypergraph_of(store, nid), sov_vars, heuristic)
+        sov = node.sov
+        if not sov:
+            order: Sequence[int] = ()
+        elif len(sov) == 1 and len(sov[0][1]) == 1:
+            order = sov[0][1]
+        else:
+            sov_vars = [v for _, block in sov for v in block]
+            order = find_order(hypergraph_of(store, nid), sov_vars, heuristic).order
         fragment_of[nid] = clusterize(store, nid, order, clusters, fragment_of)
-        width = max(width, order.width)
+    width = max((len(c.V) - 1 for c in clusters if c.elim), default=0)
     m = MCDag(tuple(clusters), fragment_of[root], width)
     check_containment(m)
     return m

@@ -33,20 +33,30 @@ SovPairs = tuple[tuple[Op, tuple[int, ...]], ...]
 
 
 def canonical_sov(pairs: Iterable[tuple[Op, Iterable[int]]]) -> SovPairs:
-    """Sort variables inside blocks, drop empty blocks, merge adjacent same-op blocks."""
+    """Sort variables inside blocks, drop empty blocks, merge adjacent same-op blocks.
+
+    Each run of same-op blocks is gathered and sorted once, so a sov with
+    many adjacent blocks of one operator costs a single sort per run.
+    """
     out: list[tuple[Op, tuple[int, ...]]] = []
     seen: set[int] = set()
+    run_op: Op | None = None
+    run: list[int] = []
     for op, vs in pairs:
-        block = tuple(sorted(set(vs)))
+        block = set(vs)
         if not block:
             continue
-        if seen & set(block):
-            raise InternalError(f"variable repeated across sov blocks: {block}")
-        seen.update(block)
-        if out and out[-1][0] == op:
-            out[-1] = (op, tuple(sorted(out[-1][1] + block)))
-        else:
-            out.append((op, block))
+        if not seen.isdisjoint(block):
+            raise InternalError(
+                f"variable repeated across sov blocks: {tuple(sorted(block))}")
+        seen |= block
+        if op != run_op:
+            if run:
+                out.append((run_op, tuple(sorted(run))))
+            run_op, run = op, []
+        run += block
+    if run:
+        out.append((run_op, tuple(sorted(run))))
     return tuple(out)
 
 

@@ -24,8 +24,9 @@ union and does not re-sort the sov:
     keeps the scope of the node it replaces; its sov is the stored one with
     `x` taken out of the innermost block (an emptied block dropped), or
     with the merged block sorted;
-  - a decompose-sum wrapper has scope(group) - {x}, and drop-unit keeps
-    the scope;
+  - a decompose-sum inner node has the union of its members mentioning
+    `x`, minus `x`, under the one-block sov `((marg, (x,)),)`; its wrapper
+    has scope(group) - {x}, and drop-unit keeps the scope;
   - decompose-max's new max node has the union of its inner groups minus
     `x`, and its wrapper that scope plus the hoisted factors' (together,
     the union of the groups holding `x`, minus `x`);
@@ -34,11 +35,11 @@ union and does not re-sort the sov:
     its precondition already took, and a group or root rebuilt over a
     shrunk node is re-unioned (or, for the root, intersected with the union
     of its new children).
-The other builds (decompose-sum's inner nodes, the groups inside a new max
-node) go through the ordinary path.  Root-wide checks (is every child a
-group of one comb, which members hold a nested max, which groups mention
-`x`) run as one C-level pass over per-node facts the store keeps, not as a
-Python call per group.
+The other build (the groups inside a new max node) goes through the
+ordinary path.  Root-wide checks (is every child a group of one comb,
+which members hold a nested max, which groups mention `x`) run as one
+C-level pass over per-node facts the store keeps, not as a Python call
+per group.
 
 Decompose-max and recompose-max read the members of the groups that
 mention `x` and of no other root group; the rest of the root is handled by
@@ -200,7 +201,7 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         if not plus:
             # the conditional table of x keeps x in every group's scope until now
             raise InternalError(f"group {gid} lost all factors over variable {x}")
-        inner = store.composite(inner_sov, comb, plus)
+        inner = store.composite(inner_sov, comb, plus, scope=_union(store, plus) - {x})
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
         inners[inner] = None

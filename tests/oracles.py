@@ -17,7 +17,10 @@ value and every attaining value, per assignment of the other variables.
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
 pick the same orders.  `width_of_order` replays a fixed order on the
-hyperedges and records the size of each created edge.
+hyperedges and records the size of each created edge.  `oracle_width` is
+the constrained induced width as `clusters.assemble` once took it: the
+largest `find_order` width over every reachable composite node, each
+node's order found on its hypergraph.
 
 `oracle_acyclic` runs a three-colour DFS over the full parent graph, decision
 parents included.  `diagram.validate` reads only table scopes and ORDER
@@ -31,6 +34,10 @@ table identity aside, for the parse/serialize round trips.
 `oracle_numbers` checks a diagram's numbers one table at a time, the way
 `parse` checked them before it screened every table in one batch; `parse`
 must raise the same error, with the same message and line.
+
+`oracle_canonical_sov` is the sov merge `nodes.canonical_sov` replaced: it
+re-sorts the merged block at every adjacent same-operator block; the two
+must give the same sov, or refuse with the same message.
 
 `eval_node` evaluates a stored node by enumerating its sov assignments, the
 semantics every rewrite step must keep.  `structural_signature` fingerprints
@@ -52,7 +59,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from infdiag.clusters import EliminationOrder, Hypergraph, MCDag
+from infdiag.clusters import EliminationOrder, Hypergraph, MCDag, find_order, hypergraph_of
 from infdiag.diagram import (NORMALIZATION_TOL, InfluenceDiagram, NormalizationError,
                              ValidationError)
 from infdiag.factors import (_UFUNC, COMBINE_OPS, MARGINAL_OPS, FactorError, InternalError,
@@ -201,6 +208,25 @@ def oracle_order(g: Hypergraph, elim: Iterable[int],
     return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
 
 
+def oracle_width(store: NodeStore, root: int, heuristic: str = "min-fill") -> int:
+    """The largest order width over the composite nodes reachable from `root`."""
+    width = 0
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = store.nodes[nid]
+        if node.is_atomic:
+            continue
+        stack.extend(node.children)
+        elim = [v for _, block in node.sov for v in block]
+        width = max(width, find_order(hypergraph_of(store, nid), elim, heuristic).width)
+    return width
+
+
 def oracle_acyclic(d: InfluenceDiagram) -> bool:
     """Whether `d.parents`, read as edges parent -> child, has no cycle."""
     n = len(d.variables)
@@ -295,6 +321,26 @@ def oracle_numbers(d: InfluenceDiagram, cpt_lines: dict[int, int],
 
 
 # -- node evaluation ---------------------------------------------------------
+
+def oracle_canonical_sov(pairs: Iterable[tuple[Op, Iterable[int]]]
+                         ) -> tuple[tuple[Op, tuple[int, ...]], ...]:
+    """Sort each block, drop empty ones, and merge a block into the one
+    before it when their operators match, re-sorting the merged block."""
+    out: list[tuple[Op, tuple[int, ...]]] = []
+    seen: set[int] = set()
+    for op, vs in pairs:
+        block = tuple(sorted(set(vs)))
+        if not block:
+            continue
+        if seen & set(block):
+            raise InternalError(f"variable repeated across sov blocks: {block}")
+        seen.update(block)
+        if out and out[-1][0] == op:
+            out[-1] = (op, tuple(sorted(out[-1][1] + block)))
+        else:
+            out.append((op, block))
+    return tuple(out)
+
 
 def eval_node(store: NodeStore, nid: int, env: Mapping[int, int]) -> float:
     """Reference evaluation by explicit enumeration of the sov assignments.

@@ -5,6 +5,7 @@ import pytest
 
 from infdiag import clusters
 from infdiag.clusters import (
+    EXHAUSTIVE_LIMIT,
     Cluster,
     EliminationOrder,
     Hypergraph,
@@ -20,7 +21,8 @@ from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, reachable, store_for
 from infdiag.rewrite import macrostructure
-from oracles import oracle_order, width_of_order
+from oracles import oracle_order, oracle_width, width_of_order
+from test_rewrite import _sweep
 
 R1, R2, D = 0, 1, 2  # fig2 variable ids
 
@@ -233,7 +235,7 @@ def test_clusterize_fig2_node_buckets():
     store, _, _, s2 = fig2_parts()
     order = find_order(hypergraph_of(store, s2), [R1, R2])
     clusters = []
-    rid = clusterize(store, s2, order, clusters, {})
+    rid = clusterize(store, s2, order.order, clusters, {})
     assert len(clusters) == 2
     first, second = clusters
     assert first.V == {R1, R2} and first.elim == (R1,)
@@ -252,7 +254,7 @@ def test_clusterize_empty_elimination():
     t2 = table((0, 1), [2, 2])
     nid = store.composite([], Op.TIMES, [store.atomic(t1), store.atomic(t2)])
     clusters = []
-    rid = clusterize(store, nid, EliminationOrder((), (), 0), clusters, {})
+    rid = clusterize(store, nid, (), clusters, {})
     assert len(clusters) == 1
     assert clusters[rid].V == {0, 1} and clusters[rid].elim == ()
     assert set(clusters[rid].psi) == {t1, t2}
@@ -261,18 +263,18 @@ def test_clusterize_empty_elimination():
 def test_clusterize_rejects_wrong_order():
     store, _, _, s2 = fig2_parts()
     with pytest.raises(InternalError):
-        clusterize(store, s2, EliminationOrder((R1,), (1,), 1), [], {})
+        clusterize(store, s2, (R1,), [], {})
 
 
 def test_clusterize_rejects_atoms_and_multi_operator_nodes():
     store = NodeStore([2, 2], ["a", "b"])
     atom = store.atomic(table((0,), [2, 2]))
     with pytest.raises(InternalError):
-        clusterize(store, atom, EliminationOrder((), (), 0), [], {})
+        clusterize(store, atom, (), [], {})
     mixed = store.composite([(Op.SUM, (0,)), (Op.MAX, (1,))], Op.TIMES,
                             [store.atomic(table((0, 1), [2, 2]))])
     with pytest.raises(InternalError):
-        clusterize(store, mixed, EliminationOrder((0, 1), (1, 0), 1), [], {})
+        clusterize(store, mixed, (0, 1), [], {})
 
 
 # -- assemble -----------------------------------------------------------------
@@ -349,6 +351,115 @@ def test_assemble_exhaustive_never_wider():
             widths = node_widths(store, root, heuristic)
             for nid, w in node_widths(store, root, "exhaustive").items():
                 assert widths[nid] >= w
+
+
+def node_vars(store, root):
+    """The variable count of each reachable composite node, by node id."""
+    return {nid: sum(len(block) for _, block in store.nodes[nid].sov)
+            for nid in reachable(store, root) if not store.nodes[nid].is_atomic}
+
+
+def test_assemble_checks_the_heuristic_where_no_node_needs_an_order():
+    store, root = macro_root(fixture("star", 3))
+    assert max(node_vars(store, root).values()) <= 1
+    with pytest.raises(InternalError, match="unknown ordering heuristic"):
+        assemble(store, root, heuristic="nope")
+    d = parse("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nPROB c | : 0.5 0.5\n"
+              "UTIL u : 7.0\nORDER c\n")
+    store = store_for(d)
+    root, _ = macrostructure(store, initial_node(store, d))
+    assert store.nodes[root].is_atomic
+    with pytest.raises(InternalError, match="unknown ordering heuristic"):
+        assemble(store, root, heuristic="nope")
+
+
+def test_assemble_refuses_a_variable_no_child_mentions():
+    store = NodeStore([2, 2, 2], ["a", "b", "c"])
+    atom = store.atomic(table((0,), [2, 2, 2]))
+    one = store.composite([(Op.SUM, (1,))], Op.TIMES, [atom])
+    with pytest.raises(InternalError, match="no child mentions"):
+        assemble(store, one)
+    pair = store.composite([(Op.SUM, (0, 2))], Op.TIMES, [atom])
+    with pytest.raises(InternalError):
+        assemble(store, pair)  # find_order refuses it
+    with pytest.raises(InternalError, match="no child mentions"):
+        clusterize(store, pair, (0, 2), [], {})
+
+
+def _width_diagrams():
+    ds = _sweep()
+    ds += [fixture(name, n=n) for name in ("chain", "star")
+           for n in range(1, 14) if n not in (1, 2, 3, 5, 8, 13)]
+    return ds
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree", "exhaustive"])
+def test_width_read_from_the_clusters_matches_the_order_widths(heuristic):
+    checked = 0
+    for d in _width_diagrams():
+        store, root = macro_root(d)
+        if store.nodes[root].is_atomic:
+            continue
+        if heuristic == "exhaustive" and \
+                max(node_vars(store, root).values()) > EXHAUSTIVE_LIMIT:
+            continue
+        assert assemble(store, root, heuristic).w_mcdag == \
+            oracle_width(store, root, heuristic)
+        checked += 1
+    assert checked > 80
+
+
+def test_width_of_a_sub_dag_ignores_the_free_scope_of_its_root():
+    # Below the root a fragment's free scope can be wider than any bucket:
+    # it is the width of an elimination still to come, not of this DAG.
+    store = NodeStore([2, 2, 2, 2], ["a", "b", "c", "d"])
+    group = store.composite([], Op.TIMES, [store.atomic(table((0, 1, 2), [2] * 4)),
+                                           store.atomic(table((3,), [2] * 4))])
+    assert assemble(store, group).w_mcdag == 0 == oracle_width(store, group)
+    wide = 0
+    for d in [fixture("fig2"), fixture("fig3"), fixture("chain", 5), fixture("star", 5)] + \
+            [random_id(6 + seed, 2, 3, 3, seed=seed) for seed in range(4)]:
+        store, root = macro_root(d)
+        for nid in node_vars(store, root):
+            m = assemble(store, nid)
+            assert m.w_mcdag == oracle_width(store, nid), (nid, d.names)
+            wide += len(m.clusters[m.root].V) - 1 > m.w_mcdag
+    assert wide > 0
+
+
+def count_find_order(monkeypatch):
+    calls = []
+    real = clusters.find_order
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clusters, "find_order", counting)
+    return calls
+
+
+def test_find_order_is_asked_only_for_nodes_of_two_or_more_variables(monkeypatch):
+    calls = count_find_order(monkeypatch)
+    for d in _sweep():
+        store, root = macro_root(d)
+        del calls[:]
+        assemble(store, root)
+        assert len(calls) == sum(k >= 2 for k in node_vars(store, root).values())
+
+
+@pytest.mark.parametrize("family", ["chain", "star"])
+def test_find_order_calls_do_not_grow_with_the_family(family, monkeypatch):
+    calls = count_find_order(monkeypatch)
+    counts = []
+    for n in (2, 3, 5, 8, 13, 32, 64):
+        store, root = macro_root(fixture(family, n))
+        del calls[:]
+        assemble(store, root)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1
+    if family == "star":
+        assert counts[0] == 0
 
 
 # -- merging ------------------------------------------------------------------

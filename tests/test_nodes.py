@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infdiag.diagram import fixture, mode_ops, parse, random_id
+from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable, UnknownVariableError
 from infdiag.nodes import (
     NodeStore,
@@ -12,7 +12,7 @@ from infdiag.nodes import (
     store_for,
     to_dot,
 )
-from oracles import eval_node, oracle_value, structural_signature
+from oracles import eval_node, oracle_canonical_sov, oracle_value, structural_signature
 
 
 def _table(scope, sizes, values, **kw):
@@ -25,6 +25,43 @@ def test_canonical_sov_merges_sorts_and_drops_empties():
     assert canonical_sov([]) == ()
     with pytest.raises(InternalError):
         canonical_sov([(Op.MAX, (1,)), (Op.SUM, (1,))])
+
+
+def _same_canonical_sov(pairs):
+    """`canonical_sov` and the old merge agree: the same sov, or the same refusal."""
+    try:
+        want = oracle_canonical_sov(pairs)
+    except InternalError as e:
+        with pytest.raises(InternalError) as got:
+            canonical_sov(pairs)
+        assert str(got.value) == str(e)
+        return None
+    assert canonical_sov(pairs) == want
+    return want
+
+
+@pytest.mark.parametrize("family", ["chain", "star"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 64, 127, 128])
+def test_canonical_sov_matches_the_old_merge_on_sov0(family, n):
+    d = fixture(family, n)
+    pairs = sov0(d)
+    want = _same_canonical_sov(pairs)
+    assert [v for _, block in want for v in block] == sorted(v for _, b in pairs for v in b)
+    assert all(a[0] != b[0] for a, b in zip(want, want[1:]))  # runs merged
+
+
+def test_canonical_sov_matches_the_old_merge_on_random_plans():
+    rng = np.random.default_rng(19)
+    ops = (Op.SUM, Op.MAX, Op.MIN)
+    refused = 0
+    for _ in range(2000):
+        pairs = []
+        for _ in range(rng.integers(0, 9)):
+            k = int(rng.integers(0, 4))
+            pairs.append((ops[rng.integers(0, 3)] if rng.random() < 0.5 else Op.MAX,
+                          [int(v) for v in rng.integers(0, 24, size=k)]))
+        refused += _same_canonical_sov(pairs) is None
+    assert 100 < refused < 1900  # both outcomes are exercised
 
 
 def test_atomic_interning_is_by_table_identity():
