@@ -24,8 +24,6 @@ from .diagram import DiagramError, InfluenceDiagram, fixture, parse, random_id, 
 from .factors import ChoiceTable, FactorError, InternalError, OpCounter, ResourceGuardError
 from .rewrite import macrostructure
 
-HEURISTICS = ("min-fill", "min-degree", "exhaustive")
-
 
 def _load(path: str) -> InfluenceDiagram:
     return parse(Path(path).read_bytes())
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--heuristic", choices=HEURISTICS, default="min-fill")
+        p.add_argument("--heuristic", choices=clusters.HEURISTICS, default="min-fill")
 
     p = sub.add_parser("solve", help="compute the optimal value and policies")
     p.add_argument("file")

@@ -1,12 +1,13 @@
 """Cluster DAG construction from a mono-operator node DAG.
 
 Every composite node is decomposed on its own, straight from its children's
-scopes.  A node with one variable or none needs no order: its variable's
-bucket takes exactly the children that mention it, and the rest go to the
-node's final cluster.  For a node with two or more, the scopes form a
-hypergraph, an elimination order is found (heuristically or exhaustively),
-and bucket elimination turns the order into a chain of clusters.  Fragments
-of shared nodes are built once and acquire multiple parents.
+scopes.  A node with one variable or none needs no order search: its sov
+is the order.  For a node with two or more, the scopes form a hypergraph
+and an elimination order is found (heuristically or exhaustively).  Either
+way, bucket elimination turns the order into a chain of clusters, and the
+children that mention no eliminated variable go to the node's final
+cluster.  Fragments of shared nodes are built once and acquire multiple
+parents.
 
 The induced width is the size of the largest hyperedge *created* while
 eliminating, so the work per cluster reads d^(1+width).  A bucket spans its
@@ -209,6 +210,9 @@ def _add_cluster(clusters: list[Cluster], V: Iterable[int],
     return cid
 
 
+_Part = tuple[frozenset[int], ScopedTable | None, int | None]  # (scope, table, son)
+
+
 def _unmentioned(x: int) -> InternalError:
     return InternalError(f"variable {x} is eliminated but no child mentions it")
 
@@ -232,78 +236,43 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
     ops = _ops_for(store, node.comb)
     nodes = store.nodes
     scopes = store._scopes
-    free = scopes[nid]
-    left_psi: list[ScopedTable] = []
-    left_sons: list[int] = []
-    if len(order) <= 1:
-        # One bucket at most: a child goes into it iff its scope holds x.
-        x = order[0] if order else None
-        V = set(order)
-        psi: list[ScopedTable] = []
-        sons: list[int] = []
-        for c in node.children:
-            scope = scopes[c]
-            cn = nodes[c]
-            if x in scope:
-                V |= scope
-                if cn.is_atomic:
-                    psi.append(cn.table)
-                else:
-                    sons.append(fragment_of[c])
-            elif cn.is_atomic:
-                left_psi.append(cn.table)
-            else:
-                left_sons.append(fragment_of[c])
-        if x is None:
-            return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
-        if not psi and not sons:
-            raise _unmentioned(x)
-        cid = _add_cluster(clusters, V, psi, sons, order, ops)
-        if not left_psi and not left_sons and V - {x} == free:
-            return cid  # the bucket already retains the free scope
-        left_sons.append(cid)
-        return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
-
-    pos = {x: i for i, x in enumerate(order)}
-    buckets: list[list[tuple[frozenset[int], ScopedTable | None, int | None]]] = [
-        [] for _ in order]
+    # Parts not yet eliminated, as (scope, table, son): the children, then
+    # each bucket's message.  A part goes into the bucket of the first
+    # variable of the order it holds, and what is left over at the end goes
+    # into the node's final cluster.
+    pending: list[_Part] = []
     for c in node.children:
         cn = nodes[c]
-        scope = scopes[c]
-        item = (scope, cn.table, None) if cn.is_atomic else (scope, None, fragment_of[c])
-        idxs = [pos[v] for v in scope if v in pos]
-        if idxs:
-            buckets[min(idxs)].append(item)
-        elif cn.is_atomic:
-            left_psi.append(cn.table)
-        else:
-            left_sons.append(fragment_of[c])
-
-    finals: list[tuple[frozenset[int], int]] = []
-    for i, x in enumerate(order):
-        if not buckets[i]:
+        pending.append((scopes[c], cn.table, None) if cn.is_atomic
+                       else (scopes[c], None, fragment_of[c]))
+    for x in order:
+        bucket: list[_Part] = []
+        rest: list[_Part] = []
+        for part in pending:
+            (bucket if x in part[0] else rest).append(part)
+        if not bucket:
             raise _unmentioned(x)
         V = {x}
-        psi = []
-        sons = []
-        for scope, table, son in buckets[i]:
+        psi: list[ScopedTable] = []
+        sons: list[int] = []
+        for scope, table, son in bucket:
             V |= scope
             if table is not None:
                 psi.append(table)
             else:
                 sons.append(son)
         cid = _add_cluster(clusters, V, psi, sons, (x,), ops)
-        msg_scope = frozenset(V) - {x}
-        rest = [pos[v] for v in msg_scope if v in pos and pos[v] > i]
-        if rest:
-            buckets[min(rest)].append((msg_scope, None, cid))
-        else:
-            finals.append((msg_scope, cid))
+        V.discard(x)
+        rest.append((frozenset(V), None, cid))
+        pending = rest
 
-    if len(finals) == 1 and not left_psi and not left_sons and finals[0][0] == free:
-        return finals[0][1]  # the last bucket already retains the free scope
-    left_sons.extend(cid for _, cid in finals)
-    return _add_cluster(clusters, free, left_psi, left_sons, (), ops)
+    free = scopes[nid]
+    if order and len(pending) == 1 and pending[0][0] == free:
+        # The one part left is the last bucket's message, and that bucket
+        # already retains the free scope.
+        return cid
+    return _add_cluster(clusters, free, [t for _, t, _ in pending if t is not None],
+                        [s for _, t, s in pending if t is None], (), ops)
 
 
 # --------------------------------------------------------------------------

@@ -260,6 +260,19 @@ def test_clusterize_empty_elimination():
     assert set(clusters[rid].psi) == {t1, t2}
 
 
+def test_clusterize_empty_elimination_over_one_son_keeps_its_own_cluster():
+    store = NodeStore([2, 2], ["a", "b"])
+    inner = store.composite([(Op.SUM, (1,))], Op.TIMES,
+                            [store.atomic(table((0, 1), [2, 2]))])
+    outer = store.composite([], Op.TIMES, [inner])
+    clusters = []
+    fragment_of = {inner: clusterize(store, inner, (1,), clusters, {})}
+    rid = clusterize(store, outer, (), clusters, fragment_of)
+    assert rid == len(clusters) - 1 != fragment_of[inner]
+    assert clusters[rid].V == {0} and clusters[rid].elim == ()
+    assert clusters[rid].sons == (fragment_of[inner],) and clusters[rid].psi == ()
+
+
 def test_clusterize_rejects_wrong_order():
     store, _, _, s2 = fig2_parts()
     with pytest.raises(InternalError):
