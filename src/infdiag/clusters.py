@@ -7,7 +7,10 @@ and an elimination order is found (heuristically or exhaustively).  Either
 way, bucket elimination turns the order into a chain of clusters, and the
 children that mention no eliminated variable go to the node's final
 cluster.  Fragments of shared nodes are built once and acquire multiple
-parents.
+parents.  Scopes arrive as the store's bitmasks: a part goes into a bucket
+when `mask & bit` is set, and a mask becomes a frozenset only for a
+cluster's `V` and for `hypergraph_of`.  Cluster records are `NamedTuple`s,
+built like `CompNode`.
 
 The induced width is the size of the largest hyperedge *created* while
 eliminating, so the work per cluster reads d^(1+width).  A bucket spans its
@@ -19,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .factors import InternalError, Op, ResourceGuardError, ScopedTable
-from .nodes import NodeStore, reachable
+from .nodes import NodeStore, _record, bits, reachable
 
 EXHAUSTIVE_LIMIT = 10
 HEURISTICS = ("min-fill", "min-degree", "exhaustive")
@@ -52,8 +55,10 @@ class EliminationOrder:
             raise InternalError("width must be the largest created edge")
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
+    """One cluster record, built like `CompNode` without NamedTuple's
+    Python-level __new__."""
+
     id: int
     V: frozenset[int]
     psi: tuple[ScopedTable, ...]
@@ -73,7 +78,7 @@ def hypergraph_of(store: NodeStore, nid: int) -> Hypergraph:
     node = store.nodes[nid]
     if node.is_atomic:
         raise InternalError("hypergraph of an atomic node")
-    scopes = list(map(store._scopes.__getitem__, node.children))
+    scopes = list(map(bits, map(store._scopes.__getitem__, node.children)))
     verts = frozenset().union(*scopes) if scopes else frozenset()
     return Hypergraph(verts, frozenset(scopes))
 
@@ -201,16 +206,15 @@ def _ops_for(store: NodeStore, comb: Op) -> tuple[Op, Op]:
     return ops
 
 
-def _add_cluster(clusters: list[Cluster], V: Iterable[int],
+def _add_cluster(clusters: list[Cluster], V: frozenset[int],
                  psi: Sequence[ScopedTable], sons: Sequence[int],
-                 elim: Sequence[int], ops: tuple[Op, Op]) -> int:
+                 elim: tuple[int, ...], ops: tuple[Op, Op]) -> int:
     cid = len(clusters)
-    clusters.append(Cluster(cid, frozenset(V), tuple(psi), tuple(sons),
-                            tuple(elim), ops))
+    clusters.append(_record(Cluster, (cid, V, tuple(psi), tuple(sons), elim, ops)))
     return cid
 
 
-_Part = tuple[frozenset[int], ScopedTable | None, int | None]  # (scope, table, son)
+_Part = tuple[int, ScopedTable | None, int | None]  # (scope bitmask, table, son)
 
 
 def _unmentioned(x: int) -> InternalError:
@@ -236,23 +240,24 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
     ops = _ops_for(store, node.comb)
     nodes = store.nodes
     scopes = store._scopes
-    # Parts not yet eliminated, as (scope, table, son): the children, then
-    # each bucket's message.  A part goes into the bucket of the first
-    # variable of the order it holds, and what is left over at the end goes
-    # into the node's final cluster.
+    # Parts not yet eliminated, as (scope bitmask, table, son): the
+    # children, then each bucket's message.  A part goes into the bucket of
+    # the first variable of the order it holds, and what is left over at
+    # the end goes into the node's final cluster.
     pending: list[_Part] = []
     for c in node.children:
         cn = nodes[c]
         pending.append((scopes[c], cn.table, None) if cn.is_atomic
                        else (scopes[c], None, fragment_of[c]))
     for x in order:
+        bit = 1 << x
         bucket: list[_Part] = []
         rest: list[_Part] = []
         for part in pending:
-            (bucket if x in part[0] else rest).append(part)
+            (bucket if part[0] & bit else rest).append(part)
         if not bucket:
             raise _unmentioned(x)
-        V = {x}
+        V = bit
         psi: list[ScopedTable] = []
         sons: list[int] = []
         for scope, table, son in bucket:
@@ -261,9 +266,8 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
                 psi.append(table)
             else:
                 sons.append(son)
-        cid = _add_cluster(clusters, V, psi, sons, (x,), ops)
-        V.discard(x)
-        rest.append((frozenset(V), None, cid))
+        cid = _add_cluster(clusters, bits(V), psi, sons, (x,), ops)
+        rest.append((V & ~bit, None, cid))
         pending = rest
 
     free = scopes[nid]
@@ -271,7 +275,7 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
         # The one part left is the last bucket's message, and that bucket
         # already retains the free scope.
         return cid
-    return _add_cluster(clusters, free, [t for _, t, _ in pending if t is not None],
+    return _add_cluster(clusters, bits(free), [t for _, t, _ in pending if t is not None],
                         [s for _, t, s in pending if t is None], (), ops)
 
 
@@ -309,7 +313,7 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
             sov_vars = [v for _, block in sov for v in block]
             order = find_order(hypergraph_of(store, nid), sov_vars, heuristic).order
         fragment_of[nid] = clusterize(store, nid, order, clusters, fragment_of)
-    width = max((len(c.V) - 1 for c in clusters if c.elim), default=0)
+    width = max((len(V) - 1 for _, V, _, _, elim, _ in clusters if elim), default=0)
     m = MCDag(tuple(clusters), fragment_of[root], width)
     check_containment(m)
     return m
@@ -317,14 +321,15 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
 
 def check_containment(m: MCDag) -> None:
     """Table scopes live inside their cluster; son separators inside parents."""
-    for c in m.clusters:
-        for t in c.psi:
-            if not set(t.scope) <= c.V:
-                raise InternalError(f"cluster {c.id} holds a table outside its scope")
-        for s in c.sons:
-            son = m.clusters[s]
-            if not (son.V - set(son.elim)) <= c.V:
-                raise InternalError(f"separator of cluster {s} leaks out of {c.id}")
+    clusters = m.clusters
+    for cid, V, psi, sons, _, _ in clusters:
+        for t in psi:
+            if not V.issuperset(t.scope):
+                raise InternalError(f"cluster {cid} holds a table outside its scope")
+        for s in sons:
+            _, son_V, _, _, son_elim, _ = clusters[s]
+            if not (son_V - set(son_elim)) <= V:
+                raise InternalError(f"separator of cluster {s} leaks out of {cid}")
 
 
 def merge_clusters(m: MCDag) -> MCDag:
@@ -341,16 +346,17 @@ def merge_clusters(m: MCDag) -> MCDag:
     remap: dict[int, int] = {}
     out: list[Cluster] = []
     for c in m.clusters:
-        sons = tuple(sorted(map(remap.__getitem__, c.sons)))
-        key = (c.V, tuple(sorted(map(id, c.psi))), sons, tuple(sorted(c.elim)), c.ops)
+        cid, V, psi, old_sons, elim, ops = c
+        sons = tuple(sorted(map(remap.__getitem__, old_sons)))
+        key = (V, tuple(sorted(map(id, psi))), sons, tuple(sorted(elim)), ops)
         if key in canon:
-            remap[c.id] = canon[key]
+            remap[cid] = canon[key]
             continue
         nid = len(out)
         canon[key] = nid
-        remap[c.id] = nid
-        out.append(c if nid == c.id and sons == c.sons
-                   else Cluster(nid, c.V, c.psi, sons, c.elim, c.ops))
+        remap[cid] = nid
+        out.append(c if nid == cid and sons == old_sons
+                   else _record(Cluster, (nid, V, psi, sons, elim, ops)))
     if len(out) == len(m.clusters) and all(map(is_, out, m.clusters)):
         return m
     merged = MCDag(tuple(out), remap[m.root], m.w_mcdag)

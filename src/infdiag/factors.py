@@ -275,7 +275,12 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     """MAX-eliminate `var` from the part, charging one op per folded-away
     cell, and record per retained cell the lowest attaining value and, when
     `sets` is true, the mask of all attaining values.  Kept axes keep their
-    order; argmax keeps the first of tied values."""
+    order; argmax keeps the first of tied values.
+
+    The lowest attaining value is read along the rows of the rows × values
+    boolean mask, one byte per cell.  Only without sets and with `var` on
+    the last axis does `argmax` run on the part itself: along another axis
+    numpy would first copy the whole part, eight bytes per cell."""
     scope, arr = part
     if var not in scope:
         raise UnknownVariableError(f"variable {var} not in scope {scope}")
@@ -284,10 +289,10 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
     (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], Op.MAX.value)
     best = np.asarray(arr.max(axis))
-    if sets:  # rows x values, so the first attaining value is read along rows
-        attaining = np.equal(np.moveaxis(arr, axis, -1), best[..., None],
-                             order="C").reshape(-1, arr.shape[axis])
-        rep = attaining.argmax(axis=1)
+    if sets or axis != arr.ndim - 1:
+        rows = np.equal(np.moveaxis(arr, axis, -1), best[..., None],
+                        order="C").reshape(-1, arr.shape[axis])
+        attaining, rep = rows if sets else None, rows.argmax(axis=1)
     else:
         attaining, rep = None, arr.argmax(axis).reshape(-1)
     return (keep, best), ChoiceTable(keep, keep_sizes, rep, attaining)

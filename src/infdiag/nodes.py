@@ -14,10 +14,20 @@ record is built only for a key the store does not hold.  Records compare by
 value, field by field, as tuples do.  Equality is therefore by interned child
 ids, not deep structure; atomic nodes compare by table identity, matching
 the table-identity semantics of ScopedTable.
+
+The store keeps each node's scope as an int bitmask, bit v set when variable
+v is in scope (`mask_of`): union is `|`, removing a variable is `& ~bit` and
+a disjointness test is `&`, each one C-level operation on a few machine
+words, and an int is a fraction of the size of a frozenset and is not
+tracked by the garbage collector.  `NodeStore.scope` turns the mask back
+into a frozenset (`bits`) for callers outside the compile layers.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import InfluenceDiagram, mode_ops, sov0
@@ -30,6 +40,26 @@ from .factors import (
 )
 
 SovPairs = tuple[tuple[Op, tuple[int, ...]], ...]
+
+_BIT = (1).__lshift__
+
+
+def mask_of(vs: Iterable[int]) -> int:
+    """The bitmask of the distinct variables `vs`."""
+    return sum(map(_BIT, vs))
+
+
+def bits(mask: int) -> frozenset[int]:
+    """The variables of a bitmask: the positions of its set bits, read one
+    at a time from the top (a cluster's scope holds few).  They are gathered
+    in a set first: a frozenset copied from a set gets the smallest table
+    that fits, one filled item by item a table grown for more."""
+    out = set()
+    while mask:
+        v = mask.bit_length() - 1
+        out.add(v)
+        mask ^= 1 << v
+    return frozenset(out)
 
 
 def canonical_sov(pairs: Iterable[tuple[Op, Iterable[int]]]) -> SovPairs:
@@ -85,7 +115,7 @@ class NodeStore:
         self.unit_interval = unit_interval
         self.nodes: list[CompNode] = []
         self._index: dict[object, int] = {}
-        self._scopes: list[frozenset[int]] = []
+        self._scopes: list[int] = []  # one bitmask per node
         # Per-node facts read by root-wide checks in one C-level pass: the
         # comb of a sov-less composite (a group), and the comb of a node
         # with a single MAX block; None elsewhere.
@@ -96,18 +126,18 @@ class NodeStore:
         self._no_nested_max: set[int] = set()
 
     def scope(self, nid: int) -> frozenset[int]:
-        return self._scopes[nid]
+        return bits(self._scopes[nid])
 
     def atomic(self, table: ScopedTable) -> int:
         return self.intern((), None, (), table=table)
 
     def composite(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
-                  children: Iterable[int], scope: frozenset[int] | None = None) -> int:
+                  children: Iterable[int], scope: int | None = None) -> int:
         """Intern a composite; the arguments are those of `intern` (see there)."""
         return self.intern(sov, comb, children, scope)
 
     def intern(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op | None,
-               children: Iterable[int], scope: frozenset[int] | None = None,
+               children: Iterable[int], scope: int | None = None,
                table: ScopedTable | None = None) -> int:
         """Return the id of the stored node with these parts, storing it if new.
 
@@ -121,10 +151,11 @@ class NodeStore:
         checking the end points of each range covers every id in it.
 
         A caller that derived a composite from stored nodes may pass its
-        `scope`.  It then promises two things: `sov` is already canonical,
-        and `scope` equals the union of the children's scopes minus the sov
-        variables.  The sov is then used as given and no union is taken;
-        the children are still sorted and every check still runs.
+        `scope`, a bitmask.  It then promises two things: `sov` is already
+        canonical, and `scope` equals the union of the children's scopes
+        minus the sov variables.  The sov is then used as given and no
+        union is taken; the children are still sorted and every check
+        still runs.
         """
         if table is not None:
             key: object = id(table)
@@ -132,7 +163,7 @@ class NodeStore:
             if found is not None:
                 return found
             node = _record(CompNode, ((), None, (), table, True))
-            scope = frozenset(table.scope)
+            scope = mask_of(table.scope)
             group_comb = max_comb = None
         else:
             if scope is None:
@@ -152,8 +183,9 @@ class NodeStore:
             if children and (children[0] < 0 or children[-1] >= len(self.nodes)):
                 raise InternalError(f"dangling child id in {children}")
             if scope is None:
-                scope = frozenset().union(*map(self._scopes.__getitem__, children)) \
-                    .difference(*(block for _, block in sov))
+                scope = reduce(or_, map(self._scopes.__getitem__, children), 0)
+                if sov:
+                    scope &= ~mask_of(chain.from_iterable(block for _, block in sov))
             node = _record(CompNode, (sov, comb, children, None, False))
             group_comb = None if sov else comb
             max_comb = comb if len(sov) == 1 and sov[0][0] is Op.MAX else None

@@ -19,22 +19,24 @@ where that could change the value asserts and raises InternalError instead.
 
 A step should cost what it changes, so a rule that knows a new node's scope
 and a canonical sov hands both to `NodeStore.intern`, which then takes no
-union and does not re-sort the sov:
+union and does not re-sort the sov.  Scopes are the store's bitmasks, so
+below `|` is union, `& ~bit(x)` removes `x` and `&` tests for a shared
+variable:
   - the new root of decompose-sum/-max, and the result of recompose-sum/-max,
-    keeps the scope of the node it replaces; its sov is the stored one with
+    keeps the mask of the node it replaces; its sov is the stored one with
     `x` taken out of the innermost block (an emptied block dropped), or
     with the merged block sorted;
-  - a decompose-sum inner node has the union of its members mentioning
-    `x`, minus `x`, under the one-block sov `((marg, (x,)),)`; its wrapper
-    has scope(group) - {x}, and drop-unit keeps the scope;
-  - decompose-max's new max node has the union of its inner groups minus
-    `x`, and its wrapper that scope plus the hoisted factors' (together,
-    the union of the groups holding `x`, minus `x`);
+  - a decompose-sum inner node has the `|` of its members mentioning `x`,
+    `& ~bit(x)`, under the one-block sov `((marg, (x,)),)`; its wrapper
+    has mask(group) `& ~bit(x)`, and drop-unit keeps the mask;
+  - decompose-max's new max node has the `|` of its inner groups
+    `& ~bit(x)`, and its wrapper that mask `|` the hoisted factors' (together,
+    the `|` of the groups holding `x`, `& ~bit(x)`);
   - simplify-normalized may shrink a scope: the dropped table's parents
-    leave unless another child mentions them.  Its result gets the union
-    its precondition already took, and a group or root rebuilt over a
-    shrunk node is re-unioned (or, for the root, intersected with the union
-    of its new children).
+    leave unless another child mentions them.  Its result gets the `|` its
+    precondition already took, less the kept block, and a group or root
+    rebuilt over a shrunk node is re-unioned (or, for the root, `&`-ed with
+    the `|` of its new children).
 The other build (the groups inside a new max node) goes through the
 ordinary path.  Root-wide checks (is every child a group of one comb,
 which members hold a nested max, which groups mention `x`) run as one
@@ -67,12 +69,13 @@ rules check this structural fact on every hoist.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
-from operator import attrgetter, contains, is_, is_not, not_
+from operator import and_, attrgetter, contains, is_, is_not, not_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .factors import InternalError, Op
-from .nodes import NodeStore, SovPairs, _record, canonical_sov
+from .nodes import NodeStore, SovPairs, _record, canonical_sov, mask_of
 
 CHANCE_MARGS = (Op.SUM, Op.MIN)
 _CHILDREN = attrgetter("children")
@@ -117,7 +120,7 @@ def _groups_comb(store: NodeStore, gids: Sequence[int], comb: Op | None = None) 
 
 def _split(store: NodeStore, ids: Sequence[int], x: int) -> tuple[list[int], list[int]]:
     """(the ids whose scope mentions x, the others), each in input order."""
-    has = list(map(contains, map(store._scopes.__getitem__, ids), repeat(x)))
+    has = list(map(and_, map(store._scopes.__getitem__, ids), repeat(1 << x)))
     return list(compress(ids, has)), list(compress(ids, map(not_, has)))
 
 
@@ -133,8 +136,9 @@ def _others(ids: Sequence[int], some: Sequence[int]) -> list[int]:
     return out
 
 
-def _union(store: NodeStore, ids: Iterable[int]) -> frozenset[int]:
-    return frozenset().union(*map(store._scopes.__getitem__, ids))
+def _union(store: NodeStore, ids: Iterable[int]) -> int:
+    """The union of the scope bitmasks of `ids`."""
+    return reduce(or_, map(store._scopes.__getitem__, ids), 0)
 
 
 def _children(store: NodeStore, ids: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -191,6 +195,7 @@ def decompose_sum(store: NodeStore, root: int, x: int,
     if marg not in CHANCE_MARGS or x not in last:
         raise InternalError(f"variable {x} is not in the innermost chance block")
     scopes = store._scopes
+    no_x = ~(1 << x)
     inner_sov = ((marg, (x,)),)
     comb: Op | None = None
     wrappers = []
@@ -201,12 +206,12 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         if not plus:
             # the conditional table of x keeps x in every group's scope until now
             raise InternalError(f"group {gid} lost all factors over variable {x}")
-        inner = store.composite(inner_sov, comb, plus, scope=_union(store, plus) - {x})
+        inner = store.composite(inner_sov, comb, plus, scope=_union(store, plus) & no_x)
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
         inners[inner] = None
         minus.append(inner)
-        wrappers.append(store.composite((), comb, minus, scope=scopes[gid] - {x}))
+        wrappers.append(store.composite((), comb, minus, scope=scopes[gid] & no_x))
     if len(set(wrappers)) != len(node.children):
         raise InternalError("decomposition collapsed two distinct groups")
     out = store.composite(_without(node.sov, x), node.comb, wrappers, scope=scopes[root])
@@ -236,7 +241,7 @@ def recompose_sum(store: NodeStore, nid: int,
                 continue
             inner_block = cn.sov[0][1]
             rest = list(filter(cand.__ne__, node.children))
-            if not _union(store, rest).union(block).isdisjoint(inner_block):
+            if (_union(store, rest) | mask_of(block)) & mask_of(inner_block):
                 continue
             if not set(cn.children).isdisjoint(rest):
                 continue  # a shared factor would be silently deduplicated
@@ -275,7 +280,7 @@ def simplify_normalized(store: NodeStore, nid: int,
                     continue
                 rest = list(filter(c.__ne__, node.children))
                 rest_scope = _union(store, rest)
-                if x in rest_scope:
+                if rest_scope >> x & 1:
                     continue
                 found = (x, rest, rest_scope)
                 break
@@ -286,7 +291,7 @@ def simplify_normalized(store: NodeStore, nid: int,
         x, rest, rest_scope = found
         keep = tuple(v for v in block if v != x)
         out = store.composite(((marg, keep),) if keep else (), node.comb, rest,
-                              scope=rest_scope.difference(keep))
+                              scope=rest_scope & ~mask_of(keep))
         _emit(trace, "simplify-normalized", nid, out, var=x)
         nid = out
 
@@ -325,13 +330,14 @@ def decompose_max(store: NodeStore, root: int, x: int,
     scopes = store._scopes
     kids = node.children
     comb = _groups_comb(store, kids)
-    plus = list(compress(kids, map(contains, map(scopes.__getitem__, kids), repeat(x))))
+    bit = 1 << x
+    plus = list(compress(kids, map(and_, map(scopes.__getitem__, kids), repeat(bit))))
     if not plus:
         out = store.composite(new_sov, node.comb, kids, scope=scopes[root])
         _emit(trace, "decompose-max", root, out, var=x)
         return out, None
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
-    pulled_set = {m for m in common if x not in scopes[m]}
+    pulled_set = {m for m in common if not scopes[m] & bit}
     pulled = sorted(pulled_set)
     _require_nonneg(store, pulled, "decompose-max")
     if pulled:
@@ -342,9 +348,9 @@ def decompose_max(store: NodeStore, root: int, x: int,
     else:
         inner_groups = plus  # a group rebuilt over all its members is itself
     inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups,
-                            scope=_union(store, inner_groups) - {x})
+                            scope=_union(store, inner_groups) & ~bit)
     wrapper = store.composite((), comb, pulled + [inner],
-                              scope=scopes[inner].union(*map(scopes.__getitem__, pulled)))
+                              scope=scopes[inner] | _union(store, pulled))
     # The wrapper does not mention x, so a root child equal to it would be
     # one of the groups it is to sit beside.
     i = bisect_left(kids, wrapper)
@@ -390,8 +396,8 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
                 sub_block = store.nodes[m].sov[0][1]
                 siblings = list(filter(gid.__ne__, node.children))
                 n2 = list(filter(m.__ne__, gn_children))
-                blocked = _union(store, siblings).union(block, *map(scopes.__getitem__, n2))
-                if not blocked.isdisjoint(sub_block):
+                blocked = _union(store, chain(siblings, n2)) | mask_of(block)
+                if blocked & mask_of(sub_block):
                     continue
                 hit = (group_combs[gid], m, siblings, n2, sub_block)
                 break
@@ -439,7 +445,7 @@ def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int], shrunk: boo
         raise InternalError("rebuilding the root collapsed two children")
     scope = store._scopes[root]
     if shrunk and scope:
-        scope = scope & _union(store, kids)
+        scope &= _union(store, kids)
     return store.composite(node.sov, node.comb, kids, scope=scope)
 
 

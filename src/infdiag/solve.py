@@ -121,34 +121,35 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
     _check_ops(m)
     counter = counter or OpCounter()
     chosen = {cid for _, cid, later in plan if not later}
-    last_reader = {s: c.id for c in m.clusters for s in c.sons}
+    last_reader = {s: cid for cid, _, _, sons, _, _ in m.clusters for s in sons}
     messages: dict[int, Part] = {}
     kept: dict[int, Kept] = {}
     done: set[int] = set()
-    for c in m.clusters:  # ascending ids are topological
-        if c.id in done:
+    # Records are unpacked once: a NamedTuple field read costs a descriptor call.
+    for cid, _, psi, sons, elim, ops in m.clusters:  # ascending ids are topological
+        if cid in done:
             raise InternalError("cluster evaluated twice")
-        done.add(c.id)
-        marg, comb = c.ops
-        parts = [(t.scope, t.array) for t in c.psi] + [messages[s] for s in c.sons]
-        for s in c.sons:
-            if last_reader[s] == c.id:
+        done.add(cid)
+        marg, comb = ops
+        parts = [(t.scope, t.array) for t in psi] + [messages[s] for s in sons]
+        for s in sons:
+            if last_reader[s] == cid:
                 messages.pop(s, None)  # a merged cluster may list a son twice
-        out = fold(parts, comb, _ident(c.ops), counter)
-        if c.elim:
-            missing = [v for v in c.elim if v not in out[0]]
+        out = fold(parts, comb, _ident(ops), counter)
+        if elim:
+            missing = [v for v in elim if v not in out[0]]
             if missing:
-                raise InternalError(f"cluster {c.id} eliminates {missing}, "
+                raise InternalError(f"cluster {cid} eliminates {missing}, "
                                     "which none of its parts holds")
-            if c.id in chosen:
+            if cid in chosen:
                 scope = out[0]
-                out, choice = argmax_marginalize(out, c.elim[0], counter, sets=with_sets)
-                kept[c.id] = scope, choice
+                out, choice = argmax_marginalize(out, elim[0], counter, sets=with_sets)
+                kept[cid] = scope, choice
             else:
                 if marg is Op.MAX:
-                    kept[c.id] = out
-                out = eliminate(out, c.elim, marg, counter)
-        messages[c.id] = out
+                    kept[cid] = out
+                out = eliminate(out, elim, marg, counter)
+        messages[cid] = out
         del parts, out  # free this cluster's arrays before the next fold
     scope, arr = messages[m.root]
     if scope:
@@ -174,9 +175,10 @@ def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
     cluster_of: dict[int, Cluster] = {}
     mentioned: set[int] = set()
     for c in m.clusters:
-        mentioned |= c.V & decisions
-        if c.ops[0] is Op.MAX and c.elim:
-            (x,) = c.elim
+        _, V, _, _, elim, ops = c
+        mentioned |= V & decisions
+        if ops[0] is Op.MAX and elim:
+            (x,) = elim
             if x not in decisions:
                 raise InternalError(f"variable {x} max-eliminated but not a decision")
             if x in cluster_of:
@@ -310,12 +312,12 @@ def check_cells(m: MCDag, sizes: Sequence[int]) -> None:
     """Refuse, before any arithmetic, a cluster whose fold would combine more
     than CELL_GUARD cells.  `fold` combines only a cluster of two or more
     parts, and their union is the cluster's scope `V`."""
-    for c in m.clusters:
-        if len(c.psi) + len(c.sons) > 1:
-            cells = math.prod(map(sizes.__getitem__, c.V))
+    for cid, V, psi, sons, _, _ in m.clusters:
+        if len(psi) + len(sons) > 1:
+            cells = math.prod(map(sizes.__getitem__, V))
             if cells > CELL_GUARD:
                 raise ResourceGuardError(
-                    f"cluster {c.id} combines {cells} cells (limit {CELL_GUARD})")
+                    f"cluster {cid} combines {cells} cells (limit {CELL_GUARD})")
 
 
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",

@@ -247,6 +247,37 @@ def test_tie_sets_cost_a_byte_per_cell(var):
         assert peak[True] < peak[False] + 2 * arr.size
 
 
+def test_argmax_without_sets_copies_no_table():
+    # Along an axis other than the last, numpy's argmax copies the table
+    # first, eight bytes a cell; the boolean rows cost one.
+    arr = np.random.default_rng(3).integers(0, 4, (2 ** 16, 2)).astype(float)
+    tracemalloc.start()
+    try:
+        argmax_marginalize(((0, 1), arr), 0, sets=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * arr.size
+
+
+def test_argmax_representative_is_numpys_first_argmax():
+    # Whichever path reads it, the lowest attaining value is what
+    # `arr.argmax(axis)` returns, ties planted by drawing from few values.
+    rng = np.random.default_rng(29)
+    for ndim in range(1, 5):
+        for _ in range(10):
+            sizes = tuple(int(s) for s in rng.integers(1, 6, ndim))
+            arr = rng.integers(0, 3, sizes).astype(float)
+            arr[rng.random(sizes) < 0.2] = -np.inf
+            scope = tuple(range(ndim))
+            for axis, var in enumerate(scope):
+                want = arr.argmax(axis).reshape(-1)
+                for sets in (True, False):
+                    _, choice = argmax_marginalize((scope, arr), var, sets=sets)
+                    assert np.array_equal(choice.representative, want)
+                    assert choice.representative.dtype == want.dtype
+
+
 def test_counter_counts_combine_and_marginalize():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((1,), (3,), np.array([1.0, 2.0, 3.0]))

@@ -5,8 +5,10 @@ from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable, UnknownVariableError
 from infdiag.nodes import (
     NodeStore,
+    bits,
     canonical_sov,
     initial_node,
+    mask_of,
     node_count,
     reachable,
     store_for,
@@ -107,6 +109,15 @@ def test_intern_canonicalizes_raw_parts_once():
     assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
     assert stored.children == tuple(sorted((a, b, c)))
     assert store.scope(n1) == {0}
+
+
+@pytest.mark.parametrize("s", [frozenset(), {0}, {1}, {62}, {63}, {64}, {65}, {200},
+                               {0, 1, 62, 63, 64, 65, 200}])
+def test_bits_inverts_mask_of(s):
+    mask = mask_of(s)
+    assert mask == sum(2 ** v for v in s)
+    assert bits(mask) == s
+    assert type(bits(mask)) is frozenset
 
 
 def test_scope_formula():

@@ -2,9 +2,11 @@
 and driver invariants (soundness, size bound, determinism)."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from infdiag import rewrite
 from infdiag.baseline import brute_force
 from infdiag.diagram import fixture, mode_ops, parse, random_id, sov0
 from infdiag.factors import InternalError, Op, ScopedTable
-from infdiag.nodes import (CompNode, NodeStore, canonical_sov, initial_node, node_count,
-                           store_for)
+from infdiag.nodes import (CompNode, NodeStore, bits, canonical_sov, initial_node,
+                           node_count, store_for)
 from infdiag.rewrite import (TraceEvent, decompose_max, decompose_sum, drop_unit_children,
                              macrostructure, recompose_max, recompose_sum,
                              remove_passthrough, simplify_normalized)
@@ -724,6 +726,24 @@ def _sweep():
     return ds
 
 
+def test_store_after_the_rewrite_of_chain_256_holds_little_memory():
+    # Each decision step of chain(n) builds nodes whose scopes hold about n
+    # variables; kept as frozensets they cost about 64 bytes a variable
+    # (5.0 MB here), as bitmasks a few machine words a node.
+    d = fixture("chain", n=256)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = store_for(d)
+        macrostructure(store, initial_node(store, d))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(store.nodes) > 2000
+    assert held <= 2.5e6, held
+
+
 def test_derived_scopes_and_sovs_are_right(monkeypatch):
     # A rule that passes `intern` a scope promises the union of the
     # children's scopes minus the sov variables, and a canonical sov.
@@ -736,12 +756,12 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
             assert canonical_sov(sov) == sov, (sov, comb, children)
             union = frozenset().union(*(self.scope(c) for c in children))
             eliminated = {v for _, block in sov for v in block}
-            assert scope == union - eliminated, ((sov, comb, children), scope)
+            assert bits(scope) == union - eliminated, ((sov, comb, children), scope)
         return intern(self, sov, comb, children, scope=scope, table=table)
 
     monkeypatch.setattr(NodeStore, "intern", checking)
     ds = [fixture("fig2"), fixture("fig3")]
-    ds += [fixture(name, n=n) for name in ("chain", "star") for n in range(1, 10)]
+    ds += [fixture(name, n=n) for name in ("chain", "star") for n in (*range(1, 10), 70)]
     ds += [random_id(3 + seed % 37, seed % 6, 3, 3, mode=mode, seed=seed)
            for seed in range(100) for mode in ("prob", "poss")]
     for d in ds:

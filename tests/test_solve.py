@@ -216,7 +216,7 @@ def test_evaluate_matches_the_table_fold(d):
 def test_mixed_mode_ops_are_rejected():
     d = fixture("fig2")
     m = mcdag_of(d)
-    bad = dataclasses.replace(m.clusters[0], ops=(Op.MIN, Op.MAX))
+    bad = m.clusters[0]._replace(ops=(Op.MIN, Op.MAX))
     broken = dataclasses.replace(m, clusters=(bad,) + m.clusters[1:])
     with pytest.raises(InternalError):
         evaluate(broken)
@@ -401,12 +401,12 @@ def test_plan_refuses_a_malformed_cluster_dag():
     assert [x for x, _, _ in plan_policies(m, d)] == [d1, d3, d2]
 
     def planted(old, **changes):
-        new = dataclasses.replace(old, **changes)
+        new = old._replace(**changes)
         return dataclasses.replace(m, clusters=tuple(new if c is old else c
                                                      for c in m.clusters))
 
     twice = dataclasses.replace(m, clusters=m.clusters + (
-        dataclasses.replace(by_elim[(d1,)], id=len(m.clusters)),))
+        by_elim[(d1,)]._replace(id=len(m.clusters)),))
     for bad, match in [
             (twice, "eliminated in two clusters"),
             (planted(by_elim[(d2,)], elim=()), "never max-eliminated"),
