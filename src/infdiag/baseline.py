@@ -199,10 +199,10 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
             acc = pot_marg_chance(acc, [s.x], counter)
         else:
             acc, choice = pot_marg_decision(acc, s.x, counter, with_sets)
-            if not set(choice.retained_scope) <= set(d.parents[s.x]):
+            if not set(choice.scope) <= set(d.parents[s.x]):
                 raise InternalError(
                     f"rule for {d.names[s.x]} would depend on "
-                    f"{sorted(set(choice.retained_scope) - set(d.parents[s.x]))}")
+                    f"{sorted(set(choice.scope) - set(d.parents[s.x]))}")
             choices[s.x] = choice
         pool.append(acc)
     if acc.p[0] or acc.u[0]:

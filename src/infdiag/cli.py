@@ -30,15 +30,14 @@ def _load(path: str) -> InfluenceDiagram:
 
 
 def _policy_json(d: InfluenceDiagram, p: solve.Policy) -> dict:
-    rule = [int(round(float(v))) for v in np.asarray(p.rule.values).ravel()]
     out = {
         "var": d.names[p.var],
         "context": [d.names[v] for v in p.context],
         "relevant": [d.names[v] for v in p.rule.scope],
-        "rule": rule,
+        "rule": p.rule.values.tolist(),
     }
-    if p.choice_sets is not None:
-        out["choices"] = [np.flatnonzero(row).tolist() for row in p.choice_sets]
+    if p.rule.attaining is not None:
+        out["choices"] = [np.flatnonzero(row).tolist() for row in p.rule.attaining]
     return out
 
 
@@ -46,11 +45,11 @@ def _print_policies(d: InfluenceDiagram, policies: Sequence[solve.Policy]) -> No
     for p in policies:
         name = d.names[p.var]
         if not p.rule.scope:
-            print(f"policy {name} = {int(round(float(p.rule.values[0])))}")
+            print(f"policy {name} = {p.rule.values[0]}")
             continue
-        for assign in product(*(range(s) for s in p.rule.sizes)):
+        for assign, chosen in zip(product(*(range(s) for s in p.rule.sizes)),
+                                  p.rule.values):
             ctx = ", ".join(f"{d.names[v]}={a}" for v, a in zip(p.rule.scope, assign))
-            chosen = int(round(p.rule.lookup(dict(zip(p.rule.scope, assign)))))
             print(f"policy {name}({ctx}) = {chosen}")
 
 

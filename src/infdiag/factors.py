@@ -8,9 +8,11 @@ id; marginalization keeps the surviving order of its input.
 The arithmetic lives in array-level helpers over (scope, ndarray) parts:
 `align` lays a part out over a union scope, `fold` combines parts,
 `eliminate` marginalizes one, and `argmax_marginalize` max-eliminates one
-variable of one and records which values attain the max.  `combine_all`
-and `marginalize` are thin `ScopedTable` wrappers over them; both engines
-and the policy pass call the array-level helpers directly.
+variable of one and records which values attain the max in a `ChoiceTable`
+of integer value indices, which every engine hands out as the decision's
+rule.  `combine_all` and `marginalize` are thin `ScopedTable` wrappers over
+them; both engines and the policy pass call the array-level helpers
+directly.
 Each step charges the operation counter it is passed (a fresh one, read by
 no one, when the argument is optional and omitted) with one unit per binary
 scalar operation performed (combination: one per output cell;
@@ -142,15 +144,12 @@ class ScopedTable:
     # -- conveniences ------------------------------------------------------
 
     @property
-    def size(self) -> int:
+    def size(self) -> int:  # read by the benchmark's perfbench/workloads.py
         return self.values.size
 
     @property
     def array(self) -> np.ndarray:
         return self.values.reshape(self.sizes) if self.scope else self.values.reshape(())
-
-    def size_of(self, var: int) -> int:
-        return self.sizes[self.scope.index(var)]
 
     def lookup(self, assignment: Mapping[int, int]) -> float:
         idx = []
@@ -253,20 +252,20 @@ def marginalize(t: ScopedTable, vars: Sequence[int], op: Op, counter: OpCounter 
     return ScopedTable(keep, out.shape, out.reshape(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceTable:
-    """Per retained assignment: which values of the eliminated variable
-    attain the max.
+    """Per assignment of `scope`, the retained variables: which values of
+    the eliminated variable attain the max.  It is also a decision rule.
 
-    Rows run over the retained scope, last variable fastest.
-    `representative` holds the lowest attaining value (the deterministic
+    Rows run over `scope`, last variable fastest.  `values` holds, per row,
+    the lowest attaining value index as an integer (the deterministic
     tie-break).  `attaining`, when the sets were asked for, is the rows ×
     values boolean mask of the attaining values, and None otherwise.
     """
 
-    retained_scope: tuple[int, ...]
-    retained_sizes: tuple[int, ...]
-    representative: np.ndarray
+    scope: tuple[int, ...]
+    sizes: tuple[int, ...]
+    values: np.ndarray
     attaining: np.ndarray | None
 
 

@@ -11,13 +11,14 @@ the rule depends on the decision's observations only.  A decision with none
 takes its choice from the argmax that eliminates it in the message pass
 (the policy recording of Jensen, Jensen & Dittmer); the others keep their
 combined table.  Like `check_cells`, the plan refuses a substitution whose
-result would span more than CELL_GUARD cells.
+result would span more than CELL_GUARD cells.  A decision's rule is the
+`ChoiceTable` of its argmax, integer value indices from there to the output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -37,7 +38,6 @@ from .factors import (  # noqa: F401
     OpCounter,
     ResourceGuardError,
     Part,
-    ScopedTable,
     align,
     argmax_marginalize,
     combine_all,
@@ -60,17 +60,17 @@ class Policy:
     """Decision rule: chosen value index per context assignment.
 
     `context` is the full observation set pa(D); `rule` may have a smaller
-    scope (the relevant part) and is constant in the dropped variables, so
-    `rule.lookup` accepts any assignment covering `rule.scope`.  When tie
-    sets were requested, `choice_sets` is a boolean array with one row per
-    assignment of `rule.scope` (row-major, last variable fastest) and one
-    column per value of the decision, true where that value attains the max.
+    scope (the relevant part) and is constant in the dropped variables.
+    `rule.values` holds one integer value index per assignment of
+    `rule.scope` (row-major, last variable fastest).  `rule.attaining` is
+    None unless tie sets were requested; then it is a boolean array with one
+    row per such assignment and one column per value of the decision, true
+    where that value attains the max.
     """
 
     var: int
     context: tuple[int, ...]
-    rule: ScopedTable
-    choice_sets: np.ndarray | None = field(default=None, compare=False)
+    rule: ChoiceTable
 
 
 @dataclass
@@ -230,25 +230,22 @@ def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
     return union[:axis] + union[axis + 1:], picked.squeeze(axis)
 
 
-def _rule(d: InfluenceDiagram, x: int, choice: ChoiceTable) -> ScopedTable:
-    return ScopedTable(choice.retained_scope, choice.retained_sizes,
-                       choice.representative.astype(float),
-                       name=f"rule_{d.variables[x].name}")
-
-
 def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],
                           with_sets: bool = False) -> list[Policy]:
-    """One policy per decision, in id order, from each decision's argmax."""
+    """One policy per decision, in id order, each decision's argmax as its
+    rule; without `with_sets` the rules keep no tie sets."""
     out = []
     for x in d.decision_ids:
         choice = choices.get(x)
         if choice is None:  # no influence anywhere: every choice is optimal
             choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp),
                                  np.ones((1, d.size_of(x)), dtype=bool))
-        if with_sets and choice.attaining is None:
-            raise InternalError(f"tie sets of decision {x} were not recorded")
-        out.append(Policy(x, tuple(d.parents[x]), _rule(d, x, choice),
-                          choice.attaining if with_sets else None))
+        if choice.attaining is None:
+            if with_sets:
+                raise InternalError(f"tie sets of decision {x} were not recorded")
+        elif not with_sets:
+            choice = ChoiceTable(choice.scope, choice.sizes, choice.values, None)
+        out.append(Policy(x, tuple(d.parents[x]), choice))
     return out
 
 
@@ -268,8 +265,8 @@ def extract_policies(d: InfluenceDiagram, plan: Sequence[PolicyStep],
         if later:
             for y in later:
                 ch = choices[y]
-                scope, arr = _substitute(scope, arr, y, ch.retained_scope,
-                                         ch.representative.reshape(ch.retained_sizes))
+                scope, arr = _substitute(scope, arr, y, ch.scope,
+                                         ch.values.reshape(ch.sizes))
             _, arr = argmax_marginalize((scope, arr), x, counter, sets=with_sets)
         choices[x] = arr
     return policies_from_choices(d, choices, with_sets)
@@ -293,7 +290,8 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
     for assign in product(*(range(d.size_of(v)) for v in chance)):
         env = dict(zip(chance, assign))
         for x in d.temporal_decisions():
-            val = int(round(by_var[x].rule.lookup(env)))
+            rule = by_var[x].rule
+            val = int(rule.values.reshape(rule.sizes)[tuple(env[v] for v in rule.scope)])
             if not 0 <= val < d.size_of(x):
                 raise InternalError(f"rule for {d.names[x]} chose {val}")
             env[x] = val

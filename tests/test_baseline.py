@@ -129,10 +129,10 @@ def test_marg_decision_examples():
     pi = Potential(scalar(1.0), tab((0,), (2,), [1.0, 5.0]))
     out, choice = pot_marg_decision(pi, 0)
     assert float(out.u[1]) == 5.0
-    assert choice.representative[0] == 1
+    assert choice.values[0] == 1
     tie, choice = pot_marg_decision(
         Potential(scalar(1.0), tab((0,), (2,), [4.0, 4.0])), 0)
-    assert choice.representative[0] == 0
+    assert choice.values[0] == 0
     assert choice.attaining.tolist() == [[True, True]]
 
 
@@ -272,9 +272,10 @@ def test_potential_ve_outputs_are_pinned():
             _, policies, width = potential_ve(d, counter=counter, with_sets=with_sets)
             h.update(repr((sorted(counter.by_kind.items()), width)).encode())
             for p in policies:
-                sets = None if p.choice_sets is None else \
-                    [np.flatnonzero(row).tolist() for row in p.choice_sets]
-                h.update(repr((p.var, p.rule.scope, p.rule.values.tobytes(), sets)).encode())
+                sets = None if p.rule.attaining is None else \
+                    [np.flatnonzero(row).tolist() for row in p.rule.attaining]
+                h.update(repr((p.var, p.rule.scope, p.rule.values.astype(np.float64).tobytes(),
+                               sets)).encode())
     assert h.hexdigest() == \
         "f9af21949338f75d6ed31882df9a1ebd306c88df88e05ff566e9046dc87e8e1d"
 

@@ -64,12 +64,12 @@ def enum_combine(t1: ScopedTable, t2: ScopedTable, op: Op) -> ScopedTable:
 
 def enum_marginalize(t: ScopedTable, vars, op: Op) -> ScopedTable:
     keep = tuple(v for v in t.scope if v not in set(vars))
-    keep_sizes = tuple(t.size_of(v) for v in keep)
+    keep_sizes = tuple(t.sizes[t.scope.index(v)] for v in keep)
     elim = [v for v in t.scope if v in set(vars)]
     vals = []
     for outer in assignments(keep, keep_sizes):
         acc = None
-        for inner in assignments(tuple(elim), tuple(t.size_of(v) for v in elim)):
+        for inner in assignments(tuple(elim), tuple(t.sizes[t.scope.index(v)] for v in elim)):
             x = t.lookup({**outer, **inner})
             acc = x if acc is None else SCALAR[op](acc, x)
         vals.append(acc)
@@ -103,7 +103,7 @@ def paired_tables(draw):
     pool = list(t1.scope) + [v for v in range(10) if v not in t1.scope]
     scope2 = tuple(draw(st.permutations(pool[: max(len(pool), 1)]))[:n_vars])
     sizes2 = tuple(
-        t1.size_of(v) if v in t1.scope else draw(st.integers(1, 4)) for v in scope2
+        t1.sizes[t1.scope.index(v)] if v in t1.scope else draw(st.integers(1, 4)) for v in scope2
     )
     count = int(np.prod(sizes2)) if sizes2 else 1
     vals = draw(
@@ -146,7 +146,7 @@ def test_combine_canonicalizes_scope_order():
 
 def test_scalar_table():
     t = ScopedTable((), (), np.array([4.5]))
-    assert t.scope == () and t.size == 1
+    assert t.scope == () and t.values.size == 1
     assert t.lookup({}) == 4.5
 
 
@@ -179,7 +179,7 @@ def test_argmax_tracks_sets_and_representative():
     (scope, best), choice = argmax_marginalize(((0, 2), arr), 2)
     assert scope == (0,) and best.tolist() == [5.0, 7.0]
     assert choice.attaining.tolist() == [[False, True, True], [True, False, True]]
-    assert list(choice.representative) == [1, 0]
+    assert list(choice.values) == [1, 0]
     with pytest.raises(UnknownVariableError):
         argmax_marginalize(((0, 2), arr), 1)
 
@@ -195,9 +195,8 @@ def test_argmax_without_sets_keeps_marginal_and_representative():
         assert choice.attaining is None and full.attaining is not None
         assert marg[0] == full_marg[0]
         assert marg[1].tobytes() == full_marg[1].tobytes()
-        assert np.array_equal(choice.representative, full.representative)
-        assert (choice.retained_scope, choice.retained_sizes) == \
-            (full.retained_scope, full.retained_sizes)
+        assert np.array_equal(choice.values, full.values)
+        assert (choice.scope, choice.sizes) == (full.scope, full.sizes)
 
 
 def test_argmax_matches_the_row_oracle():
@@ -215,10 +214,10 @@ def test_argmax_matches_the_row_oracle():
                     counter = OpCounter()
                     (got_scope, got), choice = argmax_marginalize(
                         (scope, arr), var, counter, sets=sets)
-                    assert got_scope == choice.retained_scope == keep
-                    assert got.shape == choice.retained_sizes == kept_sizes
+                    assert got_scope == choice.scope == keep
+                    assert got.shape == choice.sizes == kept_sizes
                     assert got.reshape(-1).tolist() == best
-                    assert choice.representative.tolist() == lowest
+                    assert choice.values.tolist() == lowest
                     if sets:
                         assert choice.attaining.shape == (got.size, arr.shape[scope.index(var)])
                         assert [tuple(np.flatnonzero(row).tolist())
@@ -274,8 +273,8 @@ def test_argmax_representative_is_numpys_first_argmax():
                 want = arr.argmax(axis).reshape(-1)
                 for sets in (True, False):
                     _, choice = argmax_marginalize((scope, arr), var, sets=sets)
-                    assert np.array_equal(choice.representative, want)
-                    assert choice.representative.dtype == want.dtype
+                    assert np.array_equal(choice.values, want)
+                    assert choice.values.dtype == want.dtype
 
 
 def test_counter_counts_combine_and_marginalize():

@@ -74,15 +74,15 @@ def test_single_decision_direct_arithmetic():
     meu, (policy,) = run(mcdag_of(d), d)
     assert meu == 5.0
     assert policy.var == 0 and policy.context == ()
-    assert int(policy.rule.lookup({})) == 1
+    assert int(policy.rule.values[0]) == 1
 
 
 def test_tie_keeps_lowest_index_and_full_set():
     d = parse("IDNET 1\nMODE prob\nVAR d 2 DECISION\n"
               "UTIL u d : 4 4\nORDER / d /\n")
     (policy,) = policies_of(mcdag_of(d), d, with_sets=True)
-    assert int(policy.rule.lookup({})) == 0
-    assert policy.choice_sets.tolist() == [[True, True]]
+    assert int(policy.rule.values[0]) == 0
+    assert policy.rule.attaining.tolist() == [[True, True]]
 
 
 @pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 6),
@@ -97,7 +97,7 @@ def test_rules_do_not_depend_on_tie_sets(d):
     for p, q in zip(plain.policies, full.policies):
         assert (p.var, p.context, p.rule.scope) == (q.var, q.context, q.rule.scope)
         assert p.rule.values.tobytes() == q.rule.values.tobytes()
-        assert p.choice_sets is None and q.choice_sets is not None
+        assert p.rule.attaining is None and q.rule.attaining is not None
 
 
 def test_policies_from_choices_needs_recorded_sets():
@@ -105,7 +105,7 @@ def test_policies_from_choices_needs_recorded_sets():
               "UTIL u d : 4 4\nORDER / d /\n")
     choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), None)
     (policy,) = policies_from_choices(d, {0: choice})
-    assert int(policy.rule.lookup({})) == 0
+    assert int(policy.rule.values[0]) == 0
     with pytest.raises(InternalError, match="tie sets"):
         policies_from_choices(d, {0: choice}, with_sets=True)
 
@@ -201,9 +201,9 @@ def test_evaluate_matches_the_table_fold(d):
                 if isinstance(arr, ChoiceTable):
                     (x,) = m.clusters[cid].elim
                     keep, _, lowest, attaining = oracle_argmax(scope, w.array, x)
-                    assert (arr.retained_scope, arr.retained_sizes) == \
-                        (keep, tuple(w.size_of(v) for v in keep)), cid
-                    assert arr.representative.tolist() == lowest, cid
+                    assert (arr.scope, arr.sizes) == \
+                        (keep, tuple(w.sizes[w.scope.index(v)] for v in keep)), cid
+                    assert arr.values.tolist() == lowest, cid
                     sets = None if arr.attaining is None else \
                         [tuple(np.flatnonzero(row).tolist()) for row in arr.attaining]
                     assert sets == (attaining if with_sets else None), cid
@@ -326,6 +326,21 @@ def test_policy_evaluation_guards_enumeration():
         evaluate_policy(d, [])
 
 
+@pytest.mark.parametrize("out_of_domain", [lambda v, size: v + size,
+                                           lambda v, size: np.full_like(v, -1)],
+                         ids=["above", "below"])
+def test_policy_evaluation_refuses_a_choice_outside_the_domain(out_of_domain):
+    d = fixture("fig3")  # one rule over no variable, two over two
+    run = solve_diagram(d)
+    assert close(evaluate_policy(d, run.policies), run.meu)
+    for i, p in enumerate(run.policies):
+        r = p.rule
+        bad = ChoiceTable(r.scope, r.sizes, out_of_domain(r.values, d.size_of(p.var)), None)
+        policies = run.policies[:i] + [dataclasses.replace(p, rule=bad)] + run.policies[i + 1:]
+        with pytest.raises(InternalError, match="chose"):
+            evaluate_policy(d, policies)
+
+
 @pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])
 def test_cluster_engine_refuses_up_front_exactly_what_fold_refuses(monkeypatch, limit):
     # Lower the guard of `check_cells` and of `fold` in turn: the pre-flight
@@ -439,7 +454,7 @@ def test_deterministic_path_reaches_one():
     meu, policies = run(mcdag_of(d), d)
     assert close(meu, 1.0)
     assert close(evaluate_policy(d, policies), 1.0)
-    assert int(policies[0].rule.lookup({})) == 1
+    assert int(policies[0].rule.values[0]) == 1
 
 
 # -- end to end ---------------------------------------------------------------
@@ -509,9 +524,9 @@ def test_cluster_engine_outputs_are_pinned():
             h.update(repr((np.float64(run.meu).tobytes(), run.w_mcdag, run.cluster_count,
                            kinds)).encode())
             for p in run.policies:
-                sets = None if p.choice_sets is None else \
-                    [np.flatnonzero(row).tolist() for row in p.choice_sets]
-                h.update(repr((p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
-                               sets)).encode())
+                sets = None if p.rule.attaining is None else \
+                    [np.flatnonzero(row).tolist() for row in p.rule.attaining]
+                h.update(repr((p.var, p.context, p.rule.scope,
+                               p.rule.values.astype(np.float64).tobytes(), sets)).encode())
     assert h.hexdigest() == \
         "51ba514f5c6285bd28ed20d3a3939bbcb2bffa876d5c30768d747cdf6db26a42"
