@@ -10,12 +10,18 @@ D_k, i.e. the union of all earlier blocks (perfect recall).
 Two quantification modes are supported:
   prob  -- conditional probabilities, additive utilities, expected value
   poss  -- possibility tables and [0,1] utilities, pessimistic min/max value
+
+`parse` converts every table value of one text into one float64 buffer, and
+each parsed table's values are a read-only, contiguous view of its own cells
+in it.  A copy of a table's values (`values.copy()`, a deep copy, a pickle)
+holds only those cells; a table that stays alive keeps the whole buffer.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,8 +240,33 @@ def _split_segments(tokens: list[str]) -> list[list[str]]:
     return segs
 
 
-def _parse_floats(text: str, expected: int, what: str, line: int) -> np.ndarray:
-    """The numbers of one line segment, in ASCII decimal float syntax.
+_TABLE_KWS = ("PROB", "UTIL")
+
+
+def _split_line(body: str) -> tuple[list[str], str]:
+    """The whitespace tokens of one line and, for a PROB or UTIL line, the
+    text after its first ':' ("" for any other line).
+
+    A table line whose first ':' stands between two spaces, with at least
+    the keyword and one more token before it, is tokenized only through
+    that ':', so that each of its numbers is split once, by
+    `_append_floats`; the grammar checks in `parse` read the same from that
+    header as from the whole line.  Any other line is split whole, so that
+    a ':' glued to a neighbouring character, or with only the keyword before
+    it, keeps the messages those checks give on the whole line."""
+    head, colon, values = body.partition(" : ")
+    tokens = head.split()
+    if colon:
+        if ":" not in head and len(tokens) > 1 and tokens[0] in _TABLE_KWS:
+            tokens.append(":")
+            return tokens, values
+        tokens = body.split()
+    return tokens, body.partition(":")[2] if tokens and tokens[0] in _TABLE_KWS else ""
+
+
+def _append_floats(buf: array, text: str, expected: int, what: str, line: int) -> None:
+    """Append the `expected` numbers of one line segment, in ASCII decimal
+    float syntax, to `buf`.
 
     `float()` alone would also read '1_0' and non-ASCII digits, so the whole
     segment is searched for those once; only a segment that holds one, or a
@@ -243,10 +274,11 @@ def _parse_floats(text: str, expected: int, what: str, line: int) -> np.ndarray:
     token."""
     tokens = text.split()
     try:
-        vals = list(map(float, tokens))
+        values = list(map(float, tokens))  # a list, as fromlist takes it fastest
+        clean = "_" not in text and text.isascii()
     except ValueError:
-        vals = None
-    if vals is None or "_" in text or not text.isascii():
+        clean = False
+    if not clean:
         for tok in tokens:
             try:
                 if "_" in tok or not tok.isascii():
@@ -254,9 +286,9 @@ def _parse_floats(text: str, expected: int, what: str, line: int) -> np.ndarray:
                 float(tok)
             except ValueError:
                 raise FormatError(f"bad numeric value {tok!r}", line) from None
-    if len(vals) != expected:
-        raise FormatError(f"{what}: expected {expected} values, got {len(vals)}", line)
-    return np.asarray(vals, dtype=np.float64)
+    if len(tokens) != expected:
+        raise FormatError(f"{what}: expected {expected} values, got {len(tokens)}", line)
+    buf.fromlist(values)
 
 
 class _Loc:
@@ -272,7 +304,8 @@ class _Loc:
 def parse(text: str | bytes) -> InfluenceDiagram:
     """Parse IDNET text into a validated diagram.
 
-    Errors carry the 1-based line number of the offending construct.
+    Errors carry the 1-based line number of the offending construct; lines
+    are checked in order, so the first faulty line is the one reported.
     """
     if isinstance(text, bytes):
         try:
@@ -283,8 +316,10 @@ def parse(text: str | bytes) -> InfluenceDiagram:
 
     var_ids: dict[str, int] = {}
     variables: list[Variable] = []
-    cpts: dict[int, ScopedTable] = {}
-    utilities: list[ScopedTable] = []
+    buf = array("d")  # every table value, in line order
+    # (scope, sizes, name, start, end) per table, its values being buf[start:end]
+    cpt_rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], str, int, int]] = {}
+    util_rows: list[tuple[tuple[int, ...], tuple[int, ...], str, int, int]] = []
     util_names: set[str] = set()
     order_segs: list[list[str]] | None = None
     mode: str | None = None
@@ -299,10 +334,17 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 f"utility {name!r} used as a variable; utilities are leaves", lineno)
         raise FormatError(f"unknown variable {name!r}", lineno)
 
+    def resolve_all(names: list[str], lineno: int) -> tuple[int, ...]:
+        try:
+            return tuple(map(var_ids.__getitem__, names))
+        except KeyError:
+            return tuple(resolve(t, lineno) for t in names)  # names the first unknown
+
+    comments = "#" in text
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
+        body = raw.split("#", 1)[0] if comments else raw
+        tokens, values = _split_line(body)
         if not tokens:
             continue
         if not saw_header:
@@ -347,17 +389,16 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 raise FormatError(
                     f"PROB line for decision {tokens[1]!r}; decision parents "
                     "come from the ORDER line", lineno)
-            if child in cpts:
+            if child in cpt_rows:
                 raise FormatError(f"duplicate PROB for {tokens[1]!r}", lineno)
             colon = tokens.index(":")
-            scope = tuple(resolve(t, lineno) for t in tokens[3:colon]) + (child,)
+            scope = resolve_all(tokens[3:colon], lineno) + (child,)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in PROB scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(body.split(":", 1)[1], math.prod(sizes),
-                                   f"PROB {tokens[1]}", lineno)
-            cpts[child] = ScopedTable(scope, sizes, values,
-                                      name=f"P_{tokens[1]}", cpt_for=child)
+            start = len(buf)
+            _append_floats(buf, values, math.prod(sizes), f"PROB {tokens[1]}", lineno)
+            cpt_rows[child] = (scope, sizes, f"P_{tokens[1]}", start, len(buf))
             loc.cpt[child] = lineno
 
         elif kw == "UTIL":
@@ -372,14 +413,14 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             if name in util_names:
                 raise FormatError(f"duplicate utility {name!r}", lineno)
             colon = tokens.index(":")
-            scope = tuple(resolve(t, lineno) for t in tokens[2:colon])
+            scope = resolve_all(tokens[2:colon], lineno)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in UTIL scope", lineno)
             sizes = tuple(variables[v].size for v in scope)
-            values = _parse_floats(body.split(":", 1)[1], math.prod(sizes),
-                                   f"UTIL {name}", lineno)
-            loc.util[len(utilities)] = lineno
-            utilities.append(ScopedTable(scope, sizes, values, name=name))
+            start = len(buf)
+            _append_floats(buf, values, math.prod(sizes), f"UTIL {name}", lineno)
+            loc.util[len(util_rows)] = lineno
+            util_rows.append((scope, sizes, name, start, len(buf)))
             util_names.add(name)
 
         elif kw == "ORDER":
@@ -403,12 +444,20 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             oline)
     blocks: list[tuple[int, ...]] = []
     for i, seg in enumerate(order_segs):
-        ids = tuple(resolve(t, oline) for t in seg)
+        ids = resolve_all(seg, oline)
         if i % 2 == 1 and len(ids) != 1:
             raise FormatError(
                 "even ORDER segments must name exactly one decision", oline)
         blocks.append(ids)
 
+    # The checks `ScopedTable` would repeat are made above: scopes without
+    # repeats, positive sizes, prod(sizes) values per table.
+    flat = np.frombuffer(buf, dtype=np.float64)
+    flat.setflags(write=False)
+    cpts = {x: ScopedTable.trusted(scope, sizes, flat[start:end], name, x)
+            for x, (scope, sizes, name, start, end) in cpt_rows.items()}
+    utilities = [ScopedTable.trusted(scope, sizes, flat[start:end], name)
+                 for scope, sizes, name, start, end in util_rows]
     if not utilities:
         utilities.append(_constant_utility(mode, util_names | set(var_ids)))
 

@@ -141,6 +141,24 @@ class ScopedTable:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def trusted(cls, scope: tuple[int, ...], sizes: tuple[int, ...], values: np.ndarray,
+                name: str | None = None, cpt_for: int | None = None) -> ScopedTable:
+        """A table built without `__post_init__`'s checks, for a caller that
+        has made them: `scope` holds distinct variables, `sizes` one positive
+        size each, and `values` is a read-only, C-contiguous float64 vector of
+        prod(sizes) cells.  The fields are set one by one in declaration
+        order, as `__init__` sets them, so every table's instance dict keeps
+        sharing its keys with the others'."""
+        t = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(t, "scope", scope)
+        set_field(t, "sizes", sizes)
+        set_field(t, "values", values)
+        set_field(t, "name", name)
+        set_field(t, "cpt_for", cpt_for)
+        return t
+
     # -- conveniences ------------------------------------------------------
 
     @property

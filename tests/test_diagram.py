@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +258,41 @@ def test_value_count_mismatch():
 def test_table_values_use_ascii_float_syntax(old, new, token, line):
     err = _expect(MINIMAL.replace(old, new), FormatError, "bad numeric value", line=line)
     assert repr(token) in str(err)
+
+
+@pytest.mark.parametrize("old, new, needle, line", [
+    # a bad number on an earlier table line, an unknown directive on a later one
+    (("0.3 0.7", "0.3 1_0"), ("ORDER", "ODER"), "bad numeric value '1_0'", 6),
+    # an unknown directive on an earlier line, a bad number on a later one
+    (("PROB r1", "BOGUS x\nPROB r1"), ("3.0 4.0", "3.0 1_0"), "unknown directive 'BOGUS'", 6),
+    # a value-count mismatch on an earlier table line, a bad number on a later one
+    (("0.3 0.7", "0.3 0.7 0.1"), ("3.0 4.0", "3.0 1_0"), "expected 2 values, got 3", 6),
+    # within one line the bad number is named, whatever the count
+    (("0.3 0.7", "0.3 0.7 1_0"), ("ORDER", "ODER"), "bad numeric value '1_0'", 6),
+])
+def test_the_first_faulty_line_is_reported(old, new, needle, line):
+    _expect(MINIMAL.replace(*old).replace(*new), FormatError, needle, line=line)
+
+
+def test_parse_holds_one_line_of_value_tokens_at_a_time():
+    # 200 utilities of 256 values each.  Beside the diagram, parse holds its
+    # list of lines, one line's tokens and, while validating, a copy of the
+    # utility values: 1.3 MB here.  The file's value tokens held at once
+    # would cost 3.7 MB more.
+    values = " ".join(repr(k / 7) for k in range(1, 257))
+    text = "".join(["IDNET 1\nMODE prob\nVAR x 256 DECISION\n",
+                    *(f"UTIL u{i} x : {values}\n" for i in range(200)), "ORDER / x /\n"])
+    tokens = values.split()
+    all_tokens = 200 * (sum(map(sys.getsizeof, tokens)) + 8 * len(tokens))
+    parse(text)  # warm-up
+    tracemalloc.start()
+    try:
+        d = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d.utilities) == 200
+    assert peak - kept < all_tokens / 2
 
 
 @pytest.mark.parametrize("size", ["1_0", "١", "２", "2_"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infdiag.diagram import fixture, parse, serialize
 from infdiag.factors import (
     CELL_GUARD,
     AssignmentError,
@@ -339,6 +341,14 @@ def test_values_are_read_only():
     t = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         t.values[0] = 9.0
+    # Parsed tables are views of one buffer per text: each is read-only, sees
+    # exactly its own cells, and pickles (copies) only those.
+    d = parse(serialize(fixture("fig3")))
+    for t in (*d.cpts.values(), *d.utilities):
+        with pytest.raises(ValueError):
+            t.values[0] = 9.0
+        assert t.values.size == math.prod(t.sizes)
+        assert len(pickle.dumps(t.values)) < 200 + t.values.nbytes
 
 
 def test_identities():

@@ -3,7 +3,8 @@
 Inputs are serialized fig3 with body lines and tokens dropped, repeated,
 swapped or replaced, sometimes truncated or given a stray non-UTF-8 byte.
 Whatever comes in must either solve or be refused with one of the errors the
-command line maps to exit codes 1 and 2; any other exception is a bug.
+command line maps to exit codes 1 and 2; any other exception is a bug.  A
+refusal by the parser names a line of the input (or the one after its end).
 """
 
 from hypothesis import example, given, settings
@@ -15,10 +16,14 @@ from infdiag.solve import solve_diagram
 
 FIG3 = serialize(fixture("fig3"))
 LINES = [line.split() for line in FIG3.splitlines()]
-# Replacement tokens: the file's own plus edge cases.  No domain size above 3
-# can arise, so a mutant that parses stays small enough to solve.
-NUMBERS = ["0", "1", "0.5", "3", "-1", "nan", "inf", "-inf", "1e400", "0x1"]
-TOKENS = sorted({tok for line in LINES for tok in line}) + NUMBERS + ["#", "/", "|", ":"]
+# Replacement tokens: the file's own plus edge cases, among them numbers that
+# float() reads but the format refuses (digit-group underscores, non-ASCII
+# digits) and colons glued to a neighbour.  No domain size above 3 can arise,
+# so a mutant that parses stays small enough to solve.
+NUMBERS = ["0", "1", "0.5", "3", "-1", "nan", "inf", "-inf", "1e400", "0x1",
+           "1_0", "\u0663", "\uff12", "x"]
+TOKENS = (sorted({tok for line in LINES for tok in line}) + NUMBERS
+          + ["#", "/", "|", ":", "c:", ":x"])
 
 HUGE_DOMAINS = (b"IDNET 1\nMODE prob\nVAR a 4294967296 DECISION\n"
                 b"VAR b 4294967296 DECISION\nUTIL u a b :\nORDER / a / / b /\n")
@@ -75,6 +80,10 @@ def mutants(draw: st.DrawFn) -> bytes:
 def test_mutated_input_solves_or_is_refused(data):
     try:
         d = parse(data)
+    except DiagramError as e:
+        assert e.line is not None and 1 <= e.line <= len(data.splitlines()) + 1, e
+        return
+    try:
         solve_diagram(d, with_sets=True)
     except (DiagramError, FactorError, ResourceGuardError):
         pass
