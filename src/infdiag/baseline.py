@@ -20,7 +20,7 @@ import numpy as np
 
 # `factors.fold` is looked up on the module at call time, so a test can stand in for it
 from . import factors
-from .clusters import Hypergraph, find_order
+from .clusters import find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
     CELL_GUARD,
@@ -135,9 +135,8 @@ def _plan(d: InfluenceDiagram, heuristic: str) -> tuple[list[Step], int]:
     for op, block in reversed(sov0(d)):
         chance = op is not Op.MAX
         if chance:
-            edges = [scopes[i][0] | scopes[i][1] for i in live]
-            g = Hypergraph(frozenset(set(block).union(*edges)), frozenset(edges))
-            order: Sequence[int] = find_order(g, block, heuristic).order
+            order: Sequence[int] = find_order([scopes[i][0] | scopes[i][1] for i in live],
+                                              block, heuristic)
         else:
             order = tuple(reversed(block))
         for x in order:

@@ -2,15 +2,16 @@
 
 Every composite node is decomposed on its own, straight from its children's
 scopes.  A node with one variable or none needs no order search: its sov
-is the order.  For a node with two or more, the scopes form a hypergraph
-and an elimination order is found (heuristically or exhaustively).  Either
-way, bucket elimination turns the order into a chain of clusters, and the
-children that mention no eliminated variable go to the node's final
-cluster.  Fragments of shared nodes are built once and acquire multiple
-parents.  Scopes arrive as the store's bitmasks: a part goes into a bucket
-when `mask & bit` is set, and a mask becomes a frozenset only for a
-cluster's `V` and for `hypergraph_of`.  Cluster records are `NamedTuple`s,
-built like `CompNode`.
+is the order.  For a node with two or more, `find_order` takes the
+children's scopes as hyperedges and returns an elimination order (found
+heuristically or exhaustively).  Either way, bucket elimination turns the
+order into a chain of clusters, and the children that mention no
+eliminated variable go to the node's final cluster.  Fragments of shared
+nodes are built once and acquire multiple parents.  Scopes arrive as the
+store's bitmasks: a part goes into a bucket when `mask & bit` is set, and a
+mask becomes a frozenset only for a cluster's `V` and for the hyperedges
+`find_order` reads.  Cluster records are `NamedTuple`s, built like
+`CompNode`.
 
 The induced width is the size of the largest hyperedge *created* while
 eliminating, so the work per cluster reads d^(1+width).  A bucket spans its
@@ -20,6 +21,7 @@ from the clusters: the largest one that eliminates a variable, less one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -29,30 +31,6 @@ from .nodes import NodeStore, _record, bits, reachable
 
 EXHAUSTIVE_LIMIT = 10
 HEURISTICS = ("min-fill", "min-degree", "exhaustive")
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    vertices: frozenset[int]
-    edges: frozenset[frozenset[int]]
-
-    def __post_init__(self) -> None:
-        for e in self.edges:
-            if not e <= self.vertices:
-                raise InternalError("hyperedge outside the vertex set")
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    order: tuple[int, ...]
-    step_sizes: tuple[int, ...]
-    width: int
-
-    def __post_init__(self) -> None:
-        if len(self.order) != len(self.step_sizes):
-            raise InternalError("one created-edge size per eliminated variable")
-        if self.width != max(self.step_sizes, default=0):
-            raise InternalError("width must be the largest created edge")
 
 
 class Cluster(NamedTuple):
@@ -74,15 +52,6 @@ class MCDag:
     w_mcdag: int = 0
 
 
-def hypergraph_of(store: NodeStore, nid: int) -> Hypergraph:
-    node = store.nodes[nid]
-    if node.is_atomic:
-        raise InternalError("hypergraph of an atomic node")
-    scopes = list(map(bits, map(store._scopes.__getitem__, node.children)))
-    verts = frozenset().union(*scopes) if scopes else frozenset()
-    return Hypergraph(verts, frozenset(scopes))
-
-
 def _eliminate_step(edges: set[frozenset[int]], x: int
                     ) -> tuple[set[frozenset[int]], frozenset[int]]:
     hits = [e for e in edges if x in e]
@@ -94,34 +63,28 @@ def _eliminate_step(edges: set[frozenset[int]], x: int
     return rest, created
 
 
-def find_order(g: Hypergraph, elim: Iterable[int],
-               heuristic: str = "min-fill") -> EliminationOrder:
+def find_order(edges: Iterable[frozenset[int]], elim: Iterable[int],
+               heuristic: str = "min-fill") -> tuple[int, ...]:
+    """An elimination order of `elim` over the hyperedges `edges`."""
     todo = set(elim)
-    if not todo <= g.vertices:
-        raise InternalError("elimination set outside the hypergraph")
     if heuristic not in HEURISTICS:
         raise InternalError(f"unknown ordering heuristic {heuristic!r}")
-    if len(todo) == 1:  # every heuristic agrees; no primal graph needed
-        (x,) = todo
-        created = set().union(*(e for e in g.edges if x in e))
-        created.discard(x)
-        return EliminationOrder((x,), (len(created),), len(created))
     if heuristic == "exhaustive":
         if len(todo) > EXHAUSTIVE_LIMIT:
             raise ResourceGuardError(
                 f"exhaustive ordering is limited to {EXHAUSTIVE_LIMIT} variables")
-        return _exhaustive_order(g, frozenset(todo))
+        return _exhaustive_order(set(edges), frozenset(todo))
     # Neighbour sets of the primal graph: a candidate's created edge is its
     # neighbourhood, and eliminating it turns that neighbourhood into a clique.
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
+    # A variable in no edge gets an empty set when it is first scanned.
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    for e in edges:
         for v in e:
             adj[v].update(e)
     for v, nb in adj.items():
         nb.discard(v)
     degree = heuristic == "min-degree"
     order: list[int] = []
-    sizes: list[int] = []
     remaining = sorted(todo)
     while remaining:
         best_score = -1
@@ -140,9 +103,8 @@ def find_order(g: Hypergraph, elim: Iterable[int],
             na.discard(a)
             na.discard(best)
         order.append(best)
-        sizes.append(len(nb))
         remaining.remove(best)
-    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+    return tuple(order)
 
 
 def _fill_in(adj: Mapping[int, set[int]], nb: set[int]) -> int:
@@ -151,25 +113,26 @@ def _fill_in(adj: Mapping[int, set[int]], nb: set[int]) -> int:
     return sum(k - len(nb & adj[a]) for a in nb) // 2
 
 
-def _exhaustive_order(g: Hypergraph, elim: frozenset[int]) -> EliminationOrder:
+def _exhaustive_order(edges: set[frozenset[int]], elim: frozenset[int]
+                      ) -> tuple[int, ...]:
     after: dict[frozenset[int], set[frozenset[int]]] = {}
 
     def graph_after(done: frozenset[int]) -> set[frozenset[int]]:
         if done not in after:
-            edges = set(g.edges)
+            out = edges
             for x in sorted(done):  # the result is order-independent
-                edges, _ = _eliminate_step(edges, x)
-            after[done] = edges
+                out, _ = _eliminate_step(out, x)
+            after[done] = out
         return after[done]
 
     memo: dict[frozenset[int], int] = {frozenset(): 0}
 
     def best(remaining: frozenset[int]) -> int:
         if remaining not in memo:
-            edges = graph_after(elim - remaining)
+            now = graph_after(elim - remaining)
             out = None
             for x in remaining:
-                _, created = _eliminate_step(edges, x)
+                _, created = _eliminate_step(now, x)
                 w = max(len(created), best(remaining - {x}))
                 if out is None or w < out:
                     out = w
@@ -177,19 +140,17 @@ def _exhaustive_order(g: Hypergraph, elim: frozenset[int]) -> EliminationOrder:
         return memo[remaining]
 
     order: list[int] = []
-    sizes: list[int] = []
     remaining = elim
     while remaining:
-        edges = graph_after(elim - remaining)
+        now = graph_after(elim - remaining)
         target = best(remaining)
         for x in sorted(remaining):
-            _, created = _eliminate_step(edges, x)
+            _, created = _eliminate_step(now, x)
             if max(len(created), best(remaining - {x})) == target:
                 order.append(x)
-                sizes.append(len(created))
                 remaining = remaining - {x}
                 break
-    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+    return tuple(order)
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +272,8 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
             order = sov[0][1]
         else:
             sov_vars = [v for _, block in sov for v in block]
-            order = find_order(hypergraph_of(store, nid), sov_vars, heuristic).order
+            order = find_order(map(bits, map(store._scopes.__getitem__, node.children)),
+                               sov_vars, heuristic)
         fragment_of[nid] = clusterize(store, nid, order, clusters, fragment_of)
     width = max((len(V) - 1 for _, V, _, _, elim, _ in clusters if elim), default=0)
     m = MCDag(tuple(clusters), fragment_of[root], width)

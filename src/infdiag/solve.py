@@ -238,8 +238,14 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     for x in d.decision_ids:
         choice = choices.get(x)
         if choice is None:  # no influence anywhere: every choice is optimal
-            choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp),
-                                 np.ones((1, d.size_of(x)), dtype=bool))
+            attaining = None
+            if with_sets:
+                size = d.size_of(x)
+                if size > CELL_GUARD:
+                    raise ResourceGuardError(f"the tie set of decision {d.names[x]} "
+                                             f"spans {size} cells (limit {CELL_GUARD})")
+                attaining = np.ones((1, size), dtype=bool)
+            choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), attaining)
         if choice.attaining is None:
             if with_sets:
                 raise InternalError(f"tie sets of decision {x} were not recorded")

@@ -16,11 +16,12 @@ value and every attaining value, per assignment of the other variables.
 
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
-pick the same orders.  `width_of_order` replays a fixed order on the
-hyperedges and records the size of each created edge.  `oracle_width` is
-the constrained induced width as `clusters.assemble` once took it: the
-largest `find_order` width over every reachable composite node, each
-node's order found on its hypergraph.
+return the same order tuples.  `width_of_order` replays a fixed order on
+the hyperedges and returns the size of each created edge; the width of the
+order is the largest.  `oracle_width` is the constrained induced width as
+`clusters.assemble` once took it: the largest replayed width over every
+reachable composite node, each node's `find_order` order replayed on its
+children's scopes, which `child_scopes` reads off the store.
 
 `oracle_acyclic` runs a three-colour DFS over the full parent graph, decision
 parents included.  `diagram.validate` reads only table scopes and ORDER
@@ -59,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from infdiag.clusters import EliminationOrder, Hypergraph, MCDag, find_order, hypergraph_of
+from infdiag.clusters import MCDag, find_order
 from infdiag.diagram import (NORMALIZATION_TOL, InfluenceDiagram, NormalizationError,
                              ValidationError)
 from infdiag.factors import (_UFUNC, COMBINE_OPS, MARGINAL_OPS, FactorError, InternalError,
@@ -172,22 +173,21 @@ def _eliminate(edges: set[frozenset[int]], x: int
     return rest, created
 
 
-def width_of_order(g: Hypergraph, order: Sequence[int]) -> EliminationOrder:
-    """Replay a fixed order and record the created-edge sizes."""
-    edges = set(g.edges)
+def width_of_order(edges: Iterable[frozenset[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """Replay a fixed order and return the created-edge sizes."""
+    edges = set(edges)
     sizes = []
     for x in order:
         edges, created = _eliminate(edges, x)
         sizes.append(len(created))
-    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+    return tuple(sizes)
 
 
-def oracle_order(g: Hypergraph, elim: Iterable[int],
-                 heuristic: str = "min-fill") -> EliminationOrder:
+def oracle_order(edges: Iterable[frozenset[int]], elim: Iterable[int],
+                 heuristic: str = "min-fill") -> tuple[int, ...]:
     """Greedy order that rescans every hyperedge for every candidate."""
-    edges = set(g.edges)
+    edges = set(edges)
     order: list[int] = []
-    sizes: list[int] = []
     remaining = sorted(set(elim))
     while remaining:
         best = None
@@ -199,13 +199,17 @@ def oracle_order(g: Hypergraph, elim: Iterable[int],
             else:
                 score = _fill_count(edges, created)
             if best is None or score < best[0]:
-                best = (score, x, created)
-        _, x, created = best
+                best = (score, x)
+        _, x = best
         edges, _ = _eliminate(edges, x)
         order.append(x)
-        sizes.append(len(created))
         remaining.remove(x)
-    return EliminationOrder(tuple(order), tuple(sizes), max(sizes, default=0))
+    return tuple(order)
+
+
+def child_scopes(store: NodeStore, nid: int) -> list[frozenset[int]]:
+    """The scopes of a composite node's children, the hyperedges of its order."""
+    return [store.scope(c) for c in store.nodes[nid].children]
 
 
 def oracle_width(store: NodeStore, root: int, heuristic: str = "min-fill") -> int:
@@ -222,8 +226,10 @@ def oracle_width(store: NodeStore, root: int, heuristic: str = "min-fill") -> in
         if node.is_atomic:
             continue
         stack.extend(node.children)
+        edges = child_scopes(store, nid)
         elim = [v for _, block in node.sov for v in block]
-        width = max(width, find_order(hypergraph_of(store, nid), elim, heuristic).width)
+        order = find_order(edges, elim, heuristic)
+        width = max(width, max(width_of_order(edges, order), default=0))
     return width
 
 

@@ -303,6 +303,20 @@ def test_cell_guard_exits_2(engine, tmp_path, capsys):
     assert "resource guard" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("engine", ["mcdag", "potential"])
+def test_a_free_decision_over_a_huge_domain_needs_no_mask_without_sets(engine, tmp_path,
+                                                                      capsys):
+    # No table mentions d: it chooses 0 without a mask over its domain, and
+    # its tie set, the whole domain, is refused before it is allocated.
+    path = tmp_path / "huge.idnet"
+    path.write_text(FREE_DECISION.replace("VAR d 3 DECISION", "VAR d 1000000000000 DECISION"))
+    assert main(["solve", str(path), "--engine", engine]) == 0
+    assert "policy d = 0" in capsys.readouterr().out
+    assert main(["solve", str(path), "--engine", engine, "--sets"]) == 2
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "Traceback" not in err
+
+
 def test_exhaustive_width_guard_exits_2(tmp_path, capsys):
     path = tmp_path / "nine.idnet"
     path.write_text(serialize(random_id(9, 1, 2, 2, seed=1)))

@@ -1,19 +1,20 @@
 """Cluster DAG construction: orders, buckets, assembly, merging."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from infdiag import clusters
 from infdiag.clusters import (
     EXHAUSTIVE_LIMIT,
+    HEURISTICS,
     Cluster,
-    EliminationOrder,
-    Hypergraph,
     MCDag,
     assemble,
     clusterize,
     find_order,
-    hypergraph_of,
     merge_clusters,
     to_dot,
 )
@@ -21,7 +22,7 @@ from infdiag.diagram import fixture, parse, random_id
 from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, reachable, store_for
 from infdiag.rewrite import macrostructure
-from oracles import oracle_order, oracle_width, width_of_order
+from oracles import child_scopes, oracle_order, oracle_width, width_of_order
 from test_rewrite import _sweep
 
 R1, R2, D = 0, 1, 2  # fig2 variable ids
@@ -40,8 +41,9 @@ def node_widths(store, root, heuristic="min-fill", order=find_order):
     for nid in reachable(store, root):
         node = store.nodes[nid]
         if not node.is_atomic:
+            edges = child_scopes(store, nid)
             sov_vars = [v for _, block in node.sov for v in block]
-            out[nid] = order(hypergraph_of(store, nid), sov_vars, heuristic).width
+            out[nid] = max(width_of_order(edges, order(edges, sov_vars, heuristic)), default=0)
     return out
 
 
@@ -61,68 +63,31 @@ def table(scope, sizes, name=None, cpt_for=None):
     return ScopedTable(tuple(scope), shape, np.ones(shape), name=name, cpt_for=cpt_for)
 
 
-# -- hypergraphs ------------------------------------------------------------
-
-def test_hypergraph_of_reads_child_scopes():
-    store, _, _, s2 = fig2_parts()
-    g = hypergraph_of(store, s2)
-    assert g.vertices == {R1, R2, D}
-    assert g.edges == {frozenset({R1}), frozenset({R1, R2}), frozenset({D, R2})}
-
-
-def test_hypergraph_of_rejects_atoms():
-    store, root, _, _ = fig2_parts()
-    atom = next(c for c in store.nodes[root].children if store.nodes[c].is_atomic)
-    with pytest.raises(InternalError):
-        hypergraph_of(store, atom)
-
-
-def test_hypergraph_rejects_stray_edge():
-    with pytest.raises(InternalError):
-        Hypergraph(frozenset({0}), frozenset({frozenset({0, 1})}))
-
-
-def test_elimination_order_validates_width():
-    with pytest.raises(InternalError):
-        EliminationOrder((0, 1), (1, 1), 2)
-    with pytest.raises(InternalError):
-        EliminationOrder((0,), (1, 1), 1)
-
-
 # -- find_order --------------------------------------------------------------
 
 def test_find_order_fig2_node_has_width_one():
     store, _, _, s2 = fig2_parts()
-    g = hypergraph_of(store, s2)
+    edges = child_scopes(store, s2)
+    assert set(edges) == {frozenset({R1}), frozenset({R1, R2}), frozenset({D, R2})}
     for heuristic in ("min-fill", "min-degree", "exhaustive"):
-        order = find_order(g, [R1, R2], heuristic)
-        assert order.order == (R1, R2)
-        assert order.width == 1
+        order = find_order(edges, [R1, R2], heuristic)
+        assert order == (R1, R2)
+        assert width_of_order(edges, order) == (1, 1)
 
 
 def test_find_order_empty_set():
-    g = Hypergraph(frozenset({0, 1}), frozenset({frozenset({0, 1})}))
-    order = find_order(g, [])
-    assert order.order == () and order.step_sizes == () and order.width == 0
-
-
-def test_find_order_rejects_foreign_variables():
-    g = Hypergraph(frozenset({0}), frozenset({frozenset({0})}))
-    with pytest.raises(InternalError):
-        find_order(g, [5])
+    assert find_order([frozenset({0, 1})], []) == ()
 
 
 def test_find_order_rejects_unknown_heuristic():
-    g = Hypergraph(frozenset({0}), frozenset({frozenset({0})}))
     with pytest.raises(InternalError):
-        find_order(g, [0], "best-effort")
+        find_order([frozenset({0})], [0], "best-effort")
 
 
 def test_exhaustive_guard():
-    vs = frozenset(range(11))
-    g = Hypergraph(vs, frozenset(frozenset({i}) for i in vs))
+    vs = range(11)
     with pytest.raises(ResourceGuardError):
-        find_order(g, vs, "exhaustive")
+        find_order([frozenset({i}) for i in vs], vs, "exhaustive")
 
 
 def test_forced_first_versus_free_order():
@@ -134,45 +99,45 @@ def test_forced_first_versus_free_order():
     y, last = n + 1, n + 2
     edges = {frozenset({y}), frozenset({xs[0], y})}
     edges |= {frozenset({x, last}) for x in xs}
-    g = Hypergraph(frozenset(xs + [y, last]), frozenset(edges))
-    free = find_order(g, xs + [y, last], "exhaustive")
-    assert free.width == 1
-    forced = width_of_order(g, [last] + xs + [y])
-    assert forced.step_sizes[0] == n
-    assert forced.width == n
+    free = find_order(edges, xs + [y, last], "exhaustive")
+    assert max(width_of_order(edges, free)) == 1
+    forced = width_of_order(edges, [last] + xs + [y])
+    assert forced[0] == n
+    assert max(forced) == n
 
 
 def test_width_of_order_replays_consistently():
+    # The replayed created-edge sizes are the sizes, less one, of the
+    # clusters that bucket elimination builds along the same order.
     store, _, _, s2 = fig2_parts()
-    g = hypergraph_of(store, s2)
-    order = find_order(g, [R1, R2])
-    replay = width_of_order(g, order.order)
-    assert replay == order
+    edges = child_scopes(store, s2)
+    order = find_order(edges, [R1, R2])
+    built = []
+    clusterize(store, s2, order, built, {})
+    assert width_of_order(edges, order) == tuple(len(c.V) - 1 for c in built if c.elim)
 
 
 def test_heuristics_never_beat_exhaustive():
     rng = np.random.default_rng(3)
     for _ in range(40):
         nv = int(rng.integers(2, 8))
-        verts = frozenset(range(nv))
         edges = set()
         for _ in range(int(rng.integers(1, 7))):
             k = int(rng.integers(1, min(4, nv) + 1))
             edges.add(frozenset(int(v) for v in rng.choice(nv, size=k, replace=False)))
-        g = Hypergraph(verts, frozenset(edges))
         elim = sorted(int(v) for v in rng.choice(nv, size=int(rng.integers(1, nv + 1)),
                                                  replace=False))
-        wexact = find_order(g, elim, "exhaustive").width
+        wexact = max(width_of_order(edges, find_order(edges, elim, "exhaustive")))
         for heuristic in ("min-fill", "min-degree"):
-            order = find_order(g, elim, heuristic)
-            assert sorted(order.order) == elim
-            assert order.width >= wexact
-            assert width_of_order(g, order.order) == order
+            order = find_order(edges, elim, heuristic)
+            assert sorted(order) == elim
+            assert max(width_of_order(edges, order)) >= wexact
 
 
 def test_find_order_of_one_variable_matches_the_general_walk():
-    # One variable skips the primal graph: its step is the union of the edges
-    # holding it, less itself, and 0 for a variable in no edge.
+    # One variable is ordered by the general walk under every heuristic: its
+    # step is the union of the edges holding it, less itself, and 0 for a
+    # variable in no edge.
     rng = np.random.default_rng(23)
     isolated = 0
     for _ in range(200):
@@ -182,16 +147,37 @@ def test_find_order_of_one_variable_matches_the_general_walk():
         for _ in range(int(rng.integers(0, 2 * span + 1))):
             k = int(rng.integers(1, min(4, span) + 1))
             edges.add(frozenset(int(v) for v in rng.choice(span, size=k, replace=False)))
-        g = Hypergraph(frozenset(range(nv)), frozenset(edges))
         for x in range(nv):
             isolated += not any(x in e for e in edges)
-            want = width_of_order(g, [x])
-            assert clusters._exhaustive_order(g, frozenset({x})) == want
+            step = len(set().union(*(e for e in edges if x in e)) - {x})
+            assert width_of_order(edges, [x]) == (step,)
             for heuristic in ("min-fill", "min-degree"):
-                assert oracle_order(g, [x], heuristic) == want
+                assert oracle_order(edges, [x], heuristic) == (x,)
             for heuristic in ("min-fill", "min-degree", "exhaustive"):
-                assert find_order(g, [x], heuristic) == want, (sorted(map(sorted, edges)), x)
+                assert find_order(edges, [x], heuristic) == (x,), (sorted(map(sorted, edges)), x)
     assert isolated > 50
+
+
+def test_exhaustive_order_is_optimal():
+    # No permutation of the eliminated variables replays narrower.  Vertices
+    # past `span` are in no edge, and some of them are eliminated.
+    rng = np.random.default_rng(23)
+    isolated = 0
+    for _ in range(150):
+        nv = int(rng.integers(1, 9))
+        span = int(rng.integers(1, nv + 1))
+        edges = set()
+        for _ in range(int(rng.integers(0, 2 * span + 1))):
+            k = int(rng.integers(1, min(4, span) + 1))
+            edges.add(frozenset(int(v) for v in rng.choice(span, size=k, replace=False)))
+        elim = [int(v) for v in rng.choice(nv, size=int(rng.integers(1, min(6, nv) + 1)),
+                                           replace=False)]
+        isolated += any(v >= span for v in elim)
+        order = find_order(edges, elim, "exhaustive")
+        assert sorted(order) == sorted(elim)
+        best = min(max(width_of_order(edges, p)) for p in itertools.permutations(elim))
+        assert max(width_of_order(edges, order)) == best, (sorted(map(sorted, edges)), elim)
+    assert isolated > 30
 
 
 def test_find_order_matches_hyperedge_scan_oracle():
@@ -205,13 +191,12 @@ def test_find_order_matches_hyperedge_scan_oracle():
         for _ in range(int(rng.integers(0, 2 * span + 1))):
             k = int(rng.integers(1, min(5, span) + 1))
             edges.add(frozenset(int(v) for v in rng.choice(span, size=k, replace=False)))
-        g = Hypergraph(frozenset(range(nv)), frozenset(edges))
         elim = [v for v in range(nv) if rng.random() < 0.8]
         covered = set().union(*edges)
         isolated_elim += any(v not in covered for v in elim)
         outside += len(elim) < nv
         for heuristic in ("min-fill", "min-degree"):
-            assert find_order(g, elim, heuristic) == oracle_order(g, elim, heuristic), \
+            assert find_order(edges, elim, heuristic) == oracle_order(edges, elim, heuristic), \
                 (sorted(map(sorted, edges)), elim, heuristic)
     assert isolated_elim > 50 and outside > 50
 
@@ -233,9 +218,9 @@ def test_assemble_matches_oracle_order_replay(family, n, monkeypatch):
 
 def test_clusterize_fig2_node_buckets():
     store, _, _, s2 = fig2_parts()
-    order = find_order(hypergraph_of(store, s2), [R1, R2])
+    order = find_order(child_scopes(store, s2), [R1, R2])
     clusters = []
-    rid = clusterize(store, s2, order.order, clusters, {})
+    rid = clusterize(store, s2, order, clusters, {})
     assert len(clusters) == 2
     first, second = clusters
     assert first.V == {R1, R2} and first.elim == (R1,)
@@ -393,8 +378,8 @@ def test_assemble_refuses_a_variable_no_child_mentions():
     with pytest.raises(InternalError, match="no child mentions"):
         assemble(store, one)
     pair = store.composite([(Op.SUM, (0, 2))], Op.TIMES, [atom])
-    with pytest.raises(InternalError):
-        assemble(store, pair)  # find_order refuses it
+    with pytest.raises(InternalError, match="no child mentions"):
+        assemble(store, pair)  # find_order orders it, clusterize refuses it
     with pytest.raises(InternalError, match="no child mentions"):
         clusterize(store, pair, (0, 2), [], {})
 
@@ -438,6 +423,38 @@ def test_width_of_a_sub_dag_ignores_the_free_scope_of_its_root():
             assert m.w_mcdag == oracle_width(store, nid), (nid, d.names)
             wide += len(m.clusters[m.root].V) - 1 > m.w_mcdag
     assert wide > 0
+
+
+CLUSTER_DAG_DIGESTS = {
+    "min-fill":
+        "67439465f7eda0e0dcd5fb18d071e0921600f823bfd6e4f556e9586e33fc9e40",
+    "min-degree":
+        "3059382ca0508f0ec64f588e256f37c51d2aa1cdf88ae64976e6272b67c3fcd0",
+    "exhaustive":
+        "396eae3c3530b0a5ff7f04e3ec6015945a3080046c4e945c55d4156847963952",
+}
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_assembled_cluster_dags_are_pinned(heuristic):
+    # Every cluster's id, sorted V, table names, sons, elimination and ops,
+    # then the root and w_mcdag, over the sweep plus chain/star n = 1..8.
+    ds = _sweep() + [fixture(f, n) for f in ("chain", "star") for n in range(1, 9)]
+    h = hashlib.sha256()
+    hashed = 0
+    for d in ds:
+        store, root = macro_root(d)
+        if heuristic == "exhaustive" and not store.nodes[root].is_atomic and \
+                max(node_vars(store, root).values()) > EXHAUSTIVE_LIMIT:
+            continue
+        m = assemble(store, root, heuristic)
+        for c in m.clusters:
+            h.update(repr((c.id, sorted(c.V), [t.name for t in c.psi], c.sons, c.elim,
+                           [op.value for op in c.ops])).encode())
+        h.update(repr((m.root, m.w_mcdag)).encode())
+        hashed += 1
+    assert hashed > 100
+    assert h.hexdigest() == CLUSTER_DAG_DIGESTS[heuristic]
 
 
 def count_find_order(monkeypatch):
