@@ -56,6 +56,9 @@ _UFUNC = {
     Op.MIN: np.minimum,
 }
 
+# Op.value is a Python-level property; the kernels read each kind from here.
+_KIND = {op: op.value for op in Op}
+
 
 def identity(op: Op, unit_interval: bool = False) -> float:
     """Neutral element of `op`, on the reals or restricted to [0, 1]."""
@@ -221,7 +224,7 @@ def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Par
     full = math.prod(size_of.values())
     if full > CELL_GUARD:
         raise ResourceGuardError(f"combination over {full} cells (limit {CELL_GUARD})")
-    ufunc, kind = _UFUNC[op], op.value
+    ufunc, kind = _UFUNC[op], _KIND[op]
     scope, arr = parts[0]
     acc = align(arr, scope, union)
     owned = False  # acc is an array this call allocated, not a caller's
@@ -242,7 +245,7 @@ def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Pa
         raise FactorError(f"{op} is not a marginalization operator")
     scope, arr = part
     out = np.asarray(_UFUNC[op].reduce(arr, axis=tuple(scope.index(v) for v in elim)))
-    counter.add(arr.size - out.size, op.value)
+    counter.add(arr.size - out.size, _KIND[op])
     return tuple(v for v in scope if v not in elim), out
 
 
@@ -304,10 +307,11 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     axis = scope.index(var)
     keep = scope[:axis] + scope[axis + 1:]
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
-    (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], Op.MAX.value)
+    (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], _KIND[Op.MAX])
     best = np.asarray(arr.max(axis))
     if sets or axis != arr.ndim - 1:
-        rows = np.equal(np.moveaxis(arr, axis, -1), best[..., None],
+        last = (*range(axis), *range(axis + 1, arr.ndim), axis)  # `var` moved last
+        rows = np.equal(arr.transpose(last), best[..., None],
                         order="C").reshape(-1, arr.shape[axis])
         attaining, rep = rows if sets else None, rows.argmax(axis=1)
     else:

@@ -15,6 +15,14 @@ value, field by field, as tuples do.  Equality is therefore by interned child
 ids, not deep structure; atomic nodes compare by table identity, matching
 the table-identity semantics of ScopedTable.
 
+A composite's index key is its own record: the probe is a plain tuple of the
+record's fields, which hashes and compares like the record, and the record
+built on a miss is stored once, as the node and as its key.  An atom is
+keyed by the `id` of its table.  `NodeStore.lookup` canonicalizes a
+composite's parts as `intern` does and returns the stored id, or None; it
+stores nothing, so callers that only ask whether a node exists need not
+know the key's layout.
+
 The store keeps each node's scope as an int bitmask, bit v set when variable
 v is in scope (`mask_of`): union is `|`, removing a variable is `& ~bit` and
 a disjointness test is `&`, each one C-level operation on a few machine
@@ -114,7 +122,7 @@ class NodeStore:
             tuple(f"v{i}" for i in range(len(self.sizes)))
         self.unit_interval = unit_interval
         self.nodes: list[CompNode] = []
-        self._index: dict[object, int] = {}
+        self._index: dict[object, int] = {}  # a composite's record, or id(table)
         self._scopes: list[int] = []  # one bitmask per node
         # Per-node facts read by root-wide checks in one C-level pass: the
         # comb of a sov-less composite (a group), and the comb of a node
@@ -135,6 +143,13 @@ class NodeStore:
                   children: Iterable[int], scope: int | None = None) -> int:
         """Intern a composite; the arguments are those of `intern` (see there)."""
         return self.intern(sov, comb, children, scope)
+
+    def lookup(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
+               children: Iterable[int]) -> int | None:
+        """The id of the stored composite with these parts, or None; stores
+        nothing.  The parts are canonicalized as `intern` canonicalizes them."""
+        return self._index.get(
+            (canonical_sov(sov), comb, tuple(sorted(set(children))), None, False))
 
     def intern(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op | None,
                children: Iterable[int], scope: int | None = None,
@@ -169,7 +184,7 @@ class NodeStore:
             if scope is None:
                 sov = canonical_sov(sov)
             children = tuple(sorted(set(children)))
-            key = (sov, comb, children)
+            key = (sov, comb, children, None, False)  # the fields of its record
             found = self._index.get(key)
             if found is not None:
                 return found
@@ -186,7 +201,7 @@ class NodeStore:
                 scope = reduce(or_, map(self._scopes.__getitem__, children), 0)
                 if sov:
                     scope &= ~mask_of(chain.from_iterable(block for _, block in sov))
-            node = _record(CompNode, (sov, comb, children, None, False))
+            node = key = _record(CompNode, key)  # the record is its own key
             group_comb = None if sov else comb
             max_comb = comb if len(sov) == 1 and sov[0][0] is Op.MAX else None
         nid = len(self.nodes)

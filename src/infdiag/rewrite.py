@@ -303,7 +303,7 @@ def drop_unit_children(store: NodeStore, nid: int,
     if node.is_atomic or node.sov != ():
         return nid
     # the one empty product under this comb, if it was ever interned
-    unit = store._index.get(((), node.comb, ()))
+    unit = store.lookup((), node.comb, ())
     if unit is None or unit not in node.children:
         return nid
     out = store.composite((), node.comb, list(filter(unit.__ne__, node.children)),

@@ -13,6 +13,11 @@ takes its choice from the argmax that eliminates it in the message pass
 combined table.  Like `check_cells`, the plan refuses a substitution whose
 result would span more than CELL_GUARD cells.  A decision's rule is the
 `ChoiceTable` of its argmax, integer value indices from there to the output.
+
+`solve_diagram` runs the layers end to end.  The node store and the rewrite
+trace are held by the compile layers alone: once `merge_clusters` returns,
+the report's node count and trace length are read and both are released,
+so the plan and the two passes run without the node DAG.
 """
 
 from __future__ import annotations
@@ -89,8 +94,8 @@ def _check_ops(m: MCDag) -> None:
         raise InternalError(f"operator pairs {sorted(map(str, pairs))} mix modes")
 
 
-def _ident(ops: tuple[Op, Op]) -> float:
-    return identity(ops[1], unit_interval=ops in POSS_OPS)
+# The combination identity of each operator pair `_check_ops` admits.
+_IDENT = {ops: identity(ops[1], unit_interval=ops in POSS_OPS) for ops in PROB_OPS + POSS_OPS}
 
 
 # What evaluate keeps of a max-eliminating cluster: its combined part, or
@@ -135,7 +140,7 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
         for s in sons:
             if last_reader[s] == cid:
                 messages.pop(s, None)  # a merged cluster may list a son twice
-        out = fold(parts, comb, _ident(ops), counter)
+        out = fold(parts, comb, _IDENT[ops], counter)
         if elim:
             missing = [v for v in elim if v not in out[0]]
             if missing:
@@ -224,10 +229,16 @@ def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
         raise InternalError("substitution needs the variable free in the table only")
     union = tuple(sorted(set(scope) | set(rule_scope)))
     axis = union.index(var)
-    # size-1 axes on either side broadcast against the other's full axes
-    picked = np.take_along_axis(align(arr, scope, union), align(rule, rule_scope, union),
-                                axis=axis)
-    return union[:axis] + union[axis + 1:], picked.squeeze(axis)
+    out = union[:axis] + union[axis + 1:]
+    full = align(arr, scope, union)
+    # One index array per axis, broadcast over the output's: an arange on
+    # every axis but `var`'s, which takes the rule.  Size-1 axes on either
+    # side broadcast against the other's full axes.
+    last = len(out) - 1
+    index = [np.arange(n).reshape((n,) + (1,) * (last - k))
+             for k, n in enumerate(full.shape[:axis] + full.shape[axis + 1:])]
+    index.insert(axis, align(rule, rule_scope, out))
+    return out, np.asarray(full[tuple(index)])
 
 
 def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],
@@ -327,17 +338,28 @@ def check_cells(m: MCDag, sizes: Sequence[int]) -> None:
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
                   with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
+    """Solve `d`: its MEU and policies, with the sizes of what compiled it.
+
+    The node store and the rewrite trace live through the compile layers
+    only (`initial_node`, `macrostructure`, `assemble`, `merge_clusters`).
+    The report's node count and trace length are read from them as soon as
+    the cluster DAG is merged, and both are released there, before
+    `check_cells`: the policy plan, the message pass and the policy pass
+    read the cluster DAG and the diagram alone.
+    """
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
-    check_cells(m, store.sizes)
+    nodes, trace_len = node_count(store, root), len(trace)
+    del store, trace
+    check_cells(m, d.sizes)
     plan = plan_policies(m, d)
     meu, kept = evaluate(m, counter, plan, with_sets)
     return RunReport(
         meu=meu,
         policies=extract_policies(d, plan, kept, with_sets, counter),
         w_mcdag=m.w_mcdag,
-        node_count=node_count(store, root),
+        node_count=nodes,
         cluster_count=len(m.clusters),
-        trace_len=len(trace),
+        trace_len=trace_len,
     )

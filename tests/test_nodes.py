@@ -14,6 +14,7 @@ from infdiag.nodes import (
     store_for,
     to_dot,
 )
+from infdiag.rewrite import macrostructure
 from oracles import eval_node, oracle_canonical_sov, oracle_value, structural_signature
 
 
@@ -109,6 +110,34 @@ def test_intern_canonicalizes_raw_parts_once():
     assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
     assert stored.children == tuple(sorted((a, b, c)))
     assert store.scope(n1) == {0}
+
+
+def test_a_composite_is_its_own_index_key():
+    d = fixture("chain", 16)
+    store = store_for(d)
+    macrostructure(store, initial_node(store, d))
+    composites = [k for k in store._index if not isinstance(k, int)]
+    assert len(composites) == sum(not n.is_atomic for n in store.nodes)
+    for key in composites:
+        assert key is store.nodes[store._index[key]]
+
+
+def test_lookup_finds_without_storing():
+    d = fixture("chain", 16)
+    store = store_for(d)
+    root, _ = macrostructure(store, initial_node(store, d))
+    size = len(store.nodes)
+    for nid in reachable(store, root):
+        node = store.nodes[nid]
+        if not node.is_atomic:
+            assert store.lookup(node.sov, node.comb, node.children) == nid
+            # parts in any order, as `intern` takes them
+            assert store.lookup([(op, block[::-1]) for op, block in node.sov], node.comb,
+                                node.children[::-1] + node.children) == nid
+    node = store.nodes[root]
+    assert store.lookup((), Op.MIN, node.children) is None
+    assert store.lookup(node.sov, node.comb, node.children[1:]) is None
+    assert len(store.nodes) == size
 
 
 @pytest.mark.parametrize("s", [frozenset(), {0}, {1}, {62}, {63}, {64}, {65}, {200},
