@@ -13,6 +13,22 @@ of integer value indices, which every engine hands out as the decision's
 rule.  `combine_all` and `marginalize` are thin `ScopedTable` wrappers over
 them; both engines and the policy pass call the array-level helpers
 directly.
+
+MAX and MIN are exact, so `eliminate` and `argmax_marginalize` may reduce one
+axis of k values slice by slice: a copy of slice 0, then k-1 in-place ufunc
+calls over the other slices.  numpy's `ufunc.reduce` restarts its inner loop
+once per cell before the reduced axis (once per row when the axis is last):
+on a 4^8 table reduced along its last axis that took 910 µs, the slices
+49 µs.  The slices run when k is below 8 and at least `_SLICE_MIN` cells
+precede the axis, a crossover timed against whole kernel calls (its comment
+has the numbers).  Smaller parts take one `ufunc.reduce`, which is cheaper
+there, as is every reduction along the first axis.  Below 8 values numpy's
+own reduce is a left fold, as the slices are, so both give the same bits,
+down to which of 0.0 and -0.0 a tie keeps; from 8 values on it folds in SIMD
+lanes, which may keep the other one.  SUM always takes `ufunc.reduce`: numpy
+sums a contiguous axis of 8 or more values pairwise, so a left fold over the
+slices would round differently there.
+
 Each step charges the operation counter it is passed (a fresh one, read by
 no one, when the argument is optional and omitted) with one unit per binary
 scalar operation performed (combination: one per output cell;
@@ -238,13 +254,51 @@ def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Par
     return union, acc
 
 
+# Where the slices start to pay, in cells before the reduced axis: whole
+# kernel calls against `ufunc.reduce`, median time ratio of 15 interleaved
+# rounds of 100 calls (numpy 2.4.6, Python 3.11.7, x86-64 with AVX-512).
+# With the axis last, `eliminate` gains from about 32, 40 and 50 such cells
+# at k = 2, 3 and 4, and an argmax without tie sets from about 64, 100 and
+# 128; with 4 cells after the axis, from 32 or fewer and 16, 32 and 50.  At
+# 128 every case is at least even; in the calls one pass of each benchmark
+# workload makes, 32 or 64 saved no more than 128.
+_SLICE_MIN = 128
+
+
+def _by_slices(arr: np.ndarray, axis: int) -> bool:
+    """Whether `axis` of `arr` is reduced slice by slice (module docstring)."""
+    return arr.shape[axis] < 8 and math.prod(arr.shape[:axis]) >= _SLICE_MIN
+
+
+def _slices(arr: np.ndarray, axis: int) -> list[np.ndarray]:
+    """The views of `arr` at each value of `axis`, that axis dropped; each is
+    an array, 0-d ones included."""
+    pre = (slice(None),) * axis
+    return [arr[(*pre, i, ...)] for i in range(arr.shape[axis])]
+
+
+def _reduce_slices(slices: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
+    """`ufunc.reduce` over the slices' axis as a left fold: a C-contiguous
+    copy of the first slice, folded in place with each later one."""
+    out = slices[0].copy()
+    for s in slices[1:]:
+        ufunc(out, s, out=out)
+    return out
+
+
 def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Part:
     """Fold `op` over the axes of the distinct scope variables `elim`,
     charging one op per folded-away cell; kept axes keep their order."""
     if op not in MARGINAL_OPS:
         raise FactorError(f"{op} is not a marginalization operator")
     scope, arr = part
-    out = np.asarray(_UFUNC[op].reduce(arr, axis=tuple(scope.index(v) for v in elim)))
+    ufunc = _UFUNC[op]
+    # A part below _SLICE_MIN cells pays this one size comparison.
+    if arr.size >= _SLICE_MIN and op is not Op.SUM and len(elim) == 1 \
+            and _by_slices(arr, axis := scope.index(elim[0])):
+        out = _reduce_slices(_slices(arr, axis), ufunc)
+    else:
+        out = np.asarray(ufunc.reduce(arr, axis=tuple(scope.index(v) for v in elim)))
     counter.add(arr.size - out.size, _KIND[op])
     return tuple(v for v in scope if v not in elim), out
 
@@ -297,10 +351,14 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     `sets` is true, the mask of all attaining values.  Kept axes keep their
     order; argmax keeps the first of tied values.
 
-    The lowest attaining value is read along the rows of the rows × values
-    boolean mask, one byte per cell.  Only without sets and with `var` on
-    the last axis does `argmax` run on the part itself: along another axis
-    numpy would first copy the whole part, eight bytes per cell."""
+    The max is taken slice by slice when `eliminate` would take it so (the
+    module docstring says when, and why that gives numpy's bits).  With
+    sets, the rows × values boolean mask, one byte per cell, gives both the
+    attaining values and the lowest of them.  Without sets, on the slice
+    path, the lowest attaining value is the count of leading slices that
+    miss the max, summed slice by slice; otherwise `argmax` runs on the part
+    itself when `var` is on the last axis, and on the mask along any other,
+    where numpy would first copy the whole part, eight bytes per cell."""
     scope, arr = part
     if var not in scope:
         raise UnknownVariableError(f"variable {var} not in scope {scope}")
@@ -308,8 +366,16 @@ def argmax_marginalize(part: Part, var: int, counter: OpCounter | None = None,
     keep = scope[:axis] + scope[axis + 1:]
     keep_sizes = arr.shape[:axis] + arr.shape[axis + 1:]
     (counter or OpCounter()).add(arr.size - arr.size // arr.shape[axis], _KIND[Op.MAX])
-    best = np.asarray(arr.max(axis))
-    if sets or axis != arr.ndim - 1:
+    slices = _slices(arr, axis) if arr.size >= _SLICE_MIN and _by_slices(arr, axis) else None
+    best = _reduce_slices(slices, np.maximum) if slices else np.asarray(arr.max(axis))
+    if slices and not sets:
+        miss = slices[0] != best
+        count = miss.astype(np.uint8)  # k < 8; bool to uint8 is a view, not a cast
+        for s in slices[1:-1]:  # a row that misses all before the last attains there
+            miss &= s != best
+            count += miss.view(np.uint8)
+        attaining, rep = None, count.astype(np.intp).reshape(-1)
+    elif sets or axis != arr.ndim - 1:
         last = (*range(axis), *range(axis + 1, arr.ndim), axis)  # `var` moved last
         rows = np.equal(arr.transpose(last), best[..., None],
                         order="C").reshape(-1, arr.shape[axis])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infdiag import factors
 from infdiag.diagram import fixture, parse, serialize
 from infdiag.factors import (
     CELL_GUARD,
@@ -30,6 +31,7 @@ from infdiag.factors import (
     UnknownVariableError,
     argmax_marginalize,
     combine_all,
+    eliminate,
     fold,
     identity,
     marginalize,
@@ -277,6 +279,113 @@ def test_argmax_representative_is_numpys_first_argmax():
                     _, choice = argmax_marginalize((scope, arr), var, sets=sets)
                     assert np.array_equal(choice.values, want)
                     assert choice.values.dtype == want.dtype
+
+
+# -- exact reductions slice by slice -------------------------------------------
+
+# Few values, so rows tie, and both zeros: which one a tie keeps depends on
+# the order of the fold.
+TIE_POOL = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
+EXACT = {Op.MAX: np.maximum, Op.MIN: np.minimum}
+
+
+def exact_cases():
+    """(shape, axis) over k = 1..16 values on the axis, the axis first, in
+    the middle and last, with one cell fewer than _SLICE_MIN before it and
+    with exactly that many."""
+    for k in range(1, 17):
+        for lead in (factors._SLICE_MIN - 1, factors._SLICE_MIN):
+            yield (k,), 0
+            yield (k, lead), 0
+            yield (lead, k), 1
+            yield (lead, k, 3), 1
+            yield (lead, 1, k), 2
+            yield (1, lead, k, 1), 2  # trailing size-1 axis: numpy sees the axis as contiguous
+
+
+@pytest.mark.parametrize("op", [Op.MAX, Op.MIN], ids=["max", "min"])
+def test_exact_eliminate_is_numpys_reduce_byte_for_byte(op):
+    rng = np.random.default_rng(41)
+    paths = set()
+    for shape, axis in exact_cases():
+        arr = rng.choice(TIE_POOL, shape)
+        arr.setflags(write=False)
+        scope = tuple(range(10, 10 + arr.ndim))
+        counter = OpCounter()
+        keep, out = eliminate((scope, arr), (scope[axis],), op, counter)
+        want = np.asarray(EXACT[op].reduce(arr, axis=axis))
+        assert keep == scope[:axis] + scope[axis + 1:]
+        assert out.shape == want.shape and out.tobytes() == want.tobytes(), (shape, axis)
+        assert counter.by_kind == {op.value: arr.size - out.size}
+        # A parent folds into its son's message in place: it must own it.
+        assert out.flags.c_contiguous and not np.shares_memory(out, arr)
+        paths.add(factors._by_slices(arr, axis))
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("slice_min", [None, 1], ids=["default", "all"])
+def test_argmax_on_the_slice_path(slice_min, monkeypatch):
+    # The middle and last axes lie above _SLICE_MIN; lowered to 1, it sends
+    # the first axis down the slice path too.  The second axis holds 50
+    # values, which numpy's reduce takes.
+    if slice_min is not None:
+        monkeypatch.setattr(factors, "_SLICE_MIN", slice_min)
+    arr = np.random.default_rng(43).choice(TIE_POOL, (3, 50, 4, 2))
+    arr.setflags(write=False)
+    scope = (7, 2, 9, 4)
+    assert [factors._by_slices(arr, a) for a in range(4)] == [slice_min == 1, False, True, True]
+    for axis, var in enumerate(scope):
+        keep, best, lowest, attaining = oracle_argmax(scope, arr, var)
+        first = arr.argmax(axis).reshape(-1)
+        for sets in (False, True):
+            counter = OpCounter()
+            (got_scope, got), choice = argmax_marginalize((scope, arr), var, counter, sets=sets)
+            assert got_scope == choice.scope == keep
+            assert got.tobytes() == np.maximum.reduce(arr, axis).tobytes()
+            assert got.reshape(-1).tolist() == best
+            assert choice.values.tolist() == lowest
+            assert np.array_equal(choice.values, first) and choice.values.dtype == first.dtype
+            if sets:
+                assert [tuple(np.flatnonzero(row).tolist())
+                        for row in choice.attaining] == attaining
+            else:
+                assert choice.attaining is None
+            assert counter.by_kind == {"max": arr.size - got.size}
+
+
+def test_sum_stays_on_numpys_reduction():
+    # numpy sums a contiguous axis of 16 values pairwise; a left fold over
+    # the axis's slices rounds these rows differently.
+    arr = np.random.default_rng(47).standard_normal((factors._SLICE_MIN, 16))
+    arr *= 10.0 ** np.arange(16)[::-1]
+    left = arr[:, 0].copy()
+    for i in range(1, 16):
+        left += arr[:, i]
+    want = np.add.reduce(arr, axis=1)
+    assert left.tobytes() != want.tobytes()
+    _, out = eliminate(((0, 1), arr), (1,), Op.SUM, OpCounter())
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("reduce", ["eliminate", "argmax"])
+def test_slice_path_allocates_rows_not_a_table(reduce):
+    # 2^14 rows of 4 values, reduced along the last axis: the max, the lowest
+    # attaining value and a few byte masks per row, never a copy of the table.
+    rows = 2 ** 14
+    arr = np.random.default_rng(53).integers(0, 3, (rows, 4)).astype(float)
+    assert factors._by_slices(arr, 1)
+    tracemalloc.start()
+    try:
+        if reduce == "eliminate":
+            eliminate(((0, 1), arr), (1,), Op.MAX, OpCounter())
+            limit = 8 * rows + 4096
+        else:
+            argmax_marginalize(((0, 1), arr), 1, sets=False)
+            limit = (8 + 8 + 4) * rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit < arr.nbytes
 
 
 def test_counter_counts_combine_and_marginalize():

@@ -175,16 +175,19 @@ def descending_scopes(d):
 
 # Domains of up to 16 make numpy sum a contiguous axis pairwise, so a fold
 # that left its result in another memory layout would change the bits.
-@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3")]
-                         + [fixture(f, n) for f in ("chain", "star") for n in range(2, 12)]
-                         + [random_id(7, 2, 3, 2, seed=s) for s in range(20)]
-                         + [random_id(7, 2, 3, 2, mode="poss", seed=s) for s in range(20)]
-                         + [descending_scopes(random_id(6, 2, 16, 3, seed=s))
-                            for s in range(10)],
-                         ids=["fig2", "fig3"]
-                         + [f"{f}{n}" for f in ("chain", "star") for n in range(2, 12)]
-                         + [f"prob{s}" for s in range(20)] + [f"poss{s}" for s in range(20)]
-                         + [f"wide{s}" for s in range(10)])
+FOLD_DIAGRAMS = pytest.mark.parametrize(
+    "d", [fixture("fig2"), fixture("fig3")]
+    + [fixture(f, n) for f in ("chain", "star") for n in range(2, 12)]
+    + [random_id(7, 2, 3, 2, seed=s) for s in range(20)]
+    + [random_id(7, 2, 3, 2, mode="poss", seed=s) for s in range(20)]
+    + [descending_scopes(random_id(6, 2, 16, 3, seed=s)) for s in range(10)],
+    ids=["fig2", "fig3"]
+    + [f"{f}{n}" for f in ("chain", "star") for n in range(2, 12)]
+    + [f"prob{s}" for s in range(20)] + [f"poss{s}" for s in range(20)]
+    + [f"wide{s}" for s in range(10)])
+
+
+@FOLD_DIAGRAMS
 def test_evaluate_matches_the_table_fold(d):
     # A kept table equals the oracle's combined table byte for byte; a choice
     # taken at elimination equals the oracle's argmax of that table, ties too.
@@ -213,6 +216,43 @@ def test_evaluate_matches_the_table_fold(d):
                     assert arr.shape == w.sizes, cid
                     assert arr.tobytes() == w.values.tobytes(), cid
             assert got_ops.by_kind == want_ops.by_kind
+
+
+def kept_bytes(kept):
+    """What `evaluate` kept, as bytes: each table, or each choice's rule and tie sets."""
+    out = {}
+    for cid, (scope, arr) in kept.items():
+        if isinstance(arr, ChoiceTable):
+            sets = None if arr.attaining is None else arr.attaining.tobytes()
+            out[cid] = (scope, arr.scope, arr.sizes, arr.values.dtype.str,
+                        arr.values.tobytes(), sets)
+        else:
+            out[cid] = (scope, arr.shape, arr.tobytes())
+    return out
+
+
+@FOLD_DIAGRAMS
+def test_slice_path_changes_no_bit(d, monkeypatch):
+    # _SLICE_MIN at 1 sends every exact reduction of an axis under 8 values
+    # down the slice path, most of which these small diagrams keep below it;
+    # at 10**9 none goes.  Both passes must give the same bytes and counts.
+    m = mcdag_of(d)
+    runs = []
+    for slice_min in (1, 10 ** 9):
+        monkeypatch.setattr(factors, "_SLICE_MIN", slice_min)
+        run = []
+        for plan in ((), plan_policies(m, d)):
+            for with_sets in (False, True):
+                ops = OpCounter()
+                meu, kept = evaluate(m, ops, plan, with_sets)
+                got = [np.float64(meu).tobytes(), kept_bytes(kept)]
+                if plan:
+                    got += [(p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
+                             None if p.rule.attaining is None else p.rule.attaining.tobytes())
+                            for p in extract_policies(d, plan, kept, with_sets, ops)]
+                run.append((got, ops.by_kind))
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 def test_mixed_mode_ops_are_rejected():
