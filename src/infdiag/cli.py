@@ -73,27 +73,27 @@ def _ops_json(counter: OpCounter) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     d = _load(args.file)
-    report: dict = {"schema": 1, "engine": args.engine, "file": args.file}
+    # Every engine reports the same keys; each sets only what it measures.
+    report: dict = {"schema": 1, "engine": args.engine, "file": args.file,
+                    "w_mcdag": None, "w_potential": None, "node_count": None,
+                    "cluster_count": None, "trace_len": None, "ops": None}
     counter = OpCounter()
     start = time.perf_counter()
     if args.engine == "mcdag":
         run = solve.solve_diagram(d, heuristic=args.heuristic, with_sets=args.sets,
                                   counter=counter)
         policies = run.policies
-        report.update(meu=run.meu, w_mcdag=run.w_mcdag, w_potential=None,
-                      node_count=run.node_count, cluster_count=run.cluster_count,
-                      trace_len=run.trace_len, ops=_ops_json(counter))
+        report.update(meu=run.meu, w_mcdag=run.w_mcdag, node_count=run.node_count,
+                      cluster_count=run.cluster_count, trace_len=run.trace_len,
+                      ops=_ops_json(counter))
     elif args.engine == "potential":
         value, policies, width = baseline.potential_ve(
             d, heuristic=args.heuristic, counter=counter, with_sets=args.sets)
-        report.update(meu=value, w_mcdag=None, w_potential=width,
-                      node_count=None, cluster_count=None, trace_len=None,
-                      ops=_ops_json(counter))
+        report.update(meu=value, w_potential=width, ops=_ops_json(counter))
     else:
         value, notes = baseline.brute_force(d)
         policies = _brute_policies(d, notes, args.sets)
-        report.update(meu=value, w_mcdag=None, w_potential=None,
-                      node_count=None, cluster_count=None, trace_len=None, ops=None)
+        report["meu"] = value
     report["wall_time"] = time.perf_counter() - start
     report["policies"] = [_policy_json(d, p) for p in policies]
     if args.json:

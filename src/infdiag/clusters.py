@@ -156,12 +156,8 @@ def _exhaustive_order(edges: set[frozenset[int]], elim: frozenset[int]
 # --------------------------------------------------------------------------
 # Bucket elimination per node
 
-_PROB_OPS = {Op.TIMES: (Op.SUM, Op.TIMES), Op.PLUS: (Op.MAX, Op.PLUS)}
-_POSS_OPS = {Op.MAX: (Op.MIN, Op.MAX), Op.MIN: (Op.MAX, Op.MIN)}
-
-
 def _ops_for(store: NodeStore, comb: Op) -> tuple[Op, Op]:
-    ops = (_POSS_OPS if store.unit_interval else _PROB_OPS).get(comb)
+    ops = store.ops.pairs.get(comb)
     if ops is None:
         raise InternalError(f"combination {comb} is foreign to this mode")
     return ops
@@ -256,9 +252,8 @@ def assemble(store: NodeStore, root: int, heuristic: str = "min-fill") -> MCDag:
     fragment_of: dict[int, int] = {}
     root_node = store.nodes[root]
     if root_node.is_atomic:
-        ops = (Op.MAX, Op.MIN) if store.unit_interval else (Op.SUM, Op.TIMES)
-        rid = _add_cluster(clusters, frozenset(root_node.table.scope),
-                           [root_node.table], [], (), ops)
+        rid = _add_cluster(clusters, frozenset(root_node.table.scope), [root_node.table],
+                           [], (), store.ops.pairs[store.ops.group_comb])
         return MCDag(tuple(clusters), rid)
     nodes = store.nodes
     for nid in reachable(store, root):  # ascending ids: children first

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable
+from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable, identity
 
 NORMALIZATION_TOL = 1e-9
 
@@ -89,7 +89,7 @@ class Variable:
 
 @dataclass(frozen=True)
 class ModeOps:
-    """Operator selection induced by the quantification mode."""
+    """The operators of a quantification mode; nothing else names them."""
 
     chance_marg: Op
     decision_marg: Op
@@ -97,13 +97,23 @@ class ModeOps:
     outer_comb: Op  # combines the per-utility groups
     unit_interval: bool
 
+    @cached_property
+    def pairs(self) -> dict[Op, tuple[Op, Op]]:
+        """The (marginalization, combination) pair of a cluster, by its
+        combination: chance variables leave a utility group, decisions the
+        combination of the groups."""
+        return {self.group_comb: (self.chance_marg, self.group_comb),
+                self.outer_comb: (self.decision_marg, self.outer_comb)}
+
+
+MODES = {"prob": ModeOps(Op.SUM, Op.MAX, Op.TIMES, Op.PLUS, False),
+         "poss": ModeOps(Op.MIN, Op.MAX, Op.MAX, Op.MIN, True)}
+
 
 def mode_ops(mode: str) -> ModeOps:
-    if mode == "prob":
-        return ModeOps(Op.SUM, Op.MAX, Op.TIMES, Op.PLUS, False)
-    if mode == "poss":
-        return ModeOps(Op.MIN, Op.MAX, Op.MAX, Op.MIN, True)
-    raise DiagramError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise DiagramError(f"unknown mode {mode!r}")
+    return MODES[mode]
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +363,7 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             saw_header = True
             continue
         if mode is None:
-            if len(tokens) != 2 or tokens[0] != "MODE" or tokens[1] not in ("prob", "poss"):
+            if len(tokens) != 2 or tokens[0] != "MODE" or tokens[1] not in MODES:
                 raise FormatError("expected 'MODE prob' or 'MODE poss'", lineno)
             mode = tokens[1]
             continue
@@ -468,7 +478,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
 
 def _constant_utility(mode: str, taken: set[str]) -> ScopedTable:
     # Identity of the outer combination: 0 for sum of utilities, 1 for min.
-    value = 1.0 if mode == "poss" else 0.0
+    ops = mode_ops(mode)
+    value = identity(ops.outer_comb, ops.unit_interval)
     name = "u_const"
     k = 0
     while name in taken:

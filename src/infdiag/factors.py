@@ -126,10 +126,9 @@ class OpCounter:
         self.total = 0
         self.by_kind: dict[str, int] = {}
 
-    def add(self, n: int, kind: str | None = None) -> None:
+    def add(self, n: int, kind: str) -> None:
         self.total += n
-        if kind is not None:
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + n
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + n
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from itertools import chain
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .diagram import InfluenceDiagram, mode_ops, sov0
+from .diagram import MODES, InfluenceDiagram, ModeOps, mode_ops, sov0
 from .factors import (
     COMBINE_OPS,
     MARGINAL_OPS,
@@ -113,14 +113,16 @@ _record = tuple.__new__  # builds a CompNode without NamedTuple's Python-level _
 
 
 class NodeStore:
-    """Append-only interning arena; single writer, then safe to read concurrently."""
+    """Append-only interning arena; single writer, then safe to read concurrently.
+
+    `ops` holds the operators of the mode its nodes are built in."""
 
     def __init__(self, sizes: Sequence[int], names: Sequence[str] | None = None,
-                 unit_interval: bool = False):
+                 ops: ModeOps = MODES["prob"]):
         self.sizes = tuple(int(s) for s in sizes)
         self.names = tuple(names) if names is not None else \
             tuple(f"v{i}" for i in range(len(self.sizes)))
-        self.unit_interval = unit_interval
+        self.ops = ops
         self.nodes: list[CompNode] = []
         self._index: dict[object, int] = {}  # a composite's record, or id(table)
         self._scopes: list[int] = []  # one bitmask per node
@@ -214,7 +216,7 @@ class NodeStore:
 
 
 def store_for(d: InfluenceDiagram) -> NodeStore:
-    return NodeStore(d.sizes, d.names, mode_ops(d.mode).unit_interval)
+    return NodeStore(d.sizes, d.names, mode_ops(d.mode))
 
 
 def initial_node(store: NodeStore, d: InfluenceDiagram) -> int:
@@ -231,7 +233,7 @@ def initial_node(store: NodeStore, d: InfluenceDiagram) -> int:
     ops = mode_ops(d.mode)
     barren = d.barren
     kept = [d.cpts[x] for x in sorted(d.cpts) if x not in barren]
-    if d.mode == "poss":
+    if ops.unit_interval:
         kept = list(map(_complement, kept))
     base_ids = [store.atomic(t) for t in kept]
     groups = [store.composite((), ops.group_comb, base_ids + [store.atomic(u)])
@@ -256,10 +258,6 @@ def reachable(store: NodeStore, root: int) -> list[int]:
         seen.add(nid)
         stack.extend(store.nodes[nid].children)
     return sorted(seen)
-
-
-def node_count(store: NodeStore, root: int) -> int:
-    return len(reachable(store, root))
 
 
 def _sov_label(store: NodeStore, sov: SovPairs) -> str:

@@ -77,7 +77,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .factors import InternalError, Op
 from .nodes import NodeStore, SovPairs, _record, canonical_sov, mask_of
 
-CHANCE_MARGS = (Op.SUM, Op.MIN)
 _CHILDREN = attrgetter("children")
 
 
@@ -169,7 +168,7 @@ def _prob_derived(store: NodeStore, nid: int, memo: dict[int, bool]) -> bool:
 def _require_nonneg(store: NodeStore, ids: list[int], rule: str) -> None:
     # [0,1]-valued stores are nonnegative throughout; otherwise demand
     # probability-derived structure before hoisting a factor out of a max.
-    if store.unit_interval:
+    if store.ops.unit_interval:
         return
     memo: dict[int, bool] = {}
     for nid in ids:
@@ -192,7 +191,7 @@ def decompose_sum(store: NodeStore, root: int, x: int,
     if node.is_atomic or not node.sov:
         raise InternalError("decompose-sum needs a composite root with a sov")
     marg, last = node.sov[-1]
-    if marg not in CHANCE_MARGS or x not in last:
+    if marg is not store.ops.chance_marg or x not in last:
         raise InternalError(f"variable {x} is not in the innermost chance block")
     scopes = store._scopes
     no_x = ~(1 << x)
@@ -230,7 +229,7 @@ def recompose_sum(store: NodeStore, nid: int,
         if node.is_atomic or len(node.sov) != 1:
             return nid
         marg, block = node.sov[0]
-        if marg not in CHANCE_MARGS:
+        if marg is not store.ops.chance_marg:
             return nid
         merged = None
         for cand in node.children:
@@ -270,7 +269,7 @@ def simplify_normalized(store: NodeStore, nid: int,
         if node.is_atomic or len(node.sov) != 1:
             return nid
         marg, block = node.sov[0]
-        if marg not in CHANCE_MARGS:
+        if marg is not store.ops.chance_marg:
             return nid
         found = None
         for x in block:

@@ -10,9 +10,10 @@ substituted into its cluster's combined table before its argmax, so that
 the rule depends on the decision's observations only.  A decision with none
 takes its choice from the argmax that eliminates it in the message pass
 (the policy recording of Jensen, Jensen & Dittmer); the others keep their
-combined table.  Like `check_cells`, the plan refuses a substitution whose
-result would span more than CELL_GUARD cells.  A decision's rule is the
-`ChoiceTable` of its argmax, integer value indices from there to the output.
+combined table.  The same walk refuses up front a fold, then a
+substitution, whose result would span more than CELL_GUARD cells.  A
+decision's rule is the `ChoiceTable` of its argmax, integer value indices
+from there to the output.
 
 `solve_diagram` runs the layers end to end.  The node store and the rewrite
 trace are held by the compile layers alone: once `merge_clusters` returns,
@@ -30,11 +31,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clusters import Cluster, MCDag, assemble, merge_clusters
-from .diagram import InfluenceDiagram
+from .diagram import MODES, InfluenceDiagram
 # `combine_all` and `marginalize` are unused here but stay imported:
-# perfbench/tracing.py wraps them by name on this module.  `check_cells`
-# and `plan_policies` read CELL_GUARD through this module's name, so it can
-# be lowered apart from `fold`'s.
+# perfbench/tracing.py wraps them by name on this module.  `plan_policies`
+# reads CELL_GUARD through this module's name, so it can be lowered apart
+# from `fold`'s.
 from .factors import (  # noqa: F401
     CELL_GUARD,
     ChoiceTable,
@@ -51,11 +52,8 @@ from .factors import (  # noqa: F401
     identity,
     marginalize,
 )
-from .nodes import initial_node, node_count, store_for
+from .nodes import initial_node, reachable, store_for
 from .rewrite import macrostructure
-
-PROB_OPS = ((Op.SUM, Op.TIMES), (Op.MAX, Op.PLUS))
-POSS_OPS = ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN))
 
 ENUM_GUARD = 2 ** 16
 
@@ -90,12 +88,13 @@ class RunReport:
 
 def _check_ops(m: MCDag) -> None:
     pairs = {c.ops for c in m.clusters}
-    if not (pairs <= set(PROB_OPS) or pairs <= set(POSS_OPS)):
+    if not any(pairs.issubset(ops.pairs.values()) for ops in MODES.values()):
         raise InternalError(f"operator pairs {sorted(map(str, pairs))} mix modes")
 
 
 # The combination identity of each operator pair `_check_ops` admits.
-_IDENT = {ops: identity(ops[1], unit_interval=ops in POSS_OPS) for ops in PROB_OPS + POSS_OPS}
+_IDENT = {pair: identity(pair[1], ops.unit_interval)
+          for ops in MODES.values() for pair in ops.pairs.values()}
 
 
 # What evaluate keeps of a max-eliminating cluster: its combined part, or
@@ -168,19 +167,28 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
 def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
     """The policy pass laid out from scopes, in descending cluster id.
 
-    Decision `x`'s table spans its cluster's scope `V`.  While that scope
-    holds other decisions that `x` does not observe, the smallest, `y`, goes
-    in: the scope becomes its union with `y`'s retained scope (`y`'s own
-    after its substitutions, less `y`), less `y`.  A result over CELL_GUARD
-    cells is refused.  So are, as internal errors, a decision eliminated in
-    two clusters or in none, one reached before its own cluster, and a rule
-    left over a variable that `x` does not observe.
+    The loop that finds each decision's cluster first refuses any cluster
+    whose fold would combine more than CELL_GUARD cells: `fold` combines
+    only a cluster of two or more parts, and their union is the cluster's
+    scope `V`.  Then decision `x`'s table spans its cluster's scope.  While
+    that scope holds other decisions that `x` does not observe, the
+    smallest, `y`, goes in: the scope becomes its union with `y`'s retained
+    scope (`y`'s own after its substitutions, less `y`), less `y`.  A result
+    over CELL_GUARD cells is refused.  So are, as internal errors, a
+    decision eliminated in two clusters or in none, one reached before its
+    own cluster, and a rule left over a variable that `x` does not observe.
     """
     decisions = set(d.decision_ids)
+    sizes = d.sizes
     cluster_of: dict[int, Cluster] = {}
     mentioned: set[int] = set()
     for c in m.clusters:
-        _, V, _, _, elim, ops = c
+        cid, V, psi, sons, elim, ops = c
+        if len(psi) + len(sons) > 1:
+            cells = math.prod(map(sizes.__getitem__, V))
+            if cells > CELL_GUARD:
+                raise ResourceGuardError(
+                    f"cluster {cid} combines {cells} cells (limit {CELL_GUARD})")
         mentioned |= V & decisions
         if ops[0] is Op.MAX and elim:
             (x,) = elim
@@ -192,7 +200,6 @@ def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
     for x in sorted(mentioned - set(cluster_of)):
         raise InternalError(f"decision {x} appears but is never max-eliminated")
 
-    sizes = d.sizes
     retained: dict[int, set[int]] = {}
     plan = []
     for x, c in sorted(cluster_of.items(), key=lambda kv: -kv[1].id):
@@ -323,18 +330,6 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # --------------------------------------------------------------------------
 # End to end
 
-def check_cells(m: MCDag, sizes: Sequence[int]) -> None:
-    """Refuse, before any arithmetic, a cluster whose fold would combine more
-    than CELL_GUARD cells.  `fold` combines only a cluster of two or more
-    parts, and their union is the cluster's scope `V`."""
-    for cid, V, psi, sons, _, _ in m.clusters:
-        if len(psi) + len(sons) > 1:
-            cells = math.prod(map(sizes.__getitem__, V))
-            if cells > CELL_GUARD:
-                raise ResourceGuardError(
-                    f"cluster {cid} combines {cells} cells (limit {CELL_GUARD})")
-
-
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
                   with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
@@ -344,15 +339,15 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     only (`initial_node`, `macrostructure`, `assemble`, `merge_clusters`).
     The report's node count and trace length are read from them as soon as
     the cluster DAG is merged, and both are released there, before
-    `check_cells`: the policy plan, the message pass and the policy pass
-    read the cluster DAG and the diagram alone.
+    `plan_policies`: the plan, which refuses up front a fold or a
+    substitution past CELL_GUARD, the message pass and the policy pass read
+    the cluster DAG and the diagram alone.
     """
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
-    nodes, trace_len = node_count(store, root), len(trace)
+    nodes, trace_len = len(reachable(store, root)), len(trace)
     del store, trace
-    check_cells(m, d.sizes)
     plan = plan_policies(m, d)
     meu, kept = evaluate(m, counter, plan, with_sets)
     return RunReport(

@@ -379,7 +379,7 @@ def _eval_blocks(store: NodeStore, node: CompNode, i: int, env: dict[int, int],
                  memo: dict) -> float:
     if i == len(node.sov):
         vals = [_eval(store, c, env, memo) for c in node.children]
-        acc = identity(node.comb, store.unit_interval)
+        acc = identity(node.comb, store.ops.unit_interval)
         for v in vals:
             acc = _scalar(node.comb, acc, v)
         return acc

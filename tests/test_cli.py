@@ -52,6 +52,14 @@ def test_solve_json_reports_op_counts(tmp_path, capsys):
     assert ops["brute"] is None
 
 
+def test_solve_json_has_one_key_set_for_every_engine(fig2, capsys):
+    keys = [set(run_json(capsys, ["solve", fig2, "--engine", engine, "--json"]))
+            for engine in ("mcdag", "potential", "brute")]
+    assert keys[0] == keys[1] == keys[2]
+    assert {"w_mcdag", "w_potential", "node_count", "cluster_count", "trace_len",
+            "ops"} <= keys[0]
+
+
 def test_engines_agree(fig2, capsys):
     values = {}
     for engine in ("mcdag", "potential", "brute"):

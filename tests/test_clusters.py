@@ -18,7 +18,7 @@ from infdiag.clusters import (
     merge_clusters,
     to_dot,
 )
-from infdiag.diagram import fixture, parse, random_id
+from infdiag.diagram import MODES, fixture, mode_ops, parse, random_id
 from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, reachable, store_for
 from infdiag.rewrite import macrostructure
@@ -309,14 +309,18 @@ def test_assemble_shares_fragments():
 
 
 def test_assemble_atomic_root():
-    d = parse("IDNET 1\nMODE prob\nVAR c 2 CHANCE\nPROB c | : 0.5 0.5\n"
-              "UTIL u : 7.0\nORDER c\n")
-    store = store_for(d)
-    root, _ = macrostructure(store, initial_node(store, d))
-    assert store.nodes[root].is_atomic
-    m = assemble(store, root)
-    assert len(m.clusters) == 1 and m.w_mcdag == 0
-    assert m.clusters[m.root].psi[0].name == "u"
+    # In both modes the one cluster takes its mode's group pair.
+    for mode, prior, util in [("prob", "0.5 0.5", "7.0"), ("poss", "1.0 0.5", "0.7")]:
+        d = parse(f"IDNET 1\nMODE {mode}\nVAR c 2 CHANCE\nPROB c | : {prior}\n"
+                  f"UTIL u : {util}\nORDER c\n")
+        store = store_for(d)
+        root, _ = macrostructure(store, initial_node(store, d))
+        assert store.nodes[root].is_atomic
+        m = assemble(store, root)
+        assert len(m.clusters) == 1 and m.w_mcdag == 0
+        assert m.clusters[m.root].psi[0].name == "u"
+        ops = mode_ops(mode)
+        assert m.clusters[m.root].ops == ops.pairs[ops.group_comb]
 
 
 def test_assemble_poss_ops():
@@ -324,6 +328,22 @@ def test_assemble_poss_ops():
     store, root = macro_root(d)
     m = assemble(store, root)
     assert all(c.ops in ((Op.MIN, Op.MAX), (Op.MAX, Op.MIN)) for c in m.clusters)
+
+
+def test_every_cluster_takes_its_pair_from_the_mode_table():
+    # A cluster's (marginalization, combination) pair is its mode's pair for
+    # its combination, and the sweep meets all four pairs of the two modes.
+    ds = [fixture(name) for name in ("fig2", "fig3", "chain(6)", "star(6)")]
+    ds += [random_id(4 + seed % 9, seed % 4, 3, 3, mode=mode, seed=seed)
+           for mode in ("prob", "poss") for seed in range(40)]
+    seen = set()
+    for d in ds:
+        pairs = mode_ops(d.mode).pairs
+        for c in merge_clusters(assemble(*macro_root(d))).clusters:
+            assert pairs[c.ops[1]] == c.ops, (d.mode, c.id, c.ops)
+            seen.add(c.ops)
+    assert seen == {pair for ops in MODES.values() for pair in ops.pairs.values()}
+    assert len(seen) == 4
 
 
 def test_assemble_is_deterministic():

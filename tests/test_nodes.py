@@ -9,7 +9,6 @@ from infdiag.nodes import (
     canonical_sov,
     initial_node,
     mask_of,
-    node_count,
     reachable,
     store_for,
     to_dot,
@@ -168,7 +167,7 @@ def test_empty_product_values():
     real = NodeStore((2,))
     assert eval_node(real, real.composite([], Op.TIMES, []), {}) == 1.0
     assert eval_node(real, real.composite([], Op.PLUS, []), {}) == 0.0
-    unit = NodeStore((2,), unit_interval=True)
+    unit = NodeStore((2,), ops=mode_ops("poss"))
     assert eval_node(unit, unit.composite([], Op.MAX, []), {}) == 0.0
     assert eval_node(unit, unit.composite([], Op.MIN, []), {}) == 1.0
 
@@ -206,7 +205,7 @@ def test_initial_node_fig2_shape():
         assert group.comb is Op.TIMES and group.sov == ()
         assert len(group.children) == 3
     # 2 shared conditional-table atoms + 3 utility atoms + 3 groups + root
-    assert node_count(store, root) == 9
+    assert len(reachable(store, root)) == 9
     assert len(store.nodes) == 9
     assert store.scope(root) == frozenset()
 
@@ -227,7 +226,7 @@ def test_initial_node_no_chance_degenerate():
 def test_initial_node_poss_uses_complements():
     d = random_id(5, 2, 2, 2, "poss", seed=4)
     store = store_for(d)
-    assert store.unit_interval
+    assert store.ops.unit_interval
     root = initial_node(store, d)
     node = store.nodes[root]
     assert node.comb is Op.MIN

@@ -142,6 +142,18 @@ def test_merging_preserves_the_value():
         assert close(a, b, 1e-12)
 
 
+def test_each_pair_folds_from_its_combination_identity():
+    assert solve._IDENT == {(Op.SUM, Op.TIMES): 1.0, (Op.MAX, Op.PLUS): 0.0,
+                            (Op.MIN, Op.MAX): 0.0, (Op.MAX, Op.MIN): 1.0}
+
+
+def test_evaluate_refuses_pairs_of_two_modes():
+    m = mcdag_of(fixture("fig2"))
+    first = m.clusters[0]._replace(ops=(Op.MAX, Op.MIN))
+    with pytest.raises(InternalError, match="mix modes"):
+        evaluate(dataclasses.replace(m, clusters=(first,) + m.clusters[1:]))
+
+
 def test_every_cluster_evaluated_once():
     d = fixture("fig3")
     m = mcdag_of(d)
@@ -411,7 +423,7 @@ def test_policy_evaluation_refuses_a_choice_outside_the_domain(out_of_domain):
 
 @pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])
 def test_cluster_engine_refuses_up_front_exactly_what_fold_refuses(monkeypatch, limit):
-    # Lower the guard of `check_cells` and of `fold` in turn: the pre-flight
+    # Lower the guard of `plan_policies` and of `fold` in turn: the pre-flight
     # must refuse a diagram iff the arithmetic would, so it never refuses work
     # that would fit, and it refuses before `evaluate` runs.
     def refuses(d, up_front, in_fold):
