@@ -228,7 +228,7 @@ def constrained_width(d: InfluenceDiagram, mode: str = "heuristic") -> int:
     return _plan(d, "exhaustive" if mode == "exhaustive" else "min-fill")[1]
 
 
-def brute_force(d: InfluenceDiagram, guard: int = BRUTE_GUARD
+def brute_force(d: InfluenceDiagram
                 ) -> tuple[float, dict[int, dict[tuple[int, ...], frozenset[int]]]]:
     """Direct recursion over the temporal blocks; the ground-truth engine.
 
@@ -238,9 +238,9 @@ def brute_force(d: InfluenceDiagram, guard: int = BRUTE_GUARD
     total = 1
     for v in d.variables:
         total *= v.size
-    if total > guard:
+    if total > BRUTE_GUARD:
         raise ResourceGuardError(
-            f"brute force would enumerate {total} assignments (limit {guard})")
+            f"brute force would enumerate {total} assignments (limit {BRUTE_GUARD})")
     blocks = sov0(d)
     notes: dict[int, dict[tuple[int, ...], frozenset[int]]] = {
         x: {} for x in d.decision_ids}

@@ -63,7 +63,7 @@ def _brute_policies(d: InfluenceDiagram,
         sizes = tuple(d.size_of(v) for v in pa)
         mask = np.array([[v in table[ctx] for v in range(d.size_of(x))]
                          for ctx in product(*(range(s) for s in sizes))])
-        choices[x] = ChoiceTable(pa, sizes, mask.argmax(axis=1), mask)
+        choices[x] = ChoiceTable(pa, sizes, mask.argmax(axis=1), mask if with_sets else None)
     return solve.policies_from_choices(d, choices, with_sets)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -52,37 +53,25 @@ class MCDag:
     w_mcdag: int = 0
 
 
-def _eliminate_step(edges: set[frozenset[int]], x: int
-                    ) -> tuple[set[frozenset[int]], frozenset[int]]:
-    hits = [e for e in edges if x in e]
-    rest = {e for e in edges if x not in e}
-    created: frozenset[int] = frozenset()
-    if hits:
-        created = frozenset().union(*hits) - {x}
-        rest.add(created)
-    return rest, created
-
-
 def find_order(edges: Iterable[frozenset[int]], elim: Iterable[int],
                heuristic: str = "min-fill") -> tuple[int, ...]:
     """An elimination order of `elim` over the hyperedges `edges`."""
     todo = set(elim)
     if heuristic not in HEURISTICS:
         raise InternalError(f"unknown ordering heuristic {heuristic!r}")
-    if heuristic == "exhaustive":
-        if len(todo) > EXHAUSTIVE_LIMIT:
-            raise ResourceGuardError(
-                f"exhaustive ordering is limited to {EXHAUSTIVE_LIMIT} variables")
-        return _exhaustive_order(set(edges), frozenset(todo))
+    if heuristic == "exhaustive" and len(todo) > EXHAUSTIVE_LIMIT:
+        raise ResourceGuardError(
+            f"exhaustive ordering is limited to {EXHAUSTIVE_LIMIT} variables")
     # Neighbour sets of the primal graph: a candidate's created edge is its
-    # neighbourhood, and eliminating it turns that neighbourhood into a clique.
-    # A variable in no edge gets an empty set when it is first scanned.
-    adj: defaultdict[int, set[int]] = defaultdict(set)
+    # neighbourhood.  A variable to eliminate that is in no edge has none.
+    adj: defaultdict[int, set[int]] = defaultdict(set, {v: set() for v in todo})
     for e in edges:
         for v in e:
             adj[v].update(e)
     for v, nb in adj.items():
         nb.discard(v)
+    if heuristic == "exhaustive":
+        return _exhaustive_order(adj, frozenset(todo))
     degree = heuristic == "min-degree"
     order: list[int] = []
     remaining = sorted(todo)
@@ -96,15 +85,21 @@ def find_order(edges: Iterable[frozenset[int]], elim: Iterable[int],
                 best_score, best = score, x
                 if score == 0:
                     break  # no later candidate can score lower
-        nb = adj.pop(best)
-        for a in nb:
-            na = adj[a]
-            na.update(nb)
-            na.discard(a)
-            na.discard(best)
+        _eliminate(adj, best)
         order.append(best)
         remaining.remove(best)
     return tuple(order)
+
+
+def _eliminate(adj: dict[int, set[int]], x: int) -> None:
+    """Eliminate `x` from the primal graph `adj` in place: its neighbours
+    become a clique."""
+    nb = adj.pop(x)
+    for a in nb:
+        na = adj[a]
+        na.update(nb)
+        na.discard(a)
+        na.discard(x)
 
 
 def _fill_in(adj: Mapping[int, set[int]], nb: set[int]) -> int:
@@ -113,44 +108,29 @@ def _fill_in(adj: Mapping[int, set[int]], nb: set[int]) -> int:
     return sum(k - len(nb & adj[a]) for a in nb) // 2
 
 
-def _exhaustive_order(edges: set[frozenset[int]], elim: frozenset[int]
+def _exhaustive_order(adj: dict[int, set[int]], elim: frozenset[int]
                       ) -> tuple[int, ...]:
-    after: dict[frozenset[int], set[frozenset[int]]] = {}
+    """An order of `elim` of least width over the primal graph `adj`.
 
-    def graph_after(done: frozenset[int]) -> set[frozenset[int]]:
-        if done not in after:
-            out = edges
-            for x in sorted(done):  # the result is order-independent
-                out, _ = _eliminate_step(out, x)
-            after[done] = out
-        return after[done]
+    `best(done)` is the least width of eliminating the rest of `elim` once
+    `done` is gone, with the order that attains it: at each step the lowest
+    id whose remainder can stay optimal.
+    """
 
-    memo: dict[frozenset[int], int] = {frozenset(): 0}
+    @cache
+    def best(done: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+        if done == elim:
+            return 0, ()
+        now = {v: set(nb) for v, nb in adj.items()}
+        for y in done:  # the graph left does not depend on their order
+            _eliminate(now, y)
+        options = []
+        for x in elim - done:
+            width, order = best(done | {x})
+            options.append((max(len(now[x]), width), (x,) + order))
+        return min(options)  # least width, then the lowest first variable
 
-    def best(remaining: frozenset[int]) -> int:
-        if remaining not in memo:
-            now = graph_after(elim - remaining)
-            out = None
-            for x in remaining:
-                _, created = _eliminate_step(now, x)
-                w = max(len(created), best(remaining - {x}))
-                if out is None or w < out:
-                    out = w
-            memo[remaining] = out
-        return memo[remaining]
-
-    order: list[int] = []
-    remaining = elim
-    while remaining:
-        now = graph_after(elim - remaining)
-        target = best(remaining)
-        for x in sorted(remaining):
-            _, created = _eliminate_step(now, x)
-            if max(len(created), best(remaining - {x})) == target:
-                order.append(x)
-                remaining = remaining - {x}
-                break
-    return tuple(order)
+    return best(frozenset())[1]
 
 
 # --------------------------------------------------------------------------

@@ -212,6 +212,11 @@ class InfluenceDiagram:
         pessimistic max(1 - joint possibility, min utility), the joint
         possibility being the min over the tables.
         """
+        # The mode branch here and in `solve.evaluate_policy` stays apart
+        # from `ModeOps` on purpose: these are the references the engines are
+        # checked against, so they must not read the engines' operator table.
+        # The branches in `_numbers_pass_screen` and `_check_numbers` check a
+        # row sum or row maximum of the input, not a marginalization.
         if self.mode == "poss":
             worst = max((1.0 - t.lookup(env) for t in self.cpts.values()), default=0.0)
             return max(worst, min(t.lookup(env) for t in self.utilities))

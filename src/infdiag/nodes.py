@@ -265,9 +265,9 @@ def _sov_label(store: NodeStore, sov: SovPairs) -> str:
         f"{op.value}_{{{','.join(store.names[v] for v in block)}}}" for op, block in sov)
 
 
-def to_dot(store: NodeStore, root: int | None = None) -> str:
-    """Deterministic DOT rendering of the node DAG (ids ascending)."""
-    ids = reachable(store, root) if root is not None else list(range(len(store.nodes)))
+def to_dot(store: NodeStore, root: int) -> str:
+    """Deterministic DOT rendering of the node DAG under `root` (ids ascending)."""
+    ids = reachable(store, root)
     lines = ["digraph nodes {", "  rankdir=BT;", "  node [shape=record];"]
     for nid in ids:
         node = store.nodes[nid]

@@ -251,7 +251,8 @@ def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
 def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable],
                           with_sets: bool = False) -> list[Policy]:
     """One policy per decision, in id order, each decision's argmax as its
-    rule; without `with_sets` the rules keep no tie sets."""
+    rule.  The choices must hold tie sets exactly when `with_sets` asks for
+    them."""
     out = []
     for x in d.decision_ids:
         choice = choices.get(x)
@@ -264,11 +265,9 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
                                              f"spans {size} cells (limit {CELL_GUARD})")
                 attaining = np.ones((1, size), dtype=bool)
             choice = ChoiceTable((), (), np.zeros(1, dtype=np.intp), attaining)
-        if choice.attaining is None:
-            if with_sets:
-                raise InternalError(f"tie sets of decision {x} were not recorded")
-        elif not with_sets:
-            choice = ChoiceTable(choice.scope, choice.sizes, choice.values, None)
+        if (choice.attaining is not None) != with_sets:
+            raise InternalError(f"tie sets of decision {x} were " + (
+                "not recorded" if with_sets else "recorded but not asked for"))
         out.append(Policy(x, tuple(d.parents[x]), choice))
     return out
 

@@ -349,11 +349,12 @@ def test_brute_force_tie_annotation():
     assert notes[0][()] == frozenset({0, 1})
 
 
-def test_brute_force_guard():
+def test_brute_force_guard(monkeypatch):
     d = random_id(17, 0, 2, 2, seed=0)
     with pytest.raises(ResourceGuardError):
         brute_force(d)
-    value, _ = brute_force(d, guard=2 ** 17)
+    monkeypatch.setattr(baseline, "BRUTE_GUARD", 2 ** 17)
+    value, _ = brute_force(d)
     assert np.isfinite(value)
 
 

@@ -177,7 +177,47 @@ def test_exhaustive_order_is_optimal():
         assert sorted(order) == sorted(elim)
         best = min(max(width_of_order(edges, p)) for p in itertools.permutations(elim))
         assert max(width_of_order(edges, order)) == best, (sorted(map(sorted, edges)), elim)
+        assert order == exhaustive_tie_break_oracle(edges, elim), \
+            (sorted(map(sorted, edges)), elim)
     assert isolated > 30
+
+
+def exhaustive_tie_break_oracle(edges, elim):
+    """At each step the lowest x with max(created(x), W(rest)) = W(remaining),
+    W being the least width over the permutations of what is left."""
+
+    def least(prefix, rest):
+        return min(max(width_of_order(edges, prefix + list(p))[len(prefix):], default=0)
+                   for p in itertools.permutations(rest))
+
+    prefix, rest = [], sorted(elim)
+    while rest:
+        target = least(prefix, rest)
+        x = next(x for x in rest
+                 if max(width_of_order(edges, prefix + [x])[-1],
+                        least(prefix + [x], [r for r in rest if r != x])) == target)
+        prefix.append(x)
+        rest.remove(x)
+    return tuple(prefix)
+
+
+def test_exhaustive_search_eliminates_once_per_subset_member(monkeypatch):
+    # The exact search visits each subset of the k variables once and builds
+    # its graph by eliminating the subset's members: at most k * 2^(k-1) steps.
+    k = EXHAUSTIVE_LIMIT
+    calls = 0
+    real = clusters._eliminate
+
+    def counting(adj, x):
+        nonlocal calls
+        calls += 1
+        real(adj, x)
+
+    monkeypatch.setattr(clusters, "_eliminate", counting)
+    edges = [frozenset({i, (i + 1) % k}) for i in range(k)] + [frozenset({0, k // 2})]
+    order = find_order(edges, range(k), "exhaustive")
+    assert max(width_of_order(edges, order)) == 2
+    assert 0 < calls <= k * 2 ** (k - 1)
 
 
 def test_find_order_matches_hyperedge_scan_oracle():

@@ -110,6 +110,9 @@ def test_policies_from_choices_needs_recorded_sets():
     assert int(policy.rule.values[0]) == 0
     with pytest.raises(InternalError, match="tie sets"):
         policies_from_choices(d, {0: choice}, with_sets=True)
+    recorded = ChoiceTable((), (), np.zeros(1, dtype=np.intp), np.ones((1, 2), dtype=bool))
+    with pytest.raises(InternalError, match="recorded but not asked for"):
+        policies_from_choices(d, {0: recorded})
 
 
 def test_fig2_value_and_policy_match_oracle():
