@@ -136,13 +136,6 @@ def _exhaustive_order(adj: dict[int, set[int]], elim: frozenset[int]
 # --------------------------------------------------------------------------
 # Bucket elimination per node
 
-def _ops_for(store: NodeStore, comb: Op) -> tuple[Op, Op]:
-    ops = store.ops.pairs.get(comb)
-    if ops is None:
-        raise InternalError(f"combination {comb} is foreign to this mode")
-    return ops
-
-
 def _add_cluster(clusters: list[Cluster], V: frozenset[int],
                  psi: Sequence[ScopedTable], sons: Sequence[int],
                  elim: tuple[int, ...], ops: tuple[Op, Op]) -> int:
@@ -152,10 +145,6 @@ def _add_cluster(clusters: list[Cluster], V: frozenset[int],
 
 
 _Part = tuple[int, ScopedTable | None, int | None]  # (scope bitmask, table, son)
-
-
-def _unmentioned(x: int) -> InternalError:
-    return InternalError(f"variable {x} is eliminated but no child mentions it")
 
 
 def clusterize(store: NodeStore, nid: int, order: Sequence[int],
@@ -174,7 +163,9 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
         raise InternalError("clusterize needs a mono-operator node")
     if tuple(sorted(order)) != (node.sov[0][1] if node.sov else ()):
         raise InternalError("order must eliminate exactly the node's variables")
-    ops = _ops_for(store, node.comb)
+    ops = store.ops.pairs.get(node.comb)
+    if ops is None:
+        raise InternalError(f"combination {node.comb} is foreign to this mode")
     nodes = store.nodes
     scopes = store._scopes
     # Parts not yet eliminated, as (scope bitmask, table, son): the
@@ -193,7 +184,7 @@ def clusterize(store: NodeStore, nid: int, order: Sequence[int],
         for part in pending:
             (bucket if part[0] & bit else rest).append(part)
         if not bucket:
-            raise _unmentioned(x)
+            raise InternalError(f"variable {x} is eliminated but no child mentions it")
         V = bit
         psi: list[ScopedTable] = []
         sons: list[int] = []

@@ -141,11 +141,6 @@ class NodeStore:
     def atomic(self, table: ScopedTable) -> int:
         return self.intern((), None, (), table=table)
 
-    def composite(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
-                  children: Iterable[int], scope: int | None = None) -> int:
-        """Intern a composite; the arguments are those of `intern` (see there)."""
-        return self.intern(sov, comb, children, scope)
-
     def lookup(self, sov: Iterable[tuple[Op, Iterable[int]]], comb: Op,
                children: Iterable[int]) -> int | None:
         """The id of the stored composite with these parts, or None; stores
@@ -236,10 +231,10 @@ def initial_node(store: NodeStore, d: InfluenceDiagram) -> int:
     if ops.unit_interval:
         kept = list(map(_complement, kept))
     base_ids = [store.atomic(t) for t in kept]
-    groups = [store.composite((), ops.group_comb, base_ids + [store.atomic(u)])
+    groups = [store.intern((), ops.group_comb, base_ids + [store.atomic(u)])
               for u in d.utilities]
     sov = [(op, [v for v in block if v not in barren]) for op, block in sov0(d)]
-    return store.composite(sov, ops.outer_comb, groups)
+    return store.intern(sov, ops.outer_comb, groups)
 
 
 def _complement(t: ScopedTable) -> ScopedTable:

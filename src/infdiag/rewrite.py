@@ -1,7 +1,8 @@
 """Rewriting rules that turn the initial node into a mono-operator DAG.
 
 Six rules, applied by a deterministic driver one elimination variable at a
-time, innermost first.  The barren chance variables never reach them:
+time, innermost first.  Each rule appends a `TraceEvent` per application to
+the trace it is given.  The barren chance variables never reach them:
 `initial_node` leaves them out (see `InfluenceDiagram.barren`).
 
   decompose_sum / decompose_max   push the innermost elimination into the
@@ -45,16 +46,17 @@ per group.
 
 Decompose-max and recompose-max read the members of the groups that
 mention `x` and of no other root group; the rest of the root is handled by
-C-level passes over ids and per-node facts (as is `_max_step`'s search for
-the group holding a merged node).  Decompose-max finds the groups
+C-level passes over ids and per-node facts.  Decompose-max finds the groups
 mentioning `x` in one pass, keeps the others by slicing the sorted
 children around them, and tests the wrapper against the root by
 bisection; when nothing is hoisted, the groups themselves go under the new
-max node, as rebuilding each over all its members would return its own id.  Recompose-max records in the store each
-node it finds holding no nested max of its own comb; a merge that keeps
-exactly the nested node's groups (no sibling group, no other member beside
-it) inherits that record, so on `chain(n)` the merged node of every step is
-not scanned again.  Its distinctness checks run only where they can fire:
+max node, as rebuilding each over all its members would return its own id.
+It returns the wrapper, so after a merge `_max_step` rebuilds that one
+group and searches the root for nothing.  Recompose-max records in the
+store each node it finds holding no nested max of its own comb; a merge
+that keeps exactly the nested node's groups (no sibling group, no other
+member beside it) inherits that record, so on `chain(n)` the merged node of
+every step is not scanned again.  Its distinctness checks run only where they can fire:
 over new groups when other members are merged in, and against siblings
 when there are any.
 
@@ -71,7 +73,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
-from operator import and_, attrgetter, contains, is_, is_not, not_, or_
+from operator import and_, attrgetter, is_, is_not, not_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .factors import InternalError, Op
@@ -94,10 +96,9 @@ class TraceEvent(NamedTuple):
 RewriteTrace = list[TraceEvent]
 
 
-def _emit(trace: RewriteTrace | None, rule: str, target: int, produced: int,
+def _emit(trace: RewriteTrace, rule: str, target: int, produced: int,
           var: int | None = None, inner: int | None = None) -> None:
-    if trace is not None:
-        trace.append(_record(TraceEvent, (rule, target, produced, var, inner)))
+    trace.append(_record(TraceEvent, (rule, target, produced, var, inner)))
 
 
 def _group_members(store: NodeStore, gid: int, comb: Op | None) -> tuple[tuple[int, ...], Op]:
@@ -181,7 +182,7 @@ def _require_nonneg(store: NodeStore, ids: list[int], rule: str) -> None:
 # The six rules
 
 def decompose_sum(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace | None = None) -> tuple[int, list[int]]:
+                  trace: RewriteTrace) -> tuple[int, list[int]]:
     """Push the innermost chance elimination of `x` into every group child.
 
     Returns the new root and the distinct new nodes eliminating `x`, in the
@@ -205,21 +206,20 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         if not plus:
             # the conditional table of x keeps x in every group's scope until now
             raise InternalError(f"group {gid} lost all factors over variable {x}")
-        inner = store.composite(inner_sov, comb, plus, scope=_union(store, plus) & no_x)
+        inner = store.intern(inner_sov, comb, plus, scope=_union(store, plus) & no_x)
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
         inners[inner] = None
         minus.append(inner)
-        wrappers.append(store.composite((), comb, minus, scope=scopes[gid] & no_x))
+        wrappers.append(store.intern((), comb, minus, scope=scopes[gid] & no_x))
     if len(set(wrappers)) != len(node.children):
         raise InternalError("decomposition collapsed two distinct groups")
-    out = store.composite(_without(node.sov, x), node.comb, wrappers, scope=scopes[root])
+    out = store.intern(_without(node.sov, x), node.comb, wrappers, scope=scopes[root])
     _emit(trace, "decompose-sum", root, out, var=x)
     return out, list(inners)
 
 
-def recompose_sum(store: NodeStore, nid: int,
-                  trace: RewriteTrace | None = None) -> int:
+def recompose_sum(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
     """Merge nested same-operator eliminations whose variables are free to move.
 
     Applied to fixpoint; returns the input id when nothing applies.
@@ -244,9 +244,9 @@ def recompose_sum(store: NodeStore, nid: int,
                 continue
             if not set(cn.children).isdisjoint(rest):
                 continue  # a shared factor would be silently deduplicated
-            merged = store.composite(((marg, tuple(sorted(block + inner_block))),),
-                                     node.comb, rest + list(cn.children),
-                                     scope=store._scopes[nid])
+            merged = store.intern(((marg, tuple(sorted(block + inner_block))),),
+                                  node.comb, rest + list(cn.children),
+                                  scope=store._scopes[nid])
             break
         if merged is None:
             return nid
@@ -254,8 +254,7 @@ def recompose_sum(store: NodeStore, nid: int,
         nid = merged
 
 
-def simplify_normalized(store: NodeStore, nid: int,
-                        trace: RewriteTrace | None = None) -> int:
+def simplify_normalized(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
     """Drop eliminated variables whose conditional table is the only mention.
 
     Sound because each row of a conditional table sums to 1 (prob) or has
@@ -289,14 +288,13 @@ def simplify_normalized(store: NodeStore, nid: int,
             return nid
         x, rest, rest_scope = found
         keep = tuple(v for v in block if v != x)
-        out = store.composite(((marg, keep),) if keep else (), node.comb, rest,
-                              scope=rest_scope & ~mask_of(keep))
+        out = store.intern(((marg, keep),) if keep else (), node.comb, rest,
+                           scope=rest_scope & ~mask_of(keep))
         _emit(trace, "simplify-normalized", nid, out, var=x)
         nid = out
 
 
-def drop_unit_children(store: NodeStore, nid: int,
-                       trace: RewriteTrace | None = None) -> int:
+def drop_unit_children(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
     """Remove empty-product children: their value is the combination identity."""
     node = store.nodes[nid]
     if node.is_atomic or node.sov != ():
@@ -305,19 +303,21 @@ def drop_unit_children(store: NodeStore, nid: int,
     unit = store.lookup((), node.comb, ())
     if unit is None or unit not in node.children:
         return nid
-    out = store.composite((), node.comb, list(filter(unit.__ne__, node.children)),
-                          scope=store._scopes[nid])
+    out = store.intern((), node.comb, list(filter(unit.__ne__, node.children)),
+                       scope=store._scopes[nid])
     _emit(trace, "drop-unit", nid, out)
     return out
 
 
-def decompose_max(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace | None = None) -> tuple[int, int | None]:
+def decompose_max(store: NodeStore, root: int, x: int, trace: RewriteTrace
+                  ) -> tuple[int, int | None, int | None]:
     """Push the innermost decision elimination of `x` into the groups.
 
     Factors common to every group mentioning x, and themselves free of x,
-    are hoisted out of the new max node.  Returns the new root and the new
-    node eliminating `x`, or None when no group mentions `x`.
+    are hoisted out of the new max node.  Returns the new root, the new
+    node eliminating `x`, and the wrapper: the new root's one child that
+    holds that node, beside the hoisted factors.  Both are None when no
+    group mentions `x`.
     """
     node = store.nodes[root]
     if node.is_atomic or not node.sov:
@@ -332,24 +332,24 @@ def decompose_max(store: NodeStore, root: int, x: int,
     bit = 1 << x
     plus = list(compress(kids, map(and_, map(scopes.__getitem__, kids), repeat(bit))))
     if not plus:
-        out = store.composite(new_sov, node.comb, kids, scope=scopes[root])
+        out = store.intern(new_sov, node.comb, kids, scope=scopes[root])
         _emit(trace, "decompose-max", root, out, var=x)
-        return out, None
+        return out, None, None
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
     pulled_set = {m for m in common if not scopes[m] & bit}
     pulled = sorted(pulled_set)
     _require_nonneg(store, pulled, "decompose-max")
     if pulled:
-        inner_groups = [store.composite((), comb, filterfalse(pulled_set.__contains__, members))
+        inner_groups = [store.intern((), comb, filterfalse(pulled_set.__contains__, members))
                         for members in _children(store, plus)]
         if len(set(inner_groups)) != len(plus):
             raise InternalError("decision decomposition collapsed two groups")
     else:
         inner_groups = plus  # a group rebuilt over all its members is itself
-    inner = store.composite(((Op.MAX, (x,)),), node.comb, inner_groups,
-                            scope=_union(store, inner_groups) & ~bit)
-    wrapper = store.composite((), comb, pulled + [inner],
-                              scope=scopes[inner] | _union(store, pulled))
+    inner = store.intern(((Op.MAX, (x,)),), node.comb, inner_groups,
+                         scope=_union(store, inner_groups) & ~bit)
+    wrapper = store.intern((), comb, pulled + [inner],
+                           scope=scopes[inner] | _union(store, pulled))
     # The wrapper does not mention x, so a root child equal to it would be
     # one of the groups it is to sit beside.
     i = bisect_left(kids, wrapper)
@@ -357,12 +357,12 @@ def decompose_max(store: NodeStore, root: int, x: int,
         raise InternalError("decision wrapper collides with an unrelated group")
     minus = _others(kids, plus)
     minus.append(wrapper)
-    out = store.composite(new_sov, node.comb, minus, scope=scopes[root])
+    out = store.intern(new_sov, node.comb, minus, scope=scopes[root])
     _emit(trace, "decompose-max", root, out, var=x, inner=inner)
-    return out, inner
+    return out, inner, wrapper
 
 
-def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None) -> int:
+def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
     """Merge a nested decision elimination into this one when its variables
     are absent from everything else in sight.  Fixpoint; no-op on non-match.
 
@@ -414,8 +414,8 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
             for sub, members3 in zip(subs, _children(store, subs)):
                 if not n2_set.isdisjoint(members3):
                     raise InternalError("merge would silently drop a shared factor")
-                new_groups.append(store.composite((), gcomb, n2 + list(members3),
-                                                  scope=n2_scope | scopes[sub]))
+                new_groups.append(store.intern((), gcomb, n2 + list(members3),
+                                               scope=n2_scope | scopes[sub]))
             if len(set(new_groups)) != len(subs):
                 raise InternalError("recompose-max collapsed two inner groups")
         else:
@@ -423,8 +423,8 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace | None = None)
         kids = siblings + new_groups
         if siblings and len(set(kids)) != len(kids):
             raise InternalError("recompose-max collided with a sibling group")
-        out = store.composite(((Op.MAX, tuple(sorted(block + sub_block))),), node.comb,
-                              kids, scope=scopes[nid])
+        out = store.intern(((Op.MAX, tuple(sorted(block + sub_block))),), node.comb,
+                           kids, scope=scopes[nid])
         _emit(trace, "recompose-max", nid, out)
         if not (siblings or n2) and m in proved:
             proved.add(out)
@@ -445,7 +445,7 @@ def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int], shrunk: boo
     scope = store._scopes[root]
     if shrunk and scope:
         scope &= _union(store, kids)
-    return store.composite(node.sov, node.comb, kids, scope=scope)
+    return store.intern(node.sov, node.comb, kids, scope=scope)
 
 
 def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
@@ -469,8 +469,8 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
             continue
         if len(set(new_members)) != len(members):
             raise InternalError("rewriting collapsed two factors of one group")
-        w2 = store.composite((), store.nodes[w].comb, new_members,
-                             scope=scopes[w] if shrunk.isdisjoint(members) else None)
+        w2 = store.intern((), store.nodes[w].comb, new_members,
+                          scope=scopes[w] if shrunk.isdisjoint(members) else None)
         repl[w] = drop_unit_children(store, w2, trace)
     if not repl:
         raise InternalError("rewritten elimination nodes appear in no group")
@@ -478,60 +478,48 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
 
 
 def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
-    root, inner = decompose_max(store, root, x, trace)
+    root, inner, w = decompose_max(store, root, x, trace)
     if inner is None:
         return root  # the decision was irrelevant and silently dropped
     merged = recompose_max(store, inner, trace)
     if merged == inner:
         return root
-    kids = store.nodes[root].children
-    holders = list(compress(kids, map(contains, _children(store, kids), repeat(inner))))
-    if len(holders) != 1:
-        raise InternalError("the new decision node must live in exactly one group")
-    w = holders[0]
     wn = store.nodes[w]
     members = [merged if m == inner else m for m in wn.children]
     if len(set(members)) != len(wn.children):
         raise InternalError("merged decision node collides with a factor")
     # recompose-max keeps the scope of what it merges, so every scope stays
-    repl = {w: store.composite((), wn.comb, members, scope=store._scopes[w])}
+    repl = {w: store.intern((), wn.comb, members, scope=store._scopes[w])}
     return _rebuild_root(store, root, repl, False)
 
 
 def remove_passthrough(store: NodeStore, root: int) -> int:
-    """Collapse (no-elimination, single-child) nodes, bottom-up; may return an atom."""
-    order: list[int] = []
-    seen: set[int] = set()
+    """Collapse (no-elimination, single-child) nodes, bottom-up; may return an atom.
+
+    A node is resolved when the depth-first walk finishes it, so the nodes
+    rebuilt here are stored in the walk's post-order."""
+    resolved: dict[int, int] = {}
     stack: list[tuple[int, bool]] = [(root, False)]
     while stack:
         nid, done = stack.pop()
-        if done:
-            order.append(nid)
-            continue
-        if nid in seen:
-            continue
-        seen.add(nid)
-        stack.append((nid, True))
-        for c in store.nodes[nid].children:
-            stack.append((c, False))
-    resolved: dict[int, int] = {}
-    for nid in order:
         node = store.nodes[nid]
-        if node.is_atomic:
-            resolved[nid] = nid
+        if not done:
+            if nid not in resolved:
+                resolved[nid] = nid  # seen; rewritten below if it changes
+                stack.append((nid, True))
+                stack.extend(zip(node.children, repeat(False)))
             continue
-        kids = [resolved[c] for c in node.children]
+        if node.is_atomic:
+            continue
+        kids = list(map(resolved.__getitem__, node.children))
         if node.sov == () and len(kids) == 1:
             resolved[nid] = kids[0]
-            continue
-        if kids == list(node.children):
-            resolved[nid] = nid
-            continue
-        if len(set(kids)) != len(kids):
-            raise InternalError("cleanup collapsed two distinct children")
-        # a pass-through node has its one child's scope, so the scope stays
-        resolved[nid] = store.composite(node.sov, node.comb, kids,
-                                        scope=store._scopes[nid])
+        elif kids != list(node.children):
+            if len(set(kids)) != len(kids):
+                raise InternalError("cleanup collapsed two distinct children")
+            # a pass-through node has its one child's scope, so the scope stays
+            resolved[nid] = store.intern(node.sov, node.comb, kids,
+                                         scope=store._scopes[nid])
     return resolved[root]
 
 

@@ -65,7 +65,7 @@ def _pin(store: NodeStore, nid: int, xs: set[int]) -> int:
         keep = tuple(v for v in block if v not in xs)
         if keep:
             sov.append((op, keep))
-    return store.composite(sov, node.comb, node.children)
+    return store.intern(sov, node.comb, node.children)
 
 
 def _rebuild_with(store: NodeStore, root: int, inner: int, replacement: int) -> int:
@@ -83,7 +83,7 @@ def _rebuild_with(store: NodeStore, root: int, inner: int, replacement: int) -> 
             else:
                 kids = [rb(c) for c in node.children]
                 out = (nid if kids == list(node.children)
-                       else store.composite(node.sov, node.comb, kids))
+                       else store.intern(node.sov, node.comb, kids))
         memo[nid] = out
         return out
 

@@ -277,7 +277,7 @@ def test_clusterize_empty_elimination():
     store = NodeStore([2, 2], ["a", "b"])
     t1 = table((0,), [2, 2])
     t2 = table((0, 1), [2, 2])
-    nid = store.composite([], Op.TIMES, [store.atomic(t1), store.atomic(t2)])
+    nid = store.intern([], Op.TIMES, [store.atomic(t1), store.atomic(t2)])
     clusters = []
     rid = clusterize(store, nid, (), clusters, {})
     assert len(clusters) == 1
@@ -287,9 +287,9 @@ def test_clusterize_empty_elimination():
 
 def test_clusterize_empty_elimination_over_one_son_keeps_its_own_cluster():
     store = NodeStore([2, 2], ["a", "b"])
-    inner = store.composite([(Op.SUM, (1,))], Op.TIMES,
-                            [store.atomic(table((0, 1), [2, 2]))])
-    outer = store.composite([], Op.TIMES, [inner])
+    inner = store.intern([(Op.SUM, (1,))], Op.TIMES,
+                         [store.atomic(table((0, 1), [2, 2]))])
+    outer = store.intern([], Op.TIMES, [inner])
     clusters = []
     fragment_of = {inner: clusterize(store, inner, (1,), clusters, {})}
     rid = clusterize(store, outer, (), clusters, fragment_of)
@@ -309,8 +309,8 @@ def test_clusterize_rejects_atoms_and_multi_operator_nodes():
     atom = store.atomic(table((0,), [2, 2]))
     with pytest.raises(InternalError):
         clusterize(store, atom, (), [], {})
-    mixed = store.composite([(Op.SUM, (0,)), (Op.MAX, (1,))], Op.TIMES,
-                            [store.atomic(table((0, 1), [2, 2]))])
+    mixed = store.intern([(Op.SUM, (0,)), (Op.MAX, (1,))], Op.TIMES,
+                         [store.atomic(table((0, 1), [2, 2]))])
     with pytest.raises(InternalError):
         clusterize(store, mixed, (0, 1), [], {})
 
@@ -434,10 +434,10 @@ def test_assemble_checks_the_heuristic_where_no_node_needs_an_order():
 def test_assemble_refuses_a_variable_no_child_mentions():
     store = NodeStore([2, 2, 2], ["a", "b", "c"])
     atom = store.atomic(table((0,), [2, 2, 2]))
-    one = store.composite([(Op.SUM, (1,))], Op.TIMES, [atom])
+    one = store.intern([(Op.SUM, (1,))], Op.TIMES, [atom])
     with pytest.raises(InternalError, match="no child mentions"):
         assemble(store, one)
-    pair = store.composite([(Op.SUM, (0, 2))], Op.TIMES, [atom])
+    pair = store.intern([(Op.SUM, (0, 2))], Op.TIMES, [atom])
     with pytest.raises(InternalError, match="no child mentions"):
         assemble(store, pair)  # find_order orders it, clusterize refuses it
     with pytest.raises(InternalError, match="no child mentions"):
@@ -471,7 +471,7 @@ def test_width_of_a_sub_dag_ignores_the_free_scope_of_its_root():
     # Below the root a fragment's free scope can be wider than any bucket:
     # it is the width of an elimination still to come, not of this DAG.
     store = NodeStore([2, 2, 2, 2], ["a", "b", "c", "d"])
-    group = store.composite([], Op.TIMES, [store.atomic(table((0, 1, 2), [2] * 4)),
+    group = store.intern([], Op.TIMES, [store.atomic(table((0, 1, 2), [2] * 4)),
                                            store.atomic(table((3,), [2] * 4))])
     assert assemble(store, group).w_mcdag == 0 == oracle_width(store, group)
     wide = 0
@@ -561,9 +561,9 @@ def test_merge_unifies_identical_chance_blocks():
     u1 = table((1,), [2, 2], name="u1")
     u2 = table((1,), [2, 2], name="u2")
     ax, ayx = store.atomic(p_x), store.atomic(p_yx)
-    g1 = store.composite([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u1)])
-    g2 = store.composite([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u2)])
-    root = store.composite([], Op.PLUS, [g1, g2])
+    g1 = store.intern([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u1)])
+    g2 = store.intern([(Op.SUM, (0,))], Op.TIMES, [ax, ayx, store.atomic(u2)])
+    root = store.intern([], Op.PLUS, [g1, g2])
     m = assemble(store, root)
     assert len(m.clusters) == 5
     merged = merge_clusters(m)
@@ -605,9 +605,9 @@ def test_merge_requires_same_table_objects():
     store = NodeStore([2, 2], ["x", "y"])
     u = table((1,), [2, 2], name="u")
     mk = lambda: table((0, 1), [2, 2], name="P", cpt_for=1)
-    g1 = store.composite([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
-    g2 = store.composite([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
-    root = store.composite([], Op.PLUS, [g1, g2])
+    g1 = store.intern([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
+    g2 = store.intern([(Op.SUM, (0,))], Op.TIMES, [store.atomic(mk()), store.atomic(u)])
+    root = store.intern([], Op.PLUS, [g1, g2])
     merged = merge_clusters(assemble(store, root))
     assert len(merged.clusters) == len(assemble(store, root).clusters)
 

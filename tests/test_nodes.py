@@ -78,9 +78,9 @@ def test_composite_interning_canonicalizes():
     store = NodeStore((2, 2, 2))
     a = store.atomic(_table((0,), (2,), [1.0, 2.0]))
     b = store.atomic(_table((1, 2), (2, 2), [1.0, 2.0, 3.0, 4.0]))
-    n1 = store.composite([(Op.MAX, (2,)), (Op.MAX, (1,))], Op.TIMES, [a, b])
-    n2 = store.composite([(Op.MAX, (1, 2))], Op.TIMES, [b, a])
-    n3 = store.composite([(Op.MAX, (2, 1))], Op.TIMES, [a, b, a])
+    n1 = store.intern([(Op.MAX, (2,)), (Op.MAX, (1,))], Op.TIMES, [a, b])
+    n2 = store.intern([(Op.MAX, (1, 2))], Op.TIMES, [b, a])
+    n3 = store.intern([(Op.MAX, (2, 1))], Op.TIMES, [a, b, a])
     assert n1 == n2 == n3
     assert store.nodes[n1].children == tuple(sorted((a, b)))
     # interning an already-stored node's parts gives the same id back
@@ -103,7 +103,7 @@ def test_intern_canonicalizes_raw_parts_once():
     ]
     for sov, comb, children in raw:
         assert store.intern(sov, comb, children) == n1
-    assert store.composite([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
+    assert store.intern([(Op.MAX, [2, 1]), (Op.SUM, [3])], Op.TIMES, [b, a, c]) == n1
     assert len(store.nodes) == size  # found keys add nothing
     stored = store.nodes[n1]
     assert stored.sov == ((Op.MAX, (1, 2)), (Op.SUM, (3,)))
@@ -155,21 +155,21 @@ def test_scope_formula():
     assert store.scope(u_dr2) == {2, 1}
     p1 = store.atomic(d.cpts[0])
     p21 = store.atomic(d.cpts[1])
-    shared = store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, p21])
+    shared = store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, p21])
     assert store.scope(shared) == {1}
-    empty = store.composite([], Op.TIMES, [])
+    empty = store.intern([], Op.TIMES, [])
     assert store.scope(empty) == frozenset()
-    both = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, p21, u_dr2])
+    both = store.intern([(Op.SUM, (0, 1))], Op.TIMES, [p1, p21, u_dr2])
     assert store.scope(both) == {2}
 
 
 def test_empty_product_values():
     real = NodeStore((2,))
-    assert eval_node(real, real.composite([], Op.TIMES, []), {}) == 1.0
-    assert eval_node(real, real.composite([], Op.PLUS, []), {}) == 0.0
+    assert eval_node(real, real.intern([], Op.TIMES, []), {}) == 1.0
+    assert eval_node(real, real.intern([], Op.PLUS, []), {}) == 0.0
     unit = NodeStore((2,), ops=mode_ops("poss"))
-    assert eval_node(unit, unit.composite([], Op.MAX, []), {}) == 0.0
-    assert eval_node(unit, unit.composite([], Op.MIN, []), {}) == 1.0
+    assert eval_node(unit, unit.intern([], Op.MAX, []), {}) == 0.0
+    assert eval_node(unit, unit.intern([], Op.MIN, []), {}) == 1.0
 
 
 def test_eval_atomic_is_lookup_and_prior_sums_to_one():
@@ -177,7 +177,7 @@ def test_eval_atomic_is_lookup_and_prior_sums_to_one():
     prior = _table((0,), (3,), [0.2, 0.3, 0.5])
     a = store.atomic(prior)
     assert eval_node(store, a, {0: 2}) == 0.5
-    summed = store.composite([(Op.SUM, (0,))], Op.TIMES, [a])
+    summed = store.intern([(Op.SUM, (0,))], Op.TIMES, [a])
     assert abs(eval_node(store, summed, {}) - 1.0) < 1e-12
 
 
@@ -186,9 +186,9 @@ def test_eval_rightmost_block_is_innermost():
     # whereas sum_y max_x t would give 4 + 5 = 9.
     store = NodeStore((2, 2))
     t = store.atomic(_table((0, 1), (2, 2), [0.0, 5.0, 4.0, 0.0]))
-    n = store.composite([(Op.MAX, (0,)), (Op.SUM, (1,))], Op.TIMES, [t])
+    n = store.intern([(Op.MAX, (0,)), (Op.SUM, (1,))], Op.TIMES, [t])
     assert eval_node(store, n, {}) == 5.0
-    m = store.composite([(Op.SUM, (1,)), (Op.MAX, (0,))], Op.TIMES, [t])
+    m = store.intern([(Op.SUM, (1,)), (Op.MAX, (0,))], Op.TIMES, [t])
     assert eval_node(store, m, {}) == 9.0
 
 
@@ -294,7 +294,7 @@ def test_bad_constructions_raise_internal_errors():
     store.atomic(_table((0,), (2,), [0.3, 0.7]))
     for sov, comb, children in BAD_CONSTRUCTIONS:
         with pytest.raises(InternalError):
-            store.composite(sov, comb, children)
+            store.intern(sov, comb, children)
         with pytest.raises(InternalError):
             store.intern(tuple(sov), comb, tuple(children))
     assert len(store.nodes) == 1

@@ -58,12 +58,12 @@ def test_decompose_sum_shares_the_inner_node():
     node = store.nodes[out]
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (1,)))
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
-    shared = store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, p2])
-    full = store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, p2, atom(store, "u_dr1")])
+    shared = store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, p2])
+    full = store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, p2, atom(store, "u_dr1")])
     want = {
-        store.composite([], Op.TIMES, [full]),
-        store.composite([], Op.TIMES, [atom(store, "u_dr2"), shared]),
-        store.composite([], Op.TIMES, [atom(store, "u_d"), shared]),
+        store.intern([], Op.TIMES, [full]),
+        store.intern([], Op.TIMES, [atom(store, "u_dr2"), shared]),
+        store.intern([], Op.TIMES, [atom(store, "u_d"), shared]),
     }
     assert set(node.children) == want
     assert sorted(inners) == sorted({shared, full})
@@ -73,19 +73,19 @@ def test_decompose_sum_shares_the_inner_node():
 def test_decompose_rules_check_their_shape():
     d, store, root = fig2_store()
     with pytest.raises(InternalError):
-        decompose_sum(store, root, 2)  # the decision is not in the chance block
+        decompose_sum(store, root, 2, [])  # the decision is not in the chance block
     with pytest.raises(InternalError):
-        decompose_max(store, root, 2)  # the innermost block is a chance block
+        decompose_max(store, root, 2, [])  # the innermost block is a chance block
     with pytest.raises(InternalError):
-        decompose_sum(store, atom(store, "u_d"), 0)
+        decompose_sum(store, atom(store, "u_d"), 0, [])
 
 
 def test_recompose_sum_merges_free_nested_sums():
     store = NodeStore((2, 3))
     a = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="a"))
     b = store.atomic(ScopedTable((0, 1), (2, 3), np.arange(6.0), name="b"))
-    inner = store.composite([(Op.SUM, (1,))], Op.TIMES, [b])
-    outer = store.composite([(Op.SUM, (0,))], Op.TIMES, [a, inner])
+    inner = store.intern([(Op.SUM, (1,))], Op.TIMES, [b])
+    outer = store.intern([(Op.SUM, (0,))], Op.TIMES, [a, inner])
     trace = []
     out = recompose_sum(store, outer, trace)
     assert store.nodes[out].sov == ((Op.SUM, (0, 1)),)
@@ -99,20 +99,22 @@ def test_recompose_sum_gates():
     a = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="a"))
     b = store.atomic(ScopedTable((0, 1), (2, 3), np.arange(6.0), name="b"))
     c = store.atomic(ScopedTable((1,), (3,), np.ones(3), name="c"))
-    inner = store.composite([(Op.SUM, (1,))], Op.TIMES, [b])
+    inner = store.intern([(Op.SUM, (1,))], Op.TIMES, [b])
     # a sibling scoped on the inner variable blocks the merge
-    blocked = store.composite([(Op.SUM, (0,))], Op.TIMES, [a, c, inner])
-    assert recompose_sum(store, blocked) == blocked
+    blocked = store.intern([(Op.SUM, (0,))], Op.TIMES, [a, c, inner])
+    trace = []
+    assert recompose_sum(store, blocked, trace) == blocked
     # a factor shared between inside and outside blocks it too
-    inner2 = store.composite([(Op.SUM, (1,))], Op.TIMES, [a, b])
-    sharing = store.composite([(Op.SUM, (0,))], Op.TIMES, [a, inner2])
-    assert recompose_sum(store, sharing) == sharing
+    inner2 = store.intern([(Op.SUM, (1,))], Op.TIMES, [a, b])
+    sharing = store.intern([(Op.SUM, (0,))], Op.TIMES, [a, inner2])
+    assert recompose_sum(store, sharing, trace) == sharing
+    assert trace == []
 
 
 def test_simplify_normalized_drops_spent_tables():
     d, store, _ = fig2_store()
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
-    g = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2])
+    g = store.intern([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2])
     trace = []
     out = simplify_normalized(store, g, trace)
     node = store.nodes[out]
@@ -124,39 +126,43 @@ def test_simplify_normalized_drops_spent_tables():
 def test_simplify_normalized_keeps_needed_tables():
     d, store, _ = fig2_store()
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
-    g = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2, atom(store, "u_dr2")])
-    assert simplify_normalized(store, g) == g
+    g = store.intern([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2, atom(store, "u_dr2")])
+    trace = []
+    assert simplify_normalized(store, g, trace) == g
     # a plain table over the same variables is not a conditional table
     w = store.atomic(ScopedTable((0, 1), (2, 2), store.nodes[p2].table.values,
                                  name="w"))
-    g2 = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, w])
-    assert simplify_normalized(store, g2) == g2
+    g2 = store.intern([(Op.SUM, (0, 1))], Op.TIMES, [p1, w])
+    assert simplify_normalized(store, g2, trace) == g2
+    assert trace == []
 
 
 def test_drop_unit_children_removes_empty_products():
     store = NodeStore((2,))
     a = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="a"))
-    unit = store.composite([], Op.TIMES, [])
-    foreign = store.composite([], Op.PLUS, [])  # identity of plus, not of times
-    n = store.composite([], Op.TIMES, [a, unit, foreign])
+    unit = store.intern([], Op.TIMES, [])
+    foreign = store.intern([], Op.PLUS, [])  # identity of plus, not of times
+    n = store.intern([], Op.TIMES, [a, unit, foreign])
     trace = []
     out = drop_unit_children(store, n, trace)
     assert set(store.nodes[out].children) == {a, foreign}
     assert [e.rule for e in trace] == ["drop-unit"]
-    assert drop_unit_children(store, out) == out
+    again = []
+    assert drop_unit_children(store, out, again) == out
+    assert again == []
 
 
 def test_decompose_max_wraps_the_whole_root_when_nothing_is_common():
     d, store, _ = fig2_store()
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
-    s1 = store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, atom(store, "u_dr1")])
-    s2 = store.composite([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2, atom(store, "u_dr2")])
-    w1 = store.composite([], Op.TIMES, [s1])
-    w2 = store.composite([], Op.TIMES, [s2])
-    w3 = store.composite([], Op.TIMES, [atom(store, "u_d")])
-    root = store.composite([(Op.MAX, (2,))], Op.PLUS, [w1, w2, w3])
+    s1 = store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, atom(store, "u_dr1")])
+    s2 = store.intern([(Op.SUM, (0, 1))], Op.TIMES, [p1, p2, atom(store, "u_dr2")])
+    w1 = store.intern([], Op.TIMES, [s1])
+    w2 = store.intern([], Op.TIMES, [s2])
+    w3 = store.intern([], Op.TIMES, [atom(store, "u_d")])
+    root = store.intern([(Op.MAX, (2,))], Op.PLUS, [w1, w2, w3])
     trace = []
-    out, inner = decompose_max(store, root, 2, trace)
+    out, inner, _ = decompose_max(store, root, 2, trace)
     node = store.nodes[out]
     assert node.sov == ()
     (wrap,) = node.children
@@ -171,7 +177,7 @@ def test_decompose_max_hoists_common_factors():
     store = store_for(d)
     root = initial_node(store, d)
     trace = []
-    out, inner = decompose_max(store, root, 4, trace)
+    out, inner, _ = decompose_max(store, root, 4, trace)
     node = store.nodes[out]
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (1,)), (Op.MAX, (3,)), (Op.SUM, (0,)))
     assert inner == trace[-1].inner
@@ -189,10 +195,10 @@ def test_decompose_max_drops_an_absent_decision():
     store = NodeStore((2, 2))
     u = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]),
                                  name="u"))
-    w = store.composite([], Op.TIMES, [u])
-    root = store.composite([(Op.MAX, (1,))], Op.PLUS, [w])
+    w = store.intern([], Op.TIMES, [u])
+    root = store.intern([(Op.MAX, (1,))], Op.PLUS, [w])
     trace = []
-    out, inner = decompose_max(store, root, 1, trace)
+    out, inner, _ = decompose_max(store, root, 1, trace)
     assert store.nodes[out].sov == ()
     assert store.nodes[out].children == (w,)
     assert inner is None and trace[-1].inner is None
@@ -203,12 +209,12 @@ def test_decompose_max_refuses_a_wrapper_that_collides_with_a_group():
     # does not mention the decision: merging the two would drop a term.
     store = NodeStore((2,))
     u = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="u"))
-    g1 = store.composite([], Op.TIMES, [u])
-    inner = store.composite([(Op.MAX, (0,))], Op.PLUS, [g1])
-    g2 = store.composite([], Op.TIMES, [inner])
-    root = store.composite([(Op.MAX, (0,))], Op.PLUS, [g1, g2])
+    g1 = store.intern([], Op.TIMES, [u])
+    inner = store.intern([(Op.MAX, (0,))], Op.PLUS, [g1])
+    g2 = store.intern([], Op.TIMES, [inner])
+    root = store.intern([(Op.MAX, (0,))], Op.PLUS, [g1, g2])
     with pytest.raises(InternalError, match="collides with an unrelated group"):
-        decompose_max(store, root, 0)
+        decompose_max(store, root, 0, [])
 
 
 def test_decompose_max_refuses_signed_common_factors():
@@ -219,11 +225,11 @@ def test_decompose_max_refuses_signed_common_factors():
                                   name="ua"))
     ub = store.atomic(ScopedTable((1,), (2,), np.array([2.0, 1.0]),
                                   name="ub"))
-    g1 = store.composite([], Op.TIMES, [shared, ua])
-    g2 = store.composite([], Op.TIMES, [shared, ub])
-    root = store.composite([(Op.MAX, (1,))], Op.PLUS, [g1, g2])
+    g1 = store.intern([], Op.TIMES, [shared, ua])
+    g2 = store.intern([], Op.TIMES, [shared, ub])
+    root = store.intern([(Op.MAX, (1,))], Op.PLUS, [g1, g2])
     with pytest.raises(InternalError):
-        decompose_max(store, root, 1)
+        decompose_max(store, root, 1, [])
 
 
 def test_recompose_max_merges_a_nested_decision():
@@ -234,11 +240,11 @@ def test_recompose_max_merges_a_nested_decision():
                                   name="u2"))
     pf = store.atomic(ScopedTable((2,), (2,), np.array([0.3, 0.7]),
                                   name="pf", cpt_for=2))
-    nested = store.composite([(Op.MAX, (1,))], Op.PLUS,
-                             [store.composite([], Op.TIMES, [u1])])
-    g = store.composite([], Op.TIMES, [pf, nested])
-    sib = store.composite([], Op.TIMES, [u2])
-    node = store.composite([(Op.MAX, (0,))], Op.PLUS, [g, sib])
+    nested = store.intern([(Op.MAX, (1,))], Op.PLUS,
+                          [store.intern([], Op.TIMES, [u1])])
+    g = store.intern([], Op.TIMES, [pf, nested])
+    sib = store.intern([], Op.TIMES, [u2])
+    node = store.intern([(Op.MAX, (0,))], Op.PLUS, [g, sib])
     trace = []
     out = recompose_max(store, node, trace)
     assert store.nodes[out].sov == ((Op.MAX, (0, 1)),)
@@ -259,25 +265,27 @@ def test_recompose_max_merges_to_the_fixpoint(beside):
     # nor when a sibling group and a factor beside it are merged in.
     store = NodeStore((2, 2, 2, 2))  # decisions 0, 1, 2; chance 3
     u = store.atomic(ScopedTable((2,), (2,), np.array([0.2, 0.9]), name="u"))
-    nested2 = store.composite([(Op.MAX, (2,))], Op.PLUS, [store.composite([], Op.TIMES, [u])])
-    nested1 = store.composite([(Op.MAX, (1,))], Op.PLUS,
-                              [store.composite([], Op.TIMES, [nested2])])
+    nested2 = store.intern([(Op.MAX, (2,))], Op.PLUS, [store.intern([], Op.TIMES, [u])])
+    nested1 = store.intern([(Op.MAX, (1,))], Op.PLUS,
+                           [store.intern([], Op.TIMES, [nested2])])
     kids = [nested1]
     groups = []
     if beside:
         pf = store.atomic(ScopedTable((3,), (2,), np.array([0.3, 0.7]), name="pf", cpt_for=3))
         u0 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]), name="u0"))
         kids.append(pf)
-        groups.append(store.composite([], Op.TIMES, [u0]))
-    groups.append(store.composite([], Op.TIMES, kids))
-    node = store.composite([(Op.MAX, (0,))], Op.PLUS, groups)
+        groups.append(store.intern([], Op.TIMES, [u0]))
+    groups.append(store.intern([], Op.TIMES, kids))
+    node = store.intern([(Op.MAX, (0,))], Op.PLUS, groups)
     trace = []
     out = recompose_max(store, node, trace)
     assert [e.rule for e in trace] == ["recompose-max"] * 2
     assert store.nodes[out].sov == ((Op.MAX, (0, 1, 2)),)
     assert trace[0].produced not in store._no_nested_max
     assert out in store._no_nested_max
-    assert recompose_max(store, out) == out
+    again = []
+    assert recompose_max(store, out, again) == out
+    assert again == []
     check_trace(store, trace, np.random.default_rng(0))
 
 
@@ -291,21 +299,23 @@ def test_recompose_max_gates():
                                   name="pf", cpt_for=2))
     neg = store.atomic(ScopedTable((2,), (2,), np.array([-1.0, 1.0]),
                                    name="neg"))
-    nested = store.composite([(Op.MAX, (1,))], Op.PLUS,
-                             [store.composite([], Op.TIMES, [u1])])
+    nested = store.intern([(Op.MAX, (1,))], Op.PLUS,
+                          [store.intern([], Op.TIMES, [u1])])
     # the nested decision appears in a sibling group: no merge
-    g = store.composite([], Op.TIMES, [pf, nested])
-    sib = store.composite([], Op.TIMES, [u3])
-    node = store.composite([(Op.MAX, (0,))], Op.PLUS, [g, sib])
-    assert recompose_max(store, node) == node
+    g = store.intern([], Op.TIMES, [pf, nested])
+    sib = store.intern([], Op.TIMES, [u3])
+    node = store.intern([(Op.MAX, (0,))], Op.PLUS, [g, sib])
+    trace = []
+    assert recompose_max(store, node, trace) == node
+    assert trace == []
     # a possibly negative factor cannot be pushed inside the nested max
-    g2 = store.composite([], Op.TIMES, [neg, nested])
+    g2 = store.intern([], Op.TIMES, [neg, nested])
     u2 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]),
                                   name="u2"))
-    sib2 = store.composite([], Op.TIMES, [u2])
-    node2 = store.composite([(Op.MAX, (0,))], Op.PLUS, [g2, sib2])
+    sib2 = store.intern([], Op.TIMES, [u2])
+    node2 = store.intern([(Op.MAX, (0,))], Op.PLUS, [g2, sib2])
     with pytest.raises(InternalError):
-        recompose_max(store, node2)
+        recompose_max(store, node2, [])
 
 
 # x is observed before d and, through its table, tells d about y: the table
@@ -442,13 +452,13 @@ def test_plan_naming_a_barren_variable_is_refused():
 def test_remove_passthrough_collapses_and_guards():
     store = NodeStore((2,))
     a = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="a"))
-    w = store.composite([], Op.TIMES, [a])
-    w2 = store.composite([], Op.PLUS, [w])
+    w = store.intern([], Op.TIMES, [a])
+    w2 = store.intern([], Op.PLUS, [w])
     assert remove_passthrough(store, w2) == a
-    bad = store.composite([], Op.TIMES, [w, a])
+    bad = store.intern([], Op.TIMES, [w, a])
     with pytest.raises(InternalError):
         remove_passthrough(store, bad)
-    keep = store.composite([(Op.SUM, (0,))], Op.TIMES, [a])
+    keep = store.intern([(Op.SUM, (0,))], Op.TIMES, [a])
     assert remove_passthrough(store, keep) == keep
 
 
@@ -499,11 +509,11 @@ def test_macro_fig3_golden():
     node23 = store.nodes[m23]
     assert node23.sov == ((Op.MAX, (3, 4)),) and node23.comb is Op.PLUS
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
-    shared = store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, p2])
+    shared = store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, p2])
     assert set(node23.children) == {
-        store.composite([(Op.SUM, (0,))], Op.TIMES, [p1, p2, atom(store, "u_r1d2")]),
-        store.composite([], Op.TIMES, [shared, atom(store, "u_d2d3")]),
-        store.composite([], Op.TIMES, [shared, atom(store, "u_r2d1d3")]),
+        store.intern([(Op.SUM, (0,))], Op.TIMES, [p1, p2, atom(store, "u_r1d2")]),
+        store.intern([], Op.TIMES, [shared, atom(store, "u_d2d3")]),
+        store.intern([], Op.TIMES, [shared, atom(store, "u_r2d1d3")]),
     }
     assert eval_node(store, final, {}) == pytest.approx(oracle_value(d), rel=1e-9)
 
@@ -778,6 +788,31 @@ def _swept_stores():
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
             yield store
+
+
+def test_decompose_max_hands_over_the_one_group_holding_its_node(monkeypatch):
+    # `_max_step` rebuilds the wrapper decompose-max returns after a merge,
+    # without searching the root: that wrapper must be the root's one child
+    # holding the new max node.
+    decompose = rewrite.decompose_max
+    handed = [0]
+
+    def checking(store, root, x, trace):
+        out, inner, wrapper = decompose(store, root, x, trace)
+        if inner is None:
+            assert wrapper is None
+        else:
+            kids = store.nodes[out].children
+            assert wrapper in kids
+            assert inner in store.nodes[wrapper].children
+            holders = [k for k in kids if inner in store.nodes[k].children]
+            assert holders == [wrapper]
+            handed[0] += 1
+        return out, inner, wrapper
+
+    monkeypatch.setattr(rewrite, "decompose_max", checking)
+    assert sum(1 for _ in _swept_stores()) == 200
+    assert handed[0] > 300
 
 
 def test_nodes_recorded_without_a_nested_max_hold_none():
