@@ -61,8 +61,8 @@ class Potential:
 def pot_combine(a: Potential, b: Potential,
                 counter: OpCounter | None = None) -> Potential:
     counter = counter or OpCounter()
-    return Potential(factors.fold((a.p, b.p), Op.TIMES, 1.0, counter),
-                     factors.fold((a.u, b.u), Op.PLUS, 0.0, counter))
+    return Potential(factors.fold((a.p, b.p), Op.TIMES, counter),
+                     factors.fold((a.u, b.u), Op.PLUS, counter))
 
 
 def pot_marg_chance(pi: Potential, vars: Sequence[int],
@@ -74,7 +74,7 @@ def pot_marg_chance(pi: Potential, vars: Sequence[int],
     if not elim:
         return pi
     counter = counter or OpCounter()
-    scope, n_arr = eliminate(factors.fold((pi.p, pi.u), Op.TIMES, 1.0, counter),
+    scope, n_arr = eliminate(factors.fold((pi.p, pi.u), Op.TIMES, counter),
                              elim, Op.SUM, counter)
     den = eliminate(pi.p, elim, Op.SUM, counter)
     d_arr = np.broadcast_to(align(den[1], den[0], scope), n_arr.shape)

@@ -162,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     results = [("mcdag", run.meu), ("brute", brute)]
     results.append(("policy(mcdag)", solve.evaluate_policy(d, run.policies)))
     if d.mode == "prob":
-        value, policies, _ = baseline.potential_ve(d)
+        value, policies, _ = baseline.potential_ve(d, heuristic=args.heuristic)
         results.append(("potential", value))
         results.append(("policy(potential)", solve.evaluate_policy(d, policies)))
     else:

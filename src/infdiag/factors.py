@@ -6,13 +6,13 @@ scope axes).  Combination canonicalizes the output scope to ascending variable
 id; marginalization keeps the surviving order of its input.
 
 The arithmetic lives in array-level helpers over (scope, ndarray) parts:
-`align` lays a part out over a union scope, `fold` combines parts,
-`eliminate` marginalizes one, and `argmax_marginalize` max-eliminates one
-variable of one and records which values attain the max in a `ChoiceTable`
-of integer value indices, which every engine hands out as the decision's
-rule.  `combine_all` and `marginalize` are thin `ScopedTable` wrappers over
-them; both engines and the policy pass call the array-level helpers
-directly.
+`align` lays a part out over a union scope, `fold` combines one or more
+parts, `eliminate` marginalizes one, and `argmax_marginalize`
+max-eliminates one variable of one and records which values attain the max
+in a `ChoiceTable` of integer value indices, which every engine hands out
+as the decision's rule.  `combine_all` and `marginalize` are thin `ScopedTable` wrappers over
+them (only `combine_all` takes an identity, for an empty sequence); both
+engines and the policy pass call the array-level helpers directly.
 
 MAX and MIN are exact, so `eliminate` and `argmax_marginalize` may reduce one
 axis of k values slice by slice: a copy of slice 0, then k-1 in-place ufunc
@@ -27,7 +27,9 @@ own reduce is a left fold, as the slices are, so both give the same bits,
 down to which of 0.0 and -0.0 a tie keeps; from 8 values on it folds in SIMD
 lanes, which may keep the other one.  SUM always takes `ufunc.reduce`: numpy
 sums a contiguous axis of 8 or more values pairwise, so a left fold over the
-slices would round differently there.
+slices would round differently there.  Below 8 values numpy's sum is a left
+fold as well, on every axis, so the slices would give its bits (a test pins
+this for a later SUM slice path).
 
 Each step charges the operation counter it is passed (a fresh one, read by
 no one, when the argument is optional and omitted) with one unit per binary
@@ -185,7 +187,7 @@ class ScopedTable:
 
     @property
     def array(self) -> np.ndarray:
-        return self.values.reshape(self.sizes) if self.scope else self.values.reshape(())
+        return self.values.reshape(self.sizes)
 
     def lookup(self, assignment: Mapping[int, int]) -> float:
         idx = []
@@ -197,7 +199,7 @@ class ScopedTable:
             if not 0 <= val < size:
                 raise AssignmentError(f"value {val} out of range for variable {var}")
             idx.append(val)
-        return float(self.array[tuple(idx)]) if self.scope else float(self.values[0])
+        return float(self.array[tuple(idx)])
 
 
 Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)
@@ -215,19 +217,22 @@ def align(arr: np.ndarray, scope: tuple[int, ...], union: Sequence[int]) -> np.n
     return arr.transpose(order).reshape(shape)
 
 
-def fold(parts: Sequence[Part], op: Op, ident: float, counter: OpCounter) -> Part:
+def fold(parts: Sequence[Part], op: Op, counter: OpCounter) -> Part:
     """Combine the parts left to right under `op`, charging one op per cell
     of the union reached after each step.
 
     Two or more parts give the ascending-id union scope and a C-contiguous
     array, so a later reduction sums in a fixed order.  One part comes back
-    as it is; none gives the 0-d identity.  A union over more than
-    CELL_GUARD cells is refused before anything is allocated.
+    as it is.  No part is an internal error: every cluster and potential
+    step folds at least one.  A union over more than CELL_GUARD cells is
+    refused before anything is allocated.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"{op} is not a combination operator")
     if len(parts) < 2:
-        return parts[0] if parts else ((), np.full((), ident))
+        if not parts:
+            raise InternalError("fold over no parts")
+        return parts[0]
     size_of: dict[int, int] = {}
     for scope, arr in parts:
         for var, size in zip(scope, arr.shape):
@@ -304,11 +309,10 @@ def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Pa
 
 def combine_all(tables: Sequence[ScopedTable], op: Op, ident: float, counter: OpCounter | None = None) -> ScopedTable:
     """Pointwise combination over the union scope (ascending variable id);
-    empty sequences give the scalar identity."""
-    if len(tables) == 1:
-        return tables[0]
-    scope, arr = fold([(t.scope, t.array) for t in tables], op, ident,
-                      counter or OpCounter())
+    empty sequences give the scalar identity `ident`."""
+    if len(tables) < 2:
+        return tables[0] if tables else ScopedTable((), (), np.array([ident]))
+    scope, arr = fold([(t.scope, t.array) for t in tables], op, counter or OpCounter())
     return ScopedTable(scope, arr.shape, arr.reshape(-1))
 
 

@@ -35,14 +35,19 @@ variable:
     the `|` of the groups holding `x`, `& ~bit(x)`);
   - simplify-normalized may shrink a scope: the dropped table's parents
     leave unless another child mentions them.  Its result gets the `|` its
-    precondition already took, less the kept block, and a group or root
-    rebuilt over a shrunk node is re-unioned (or, for the root, `&`-ed with
-    the `|` of its new children).
-The other build (the groups inside a new max node) goes through the
-ordinary path.  Root-wide checks (is every child a group of one comb,
-which members hold a nested max, which groups mention `x`) run as one
-C-level pass over per-node facts the store keeps, not as a Python call
-per group.
+    precondition already took, less the kept block.
+The other builds (the groups inside a new max node, and a group or root
+rebuilt over a node whose scope shrank) go through the ordinary path.
+Root-wide checks (is every child a group of one comb, which members hold
+a nested max, which groups mention `x`) run as one C-level pass over
+per-node facts the store keeps, not as a Python call per group.
+
+Each decompose rule hands its step the wrappers it built, so no step
+searches the root for them.  Decompose-sum returns every wrapper with the
+inner node it holds, and `_sum_step` rebuilds, in the root's child order,
+the wrappers whose inner node recompose-sum or simplify-normalized
+changed.  Decompose-max returns its one wrapper, which `_max_step`
+rebuilds after a merge.  Both rebuilds replace one member (`_swap`).
 
 Decompose-max and recompose-max read the members of the groups that
 mention `x` and of no other root group; the rest of the root is handled by
@@ -51,14 +56,12 @@ mentioning `x` in one pass, keeps the others by slicing the sorted
 children around them, and tests the wrapper against the root by
 bisection; when nothing is hoisted, the groups themselves go under the new
 max node, as rebuilding each over all its members would return its own id.
-It returns the wrapper, so after a merge `_max_step` rebuilds that one
-group and searches the root for nothing.  Recompose-max records in the
-store each node it finds holding no nested max of its own comb; a merge
-that keeps exactly the nested node's groups (no sibling group, no other
-member beside it) inherits that record, so on `chain(n)` the merged node of
-every step is not scanned again.  Its distinctness checks run only where they can fire:
-over new groups when other members are merged in, and against siblings
-when there are any.
+Recompose-max records in the store each node it finds holding no nested
+max of its own comb; a merge that keeps exactly the nested node's groups
+(no sibling group, no other member beside it) inherits that record, so on
+`chain(n)` the merged node of every step is not scanned again.  Its
+distinctness checks run only where they can fire: over new groups when
+other members are merged in, and against siblings when there are any.
 
 Hoisting a common factor out of a max is only sound when the factor cannot
 be negative.  Probability-derived factors (every atomic descendant is a
@@ -182,11 +185,12 @@ def _require_nonneg(store: NodeStore, ids: list[int], rule: str) -> None:
 # The six rules
 
 def decompose_sum(store: NodeStore, root: int, x: int,
-                  trace: RewriteTrace) -> tuple[int, list[int]]:
+                  trace: RewriteTrace) -> tuple[int, dict[int, int]]:
     """Push the innermost chance elimination of `x` into every group child.
 
-    Returns the new root and the distinct new nodes eliminating `x`, in the
-    order first built.
+    Returns the new root and, for each of its children (the wrappers) in
+    the order built, the new node eliminating `x` that it holds.  Groups
+    with the same members over `x` share that node.
     """
     node = store.nodes[root]
     if node.is_atomic or not node.sov:
@@ -198,8 +202,7 @@ def decompose_sum(store: NodeStore, root: int, x: int,
     no_x = ~(1 << x)
     inner_sov = ((marg, (x,)),)
     comb: Op | None = None
-    wrappers = []
-    inners: dict[int, None] = {}  # insertion-ordered set
+    held: dict[int, int] = {}
     for gid in node.children:
         members, comb = _group_members(store, gid, comb)
         plus, minus = _split(store, members, x)
@@ -209,14 +212,13 @@ def decompose_sum(store: NodeStore, root: int, x: int,
         inner = store.intern(inner_sov, comb, plus, scope=_union(store, plus) & no_x)
         if inner in minus:
             raise InternalError("inner elimination node collides with a factor")
-        inners[inner] = None
         minus.append(inner)
-        wrappers.append(store.intern((), comb, minus, scope=scopes[gid] & no_x))
-    if len(set(wrappers)) != len(node.children):
+        held[store.intern((), comb, minus, scope=scopes[gid] & no_x)] = inner
+    if len(held) != len(node.children):
         raise InternalError("decomposition collapsed two distinct groups")
-    out = store.intern(_without(node.sov, x), node.comb, wrappers, scope=scopes[root])
+    out = store.intern(_without(node.sov, x), node.comb, held, scope=scopes[root])
     _emit(trace, "decompose-sum", root, out, var=x)
-    return out, list(inners)
+    return out, held
 
 
 def recompose_sum(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
@@ -434,25 +436,32 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
 # --------------------------------------------------------------------------
 # Driver
 
+def _swap(store: NodeStore, w: int, old: int, new: int, scope: int | None) -> int:
+    """Group `w` with its member `old` replaced by `new`, under `scope`
+    (None to let `intern` derive it)."""
+    wn = store.nodes[w]
+    if new in wn.children:
+        raise InternalError(f"rewritten node {new} collides with a member of group {w}")
+    return store.intern((), wn.comb, [new if m == old else m for m in wn.children],
+                        scope=scope)
+
+
 def _rebuild_root(store: NodeStore, root: int, repl: dict[int, int], shrunk: bool) -> int:
     """The root over its children with `repl` applied.  A replacement's scope
-    is within the one it replaces (`shrunk` says whether any is smaller), so
-    the root keeps its scope but for variables no child mentions any more."""
+    is within the one it replaces, so the root keeps its scope unless one
+    is smaller (`shrunk`), when `intern` derives it."""
     node = store.nodes[root]
     kids = list(map(repl.get, node.children, node.children))
     if len(set(kids)) != len(node.children):
         raise InternalError("rebuilding the root collapsed two children")
-    scope = store._scopes[root]
-    if shrunk and scope:
-        scope &= _union(store, kids)
-    return store.intern(node.sov, node.comb, kids, scope=scope)
+    return store.intern(node.sov, node.comb, kids,
+                        scope=None if shrunk else store._scopes[root])
 
 
 def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
-    root, inners = decompose_sum(store, root, x, trace)
-    outs: dict[int, int] = {}
-    for i in inners:
-        outs[i] = recompose_sum(store, i, trace)
+    root, held = decompose_sum(store, root, x, trace)
+    inners = dict.fromkeys(held.values())
+    outs = {i: recompose_sum(store, i, trace) for i in inners}
     for i in inners:
         outs[i] = simplify_normalized(store, outs[i], trace)
     changed = {k: v for k, v in outs.items() if k != v}
@@ -462,18 +471,11 @@ def _sum_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     # simplify may shrink a scope; a group holding such a node is re-unioned
     shrunk = {k for k, v in changed.items() if scopes[k] != scopes[v]}
     repl: dict[int, int] = {}
-    for w, members in zip(store.nodes[root].children,
-                          _children(store, store.nodes[root].children)):
-        new_members = tuple(map(changed.get, members, members))
-        if new_members == members:
-            continue
-        if len(set(new_members)) != len(members):
-            raise InternalError("rewriting collapsed two factors of one group")
-        w2 = store.intern((), store.nodes[w].comb, new_members,
-                          scope=scopes[w] if shrunk.isdisjoint(members) else None)
-        repl[w] = drop_unit_children(store, w2, trace)
-    if not repl:
-        raise InternalError("rewritten elimination nodes appear in no group")
+    for w in sorted(held):  # the root's child order
+        i = held[w]
+        if i in changed:
+            w2 = _swap(store, w, i, changed[i], None if i in shrunk else scopes[w])
+            repl[w] = drop_unit_children(store, w2, trace)
     return _rebuild_root(store, root, repl, bool(shrunk))
 
 
@@ -484,12 +486,8 @@ def _max_step(store: NodeStore, root: int, x: int, trace: RewriteTrace) -> int:
     merged = recompose_max(store, inner, trace)
     if merged == inner:
         return root
-    wn = store.nodes[w]
-    members = [merged if m == inner else m for m in wn.children]
-    if len(set(members)) != len(wn.children):
-        raise InternalError("merged decision node collides with a factor")
     # recompose-max keeps the scope of what it merges, so every scope stays
-    repl = {w: store.intern((), wn.comb, members, scope=store._scopes[w])}
+    repl = {w: _swap(store, w, inner, merged, store._scopes[w])}
     return _rebuild_root(store, root, repl, False)
 
 

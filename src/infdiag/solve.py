@@ -49,7 +49,6 @@ from .factors import (  # noqa: F401
     combine_all,
     eliminate,
     fold,
-    identity,
     marginalize,
 )
 from .nodes import initial_node, reachable, store_for
@@ -90,11 +89,6 @@ def _check_ops(m: MCDag) -> None:
     pairs = {c.ops for c in m.clusters}
     if not any(pairs.issubset(ops.pairs.values()) for ops in MODES.values()):
         raise InternalError(f"operator pairs {sorted(map(str, pairs))} mix modes")
-
-
-# The combination identity of each operator pair `_check_ops` admits.
-_IDENT = {pair: identity(pair[1], ops.unit_interval)
-          for ops in MODES.values() for pair in ops.pairs.values()}
 
 
 # What evaluate keeps of a max-eliminating cluster: its combined part, or
@@ -139,7 +133,7 @@ def evaluate(m: MCDag, counter: OpCounter | None = None,
         for s in sons:
             if last_reader[s] == cid:
                 messages.pop(s, None)  # a merged cluster may list a son twice
-        out = fold(parts, comb, _IDENT[ops], counter)
+        out = fold(parts, comb, counter)
         if elim:
             missing = [v for v in elim if v not in out[0]]
             if missing:

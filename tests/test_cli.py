@@ -200,6 +200,20 @@ def test_check_fail_exits_3(fig2, capsys, monkeypatch):
     assert capsys.readouterr().out.strip().endswith("FAIL")
 
 
+def test_check_heuristic_reaches_the_potential_engine(fig2, capsys, monkeypatch):
+    potential_ve = baseline.potential_ve
+    asked = []
+
+    def recording(d, heuristic="min-fill", **kwargs):
+        asked.append(heuristic)
+        return potential_ve(d, heuristic, **kwargs)
+
+    monkeypatch.setattr(baseline, "potential_ve", recording)
+    assert main(["check", fig2, "--heuristic", "min-degree"]) == 0
+    assert asked == ["min-degree"]
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
 def test_gen_deterministic(capsys):
     argv = ["gen", "--vars", "6", "--decisions", "2", "--seed", "4"]
     assert main(argv) == 0

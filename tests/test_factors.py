@@ -23,6 +23,7 @@ from infdiag.factors import (
     CELL_GUARD,
     AssignmentError,
     FactorError,
+    InternalError,
     Op,
     OpCounter,
     ResourceGuardError,
@@ -367,6 +368,23 @@ def test_sum_stays_on_numpys_reduction():
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_sum_below_8_values_is_a_left_fold_over_the_slices(k):
+    # Below 8 values numpy's sum along any axis is a left fold, so a SUM
+    # slice path would keep its bits; 8 or more contiguous values are summed
+    # pairwise (the test above).  256 cells beside the axis (128 or more
+    # before it unless it is first), and magnitudes from 1e-8 to 1e8, so
+    # most additions round.
+    rng = np.random.default_rng(k)
+    for axis in range(3):
+        shape = [128, 2]
+        shape.insert(axis, k)
+        for _ in range(20):
+            arr = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            out = factors._reduce_slices(factors._slices(arr, axis), np.add)
+            assert out.tobytes() == np.add.reduce(arr, axis).tobytes(), (k, axis)
+
+
 @pytest.mark.parametrize("reduce", ["eliminate", "argmax"])
 def test_slice_path_allocates_rows_not_a_table(reduce):
     # 2^14 rows of 4 values, reduced along the last axis: the max, the lowest
@@ -424,10 +442,18 @@ def test_fold_refuses_a_union_over_the_cell_guard():
     parts = [((v,), axis) for v in range(3)]
     counter = OpCounter()
     with pytest.raises(ResourceGuardError, match="cells"):
-        fold(parts, Op.TIMES, 1.0, counter)
+        fold(parts, Op.TIMES, counter)
     assert counter.total == 0
-    scope, arr = fold(parts[:2], Op.TIMES, 1.0, OpCounter())  # 2**18 cells fit
+    scope, arr = fold(parts[:2], Op.TIMES, OpCounter())  # 2**18 cells fit
     assert scope == (0, 1) and arr.size == 2 ** 18 <= CELL_GUARD
+
+
+def test_fold_over_no_parts_is_an_internal_error():
+    # Every cluster and potential step folds at least one part.
+    counter = OpCounter()
+    with pytest.raises(InternalError, match="no parts"):
+        fold([], Op.TIMES, counter)
+    assert counter.total == 0 and counter.by_kind == {}
 
 
 def test_unknown_variable_rejected():

@@ -54,7 +54,7 @@ def fig2_store():
 def test_decompose_sum_shares_the_inner_node():
     d, store, root = fig2_store()
     trace = []
-    out, inners = decompose_sum(store, root, 0, trace)
+    out, held = decompose_sum(store, root, 0, trace)
     node = store.nodes[out]
     assert node.sov == ((Op.MAX, (2,)), (Op.SUM, (1,)))
     p1, p2 = atom(store, "P_r1"), atom(store, "P_r2")
@@ -66,7 +66,7 @@ def test_decompose_sum_shares_the_inner_node():
         store.intern([], Op.TIMES, [atom(store, "u_d"), shared]),
     }
     assert set(node.children) == want
-    assert sorted(inners) == sorted({shared, full})
+    assert sorted(set(held.values())) == sorted({shared, full})
     assert trace == [TraceEvent("decompose-sum", root, out, var=0)]
 
 
@@ -813,6 +813,32 @@ def test_decompose_max_hands_over_the_one_group_holding_its_node(monkeypatch):
     monkeypatch.setattr(rewrite, "decompose_max", checking)
     assert sum(1 for _ in _swept_stores()) == 200
     assert handed[0] > 300
+
+
+def test_decompose_sum_hands_over_each_wrapper_with_its_inner_node(monkeypatch):
+    # `_sum_step` rebuilds the wrappers decompose-sum returns, without
+    # reading the root's groups: `held` must pair each child of the new root
+    # with the node eliminating `x` among its members, and name every such
+    # node the step built, in build order.
+    decompose = rewrite.decompose_sum
+    handed = [0]
+
+    def checking(store, root, x, trace):
+        before = len(store.nodes)
+        out, held = decompose(store, root, x, trace)
+        assert list(held) == list(store.nodes[out].children)
+        for w, inner in held.items():
+            assert inner in store.nodes[w].children
+        one_block = ((store.ops.chance_marg, (x,)),)
+        built = [n for n in range(before, len(store.nodes))
+                 if store.nodes[n].sov == one_block]
+        assert list(dict.fromkeys(held.values())) == built
+        handed[0] += len(held)
+        return out, held
+
+    monkeypatch.setattr(rewrite, "decompose_sum", checking)
+    assert sum(1 for _ in _swept_stores()) == 200
+    assert handed[0] > 1000
 
 
 def test_nodes_recorded_without_a_nested_max_hold_none():

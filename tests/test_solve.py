@@ -12,7 +12,7 @@ import pytest
 
 from infdiag import factors, solve
 from infdiag.clusters import Cluster, MCDag, assemble, merge_clusters
-from infdiag.diagram import fixture, parse, random_id
+from infdiag.diagram import MODES, fixture, parse, random_id
 from infdiag.factors import (
     ChoiceTable,
     InternalError,
@@ -20,6 +20,7 @@ from infdiag.factors import (
     OpCounter,
     ResourceGuardError,
     ScopedTable,
+    identity,
 )
 from infdiag.nodes import initial_node, store_for
 from infdiag.rewrite import macrostructure
@@ -146,8 +147,18 @@ def test_merging_preserves_the_value():
 
 
 def test_each_pair_folds_from_its_combination_identity():
-    assert solve._IDENT == {(Op.SUM, Op.TIMES): 1.0, (Op.MAX, Op.PLUS): 0.0,
-                            (Op.MIN, Op.MAX): 0.0, (Op.MAX, Op.MIN): 1.0}
+    idents = {pair: identity(pair[1], ops.unit_interval)
+              for ops in MODES.values() for pair in ops.pairs.values()}
+    assert idents == {(Op.SUM, Op.TIMES): 1.0, (Op.MAX, Op.PLUS): 0.0,
+                      (Op.MIN, Op.MAX): 0.0, (Op.MAX, Op.MIN): 1.0}
+
+
+def test_evaluate_refuses_a_cluster_without_a_part():
+    # Assembly gives every cluster a table or a son; one without either
+    # has nothing to fold, an internal error (exit 3 from the command line).
+    empty = Cluster(0, frozenset(), (), (), (), (Op.SUM, Op.TIMES))
+    with pytest.raises(InternalError, match="no parts"):
+        evaluate(MCDag((empty,), 0))
 
 
 def test_evaluate_refuses_pairs_of_two_modes():

@@ -39,3 +39,47 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(text: str) -> list[str]:
+    """The private names `text` defines at module level: functions,
+    classes and assignment targets, dunders excluded."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def reads(text: str) -> set[str]:
+    """The names `text` reads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unread_private_names(texts: dict[str, str]) -> list[str]:
+    """The private module-level names defined in `texts` (module name to
+    source) that no text reads."""
+    read = set().union(*map(reads, texts.values()))
+    return [f"{module}.{name}" for module, text in texts.items()
+            for name in private_definitions(text) if name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    texts = {"a": "_T = {}\n_U: int = 1\n\n\ndef _f():\n    return _T\n\n\nclass _C:\n    pass\n",
+             "b": "from . import a\n\n__all__ = [a._C]\n"}
+    assert unread_private_names(texts) == ["a._U", "a._f"]
+
+
+def test_every_private_name_is_read():
+    texts = {path.stem: path.read_text() for path in SOURCES}
+    assert len([n for t in texts.values() for n in private_definitions(t)]) > 50
+    assert unread_private_names(texts) == []
