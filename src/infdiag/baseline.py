@@ -20,7 +20,7 @@ import numpy as np
 
 # `factors.fold` is looked up on the module at call time, so a test can stand in for it
 from . import factors
-from .clusters import find_order
+from .clusters import HEURISTICS, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
     CELL_GUARD,
@@ -212,20 +212,20 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
     return float(acc.u[1]), policies_from_choices(d, choices, with_sets), width
 
 
-def constrained_width(d: InfluenceDiagram, mode: str = "heuristic") -> int:
-    """Best induced width over elimination orders respecting the temporal
-    blocks: the width of `potential_ve`'s walk under min-fill, or, with
-    "exhaustive", the exact one.
+def constrained_width(d: InfluenceDiagram, heuristic: str = "min-fill") -> int:
+    """Induced width over elimination orders respecting the temporal
+    blocks: the width of `potential_ve`'s walk under `heuristic`, one of
+    `clusters.HEURISTICS`; "exhaustive" gives the best such width.
 
     The graph state after a block is independent of the order inside it, so
     blocks can be optimized independently.
     """
-    if mode not in ("heuristic", "exhaustive"):
-        raise InternalError(f"unknown width mode {mode!r}")
-    if mode == "exhaustive" and len(d.variables) > 8:
+    if heuristic not in HEURISTICS:
+        raise InternalError(f"unknown ordering heuristic {heuristic!r}")
+    if heuristic == "exhaustive" and len(d.variables) > 8:
         raise ResourceGuardError(
             "exhaustive constrained width is limited to 8 variables")
-    return _plan(d, "exhaustive" if mode == "exhaustive" else "min-fill")[1]
+    return _plan(d, heuristic)[1]
 
 
 def brute_force(d: InfluenceDiagram

@@ -109,7 +109,7 @@ def cmd_width(args: argparse.Namespace) -> int:
     store = nodes.store_for(d)
     root, _ = macrostructure(store, nodes.initial_node(store, d))
     w_mcdag = clusters.assemble(store, root, heuristic=args.heuristic).w_mcdag
-    w_pot = baseline.constrained_width(d, "heuristic")
+    w_pot = baseline.constrained_width(d, args.heuristic)
     report = {"schema": 1, "file": args.file,
               "w_mcdag": {args.heuristic: w_mcdag},
               "w_constrained": {"heuristic": w_pot}}

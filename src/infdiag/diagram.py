@@ -15,6 +15,11 @@ Two quantification modes are supported:
 each parsed table's values are a read-only, contiguous view of its own cells
 in it.  A copy of a table's values (`values.copy()`, a deep copy, a pickle)
 holds only those cells; a table that stays alive keeps the whole buffer.
+The values of a PROB or UTIL line whose tokens, joined by commas, read as a
+JSON array of one float per token are converted by orjson's correctly
+rounded parser; every other line, such as one with an integer token like
+'-0', takes the `float()` path.  Both give the same bits for every
+number they accept.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
+import orjson
 
 from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable, identity
 
@@ -283,16 +289,27 @@ def _append_floats(buf: array, text: str, expected: int, what: str, line: int) -
     """Append the `expected` numbers of one line segment, in ASCII decimal
     float syntax, to `buf`.
 
-    `float()` alone would also read '1_0' and non-ASCII digits, so the whole
-    segment is searched for those once; only a segment that holds one, or a
-    token `float()` refuses, is walked token by token to name the first bad
-    token."""
+    The tokens are read as one JSON array first.  That result is used only
+    when it holds one Python float per token: JSON floats are a subset of
+    what `float()` reads, and orjson rounds them correctly, as `float()`
+    does.  Everything else (integer tokens, whose '-0' orjson reads as int
+    0, 'nan', '.5', '01', a token holding a ',', any decode error) takes the
+    `float()` path.  `float()` alone would also read '1_0' and non-ASCII
+    digits, so there the whole segment is searched for those once; only a
+    segment that holds one, or a token `float()` refuses, is walked token by
+    token to name the first bad token."""
     tokens = text.split()
     try:
-        values = list(map(float, tokens))  # a list, as fromlist takes it fastest
-        clean = "_" not in text and text.isascii()
-    except ValueError:
+        values = orjson.loads(f"[{','.join(tokens)}]")
+        clean = len(values) == len(tokens) and set(map(type, values)) == {float}
+    except orjson.JSONDecodeError:
         clean = False
+    if not clean:
+        try:
+            values = list(map(float, tokens))  # a list, as fromlist takes it fastest
+            clean = "_" not in text and text.isascii()
+        except ValueError:
+            pass
     if not clean:
         for tok in tokens:
             try:

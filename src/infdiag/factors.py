@@ -14,22 +14,21 @@ as the decision's rule.  `combine_all` and `marginalize` are thin `ScopedTable` 
 them (only `combine_all` takes an identity, for an empty sequence); both
 engines and the policy pass call the array-level helpers directly.
 
-MAX and MIN are exact, so `eliminate` and `argmax_marginalize` may reduce one
-axis of k values slice by slice: a copy of slice 0, then k-1 in-place ufunc
-calls over the other slices.  numpy's `ufunc.reduce` restarts its inner loop
-once per cell before the reduced axis (once per row when the axis is last):
-on a 4^8 table reduced along its last axis that took 910 µs, the slices
-49 µs.  The slices run when k is below 8 and at least `_SLICE_MIN` cells
-precede the axis, a crossover timed against whole kernel calls (its comment
-has the numbers).  Smaller parts take one `ufunc.reduce`, which is cheaper
-there, as is every reduction along the first axis.  Below 8 values numpy's
-own reduce is a left fold, as the slices are, so both give the same bits,
-down to which of 0.0 and -0.0 a tie keeps; from 8 values on it folds in SIMD
-lanes, which may keep the other one.  SUM always takes `ufunc.reduce`: numpy
-sums a contiguous axis of 8 or more values pairwise, so a left fold over the
-slices would round differently there.  Below 8 values numpy's sum is a left
-fold as well, on every axis, so the slices would give its bits (a test pins
-this for a later SUM slice path).
+`eliminate` and `argmax_marginalize` may reduce one axis of k values slice
+by slice: a copy of slice 0, then k-1 in-place ufunc calls over the other
+slices.  numpy's `ufunc.reduce` restarts its inner loop once per cell before
+the reduced axis (once per row when the axis is last): on a 4^8 table
+reduced along its last axis that took 782 µs for MAX and 309 µs for SUM, the
+slices 40 and 58 µs.  The slices run when k is below 8 and at least
+`_SLICE_MIN` cells precede the axis, a crossover timed against whole kernel
+calls (its comment has the numbers).  Smaller parts take one `ufunc.reduce`,
+which is cheaper there, as is every reduction along the first axis.  Below 8
+values numpy's own reduce is a left fold, as the slices are, so both give
+the same bits.  For MAX and MIN that holds down to which of 0.0 and -0.0 a
+tie keeps; from 8 values on numpy folds them in SIMD lanes, which may keep
+the other one.  numpy's sum starts from 0.0 on every axis, so the SUM slices
+start there too and a row of -0.0 sums to 0.0; from 8 values on numpy sums
+a contiguous axis pairwise, which a left fold would round differently.
 
 Each step charges the operation counter it is passed (a fresh one, read by
 no one, when the argument is optional and omitted) with one unit per binary
@@ -262,10 +261,16 @@ def fold(parts: Sequence[Part], op: Op, counter: OpCounter) -> Part:
 # kernel calls against `ufunc.reduce`, median time ratio of 15 interleaved
 # rounds of 100 calls (numpy 2.4.6, Python 3.11.7, x86-64 with AVX-512).
 # With the axis last, `eliminate` gains from about 32, 40 and 50 such cells
-# at k = 2, 3 and 4, and an argmax without tie sets from about 64, 100 and
-# 128; with 4 cells after the axis, from 32 or fewer and 16, 32 and 50.  At
-# 128 every case is at least even; in the calls one pass of each benchmark
-# workload makes, 32 or 64 saved no more than 128.
+# at k = 2, 3 and 4 for MAX and MIN, and an argmax without tie sets from
+# about 64, 100 and 128; with 4 cells after the axis, from 32 or fewer and
+# 16, 32 and 50.  `np.add.reduce` is cheaper, so a SUM gains later: with
+# the axis last from about 100-128, 150-200 and 170-256 cells (two runs),
+# the slices taking 0.93-1.00, 1.06-1.20 and 1.15-1.33 times as long at
+# 128; with 4 cells after the axis from about 40-64 cells, 0.67-0.85 times
+# as long at 128.  At 128 every MAX and MIN case is at least even.  In the
+# calls one pass of each benchmark workload makes, 32 or 64 saved no more
+# than 128 for MAX and MIN, and 256 or 512 no more than 128 for SUM: the
+# 481 SUMs of a seed-1 dense_prob pass that slice at 128 slice at 256 too.
 _SLICE_MIN = 128
 
 
@@ -283,8 +288,11 @@ def _slices(arr: np.ndarray, axis: int) -> list[np.ndarray]:
 
 def _reduce_slices(slices: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     """`ufunc.reduce` over the slices' axis as a left fold: a C-contiguous
-    copy of the first slice, folded in place with each later one."""
+    copy of the first slice, folded in place with each later one.  A sum
+    starts from 0.0, as numpy's does, so a row of -0.0 sums to 0.0."""
     out = slices[0].copy()
+    if ufunc is np.add:
+        out += 0.0
     for s in slices[1:]:
         ufunc(out, s, out=out)
     return out
@@ -298,7 +306,7 @@ def eliminate(part: Part, elim: Sequence[int], op: Op, counter: OpCounter) -> Pa
     scope, arr = part
     ufunc = _UFUNC[op]
     # A part below _SLICE_MIN cells pays this one size comparison.
-    if arr.size >= _SLICE_MIN and op is not Op.SUM and len(elim) == 1 \
+    if arr.size >= _SLICE_MIN and len(elim) == 1 \
             and _by_slices(arr, axis := scope.index(elim[0])):
         out = _reduce_slices(_slices(arr, axis), ufunc)
     else:

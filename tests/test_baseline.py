@@ -17,6 +17,7 @@ from infdiag.baseline import (
     pot_marg_decision,
     potential_ve,
 )
+from infdiag.clusters import HEURISTICS
 from infdiag.diagram import DiagramError, fixture, parse, random_id
 from infdiag.factors import FactorError, InternalError, Op, OpCounter, ResourceGuardError
 from infdiag.solve import evaluate_policy, solve_diagram
@@ -291,39 +292,43 @@ def test_potential_ve_heuristics_agree_on_value():
 
 def test_constrained_width_fig2():
     assert constrained_width(fixture("fig2"), "exhaustive") == 2
-    assert constrained_width(fixture("fig2"), "heuristic") >= 2
+    assert constrained_width(fixture("fig2")) >= 2
 
 
 def test_constrained_width_chain_and_star():
     for n in range(2, 7):
-        assert constrained_width(fixture("chain", n), "exhaustive" if n <= 6 else "heuristic") == n
-        assert constrained_width(fixture("star", n), "exhaustive" if n <= 7 else "heuristic") == n
+        assert constrained_width(fixture("chain", n), "exhaustive" if n <= 6 else "min-fill") == n
+        assert constrained_width(fixture("star", n), "exhaustive" if n <= 7 else "min-fill") == n
 
 
 def test_constrained_width_exhaustive_guard():
     d = random_id(9, 2, 2, 2, seed=0)
     with pytest.raises(ResourceGuardError):
         constrained_width(d, "exhaustive")
-    assert constrained_width(d, "heuristic") >= 0
+    assert constrained_width(d, "min-fill") >= 0
+    with pytest.raises(InternalError, match="unknown ordering heuristic"):
+        constrained_width(d, "heuristic")
 
 
 def test_constrained_width_is_the_width_potential_ve_reaches():
-    # One walk gives both numbers: min-fill for "heuristic", and the exact
-    # width when both are asked for "exhaustive".
+    # One walk gives both numbers, under every heuristic: the exact width
+    # when both are asked for "exhaustive".
     ds = [fixture("fig2"), fixture("fig3")]
     ds += [fixture("chain", n) for n in range(1, 7)]
     ds += [fixture("star", n) for n in range(1, 8)]
     ds += [random_id(4 + seed % 5, seed % 3, 3, 2, seed=seed) for seed in range(40)]
     for d in ds:
         assert len(d.variables) <= 8
-        assert potential_ve(d)[2] == constrained_width(d, "heuristic")
-        assert potential_ve(d, "exhaustive")[2] == constrained_width(d, "exhaustive")
+        assert potential_ve(d)[2] == constrained_width(d)
+        for heuristic in HEURISTICS:
+            assert potential_ve(d, heuristic)[2] == constrained_width(d, heuristic)
 
 
 def test_constrained_width_heuristic_never_below_exhaustive():
     for seed in range(15):
         d = random_id(7, 2, 3, 2, seed=seed)
-        assert constrained_width(d, "heuristic") >= constrained_width(d, "exhaustive")
+        for heuristic in ("min-fill", "min-degree"):
+            assert constrained_width(d, heuristic) >= constrained_width(d, "exhaustive")
 
 
 # -- brute force -----------------------------------------------------------------

@@ -143,6 +143,21 @@ def test_width_reports_the_potential_engine_width(d, tmp_path, capsys):
     assert width["w_constrained"]["heuristic"] == solved["w_potential"]
 
 
+def test_width_plans_the_constrained_width_with_the_named_heuristic(tmp_path, capsys):
+    # On this draw min-degree reaches width 7 and min-fill 6, so a report
+    # that planned with min-fill whatever --heuristic says reads 6.
+    path = tmp_path / "d.idnet"
+    assert main(["gen", "--vars", "21", "--decisions", "2", "--max-domain", "3",
+                 "--max-parents", "3", "--seed", "13", "--out", str(path)]) == 0
+    d = parse(path.read_text())
+    assert baseline.potential_ve(d, heuristic="min-degree")[2] == 7
+    assert baseline.potential_ve(d, heuristic="min-fill")[2] == 6
+    report = run_json(capsys, ["width", str(path), "--heuristic", "min-degree", "--json"])
+    assert report["w_constrained"] == {"heuristic": 7}
+    assert main(["width", str(path), "--heuristic", "min-degree"]) == 0
+    assert "w_constrained (heuristic) 7" in capsys.readouterr().out
+
+
 def test_width_text(fig2, capsys):
     assert main(["width", fig2]) == 0
     out = capsys.readouterr().out

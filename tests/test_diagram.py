@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import struct
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infdiag import diagram
 from infdiag.factors import Op, ScopedTable, combine_all, marginalize
@@ -258,6 +262,72 @@ def test_value_count_mismatch():
 def test_table_values_use_ascii_float_syntax(old, new, token, line):
     err = _expect(MINIMAL.replace(old, new), FormatError, "bad numeric value", line=line)
     assert repr(token) in str(err)
+
+
+# -- the JSON parse of a table line against float() ---------------------------
+
+def float_path(buf, text, expected, what, line):
+    """`_append_floats` by `float()` alone, token by token: the reference for
+    the values it appends and the errors it raises."""
+    tokens = text.split()
+    for tok in tokens:
+        try:
+            if "_" in tok or not tok.isascii():
+                raise ValueError
+            buf.append(float(tok))
+        except ValueError:
+            raise FormatError(f"bad numeric value {tok!r}", line) from None
+    if len(tokens) != expected:
+        raise FormatError(f"{what}: expected {expected} values, got {len(tokens)}", line)
+
+
+FINITE = (st.integers(0, 2 ** 64 - 1)
+          .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+          .filter(math.isfinite))
+FORMATS = (repr, "%.17e".__mod__, "%.25e".__mod__)
+# Subnormals, the smallest of them, the largest double and both zeros.
+EDGE_DOUBLES = (5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 2.2250738585072014e-308,
+                -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(FINITE, st.sampled_from(FORMATS)), min_size=1, max_size=40))
+@example([(x, fmt) for x in EDGE_DOUBLES for fmt in FORMATS])
+def test_finite_doubles_read_as_float_reads_them(cells):
+    text = " ".join(fmt(x) for x, fmt in cells)
+    got, want = array("d"), array("d")
+    diagram._append_floats(got, text, len(cells), "UTIL u", 8)
+    float_path(want, text, len(cells), "UTIL u", 8)
+    assert got.tobytes() == want.tobytes() == array("d", [x for x, _ in cells]).tobytes()
+
+
+def parse_outcome(text):
+    """The bytes of every table's values, or the error's class, message and line."""
+    try:
+        d = parse(text)
+    except DiagramError as e:
+        return type(e), str(e), e.line
+    return b"".join(t.values.tobytes() for t in (*d.cpts.values(), *d.utilities))
+
+
+# Tokens the JSON parse refuses, or reads as something other than one float:
+# orjson reads '-0' as int 0, which would lose the sign.
+EDGE_TOKENS = ["-0", "0", "7", "-0.0", "1" + "0" * 30, "nan", "inf", "-inf", "1_0", ".5",
+               "1.", "01", "+1", "0x1", "٠.5", "0.5,0.5", "true", "null", "[1]", '"1"',
+               "1e400", "-1e400", "1e-400"]
+
+
+@pytest.mark.parametrize("where", ["PROB", "UTIL"])
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_edge_tokens_give_what_float_gives(token, where, monkeypatch):
+    # On the PROB line the token's partner is 1.0, so a zero keeps the row valid.
+    if where == "PROB":
+        text = MINIMAL.replace("PROB r1 | : 0.3 0.7", f"PROB r1 | : {token} 1.0")
+    else:
+        text = MINIMAL.replace("1.0 2.0 3.0 4.0", f"1.0 {token} 3.0 4.0")
+    got = parse_outcome(text)
+    monkeypatch.setattr(diagram, "_append_floats", float_path)
+    assert got == parse_outcome(text)
 
 
 @pytest.mark.parametrize("old, new, needle, line", [

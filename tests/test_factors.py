@@ -285,9 +285,10 @@ def test_argmax_representative_is_numpys_first_argmax():
 # -- exact reductions slice by slice -------------------------------------------
 
 # Few values, so rows tie, and both zeros: which one a tie keeps depends on
-# the order of the fold.
+# the order of the fold, and a sum of -0.0 alone on where it starts.  Sums
+# of up to 16 of these finite values are exact.
 TIE_POOL = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
-EXACT = {Op.MAX: np.maximum, Op.MIN: np.minimum}
+EXACT = {Op.MAX: np.maximum, Op.MIN: np.minimum, Op.SUM: np.add}
 
 
 def exact_cases():
@@ -304,12 +305,13 @@ def exact_cases():
             yield (1, lead, k, 1), 2  # trailing size-1 axis: numpy sees the axis as contiguous
 
 
-@pytest.mark.parametrize("op", [Op.MAX, Op.MIN], ids=["max", "min"])
+@pytest.mark.parametrize("op", [Op.MAX, Op.MIN, Op.SUM], ids=["max", "min", "sum"])
 def test_exact_eliminate_is_numpys_reduce_byte_for_byte(op):
     rng = np.random.default_rng(41)
     paths = set()
     for shape, axis in exact_cases():
-        arr = rng.choice(TIE_POOL, shape)
+        # -inf and inf in one SUM row would give nan
+        arr = rng.choice(TIE_POOL[1:] if op is Op.SUM else TIE_POOL, shape)
         arr.setflags(write=False)
         scope = tuple(range(10, 10 + arr.ndim))
         counter = OpCounter()
@@ -370,8 +372,8 @@ def test_sum_stays_on_numpys_reduction():
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_sum_below_8_values_is_a_left_fold_over_the_slices(k):
-    # Below 8 values numpy's sum along any axis is a left fold, so a SUM
-    # slice path would keep its bits; 8 or more contiguous values are summed
+    # Below 8 values numpy's sum along any axis is a left fold, so the SUM
+    # slice path keeps its bits; 8 or more contiguous values are summed
     # pairwise (the test above).  256 cells beside the axis (128 or more
     # before it unless it is first), and magnitudes from 1e-8 to 1e8, so
     # most additions round.

@@ -201,16 +201,13 @@ def descending_scopes(d):
 
 # Domains of up to 16 make numpy sum a contiguous axis pairwise, so a fold
 # that left its result in another memory layout would change the bits.
-FOLD_DIAGRAMS = pytest.mark.parametrize(
-    "d", [fixture("fig2"), fixture("fig3")]
-    + [fixture(f, n) for f in ("chain", "star") for n in range(2, 12)]
-    + [random_id(7, 2, 3, 2, seed=s) for s in range(20)]
-    + [random_id(7, 2, 3, 2, mode="poss", seed=s) for s in range(20)]
-    + [descending_scopes(random_id(6, 2, 16, 3, seed=s)) for s in range(10)],
-    ids=["fig2", "fig3"]
-    + [f"{f}{n}" for f in ("chain", "star") for n in range(2, 12)]
-    + [f"prob{s}" for s in range(20)] + [f"poss{s}" for s in range(20)]
-    + [f"wide{s}" for s in range(10)])
+FOLD_CASES = {"fig2": fixture("fig2"), "fig3": fixture("fig3")}
+FOLD_CASES.update({f"{f}{n}": fixture(f, n) for f in ("chain", "star") for n in range(2, 12)})
+FOLD_CASES.update({f"prob{s}": random_id(7, 2, 3, 2, seed=s) for s in range(20)})
+FOLD_CASES.update({f"poss{s}": random_id(7, 2, 3, 2, mode="poss", seed=s) for s in range(20)})
+FOLD_CASES.update({f"wide{s}": descending_scopes(random_id(6, 2, 16, 3, seed=s))
+                   for s in range(10)})
+FOLD_DIAGRAMS = pytest.mark.parametrize("d", FOLD_CASES.values(), ids=FOLD_CASES.keys())
 
 
 @FOLD_DIAGRAMS
@@ -257,28 +254,63 @@ def kept_bytes(kept):
     return out
 
 
+def slice_min_passes(d, slice_min, monkeypatch):
+    """The bytes and op counts of the message pass and the policy pass over
+    `d`, with and without a policy plan and tie sets, at `slice_min`."""
+    monkeypatch.setattr(factors, "_SLICE_MIN", slice_min)
+    m = mcdag_of(d)
+    run = []
+    for plan in ((), plan_policies(m, d)):
+        for with_sets in (False, True):
+            ops = OpCounter()
+            meu, kept = evaluate(m, ops, plan, with_sets)
+            got = [np.float64(meu).tobytes(), kept_bytes(kept)]
+            if plan:
+                got += [(p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
+                         None if p.rule.attaining is None else p.rule.attaining.tobytes())
+                        for p in extract_policies(d, plan, kept, with_sets, ops)]
+            run.append((got, ops.by_kind))
+    return run
+
+
 @FOLD_DIAGRAMS
 def test_slice_path_changes_no_bit(d, monkeypatch):
-    # _SLICE_MIN at 1 sends every exact reduction of an axis under 8 values
-    # down the slice path, most of which these small diagrams keep below it;
-    # at 10**9 none goes.  Both passes must give the same bytes and counts.
-    m = mcdag_of(d)
-    runs = []
-    for slice_min in (1, 10 ** 9):
-        monkeypatch.setattr(factors, "_SLICE_MIN", slice_min)
-        run = []
-        for plan in ((), plan_policies(m, d)):
-            for with_sets in (False, True):
-                ops = OpCounter()
-                meu, kept = evaluate(m, ops, plan, with_sets)
-                got = [np.float64(meu).tobytes(), kept_bytes(kept)]
-                if plan:
-                    got += [(p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
-                             None if p.rule.attaining is None else p.rule.attaining.tobytes())
-                            for p in extract_policies(d, plan, kept, with_sets, ops)]
-                run.append((got, ops.by_kind))
-        runs.append(run)
-    assert runs[0] == runs[1]
+    # _SLICE_MIN at 1 sends every reduction of an axis under 8 values down
+    # the slice path, most of which these small diagrams keep below it; at
+    # 10**9 none goes.  Both passes must give the same bytes and counts.
+    assert slice_min_passes(d, 1, monkeypatch) == slice_min_passes(d, 10 ** 9, monkeypatch)
+
+
+def negative_zero_utilities(d):
+    """The same diagram with every utility cell -0.0."""
+    return dataclasses.replace(d, utilities=tuple(
+        dataclasses.replace(u, values=np.full(u.values.size, -0.0)) for u in d.utilities))
+
+
+SUM_CASES = {k: d for k, d in FOLD_CASES.items() if d.mode == "prob"}
+SUM_CASES.update({f"zero{s}": negative_zero_utilities(random_id(7, 2, 3, 2, seed=s))
+                  for s in range(3)})
+
+
+def test_sum_slice_path_changes_no_bit(monkeypatch):
+    # At _SLICE_MIN 1 the SUMs of these prob-mode passes over an axis of
+    # under 8 values fold slice by slice, at 10**9 numpy sums: same MEU
+    # bytes, tables, rules and op counts.  With every utility -0.0 each such
+    # sum adds -0.0 alone, which numpy's sum, starting from 0.0, reads as 0.0.
+    folds = []
+    reduce_slices = factors._reduce_slices
+    monkeypatch.setattr(factors, "_reduce_slices",
+                        lambda slices, ufunc: folds.append(ufunc) or reduce_slices(slices, ufunc))
+    sliced = set()
+    for name, d in SUM_CASES.items():
+        folds.clear()
+        on = slice_min_passes(d, 1, monkeypatch)
+        if np.add in folds:
+            sliced.add(name)
+        folds.clear()
+        assert on == slice_min_passes(d, 10 ** 9, monkeypatch), name
+        assert folds == [], name
+    assert {"fig2", "fig3", "zero0", "zero1", "zero2"} <= sliced
 
 
 def test_mixed_mode_ops_are_rejected():

@@ -1,11 +1,14 @@
 """Checks on the package source itself, made with the standard library."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "infdiag").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "infdiag").glob("*.py"))
 
 
 def unused_imports(text: str) -> list[str]:
@@ -83,3 +86,43 @@ def test_every_private_name_is_read():
     texts = {path.stem: path.read_text() for path in SOURCES}
     assert len([n for t in texts.values() for n in private_definitions(t)]) > 50
     assert unread_private_names(texts) == []
+
+
+def undeclared_imports(texts: dict[str, str], dependencies: list[str]) -> list[str]:
+    """The top-level modules that `texts` (module name to source) import
+    from outside the standard library and the package and that no
+    requirement in `dependencies` names, as "module: import", sorted.  A
+    requirement's distribution name is taken as its import name, as it is
+    for numpy and orjson."""
+    declared = {re.match(r"[\w.-]+", dep)[0].lower().replace("-", "_") for dep in dependencies}
+    out = set()
+    for module, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in (name.split(".")[0] for name in names):
+                if top not in sys.stdlib_module_names and top != "infdiag" \
+                        and top.lower() not in declared:
+                    out.add(f"{module}: {top}")
+    return sorted(out)
+
+
+def test_the_check_sees_an_undeclared_import():
+    texts = {"a": "import os\nimport numpy.linalg\nfrom yaml import load\n"
+                  "from . import b\nfrom infdiag.c import d\n",
+             "b": "def f():\n    import Levenshtein, toml.decoder\n"}
+    assert undeclared_imports(texts, ["numpy>=1.24", "levenshtein"]) == ["a: yaml", "b: toml"]
+
+
+def test_every_import_outside_the_standard_library_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    texts = {path.stem: path.read_text() for path in SOURCES}
+    assert undeclared_imports(texts, deps) == []
+    # The check fails when orjson is left out.
+    assert undeclared_imports(texts, [d for d in deps if not d.startswith("orjson")]) \
+        == ["diagram: orjson"]
