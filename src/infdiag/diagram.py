@@ -131,8 +131,8 @@ class InfluenceDiagram:
     utilities: named leaf tables; never empty after validation.
     blocks:    2q+1 id tuples I0, D1, ..., Dq, Iq; empties preserved.
 
-    ``parents`` and ``barren`` are derived from these on first use, not
-    stored.
+    ``parents``, ``barren``, ``names``, ``sizes``, ``chance_ids`` and
+    ``decision_ids`` are derived from these on first use, then kept.
     """
 
     variables: tuple[Variable, ...]
@@ -188,19 +188,19 @@ class InfluenceDiagram:
                     work.append(v)
         return frozenset(out)
 
-    @property
+    @cached_property
     def chance_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables if v.kind == CHANCE)
 
-    @property
+    @cached_property
     def decision_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables if v.kind == DECISION)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.variables)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 

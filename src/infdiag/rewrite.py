@@ -34,10 +34,15 @@ variable:
     `& ~bit(x)`, and its wrapper that mask `|` the hoisted factors' (together,
     the `|` of the groups holding `x`, `& ~bit(x)`);
   - simplify-normalized may shrink a scope: the dropped table's parents
-    leave unless another child mentions them.  Its result gets the `|` its
-    precondition already took, less the kept block.
+    leave unless another child mentions them.  Its result gets the `|` of
+    the children it keeps, less the kept block.
 The other builds (the groups inside a new max node, and a group or root
 rebuilt over a node whose scope shrank) go through the ordinary path.
+Preconditions read what a node carries, not a union per candidate:
+recompose-sum/-max test a nested block against the node's scope `|` its
+block (exact, as a nested node's scope leaves out its block), and
+simplify-normalized finds each variable's table and the variables two
+children mention in one pass over the children.
 Root-wide checks (is every child a group of one comb, which members hold
 a nested max, which groups mention `x`) run as one C-level pass over
 per-node facts the store keeps, not as a Python call per group.
@@ -241,9 +246,10 @@ def recompose_sum(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
             if len(cn.sov) != 1 or cn.sov[0][0] is not marg:
                 continue
             inner_block = cn.sov[0][1]
-            rest = list(filter(cand.__ne__, node.children))
-            if (_union(store, rest) | mask_of(block)) & mask_of(inner_block):
+            # every child's variables; a candidate's own block is not in its scope
+            if (store._scopes[nid] | mask_of(block)) & mask_of(inner_block):
                 continue
+            rest = list(filter(cand.__ne__, node.children))
             if not set(cn.children).isdisjoint(rest):
                 continue  # a shared factor would be silently deduplicated
             merged = store.intern(((marg, tuple(sorted(block + inner_block))),),
@@ -272,26 +278,23 @@ def simplify_normalized(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
         marg, block = node.sov[0]
         if marg is not store.ops.chance_marg:
             return nid
-        found = None
-        for x in block:
-            for c in node.children:
-                cn = store.nodes[c]
-                if not cn.is_atomic or cn.table.cpt_for != x:
-                    continue
-                rest = list(filter(c.__ne__, node.children))
-                rest_scope = _union(store, rest)
-                if rest_scope >> x & 1:
-                    continue
-                found = (x, rest, rest_scope)
-                break
-            if found:
-                break
-        if found is None:
+        # one pass: each variable's table, and the variables two children mention
+        tables: dict[int, int] = {}
+        seen = twice = 0
+        for c in node.children:
+            s = store._scopes[c]
+            twice |= seen & s
+            seen |= s
+            cn = store.nodes[c]
+            if cn.is_atomic and cn.table.cpt_for is not None:
+                tables[cn.table.cpt_for] = c
+        x = next((v for v in block if v in tables and not twice >> v & 1), None)
+        if x is None:
             return nid
-        x, rest, rest_scope = found
+        rest = list(filter(tables[x].__ne__, node.children))
         keep = tuple(v for v in block if v != x)
         out = store.intern(((marg, keep),) if keep else (), node.comb, rest,
-                           scope=rest_scope & ~mask_of(keep))
+                           scope=_union(store, rest) & ~mask_of(keep))
         _emit(trace, "simplify-normalized", nid, out, var=x)
         nid = out
 
@@ -389,25 +392,20 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
         if node.comb not in map(max_combs.__getitem__, chain.from_iterable(members)):
             proved.add(nid)
             return nid  # no group holds a nested max to merge
-        hit = None
-        for gid, gn_children in zip(groups, members):
-            # single-block MAX members over this node's comb, in member order
-            for m in compress(gn_children, map(is_, map(max_combs.__getitem__, gn_children),
-                                               repeat(node.comb))):
-                sub_block = store.nodes[m].sov[0][1]
-                siblings = list(filter(gid.__ne__, node.children))
-                n2 = list(filter(m.__ne__, gn_children))
-                blocked = _union(store, chain(siblings, n2)) | mask_of(block)
-                if blocked & mask_of(sub_block):
-                    continue
-                hit = (group_combs[gid], m, siblings, n2, sub_block)
-                break
-            if hit:
-                break
+        # the first single-block MAX member over this node's comb, in group and
+        # member order, whose block nothing in sight mentions
+        blocked = scopes[nid] | mask_of(block)
+        hit = next(((gid, gn_children, m) for gid, gn_children in zip(groups, members)
+                    for m in compress(gn_children, map(is_, map(max_combs.__getitem__, gn_children),
+                                                       repeat(node.comb)))
+                    if not blocked & mask_of(store.nodes[m].sov[0][1])), None)
         if hit is None:
             return nid
-        gcomb, m, siblings, n2, sub_block = hit
-        subs = store.nodes[m].children
+        gid, gn_children, m = hit
+        mn, gcomb = store.nodes[m], group_combs[gid]
+        sub_block, subs = mn.sov[0][1], mn.children
+        siblings = list(filter(gid.__ne__, kids))
+        n2 = list(filter(m.__ne__, gn_children))
         _require_nonneg(store, n2, "recompose-max")
         _groups_comb(store, subs, gcomb)
         if n2:  # otherwise each merged group is `sub` itself

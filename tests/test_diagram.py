@@ -486,6 +486,16 @@ def test_parse_neither_reshapes_nor_reads_parents(monkeypatch):
     assert d.parents == ((), (0,), ())
 
 
+def test_derived_variable_tuples_are_built_once():
+    # `cli` and `baseline` read these once per variable, so a rebuild on
+    # every read made their loops quadratic in the number of variables.
+    d = fixture("fig2")
+    for name in ("names", "sizes", "chance_ids", "decision_ids"):
+        assert getattr(d, name) is getattr(d, name), name
+    assert d.names == ("r1", "r2", "d") and d.sizes == (2, 2, 2)
+    assert d.chance_ids == (0, 1) and d.decision_ids == (2,)
+
+
 def test_empty_utilities_rejected_but_injected_by_parse():
     d = fixture("fig2")
     with pytest.raises(ValidationError):

@@ -308,11 +308,23 @@ def test_recompose_max_gates():
     trace = []
     assert recompose_max(store, node, trace) == node
     assert trace == []
-    # a possibly negative factor cannot be pushed inside the nested max
-    g2 = store.intern([], Op.TIMES, [neg, nested])
+    # the nested decision appears in a member beside the nested max: no merge
+    w1 = store.atomic(ScopedTable((1,), (2,), np.array([0.4, 0.6]),
+                                  name="w1", cpt_for=1))
     u2 = store.atomic(ScopedTable((0,), (2,), np.array([0.5, 0.1]),
                                   name="u2"))
     sib2 = store.intern([], Op.TIMES, [u2])
+    g3 = store.intern([], Op.TIMES, [pf, w1, nested])
+    node3 = store.intern([(Op.MAX, (0,))], Op.PLUS, [g3, sib2])
+    assert recompose_max(store, node3, trace) == node3
+    assert trace == []
+    # without that member the same nested max merges
+    node4 = store.intern([(Op.MAX, (0,))], Op.PLUS, [g, sib2])
+    merged = recompose_max(store, node4, trace)
+    assert [e.rule for e in trace] == ["recompose-max"]
+    assert store.nodes[merged].sov == ((Op.MAX, (0, 1)),)
+    # a possibly negative factor cannot be pushed inside the nested max
+    g2 = store.intern([], Op.TIMES, [neg, nested])
     node2 = store.intern([(Op.MAX, (0,))], Op.PLUS, [g2, sib2])
     with pytest.raises(InternalError):
         recompose_max(store, node2, [])
@@ -725,6 +737,45 @@ def test_decision_steps_read_group_members_in_linear_python_work(monkeypatch):
             monkeypatch.setattr(rewrite, "_children", children)
             reads[n] = count[0]
         assert 0 < reads[128] <= reads[256] <= 2.2 * reads[128], (name, reads)
+
+
+def _hmm(n: int) -> str:
+    """One decision `d`, then a Markov chain x0..x(n-1) that `d` starts, with
+    one utility on the last variable: width 2 for both engines."""
+    lines = ["IDNET 1", "MODE prob", "VAR d 2 DECISION"]
+    lines += [f"VAR x{i} 2 CHANCE" for i in range(n)]
+    lines.append("PROB x0 | d : 0.9 0.1 0.2 0.8")
+    lines += [f"PROB x{i} | x{i - 1} : 0.7 0.3 0.4 0.6" for i in range(1, n)]
+    lines.append(f"UTIL u x{n - 1} : 1.0 0.0")
+    lines.append("ORDER / d / " + " ".join(f"x{i}" for i in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_sum_preconditions_read_scopes_in_linear_python_work(monkeypatch):
+    # Recompose-sum merges every chance step of hmm(n) into one sum node of
+    # k children.  Its precondition and simplify-normalized's read the
+    # node's own scope and one pass over its children, and take a union
+    # only for the candidate that fires; a union over the other children
+    # per candidate made the rewrite cubic.  Doubling n must about double
+    # the child scopes `_union` reads, not multiply them by eight.
+    union = rewrite._union
+    reads = {}
+    for n in (100, 200):
+        d = parse(_hmm(n))
+        store = store_for(d)
+        root = initial_node(store, d)
+        count = [0]
+
+        def counting(store, ids, count=count):
+            ids = list(ids)
+            count[0] += len(ids)
+            return union(store, ids)
+
+        monkeypatch.setattr(rewrite, "_union", counting)
+        macrostructure(store, root)
+        monkeypatch.setattr(rewrite, "_union", union)
+        reads[n] = count[0]
+    assert 0 < reads[100] <= reads[200] <= 2.2 * reads[100], reads
 
 
 def _sweep():

@@ -88,6 +88,41 @@ def test_every_private_name_is_read():
     assert unread_private_names(texts) == []
 
 
+def unread_parameters(text: str) -> list[str]:
+    """The parameters that the function or lambda declaring them never
+    reads, as "function.parameter (line n)", in source order.  `self`,
+    `cls` and names that start with `_` are exempt; a read in a nested
+    function counts."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        out += [(p.lineno, p.col_offset, f"{name}.{p.arg} (line {p.lineno})")
+                for p in params if p is not None and p.arg not in read
+                and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return [entry for *_, entry in sorted(out)]
+
+
+def test_the_check_sees_an_unread_parameter():
+    text = ("def f(a, b, /, c, *args, d, _e, **kw):\n    return a + kw['x']\n\n\n"
+            "class C:\n    def m(self, x):\n        return lambda y: x\n\n    "
+            "@classmethod\n    def g(cls, z):\n        def h():\n            return z\n"
+            "        return h\n")
+    assert unread_parameters(text) == ["f.b (line 1)", "f.c (line 1)", "f.args (line 1)",
+                                       "f.d (line 1)", "lambda.y (line 7)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
 def undeclared_imports(texts: dict[str, str], dependencies: list[str]) -> list[str]:
     """The top-level modules that `texts` (module name to source) import
     from outside the standard library and the package and that no
