@@ -11,15 +11,27 @@ Two quantification modes are supported:
   prob  -- conditional probabilities, additive utilities, expected value
   poss  -- possibility tables and [0,1] utilities, pessimistic min/max value
 
+In IDNET text a line ends at '\n', '\r\n' or '\r' and nowhere else.
 `parse` converts every table value of one text into one float64 buffer, and
 each parsed table's values are a read-only, contiguous view of its own cells
 in it.  A copy of a table's values (`values.copy()`, a deep copy, a pickle)
 holds only those cells; a table that stays alive keeps the whole buffer.
-The values of a PROB or UTIL line whose tokens, joined by commas, read as a
-JSON array of one float per token are converted by orjson's correctly
-rounded parser; every other line, such as one with an integer token like
-'-0', takes the `float()` path.  Both give the same bits for every
-number they accept.
+
+The numbers of a PROB or UTIL line take one of two paths, which give the
+same bits for every number they accept.  The fast path reads the values
+text itself as one JSON array, its spaces turned into commas, with orjson's
+correctly rounded parser; it is kept when it yields one float per number,
+as it does for every line `serialize` writes.  Every other line is split
+into tokens, read through JSON or `float()`, and walked token by token to
+name the first bad one.  A VAR line as `serialize` writes it is read by one
+regular expression; any other goes through the checks that name its fault.
+
+Validation screens before it searches.  One batched pass over all table
+values stands in for the per-table number checks, and one pass over the
+tables in ascending id order, when each table's parents come before its
+variable, for the acyclicity search.  Only a diagram a screen does not clear
+is checked table by table, in the order that reports the first fault with
+its message and line.
 """
 
 from __future__ import annotations
@@ -27,11 +39,9 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping
+from functools import cached_property, partial
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 import orjson
@@ -85,12 +95,15 @@ class InfeasibleParamsError(DiagramError):
     """The random-generator parameters admit no valid diagram."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     id: int
     name: str
     size: int
     kind: str  # CHANCE or DECISION
+
+
+# A Variable from its fields, without NamedTuple's Python-level __new__.
+_variable = partial(tuple.__new__, Variable)
 
 
 @dataclass(frozen=True)
@@ -172,19 +185,27 @@ class InfluenceDiagram:
         reach the fixpoint (a dropped table can make its parents barren) in
         one worklist pass.
         """
-        block_of = {v: i for i, block in enumerate(self.blocks) for v in block}.__getitem__
-        tables = (*self.cpts.values(), *self.utilities)
-        mentions = Counter(chain.from_iterable(t.scope for t in tables))
-        candidates = {x for x, t in self.cpts.items()
-                      if max(map(block_of, t.scope)) <= block_of(x)}
-        work = [x for x in candidates if mentions[x] == 1]
-        out: set[int] = set()
+        n = len(self.variables)
+        block_of = [0] * n
+        for i, block in enumerate(self.blocks):
+            for v in block:
+                block_of[v] = i
+        mentions = [0] * n
+        for t in (*self.cpts.values(), *self.utilities):
+            for v in t.scope:
+                mentions[v] += 1
+        segment = block_of.__getitem__
+        candidate = [False] * n
+        for x, t in self.cpts.items():
+            candidate[x] = max(map(segment, t.scope)) <= block_of[x]
+        work = [x for x in self.cpts if candidate[x] and mentions[x] == 1]
+        out: list[int] = []
         while work:
             x = work.pop()
-            out.add(x)
+            out.append(x)
             for v in self.cpts[x].scope:
                 mentions[v] -= 1
-                if mentions[v] == 1 and v in candidates:
+                if mentions[v] == 1 and candidate[v]:
                     work.append(v)
         return frozenset(out)
 
@@ -285,42 +306,85 @@ def _split_line(body: str) -> tuple[list[str], str]:
     return tokens, body.partition(":")[2] if tokens and tokens[0] in _TABLE_KWS else ""
 
 
+# What `type` maps the values of a table line to when their JSON read is clean.
+_JSON_FLOATS = {float}
+
+
 def _append_floats(buf: array, text: str, expected: int, what: str, line: int) -> None:
     """Append the `expected` numbers of one line segment, in ASCII decimal
     float syntax, to `buf`.
 
+    A segment without a ',' is read as one JSON array, its spaces turned
+    into commas, without a token list.  That result is kept when it holds
+    `expected` Python floats: every comma then came from a single space
+    between two numbers, so the segment holds exactly those `expected`
+    tokens, and JSON floats are a subset of what `float()` reads, which
+    orjson rounds correctly, as `float()` does.  Any other segment is read
+    by `_token_floats`, which names its faults."""
+    if "," not in text:
+        try:
+            values = orjson.loads("[" + text.replace(" ", ",") + "]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if len(values) == expected and set(map(type, values)) == _JSON_FLOATS:
+                buf.fromlist(values)
+                return
+    values = _token_floats(text, line)
+    if len(values) != expected:
+        raise FormatError(f"{what}: expected {expected} values, got {len(values)}", line)
+    buf.fromlist(values)
+
+
+def _token_floats(text: str, line: int) -> list[float]:
+    """The numbers of one line segment, one per whitespace token.
+
     The tokens are read as one JSON array first.  That result is used only
-    when it holds one Python float per token: JSON floats are a subset of
-    what `float()` reads, and orjson rounds them correctly, as `float()`
-    does.  Everything else (integer tokens, whose '-0' orjson reads as int
-    0, 'nan', '.5', '01', a token holding a ',', any decode error) takes the
-    `float()` path.  `float()` alone would also read '1_0' and non-ASCII
-    digits, so there the whole segment is searched for those once; only a
-    segment that holds one, or a token `float()` refuses, is walked token by
-    token to name the first bad token."""
+    when it holds one Python float per token.  Everything else (integer
+    tokens, whose '-0' orjson reads as int 0, 'nan', '.5', '01', a token
+    holding a ',', any decode error) takes the `float()` path.  `float()`
+    alone would also read '1_0' and non-ASCII digits, so a segment that
+    holds either, or a token `float()` refuses, is walked token by token to
+    name the first bad token."""
     tokens = text.split()
     try:
         values = orjson.loads(f"[{','.join(tokens)}]")
-        clean = len(values) == len(tokens) and set(map(type, values)) == {float}
+        if len(values) == len(tokens) and set(map(type, values)) == _JSON_FLOATS:
+            return values
     except orjson.JSONDecodeError:
-        clean = False
-    if not clean:
+        pass
+    if "_" not in text and text.isascii():
         try:
-            values = list(map(float, tokens))  # a list, as fromlist takes it fastest
-            clean = "_" not in text and text.isascii()
+            return list(map(float, tokens))  # a list, as fromlist takes it fastest
         except ValueError:
             pass
-    if not clean:
-        for tok in tokens:
-            try:
-                if "_" in tok or not tok.isascii():
-                    raise ValueError
-                float(tok)
-            except ValueError:
-                raise FormatError(f"bad numeric value {tok!r}", line) from None
-    if len(tokens) != expected:
-        raise FormatError(f"{what}: expected {expected} values, got {len(tokens)}", line)
-    buf.fromlist(values)
+    for tok in tokens:
+        try:
+            if "_" in tok or not tok.isascii():
+                raise ValueError
+            float(tok)
+        except ValueError:
+            raise FormatError(f"bad numeric value {tok!r}", line) from None
+    return list(map(float, tokens))  # the segment's only non-ASCII is whitespace
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of `text`.  A line ends only at '\\n', '\\r\\n' or '\\r', the
+    line ends `bytes.splitlines` knows; the other characters
+    `str.splitlines` breaks at (U+2028 and U+0085 among them) stay inside
+    their line, where tokenizing reads them as whitespace."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or an empty text
+    return lines
+
+
+# A VAR line as `serialize` writes it.  Its name and size pass the checks of
+# the general branch, which reads every other VAR line and names its fault.
+_VAR_LINE = re.compile(r"VAR ([^\s/|:#]+) ([1-9][0-9]*) (CHANCE|DECISION)\Z").match
+_KINDS = {"CHANCE": CHANCE, "DECISION": DECISION}
 
 
 class _Loc:
@@ -344,19 +408,19 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             text = text.decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"byte {text[e.start]:#04x} is not valid UTF-8",
-                              text.count(b"\n", 0, e.start) + 1) from None
+                              len((text[:e.start] + b".").splitlines())) from None
 
-    var_ids: dict[str, int] = {}
-    variables: list[Variable] = []
+    var_ids: dict[str, int] = {}  # name -> id, in declaration order
+    sizes: list[int] = []  # per variable id
+    kinds: list[str] = []  # per variable id
     buf = array("d")  # every table value, in line order
-    # (scope, sizes, name, start, end) per table, its values being buf[start:end]
+    # (scope, table sizes, name, start, end) per table, its values being buf[start:end]
     cpt_rows: dict[int, tuple[tuple[int, ...], tuple[int, ...], str, int, int]] = {}
     util_rows: list[tuple[tuple[int, ...], tuple[int, ...], str, int, int]] = []
     util_names: set[str] = set()
     order_segs: list[list[str]] | None = None
-    mode: str | None = None
-    saw_header = False
     loc = _Loc()
+    size_of = sizes.__getitem__
 
     def resolve(name: str, lineno: int) -> int:
         if name in var_ids:
@@ -372,11 +436,12 @@ def parse(text: str | bytes) -> InfluenceDiagram:
         except KeyError:
             return tuple(resolve(t, lineno) for t in names)  # names the first unknown
 
-    comments = "#" in text
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0] if comments else raw
-        tokens, values = _split_line(body)
+    lines = _lines(text)
+    numbered = enumerate((line.split("#", 1)[0] for line in lines) if "#" in text else lines,
+                         start=1)
+    saw_header = False
+    for lineno, body in numbered:  # the header, then the MODE line
+        tokens = body.split()
         if not tokens:
             continue
         if not saw_header:
@@ -384,10 +449,26 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 raise FormatError("expected header 'IDNET 1'", lineno)
             saw_header = True
             continue
-        if mode is None:
-            if len(tokens) != 2 or tokens[0] != "MODE" or tokens[1] not in MODES:
-                raise FormatError("expected 'MODE prob' or 'MODE poss'", lineno)
-            mode = tokens[1]
+        if len(tokens) != 2 or tokens[0] != "MODE" or tokens[1] not in MODES:
+            raise FormatError("expected 'MODE prob' or 'MODE poss'", lineno)
+        mode = tokens[1]
+        break
+    else:
+        raise FormatError("missing IDNET header", 1)
+
+    for lineno, body in numbered:
+        var = _VAR_LINE(body)
+        if var is not None:
+            name, size_tok, kind_tok = var.groups()
+            if name in var_ids or name in util_names:
+                raise FormatError(f"name {name!r} already declared", lineno)
+            loc.var[len(kinds)] = lineno
+            var_ids[name] = len(kinds)
+            sizes.append(int(size_tok))
+            kinds.append(_KINDS[kind_tok])
+            continue
+        tokens, values = _split_line(body)
+        if not tokens:
             continue
 
         kw = tokens[0]
@@ -407,17 +488,18 @@ def parse(text: str | bytes) -> InfluenceDiagram:
                 raise FormatError(f"bad domain size {size_tok!r}", lineno) from None
             if size < 1:
                 raise FormatError(f"domain size must be >= 1, got {size}", lineno)
-            if kind_tok not in ("CHANCE", "DECISION"):
+            if kind_tok not in _KINDS:
                 raise FormatError(f"kind must be CHANCE or DECISION, got {kind_tok!r}", lineno)
-            loc.var[len(variables)] = lineno
-            var_ids[name] = len(variables)
-            variables.append(Variable(len(variables), name, size, kind_tok.lower()))
+            loc.var[len(kinds)] = lineno
+            var_ids[name] = len(kinds)
+            sizes.append(size)
+            kinds.append(_KINDS[kind_tok])
 
         elif kw == "PROB":
             if len(tokens) < 4 or tokens[2] != "|" or ":" not in tokens:
                 raise FormatError("PROB takes: child | parents... : values...", lineno)
             child = resolve(tokens[1], lineno)
-            if variables[child].kind != CHANCE:
+            if kinds[child] != CHANCE:
                 raise FormatError(
                     f"PROB line for decision {tokens[1]!r}; decision parents "
                     "come from the ORDER line", lineno)
@@ -427,10 +509,10 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             scope = resolve_all(tokens[3:colon], lineno) + (child,)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in PROB scope", lineno)
-            sizes = tuple(variables[v].size for v in scope)
+            table_sizes = tuple(map(size_of, scope))
             start = len(buf)
-            _append_floats(buf, values, math.prod(sizes), f"PROB {tokens[1]}", lineno)
-            cpt_rows[child] = (scope, sizes, f"P_{tokens[1]}", start, len(buf))
+            _append_floats(buf, values, math.prod(table_sizes), f"PROB {tokens[1]}", lineno)
+            cpt_rows[child] = (scope, table_sizes, f"P_{tokens[1]}", start, len(buf))
             loc.cpt[child] = lineno
 
         elif kw == "UTIL":
@@ -448,11 +530,11 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             scope = resolve_all(tokens[2:colon], lineno)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in UTIL scope", lineno)
-            sizes = tuple(variables[v].size for v in scope)
+            table_sizes = tuple(map(size_of, scope))
             start = len(buf)
-            _append_floats(buf, values, math.prod(sizes), f"UTIL {name}", lineno)
+            _append_floats(buf, values, math.prod(table_sizes), f"UTIL {name}", lineno)
             loc.util[len(util_rows)] = lineno
-            util_rows.append((scope, sizes, name, start, len(buf)))
+            util_rows.append((scope, table_sizes, name, start, len(buf)))
             util_names.add(name)
 
         elif kw == "ORDER":
@@ -464,8 +546,6 @@ def parse(text: str | bytes) -> InfluenceDiagram:
         else:
             raise FormatError(f"unknown directive {kw!r}", lineno)
 
-    if not saw_header or mode is None:
-        raise FormatError("missing IDNET header", 1)
     if order_segs is None:
         raise FormatError("missing ORDER line", len(lines))
 
@@ -486,14 +566,16 @@ def parse(text: str | bytes) -> InfluenceDiagram:
     # repeats, positive sizes, prod(sizes) values per table.
     flat = np.frombuffer(buf, dtype=np.float64)
     flat.setflags(write=False)
-    cpts = {x: ScopedTable.trusted(scope, sizes, flat[start:end], name, x)
-            for x, (scope, sizes, name, start, end) in cpt_rows.items()}
-    utilities = [ScopedTable.trusted(scope, sizes, flat[start:end], name)
-                 for scope, sizes, name, start, end in util_rows]
+    trusted = ScopedTable.trusted
+    cpts = {x: trusted(scope, table_sizes, flat[start:end], name, x)
+            for x, (scope, table_sizes, name, start, end) in cpt_rows.items()}
+    utilities = [trusted(scope, table_sizes, flat[start:end], name)
+                 for scope, table_sizes, name, start, end in util_rows]
     if not utilities:
         utilities.append(_constant_utility(mode, util_names | set(var_ids)))
 
-    d = InfluenceDiagram(tuple(variables), cpts, tuple(utilities), tuple(blocks), mode)
+    variables = tuple(map(_variable, zip(range(len(kinds)), var_ids, sizes, kinds)))
+    d = InfluenceDiagram(variables, cpts, tuple(utilities), tuple(blocks), mode)
     _validate(d, loc)
     return d
 
@@ -634,12 +716,40 @@ def _validate(d: InfluenceDiagram, loc: _Loc) -> None:
     if not _numbers_pass_screen(d):
         _check_numbers(d, loc)
 
-    # Acyclicity from the tables alone.  A decision's parents are all the
-    # variables before it in the ORDER, so the parent graph has a cycle
-    # exactly when the table edges do, or when a chance variable depends
-    # through tables on a decision later than itself.  One DFS over table
-    # edges finds both; `latest` holds, per finished variable, the segment of
-    # the latest decision it depends on (a decision's own segment).
+    if not _acyclic_in_id_order(d, pos):
+        _check_acyclic(d, pos, loc)
+
+
+def _acyclic_in_id_order(d: InfluenceDiagram, pos: list[int]) -> bool:
+    """True when one pass over the conditional tables in ascending id order
+    clears what `_check_acyclic` checks: every table's parents precede its
+    variable, so the table edges have no cycle, and `latest`, computed by
+    `_check_acyclic`'s recurrence with each parent done before its child,
+    never passes a variable's own segment.  False says only that
+    `_check_acyclic` must search."""
+    cpts = d.cpts
+    latest = pos[:]
+    for x in d.chance_ids:
+        parents = cpts[x].scope[:-1]
+        if not parents:
+            latest[x] = -1
+        elif max(parents) > x:
+            return False
+        else:
+            latest[x] = max(map(latest.__getitem__, parents))
+            if latest[x] > pos[x]:
+                return False
+    return True
+
+
+def _check_acyclic(d: InfluenceDiagram, pos: list[int], loc: _Loc) -> None:
+    """Acyclicity from the tables alone.  A decision's parents are all the
+    variables before it in the ORDER, so the parent graph has a cycle
+    exactly when the table edges do, or when a chance variable depends
+    through tables on a decision later than itself.  One DFS over table
+    edges finds both; `latest` holds, per finished variable, the segment of
+    the latest decision it depends on (a decision's own segment)."""
+    names = d.names
     latest = pos[:]
     state = [2 if v.kind == DECISION else 0 for v in d.variables]  # 1 on stack, 2 done
     for root in d.cpts:

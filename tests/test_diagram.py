@@ -4,6 +4,7 @@ import struct
 import sys
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,32 @@ def test_parse_accepts_bytes_comments_and_blank_lines():
         "MODE prob", "MODE prob   # trailing comment")
     d = parse(noisy.encode("utf-8"))
     assert structurally_equal(d, parse(MINIMAL))
+
+
+# The characters `str.splitlines` ends a line at besides '\n' and '\r'.
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+def test_only_newline_and_carriage_return_end_a_line(char):
+    text = MINIMAL.replace("MODE prob", f"MODE prob  # a{char}b")
+    assert structurally_equal(parse(text), parse(MINIMAL))
+    assert structurally_equal(parse(text.encode("utf-8")), parse(MINIMAL))
+    # A fault on a later line is numbered by its '\n's alone.
+    _expect(text.replace("ORDER", "ODER"), FormatError, "unknown directive 'ODER'", line=9)
+    # Inside a line the character separates tokens, as other whitespace does.
+    assert structurally_equal(parse(MINIMAL.replace("VAR d 2", f"VAR d{char}2")),
+                              parse(MINIMAL))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_cr_files_parse(end):
+    assert structurally_equal(parse(MINIMAL.replace("\n", end)), parse(MINIMAL))
+    text = "IDNET 1\nMODE prob\nVAR x 2 CHANCE\nPROB x | : 0.5 0.5\nUTIL u x : 0.0 0.0\n"
+    _expect(text.replace("\n", end), FormatError, "missing ORDER", line=5)
+    _expect(text.replace("\n", end) + end, FormatError, "missing ORDER", line=6)
+    raw = "IDNET 1\nMODE prob\n# caf\xe9\n".replace("\n", end).encode("latin-1")
+    _expect(raw, FormatError, "not valid UTF-8", line=3)
 
 
 def test_round_trip_is_identity():
@@ -365,6 +392,30 @@ def test_parse_holds_one_line_of_value_tokens_at_a_time():
     assert peak - kept < all_tokens / 2
 
 
+def test_serialized_diagrams_take_the_fast_paths(monkeypatch):
+    # What `serialize` writes is read with one JSON parse per table line, no
+    # token list and no float() call, and is found acyclic without a search.
+    texts = [serialize(d) for d in (fixture("fig2"), fixture("fig3"), fixture("chain", 9),
+                                     fixture("star", 7))]
+    texts += [serialize(random_id(3 + seed % 20, seed % 4, 4, 3, mode, seed))
+              for seed in range(40) for mode in ("prob", "poss")]
+    loads = []
+    real = diagram.orjson
+    monkeypatch.setattr(diagram, "orjson", SimpleNamespace(
+        loads=lambda s: loads.append(s) or real.loads(s), JSONDecodeError=real.JSONDecodeError))
+
+    def refuse(*args):
+        raise AssertionError("a slow path ran")
+
+    monkeypatch.setattr(diagram, "_token_floats", refuse)  # parse's only float() caller
+    monkeypatch.setattr(diagram, "_check_acyclic", refuse)
+    for text in texts:
+        loads.clear()
+        parse(text)
+        assert len(loads) == sum(line.startswith(("PROB ", "UTIL "))
+                                 for line in text.splitlines()), text
+
+
 @pytest.mark.parametrize("size", ["1_0", "١", "２", "2_"])
 def test_domain_sizes_use_ascii_integer_syntax(size):
     err = _expect(MINIMAL.replace("VAR d 2 DECISION", f"VAR d {size} DECISION"),
@@ -432,6 +483,69 @@ def test_cycle_check_agrees_with_the_full_parent_graph():
         kinds.add("ORDER" in str(info.value))
     assert 500 < cyclic < 1500
     assert kinds == {True, False}  # cycles through a later decision, and chance-only ones
+
+
+def _shuffled(text, rng, keyword):
+    """`text` with its `keyword` lines in a random order, in their places."""
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith(keyword + " ")]
+    for i, j in zip(at, rng.permutation(at)):
+        lines[i] = text.splitlines(keepends=True)[j]
+    return "".join(lines)
+
+
+def _observed_first(text, rng):
+    """`text` with one chance variable that follows a decision in the ORDER
+    moved into its first segment."""
+    *lines, order = text.splitlines(keepends=True)
+    segs = [seg.split() for seg in order[len("ORDER "):].split(" / ")]
+    later = [(i, name) for i in range(2, len(segs), 2) for name in segs[i]]
+    if not later:
+        return text
+    i, name = later[rng.integers(len(later))]
+    segs[i].remove(name)
+    segs[0].append(name)
+    return "".join(lines) + "ORDER " + " / ".join(map(" ".join, segs)) + "\n"
+
+
+def _parse_or_refuse(text):
+    try:
+        return serialize(parse(text))
+    except DiagramError as e:
+        return type(e), str(e), e.line
+
+
+def test_acyclicity_screen_gives_what_the_search_gives(monkeypatch):
+    # Extra parents make cycles, chance variables that depend on a later
+    # decision, and acyclic tables whose parents follow them; a chance
+    # variable observed first may depend on a later decision through tables
+    # whose parents all precede it; shuffled VAR lines make the ids no
+    # topological order, shuffled PROB lines change where the search starts.
+    rng = np.random.default_rng(5)
+    texts = []
+    for seed in range(400):
+        d = random_id(8, 3, 3, 2, ("prob", "poss")[seed % 2], seed=seed)
+        text = serialize(with_extra_parents(d, rng) if seed % 3 else d)
+        if seed % 7 < 3:
+            text = _observed_first(text, rng)
+        if seed % 4 < 2:
+            text = _shuffled(text, rng, "VAR")
+        if seed % 5 < 2:
+            text = _shuffled(text, rng, "PROB")
+        texts.append(text)
+    screens = []
+    screen = diagram._acyclic_in_id_order
+    monkeypatch.setattr(diagram, "_acyclic_in_id_order",
+                        lambda d, pos: screens.append(screen(d, pos)) or screens[-1])
+    got = [_parse_or_refuse(text) for text in texts]
+    monkeypatch.setattr(diagram, "_acyclic_in_id_order", lambda d, pos: False)
+    assert [_parse_or_refuse(text) for text in texts] == got
+    # Both kinds of cycle occur, and so do accepted diagrams that the screen
+    # clears and ones that only the search clears.
+    refusals = [outcome for outcome in got if isinstance(outcome, tuple)]
+    assert {kind for kind, _, _ in refusals} == {CycleError}
+    assert {"ORDER" in message for _, message, _ in refusals} == {True, False}
+    assert screens.count(True) > 50 and screens.count(False) - len(refusals) > 50
 
 
 _FIG2 = fixture("fig2")

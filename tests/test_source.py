@@ -161,3 +161,32 @@ def test_every_import_outside_the_standard_library_is_declared():
     # The check fails when orjson is left out.
     assert undeclared_imports(texts, [d for d in deps if not d.startswith("orjson")]) \
         == ["diagram: orjson"]
+
+
+def python_floor() -> tuple[int, int]:
+    """The lowest Python version `pyproject.toml` admits, as (major, minor)."""
+    spec = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"',
+                     (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    return int(spec[1]), int(spec[2])
+
+
+def newer_syntax(text: str, version: tuple[int, int]) -> str | None:
+    """The first syntax error `text` gives when read as the grammar of
+    Python `version`, or None when it reads cleanly."""
+    try:
+        ast.parse(text, feature_version=version)
+    except SyntaxError as e:
+        return e.msg
+    return None
+
+
+def test_the_check_sees_syntax_newer_than_the_floor():
+    text = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert newer_syntax(text, (3, 10)).startswith("Exception groups are only supported")
+    assert newer_syntax(text, (3, 11)) is None
+    assert python_floor() == (3, 10)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_parses_at_the_declared_python_floor(path):
+    assert newer_syntax(path.read_text(), python_floor()) is None
