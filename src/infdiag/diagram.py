@@ -22,9 +22,8 @@ same bits for every number they accept.  The fast path reads the values
 text itself as one JSON array, its spaces turned into commas, with orjson's
 correctly rounded parser; it is kept when it yields one float per number,
 as it does for every line `serialize` writes.  Every other line is split
-into tokens, read through JSON or `float()`, and walked token by token to
-name the first bad one.  A VAR line as `serialize` writes it is read by one
-regular expression; any other goes through the checks that name its fault.
+into tokens, read by `float()`, and walked token by token to name the first
+bad one.
 
 Validation screens before it searches.  One batched pass over all table
 values stands in for the per-table number checks, and one pass over the
@@ -337,22 +336,11 @@ def _append_floats(buf: array, text: str, expected: int, what: str, line: int) -
 
 
 def _token_floats(text: str, line: int) -> list[float]:
-    """The numbers of one line segment, one per whitespace token.
-
-    The tokens are read as one JSON array first.  That result is used only
-    when it holds one Python float per token.  Everything else (integer
-    tokens, whose '-0' orjson reads as int 0, 'nan', '.5', '01', a token
-    holding a ',', any decode error) takes the `float()` path.  `float()`
-    alone would also read '1_0' and non-ASCII digits, so a segment that
-    holds either, or a token `float()` refuses, is walked token by token to
-    name the first bad token."""
+    """The numbers of one line segment, one per whitespace token, read by
+    `float()`.  `float()` alone would also read '1_0' and non-ASCII digits,
+    so a segment that holds either, or a token `float()` refuses, is walked
+    token by token to name the first bad token."""
     tokens = text.split()
-    try:
-        values = orjson.loads(f"[{','.join(tokens)}]")
-        if len(values) == len(tokens) and set(map(type, values)) == _JSON_FLOATS:
-            return values
-    except orjson.JSONDecodeError:
-        pass
     if "_" not in text and text.isascii():
         try:
             return list(map(float, tokens))  # a list, as fromlist takes it fastest
@@ -381,9 +369,6 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-# A VAR line as `serialize` writes it.  Its name and size pass the checks of
-# the general branch, which reads every other VAR line and names its fault.
-_VAR_LINE = re.compile(r"VAR ([^\s/|:#]+) ([1-9][0-9]*) (CHANCE|DECISION)\Z").match
 _KINDS = {"CHANCE": CHANCE, "DECISION": DECISION}
 
 
@@ -457,16 +442,6 @@ def parse(text: str | bytes) -> InfluenceDiagram:
         raise FormatError("missing IDNET header", 1)
 
     for lineno, body in numbered:
-        var = _VAR_LINE(body)
-        if var is not None:
-            name, size_tok, kind_tok = var.groups()
-            if name in var_ids or name in util_names:
-                raise FormatError(f"name {name!r} already declared", lineno)
-            loc.var[len(kinds)] = lineno
-            var_ids[name] = len(kinds)
-            sizes.append(int(size_tok))
-            kinds.append(_KINDS[kind_tok])
-            continue
         tokens, values = _split_line(body)
         if not tokens:
             continue

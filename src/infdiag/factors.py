@@ -166,18 +166,16 @@ class ScopedTable:
         """A table built without `__post_init__`'s checks, for a caller that
         has made them: `scope` holds distinct variables, `sizes` one positive
         size each, and `values` is a read-only, C-contiguous float64 vector of
-        prod(sizes) cells.  The fields are written into the instance dict
-        one by one, in declaration order, as `__init__` sets them, so every
-        table's dict keeps sharing its keys with the others'; a dict write
-        costs less than the frozen class's `object.__setattr__`, but gives
-        each table a dict object of its own (64 more bytes on CPython 3.11)."""
+        prod(sizes) cells.  The fields are set one by one in declaration
+        order, as `__init__` sets them, so every table's instance dict keeps
+        sharing its keys with the others'."""
         t = object.__new__(cls)
-        fields = t.__dict__
-        fields["scope"] = scope
-        fields["sizes"] = sizes
-        fields["values"] = values
-        fields["name"] = name
-        fields["cpt_for"] = cpt_for
+        set_field = object.__setattr__
+        set_field(t, "scope", scope)
+        set_field(t, "sizes", sizes)
+        set_field(t, "values", values)
+        set_field(t, "name", name)
+        set_field(t, "cpt_for", cpt_for)
         return t
 
     # -- conveniences ------------------------------------------------------
