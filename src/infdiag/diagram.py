@@ -387,6 +387,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
 
     Errors carry the 1-based line number of the offending construct; lines
     are checked in order, so the first faulty line is the one reported.
+    One leading U+FEFF, the UTF-8 byte-order mark, is skipped; anywhere
+    else it is an ordinary character.
     """
     if isinstance(text, bytes):
         try:
@@ -394,6 +396,8 @@ def parse(text: str | bytes) -> InfluenceDiagram:
         except UnicodeDecodeError as e:
             raise FormatError(f"byte {text[e.start]:#04x} is not valid UTF-8",
                               len((text[:e.start] + b".").splitlines())) from None
+    if text.startswith("\ufeff"):
+        text = text[1:]
 
     var_ids: dict[str, int] = {}  # name -> id, in declaration order
     sizes: list[int] = []  # per variable id

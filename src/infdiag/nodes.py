@@ -9,19 +9,21 @@ one id and the expression is a DAG rather than a tree.
 Each stored node is a `CompNode` record, a `NamedTuple`: a tuple subclass
 with no per-instance `__dict__`, so a field cannot be assigned after the
 record is built, and `is_atomic` is a field set then rather than a property.
-`NodeStore.intern` canonicalizes the parts and looks their key up first; a
-record is built only for a key the store does not hold.  Records compare by
-value, field by field, as tuples do.  Equality is therefore by interned child
-ids, not deep structure; atomic nodes compare by table identity, matching
-the table-identity semantics of ScopedTable.
+`NodeStore.intern` canonicalizes a composite's parts, builds its record and
+probes the index with it.  Records compare by value, field by field, as
+tuples do.  Equality is therefore by interned child ids, not deep
+structure; atomic nodes compare by table identity, matching the
+table-identity semantics of ScopedTable.
 
-A composite's index key is its own record: the probe is a plain tuple of the
-record's fields, which hashes and compares like the record, and the record
-built on a miss is stored once, as the node and as its key.  An atom is
-keyed by the `id` of its table.  `NodeStore.lookup` canonicalizes a
-composite's parts as `intern` does and returns the stored id, or None; it
-stores nothing, so callers that only ask whether a node exists need not
-know the key's layout.
+A composite's index key is its own record.  `intern` inserts the record it
+built with one `dict.setdefault`, so a composite is hashed once whether it
+is new or not; on a hit the record is dropped, on a miss it is stored once,
+as the node and as its key, and a key that fails validation is taken out of
+the index again before the error is raised.  An atom is keyed by the `id`
+of its table.  `NodeStore.lookup` canonicalizes a composite's parts as
+`intern` does without a scope and returns the stored id, or None; it stores
+nothing, so callers that only ask whether a node exists need not know the
+key's layout.
 
 The store keeps each node's scope as an int bitmask, bit v set when variable
 v is in scope (`mask_of`): union is `|`, removing a variable is `& ~bit` and
@@ -156,18 +158,24 @@ class NodeStore:
         With `table` set the node is that table's atom (the other parts must
         be empty), interned by table identity.  Otherwise it is a composite:
         its sov and children are canonicalized here, so they may arrive in
-        any order, and the key is looked up before any record is built.
-        Only a new key is validated: every stored key passed validation when
-        it was stored.  Validation relies on the canonical form: each sov
-        block is sorted and non-empty and the children are sorted, so
-        checking the end points of each range covers every id in it.
+        any order.  Its record is built and inserted with one
+        `dict.setdefault`, which hashes it once: a stored key gives its id
+        back, and a new key is validated before anything else is stored, and
+        taken out of the index again if it is refused, so the store is as it
+        was and the same call raises again.  Every stored key passed
+        validation when it was stored.  Validation relies on the canonical
+        form: each sov block is sorted and non-empty and the children are
+        sorted, so checking the end points of each range covers every id in
+        it.
 
         A caller that derived a composite from stored nodes may pass its
-        `scope`, a bitmask.  It then promises two things: `sov` is already
-        canonical, and `scope` equals the union of the children's scopes
-        minus the sov variables.  The sov is then used as given and no
-        union is taken; the children are still sorted and every check
-        still runs.
+        `scope`, a bitmask.  It then promises three things: `sov` is already
+        canonical, the children are distinct, and `scope` equals the union
+        of the children's scopes minus the sov variables.  The sov is then
+        used as given, the children are sorted without a set and no union is
+        taken; every check still runs.  Without `scope` the children go
+        through a set, so repeats collapse, and an empty sov is taken as
+        `()` without `canonical_sov`.
         """
         if table is not None:
             key: object = id(table)
@@ -177,33 +185,39 @@ class NodeStore:
             node = _record(CompNode, ((), None, (), table, True))
             scope = mask_of(table.scope)
             group_comb = max_comb = None
+            nid = self._index[key] = len(self.nodes)
         else:
             if scope is None:
-                sov = canonical_sov(sov)
-            children = tuple(sorted(set(children)))
-            key = (sov, comb, children, None, False)  # the fields of its record
-            found = self._index.get(key)
-            if found is not None:
+                sov = canonical_sov(sov) if sov else ()
+                children = tuple(sorted(set(children)))
+            else:
+                children = tuple(sorted(children))
+            # the record is its own key: built once, hashed once
+            node = _record(CompNode, (sov, comb, children, None, False))
+            nid = len(self.nodes)
+            found = self._index.setdefault(node, nid)
+            if found != nid:
                 return found
-            if comb not in COMBINE_OPS:
-                raise InternalError(f"bad combination operator {comb}")
-            for op, block in sov:
-                if op not in MARGINAL_OPS:
-                    raise InternalError(f"{op} cannot marginalize")
-                if block[0] < 0 or block[-1] >= len(self.sizes):
-                    raise InternalError(f"unknown variable in sov block {block}")
-            if children and (children[0] < 0 or children[-1] >= len(self.nodes)):
-                raise InternalError(f"dangling child id in {children}")
+            try:  # a refused key leaves the index as it was
+                if comb not in COMBINE_OPS:
+                    raise InternalError(f"bad combination operator {comb}")
+                for op, block in sov:
+                    if op not in MARGINAL_OPS:
+                        raise InternalError(f"{op} cannot marginalize")
+                    if block[0] < 0 or block[-1] >= len(self.sizes):
+                        raise InternalError(f"unknown variable in sov block {block}")
+                if children and (children[0] < 0 or children[-1] >= nid):
+                    raise InternalError(f"dangling child id in {children}")
+            except BaseException:
+                del self._index[node]
+                raise
             if scope is None:
                 scope = reduce(or_, map(self._scopes.__getitem__, children), 0)
                 if sov:
                     scope &= ~mask_of(chain.from_iterable(block for _, block in sov))
-            node = key = _record(CompNode, key)  # the record is its own key
             group_comb = None if sov else comb
             max_comb = comb if len(sov) == 1 and sov[0][0] is Op.MAX else None
-        nid = len(self.nodes)
         self.nodes.append(node)
-        self._index[key] = nid
         self._scopes.append(scope)
         self._group_combs.append(group_comb)
         self._max_combs.append(max_comb)

@@ -38,6 +38,28 @@ variable:
     the children it keeps, less the kept block.
 The other builds (the groups inside a new max node, and a group or root
 rebuilt over a node whose scope shrank) go through the ordinary path.
+A scope also promises distinct children, which `intern` then sorts
+without a set.  Each scoped build knows them distinct; a stored node's
+children are distinct, and so is any part of them:
+  - decompose-sum's inner node holds part of one group's members; its
+    wrapper the other members and the inner node, checked not to be one of
+    them; its new root the keys of a dict;
+  - recompose-sum's result holds the node's children less the candidate,
+    and the candidate's children, checked disjoint from them;
+  - simplify-normalized and drop-unit hold the node's children less one;
+  - decompose-max's new root holds the root's children when no group
+    mentions `x`, and otherwise the groups not mentioning it and the
+    wrapper, checked by bisection not to be one of them; its max node the
+    groups mentioning `x`, or those groups less the hoisted factors,
+    checked pairwise distinct; its wrapper the hoisted factors, a set, and
+    the max node, checked not to be one of them;
+  - recompose-max's merged groups hold a nested group's members and the
+    other members of the group holding the nested max, checked disjoint;
+    its result the merged groups, checked distinct (or the nested max's own
+    children), and the sibling groups, checked distinct from them;
+  - `_swap` replaces one member by a node checked not to be a member;
+    `_rebuild_root` and `remove_passthrough` map the children through their
+    replacements and check the result with a set of their own.
 Preconditions read what a node carries, not a union per candidate:
 recompose-sum/-max test a nested block against the node's scope `|` its
 block (exact, as a nested node's scope leaves out its block), and
@@ -353,6 +375,8 @@ def decompose_max(store: NodeStore, root: int, x: int, trace: RewriteTrace
         inner_groups = plus  # a group rebuilt over all its members is itself
     inner = store.intern(((Op.MAX, (x,)),), node.comb, inner_groups,
                          scope=_union(store, inner_groups) & ~bit)
+    if inner in pulled_set:
+        raise InternalError("decision max node collides with a hoisted factor")
     wrapper = store.intern((), comb, pulled + [inner],
                            scope=scopes[inner] | _union(store, pulled))
     # The wrapper does not mention x, so a root child equal to it would be

@@ -313,6 +313,20 @@ def test_non_utf8_input_is_input_error(text, line, tmp_path, capsys):
     assert f"line {line}:" in err and "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", n=5)],
+                         ids=["fig2", "fig3", "chain5"])
+def test_solve_skips_a_leading_utf8_bom(d, tmp_path, capsys):
+    plain, marked = tmp_path / "plain.idnet", tmp_path / "bom.idnet"
+    plain.write_bytes(serialize(d).encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got = run_json(capsys, ["solve", str(marked), "--json"])
+    want = run_json(capsys, ["solve", str(plain), "--json"])
+    for report in (got, want):
+        del report["file"], report["wall_time"]
+    assert got == want
+    assert structurally_equal(parse(marked.read_bytes()), d)
+
+
 def test_usage_error_maps_to_1(capsys):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1

@@ -69,6 +69,38 @@ def test_parse_accepts_bytes_comments_and_blank_lines():
     assert structurally_equal(d, parse(MINIMAL))
 
 
+BOM = "\ufeff"  # the byte-order mark; EF BB BF in UTF-8
+
+
+@pytest.mark.parametrize("d", [fixture("fig2"), fixture("fig3"), fixture("chain", 5)],
+                         ids=["fig2", "fig3", "chain5"])
+def test_a_leading_utf8_bom_is_skipped(d):
+    text = BOM + serialize(d)
+    raw = text.encode("utf-8")
+    assert raw[:3] == b"\xef\xbb\xbf"
+    assert structurally_equal(parse(raw), d)
+    assert structurally_equal(parse(text), d)
+
+
+def test_a_bom_anywhere_else_is_refused_with_its_line():
+    text = serialize(fixture("fig2"))
+    cases = [
+        (BOM * 2 + text, "expected header 'IDNET 1'"),  # only one is skipped
+        ("# note\n" + BOM + text, "expected header 'IDNET 1'"),
+        (text.replace("MODE", BOM + "MODE"), "expected 'MODE prob'"),
+        (text.replace("VAR d", BOM + "VAR d"), "unknown directive"),
+        (text.replace(" 0.", " 0." + BOM, 1), "bad numeric value"),
+        (text.replace("ORDER", "ORDER " + BOM), "unknown variable"),
+    ]
+    for bad, needle in cases:
+        line = bad[:bad.rindex(BOM)].count("\n") + 1
+        assert line > 1 or bad.startswith(BOM * 2)
+        _expect(bad, FormatError, needle, line=line)
+        _expect(bad.encode("utf-8"), FormatError, needle, line=line)
+        if not bad.startswith(BOM):  # a leading mark before it changes nothing
+            _expect(BOM + bad, FormatError, needle, line=line)
+
+
 # The characters `str.splitlines` ends a line at besides '\n' and '\r'.
 OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

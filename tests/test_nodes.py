@@ -300,6 +300,33 @@ def test_bad_constructions_raise_internal_errors():
     assert len(store.nodes) == 1
 
 
+def _store_state(store):
+    return (list(store._index.items()), list(store.nodes), list(store._scopes),
+            list(store._group_combs), list(store._max_combs))
+
+
+def test_a_refused_intern_leaves_no_trace():
+    # `intern` puts a new composite's record in the index before validating
+    # it, so a refused key must come out again: the store is as before and
+    # the same call raises again, rather than finding a key it never stored.
+    store = NodeStore((2,))
+    a = store.atomic(_table((0,), (2,), [0.3, 0.7]))
+    store.intern([(Op.SUM, (0,))], Op.TIMES, [a])
+    store.intern([], Op.PLUS, [a])
+    before = _store_state(store)
+    scoped = [(tuple(sov), comb, tuple(children)) for sov, comb, children in BAD_CONSTRUCTIONS
+              if len(sov) < 2]  # a canonical sov, as the scoped path is promised
+    calls = [(sov, comb, children, {}) for sov, comb, children in BAD_CONSTRUCTIONS]
+    calls += [(sov, comb, children, {"scope": 0}) for sov, comb, children in scoped]
+    for sov, comb, children, kw in calls:
+        for _ in range(2):
+            with pytest.raises(InternalError):
+                store.intern(sov, comb, children, **kw)
+            assert _store_state(store) == before, (sov, comb, children, kw)
+    # the next stored node takes the next id
+    assert store.intern([], Op.TIMES, [a, 1]) == len(before[1])
+
+
 def test_op_members_hash_as_singletons():
     assert {Op.SUM: 1}[Op("sum")] == 1
     assert hash(Op.MAX) == hash(Op("max"))

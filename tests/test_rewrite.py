@@ -217,6 +217,34 @@ def test_decompose_max_refuses_a_wrapper_that_collides_with_a_group():
         decompose_max(store, root, 0, [])
 
 
+def test_decompose_max_refuses_a_max_node_equal_to_a_hoisted_factor(monkeypatch):
+    # The wrapper is interned over the hoisted factors and the new max node
+    # with a scope, which promises distinct children: were the max node one
+    # of the hoisted factors, the wrapper would hold it twice.
+    store = NodeStore((2, 2))
+    shared = store.atomic(ScopedTable((0,), (2,), np.array([0.4, 0.6]), cpt_for=0))
+    ua = store.atomic(ScopedTable((1,), (2,), np.array([0.0, 1.0]), name="ua"))
+    ub = store.atomic(ScopedTable((1,), (2,), np.array([2.0, 1.0]), name="ub"))
+    g1 = store.intern([], Op.TIMES, [shared, ua])
+    g2 = store.intern([], Op.TIMES, [shared, ub])
+    root = store.intern([(Op.MAX, (1,))], Op.PLUS, [g1, g2])
+    _, inner, wrapper = decompose_max(store, root, 1, [])
+    assert store.nodes[wrapper].children == (shared, inner)  # the factor is hoisted
+    intern = NodeStore.intern
+
+    def colliding(self, sov, comb, children, scope=None, table=None):
+        if sov == ((Op.MAX, (1,)),):
+            return shared
+        return intern(self, sov, comb, children, scope=scope, table=table)
+
+    monkeypatch.setattr(NodeStore, "intern", colliding)
+    size = len(store.nodes)
+    with pytest.raises(InternalError, match="collides with a hoisted factor"):
+        decompose_max(store, root, 1, [])
+    assert len(store.nodes) == size
+    assert all(len(set(n.children)) == len(n.children) for n in store.nodes)
+
+
 def test_decompose_max_refuses_signed_common_factors():
     store = NodeStore((2, 2))
     shared = store.atomic(ScopedTable((0,), (2,), np.array([-1.0, 1.0]),
@@ -830,6 +858,31 @@ def test_derived_scopes_and_sovs_are_right(monkeypatch):
             store = store_for(d)
             macrostructure(store, initial_node(store, d), plan=plan)
     assert derived[0] > 10_000
+
+
+def test_scoped_interns_get_distinct_children(monkeypatch):
+    # A rule that passes `intern` a scope also promises distinct children:
+    # `intern` then sorts them without a set, so a repeat would be stored.
+    intern = NodeStore.intern
+    scoped = [0]
+
+    def checking(self, sov, comb, children, scope=None, table=None):
+        if scope is not None:
+            scoped[0] += 1
+            children = list(children)
+            assert len(set(children)) == len(children), (sov, comb, children)
+        return intern(self, sov, comb, children, scope=scope, table=table)
+
+    monkeypatch.setattr(NodeStore, "intern", checking)
+    ds = [fixture("fig2"), fixture("fig3"), parse(_hmm(200))]
+    ds += [fixture(name, n=n) for name in ("chain", "star") for n in (*range(1, 10), 70)]
+    ds += [random_id(3 + seed % 37, seed % 6, 3, 3, mode=mode, seed=seed)
+           for seed in range(100) for mode in ("prob", "poss")]
+    for d in ds:
+        for plan in (None, root_plan(d)):
+            store = store_for(d)
+            macrostructure(store, initial_node(store, d), plan=plan)
+    assert scoped[0] > 10_000
 
 
 def _swept_stores():
