@@ -1,24 +1,19 @@
 """Cluster DAG evaluation, policy extraction, and end-to-end solving.
 
-Messages travel leaves-to-root: each cluster folds its tables and its sons'
-messages under its combination operator and eliminates its own variable.
-The pass runs on bare arrays, shared clusters are computed once, and each
-message is dropped once its last parent has read it.  Policies come from a
-root-to-leaves pass that `plan_policies` lays out from scopes alone, before
-any arithmetic: for each decision, the later decisions whose rules must be
-substituted into its cluster's combined table before its argmax, so that
-the rule depends on the decision's observations only.  A decision with none
-takes its choice from the argmax that eliminates it in the message pass
-(the policy recording of Jensen, Jensen & Dittmer); the others keep their
-combined table.  The same walk refuses up front a fold, then a
-substitution, whose result would span more than CELL_GUARD cells.  A
-decision's rule is the `ChoiceTable` of its argmax, integer value indices
-from there to the output.
-
-`solve_diagram` runs the layers end to end.  The node store and the rewrite
-trace are held by the compile layers alone: once `merge_clusters` returns,
-the report's node count and trace length are read and both are released,
-so the plan and the two passes run without the node DAG.
+`plan` reads scopes, sizes and observations, before any arithmetic, and lays
+out both passes as one `Schedule`.  Its policy steps give, for each
+decision, the later decisions whose rules are substituted into its cluster's
+combined table before its argmax, so that the rule depends on the decision's
+observations only.  A decision with none is chosen: its choice is taken from
+the argmax that eliminates it in the message pass (the policy recording of
+Jensen, Jensen & Dittmer).  Each message is freed at its last reader.  On
+its way `plan` refuses a fold, then a substitution, whose result would span
+more than CELL_GUARD cells, and then, as internal errors, a cluster DAG that
+the passes could not run.  `evaluate` carries the schedule out, leaves to
+root on bare arrays: each cluster folds its tables and its sons' messages
+under its combination operator and eliminates its own variable.
+`extract_policies` runs the steps root to leaves.  A decision's rule is the
+`ChoiceTable` of its argmax, integer value indices from there to the output.
 """
 
 from __future__ import annotations
@@ -33,9 +28,8 @@ import numpy as np
 from .clusters import Cluster, MCDag, assemble, merge_clusters
 from .diagram import MODES, InfluenceDiagram
 # `combine_all` and `marginalize` are unused here but stay imported:
-# perfbench/tracing.py wraps them by name on this module.  `plan_policies`
-# reads CELL_GUARD through this module's name, so it can be lowered apart
-# from `fold`'s.
+# perfbench/tracing.py wraps them by name on this module.  `plan` reads
+# CELL_GUARD through this module's name, so it can be lowered apart from fold's.
 from .factors import (  # noqa: F401
     CELL_GUARD,
     ChoiceTable,
@@ -85,12 +79,6 @@ class RunReport:
     trace_len: int
 
 
-def _check_ops(m: MCDag) -> None:
-    pairs = {c.ops for c in m.clusters}
-    if not any(pairs.issubset(ops.pairs.values()) for ops in MODES.values()):
-        raise InternalError(f"operator pairs {sorted(map(str, pairs))} mix modes")
-
-
 # What evaluate keeps of a max-eliminating cluster: its combined part, or
 # that part's scope and the choice taken from it.
 Kept = tuple[tuple[int, ...], np.ndarray | ChoiceTable]
@@ -98,82 +86,26 @@ Kept = tuple[tuple[int, ...], np.ndarray | ChoiceTable]
 PolicyStep = tuple[int, int, tuple[int, ...]]
 
 
-def evaluate(m: MCDag, counter: OpCounter | None = None,
-             plan: Sequence[PolicyStep] = (),
-             with_sets: bool = False) -> tuple[float, dict[int, Kept]]:
-    """The leaves-to-root pass: the MEU and, by cluster id, what the policy
-    pass needs from every cluster that max-eliminates a variable.
+@dataclass(frozen=True)
+class Schedule:
+    """Both passes over one cluster DAG: the policy steps in descending
+    cluster id, the ids of the clusters whose choice is taken at
+    elimination, and the last cluster that reads each son's message."""
 
-    That is the combined part before the elimination, unless `plan` (from
-    `plan_policies` on `m`) substitutes nothing into the cluster's table.
-    Its choice is then taken here, by the same argmax that eliminates it,
-    with tie sets when `with_sets`, and kept as `(scope, ChoiceTable)`.
-    Without a plan every combined part is kept.
-
-    Sons come before parents and each cluster is computed once.  A message
-    is freed once the last cluster that reads it has read it.  A cluster's
-    tables and son messages span its whole scope `V`, its own variable
-    included: bucket elimination sends every item that holds a variable to
-    that variable's bucket or to an earlier one, whose message carries it on.
-    """
-    _check_ops(m)
-    counter = counter or OpCounter()
-    chosen = {cid for _, cid, later in plan if not later}
-    last_reader = {s: cid for cid, _, _, sons, _, _ in m.clusters for s in sons}
-    messages: dict[int, Part] = {}
-    kept: dict[int, Kept] = {}
-    done: set[int] = set()
-    # Records are unpacked once: a NamedTuple field read costs a descriptor call.
-    for cid, _, psi, sons, elim, ops in m.clusters:  # ascending ids are topological
-        if cid in done:
-            raise InternalError("cluster evaluated twice")
-        done.add(cid)
-        marg, comb = ops
-        parts = [(t.scope, t.array) for t in psi] + [messages[s] for s in sons]
-        for s in sons:
-            if last_reader[s] == cid:
-                messages.pop(s, None)  # a merged cluster may list a son twice
-        out = fold(parts, comb, counter)
-        if elim:
-            missing = [v for v in elim if v not in out[0]]
-            if missing:
-                raise InternalError(f"cluster {cid} eliminates {missing}, "
-                                    "which none of its parts holds")
-            if cid in chosen:
-                scope = out[0]
-                out, choice = argmax_marginalize(out, elim[0], counter, sets=with_sets)
-                kept[cid] = scope, choice
-            else:
-                if marg is Op.MAX:
-                    kept[cid] = out
-                out = eliminate(out, elim, marg, counter)
-        messages[cid] = out
-        del parts, out  # free this cluster's arrays before the next fold
-    scope, arr = messages[m.root]
-    if scope:
-        raise InternalError(f"root message kept scope {scope}")
-    return float(arr), kept
+    steps: tuple[PolicyStep, ...]
+    chosen: frozenset[int]
+    last_reader: dict[int, int]
 
 
-# --------------------------------------------------------------------------
-# Policies
-
-def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
-    """The policy pass laid out from scopes, in descending cluster id.
-
-    The loop that finds each decision's cluster first refuses any cluster
-    whose fold would combine more than CELL_GUARD cells: `fold` combines
-    only a cluster of two or more parts, and their union is the cluster's
-    scope `V`.  Then decision `x`'s table spans its cluster's scope.  While
-    that scope holds other decisions that `x` does not observe, the
-    smallest, `y`, goes in: the scope becomes its union with `y`'s retained
-    scope (`y`'s own after its substitutions, less `y`), less `y`.  A result
-    over CELL_GUARD cells is refused.  So are, as internal errors, a
-    decision eliminated in two clusters or in none, one reached before its
-    own cluster, and a rule left over a variable that `x` does not observe.
-    """
-    decisions = set(d.decision_ids)
-    sizes = d.sizes
+def plan(m: MCDag, d: InfluenceDiagram) -> Schedule:
+    """The schedule of `m`.  Refused first, as too large: a cluster of two or
+    more parts whose scope `V`, the union it folds, spans over CELL_GUARD
+    cells.  Decision `x`'s table spans its cluster's `V`; while that holds a
+    decision that `x` does not observe, the smallest, `y`, goes in: the
+    scope becomes its union with `y`'s retained scope (`y`'s own after its
+    substitutions), less `y`, and is refused past CELL_GUARD.  The internal
+    errors follow, and last those of `_scope_walk`."""
+    decisions, sizes = set(d.decision_ids), d.sizes
     cluster_of: dict[int, Cluster] = {}
     mentioned: set[int] = set()
     for c in m.clusters:
@@ -195,7 +127,7 @@ def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
         raise InternalError(f"decision {x} appears but is never max-eliminated")
 
     retained: dict[int, set[int]] = {}
-    plan = []
+    steps = []
     for x, c in sorted(cluster_of.items(), key=lambda kv: -kv[1].id):
         pa = d.parents[x]
         scope = set(c.V)
@@ -217,15 +149,89 @@ def plan_policies(m: MCDag, d: InfluenceDiagram) -> list[PolicyStep]:
             raise InternalError(
                 f"rule for decision {x} would depend on unobserved {stray}")
         retained[x] = scope - {x}
-        plan.append((x, c.id, tuple(later)))
-    return plan
+        steps.append((x, c.id, tuple(later)))
+    return _scope_walk(m, steps)
 
+
+def _scope_walk(m: MCDag, steps: Sequence[PolicyStep]) -> Schedule:
+    """The schedule of `steps` over `m`, read from `m` alone, once it has
+    refused what the message pass could not run.  A son's message spans the
+    son's `V` less its `elim`, as each cluster's parts span its `V`."""
+    pairs = {c.ops for c in m.clusters}
+    if not any(pairs.issubset(ops.pairs.values()) for ops in MODES.values()):
+        raise InternalError(f"operator pairs {sorted(map(str, pairs))} mix modes")
+    seen: dict[int, Cluster] = {}
+    last_reader: dict[int, int] = {}
+    for c in m.clusters:  # ascending ids are topological
+        cid, _, psi, sons, elim, _ = c
+        if cid in seen:
+            raise InternalError("cluster evaluated twice")
+        for s in sons:
+            if s not in seen:
+                raise InternalError(f"cluster {cid} reads son {s} before it is evaluated")
+            last_reader[s] = cid
+        missing = []
+        for v in elim:  # loops: with `any` and generators the walk took 2.7x as long
+            for t in psi:
+                if v in t.scope:
+                    break
+            else:
+                for s in sons:
+                    if v in seen[s].V and v not in seen[s].elim:
+                        break
+                else:
+                    missing.append(v)
+        if missing:
+            raise InternalError(f"cluster {cid} eliminates {missing}, "
+                                "which none of its parts holds")
+        seen[cid] = c
+    if scope := tuple(sorted(seen[m.root].V.difference(seen[m.root].elim))):
+        raise InternalError(f"root message kept scope {scope}")
+    return Schedule(tuple(steps), frozenset(cid for _, cid, later in steps if not later),
+                    last_reader)
+
+
+def evaluate(m: MCDag, counter: OpCounter | None = None,
+             plan: Schedule | None = None,
+             with_sets: bool = False) -> tuple[float, dict[int, Kept]]:
+    """The message pass that `plan` laid out for `m`: the MEU and, by cluster
+    id, `(scope, ChoiceTable)` for each chosen cluster (with tie sets when
+    `with_sets`) and the combined part of every other max-eliminating one.
+    With no schedule the same scope walk checks `m`, with no steps to choose."""
+    schedule = _scope_walk(m, ()) if plan is None else plan
+    counter = counter or OpCounter()
+    chosen, last_reader = schedule.chosen, schedule.last_reader
+    messages: dict[int, Part] = {}
+    kept: dict[int, Kept] = {}
+    # Records are unpacked once: a NamedTuple field read costs a descriptor call.
+    for cid, _, psi, sons, elim, (marg, comb) in m.clusters:
+        parts = [(t.scope, t.array) for t in psi] + [messages[s] for s in sons]
+        for s in sons:
+            if last_reader[s] == cid:
+                messages.pop(s, None)  # a merged cluster may list a son twice
+        out = fold(parts, comb, counter)
+        if elim:
+            if cid in chosen:
+                scope = out[0]
+                out, choice = argmax_marginalize(out, elim[0], counter, sets=with_sets)
+                kept[cid] = scope, choice
+            else:
+                if marg is Op.MAX:
+                    kept[cid] = out
+                out = eliminate(out, elim, marg, counter)
+        messages[cid] = out
+        del parts, out  # free this cluster's arrays before the next fold
+    return float(messages[m.root][1]), kept
+
+
+# --------------------------------------------------------------------------
+# Policies
 
 def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
                 rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
     """Replace `var` in the part by the value index the rule (an integer
     array over `rule_scope`) picks in each context.  The result spans the
-    union of the scopes less `var`, a size `plan_policies` has bounded."""
+    union of the scopes less `var`, a size `plan` has bounded."""
     if var not in scope or var in rule_scope:
         raise InternalError("substitution needs the variable free in the table only")
     union = tuple(sorted(set(scope) | set(rule_scope)))
@@ -266,18 +272,15 @@ def policies_from_choices(d: InfluenceDiagram, choices: Mapping[int, ChoiceTable
     return out
 
 
-def extract_policies(d: InfluenceDiagram, plan: Sequence[PolicyStep],
+def extract_policies(d: InfluenceDiagram, schedule: Schedule,
                      kept: dict[int, Kept], with_sets: bool = False,
                      counter: OpCounter | None = None) -> list[Policy]:
-    """The root-to-leaves pass over what `evaluate` kept with the same plan.
-
-    A choice taken at elimination is used as it is; every other kept table
-    gets the rules of its step's later decisions substituted, then its
-    argmax.  Consumes `kept`: each entry is popped when its decision is
-    processed, so the dict is empty before the rules are built.
-    """
+    """The root-to-leaves pass: the schedule's steps over what `evaluate`
+    kept with it.  A chosen cluster's choice is used as it is; every other
+    kept table gets its step's later rules substituted, then its argmax.
+    Consumes `kept`: the dict is empty before the rules are built."""
     choices: dict[int, ChoiceTable] = {}
-    for x, cid, later in plan:
+    for x, cid, later in schedule.steps:
         scope, arr = kept.pop(cid)
         if later:
             for y in later:
@@ -329,23 +332,20 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     """Solve `d`: its MEU and policies, with the sizes of what compiled it.
 
     The node store and the rewrite trace live through the compile layers
-    only (`initial_node`, `macrostructure`, `assemble`, `merge_clusters`).
-    The report's node count and trace length are read from them as soon as
-    the cluster DAG is merged, and both are released there, before
-    `plan_policies`: the plan, which refuses up front a fold or a
-    substitution past CELL_GUARD, the message pass and the policy pass read
-    the cluster DAG and the diagram alone.
+    only.  The report's node count and trace length are read once the
+    cluster DAG is merged, and both are released before `plan`: the plan
+    and the two passes read the cluster DAG and the diagram alone.
     """
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
     m = merge_clusters(assemble(store, root, heuristic=heuristic))
     nodes, trace_len = len(reachable(store, root)), len(trace)
     del store, trace
-    plan = plan_policies(m, d)
-    meu, kept = evaluate(m, counter, plan, with_sets)
+    schedule = plan(m, d)
+    meu, kept = evaluate(m, counter, schedule, with_sets)
     return RunReport(
         meu=meu,
-        policies=extract_policies(d, plan, kept, with_sets, counter),
+        policies=extract_policies(d, schedule, kept, with_sets, counter),
         w_mcdag=m.w_mcdag,
         node_count=nodes,
         cluster_count=len(m.clusters),

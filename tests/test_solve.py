@@ -30,7 +30,7 @@ from infdiag.solve import (
     evaluate,
     evaluate_policy,
     extract_policies,
-    plan_policies,
+    plan,
     policies_from_choices,
     solve_diagram,
 )
@@ -54,9 +54,9 @@ def mcdag_of(d, heuristic="min-fill", merge=True):
 def run(m, d, with_sets=False):
     """The message pass and the policy pass over `m`, as `solve_diagram`
     runs them: the MEU and the policies."""
-    plan = plan_policies(m, d)
-    meu, kept = evaluate(m, None, plan, with_sets)
-    return meu, extract_policies(d, plan, kept, with_sets)
+    schedule = plan(m, d)
+    meu, kept = evaluate(m, None, schedule, with_sets)
+    return meu, extract_policies(d, schedule, kept, with_sets)
 
 
 def policies_of(m, d, with_sets=False):
@@ -176,7 +176,7 @@ def test_every_cluster_evaluated_once():
     assert len(tables) == len(d.decision_ids)
     # with the plan, d1 and d3 are chosen at elimination; d2's table is
     # kept, as it holds d3, which d2 does not observe
-    _, kept = evaluate(m, plan=plan_policies(m, d))
+    _, kept = evaluate(m, plan=plan(m, d))
     assert set(kept) == set(tables)
     chosen = {m.clusters[cid].elim[0] for cid, (_, k) in kept.items()
               if isinstance(k, ChoiceTable)}
@@ -217,7 +217,7 @@ def test_evaluate_matches_the_table_fold(d):
     m = mcdag_of(d)
     want_ops = OpCounter()
     want_meu, want_tables = oracle_evaluate(m, want_ops)
-    for plan in ((), plan_policies(m, d)):
+    for plan in (None, solve.plan(m, d)):
         for with_sets in (False, True):
             got_ops = OpCounter()
             meu, kept = evaluate(m, got_ops, plan, with_sets)
@@ -260,7 +260,7 @@ def slice_min_passes(d, slice_min, monkeypatch):
     monkeypatch.setattr(factors, "_SLICE_MIN", slice_min)
     m = mcdag_of(d)
     run = []
-    for plan in ((), plan_policies(m, d)):
+    for plan in (None, solve.plan(m, d)):
         for with_sets in (False, True):
             ops = OpCounter()
             meu, kept = evaluate(m, ops, plan, with_sets)
@@ -469,7 +469,7 @@ def test_policy_evaluation_refuses_a_choice_outside_the_domain(out_of_domain):
 
 @pytest.mark.parametrize("limit", [2 ** 6, 2 ** 8, 2 ** 10])
 def test_cluster_engine_refuses_up_front_exactly_what_fold_refuses(monkeypatch, limit):
-    # Lower the guard of `plan_policies` and of `fold` in turn: the pre-flight
+    # Lower the guard of `plan` and of `fold` in turn: the pre-flight
     # must refuse a diagram iff the arithmetic would, so it never refuses work
     # that would fit, and it refuses before `evaluate` runs.
     def refuses(d, up_front, in_fold):
@@ -539,7 +539,7 @@ def test_plan_refuses_a_malformed_cluster_dag():
     m = mcdag_of(d)
     r1, r2, d1, d2, d3 = (d.names.index(n) for n in ("r1", "r2", "d1", "d2", "d3"))
     by_elim = {c.elim: c for c in m.clusters if c.elim}
-    assert [x for x, _, _ in plan_policies(m, d)] == [d1, d3, d2]
+    assert [x for x, _, _ in plan(m, d).steps] == [d1, d3, d2]
 
     def planted(old, **changes):
         new = old._replace(**changes)
@@ -553,9 +553,54 @@ def test_plan_refuses_a_malformed_cluster_dag():
             (planted(by_elim[(d2,)], elim=()), "never max-eliminated"),
             (planted(by_elim[(r2,)], ops=(Op.MAX, Op.PLUS)), "not a decision"),
             (planted(by_elim[(d3,)], id=by_elim[(d2,)].id - 1), "reached before"),
-            (planted(by_elim[(d1,)], V=by_elim[(d1,)].V | {r1}), r"unobserved \[0\]")]:
+            (planted(by_elim[(d1,)], V=by_elim[(d1,)].V | {r1}), r"unobserved \[0\]"),
+            (planted(by_elim[(d2,)], sons=by_elim[(d2,)].sons + (by_elim[(d3,)].id,)),
+             "before it is evaluated")]:
         with pytest.raises(InternalError, match=match):
-            plan_policies(bad, d)
+            plan(bad, d)
+
+
+def test_a_malformed_cluster_dag_is_refused_before_any_fold(monkeypatch):
+    # Each fault that the message pass could not run, planted into fig3's
+    # cluster DAG, passes the decision steps and is refused by the plan's
+    # scope walk; `evaluate` without a schedule runs the same walk first.
+    d = fixture("fig3")
+    m = mcdag_of(d)
+    r1, r2, d2, d3 = (d.names.index(n) for n in ("r1", "r2", "d2", "d3"))
+    by_elim = {c.elim: c for c in m.clusters if c.elim}
+    leaf = next(c for c in m.clusters if c.ops[0] is Op.SUM and not c.sons)
+    holder = next(c for c in m.clusters if c.ops[0] is Op.SUM and not c.elim)
+    fold, folds = factors.fold, []
+
+    def counted(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(factors, "fold", counted)
+    monkeypatch.setattr(solve, "fold", counted)  # solve imports it by name
+
+    def planted(old, **changes):
+        new = old._replace(**changes)
+        return dataclasses.replace(m, clusters=tuple(new if c is old else c
+                                                     for c in m.clusters))
+
+    pos = m.clusters.index(leaf)
+    for bad, match in [
+            (planted(leaf, ops=(Op.MIN, Op.MAX)), "mix modes"),
+            (dataclasses.replace(m, clusters=m.clusters[:pos + 1] + m.clusters[pos:]),
+             "evaluated twice"),
+            (planted(holder, elim=(r1,)), rf"eliminates \[{r1}\], which none of its parts holds"),
+            (dataclasses.replace(m, root=by_elim[(r2,)].id), r"root message kept scope \("),
+            (planted(by_elim[(d2,)], sons=by_elim[(d2,)].sons + (by_elim[(d3,)].id,)),
+             "before it is evaluated")]:
+        with pytest.raises(InternalError, match=match) as planned:
+            plan(bad, d)
+        with pytest.raises(InternalError) as evaluated:
+            evaluate(bad)
+        assert str(evaluated.value) == str(planned.value)
+    assert folds == []
+    evaluate(m)
+    assert folds
 
 
 def test_cell_guard_refuses_before_allocating():
@@ -678,9 +723,9 @@ def test_fig3_solve_op_total():
 def test_extract_policies_consumes_the_messages():
     d = fixture("fig3")
     m = mcdag_of(d)
-    plan = plan_policies(m, d)
-    _, tables = evaluate(m, plan=plan)
-    extract_policies(d, plan, tables)
+    schedule = plan(m, d)
+    _, tables = evaluate(m, plan=schedule)
+    extract_policies(d, schedule, tables)
     assert tables == {}
 
 
