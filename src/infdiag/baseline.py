@@ -34,6 +34,7 @@ from .factors import (
     align,
     argmax_marginalize,
     eliminate,
+    small_buffers,
 )
 from .solve import Policy, policies_from_choices
 
@@ -165,6 +166,7 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
 
     A diagram whose elimination would combine more than CELL_GUARD cells in
     one table is refused from the plan's scopes, before any table is built.
+    The eliminations run under `small_buffers`.
     """
     if d.mode != "prob":
         raise DiagramError("the potential engine handles prob mode only")
@@ -186,24 +188,25 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
                                     for _, t in sorted(d.cpts.items())]
     pool += [Potential(((), np.ones(())), (t.scope, t.array)) for t in d.utilities]
     choices: dict[int, ChoiceTable] = {}
-    for s in steps:
-        acc = pool[s.slots[0]]
-        for i in s.slots[1:]:
-            acc = pot_combine(acc, pool[i], counter)
-        for i in s.slots:
-            pool[i] = None
-        if s.x is None:
-            break
-        if s.chance:
-            acc = pot_marg_chance(acc, [s.x], counter)
-        else:
-            acc, choice = pot_marg_decision(acc, s.x, counter, with_sets)
-            if not set(choice.scope) <= set(d.parents[s.x]):
-                raise InternalError(
-                    f"rule for {d.names[s.x]} would depend on "
-                    f"{sorted(set(choice.scope) - set(d.parents[s.x]))}")
-            choices[s.x] = choice
-        pool.append(acc)
+    with small_buffers():
+        for s in steps:
+            acc = pool[s.slots[0]]
+            for i in s.slots[1:]:
+                acc = pot_combine(acc, pool[i], counter)
+            for i in s.slots:
+                pool[i] = None
+            if s.x is None:
+                break
+            if s.chance:
+                acc = pot_marg_chance(acc, [s.x], counter)
+            else:
+                acc, choice = pot_marg_decision(acc, s.x, counter, with_sets)
+                if not set(choice.scope) <= set(d.parents[s.x]):
+                    raise InternalError(
+                        f"rule for {d.names[s.x]} would depend on "
+                        f"{sorted(set(choice.scope) - set(d.parents[s.x]))}")
+                choices[s.x] = choice
+            pool.append(acc)
     if acc.p[0] or acc.u[0]:
         raise InternalError("elimination left free variables behind")
     mass = float(acc.p[1])

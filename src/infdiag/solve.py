@@ -44,6 +44,7 @@ from .factors import (  # noqa: F401
     eliminate,
     fold,
     marginalize,
+    small_buffers,
 )
 from .nodes import initial_node, reachable, store_for
 from .rewrite import macrostructure
@@ -185,7 +186,10 @@ def _scope_walk(m: MCDag, steps: Sequence[PolicyStep]) -> Schedule:
             raise InternalError(f"cluster {cid} eliminates {missing}, "
                                 "which none of its parts holds")
         seen[cid] = c
-    if scope := tuple(sorted(seen[m.root].V.difference(seen[m.root].elim))):
+    root = seen.get(m.root)
+    if root is None:
+        raise InternalError(f"root {m.root} names no cluster")
+    if scope := tuple(sorted(root.V.difference(root.elim))):
         raise InternalError(f"root message kept scope {scope}")
     return Schedule(tuple(steps), frozenset(cid for _, cid, later in steps if not later),
                     last_reader)
@@ -334,7 +338,8 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     The node store and the rewrite trace live through the compile layers
     only.  The report's node count and trace length are read once the
     cluster DAG is merged, and both are released before `plan`: the plan
-    and the two passes read the cluster DAG and the diagram alone.
+    and the two passes read the cluster DAG and the diagram alone.  The
+    passes run under `small_buffers`.
     """
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))
@@ -342,10 +347,12 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     nodes, trace_len = len(reachable(store, root)), len(trace)
     del store, trace
     schedule = plan(m, d)
-    meu, kept = evaluate(m, counter, schedule, with_sets)
+    with small_buffers():
+        meu, kept = evaluate(m, counter, schedule, with_sets)
+        policies = extract_policies(d, schedule, kept, with_sets, counter)
     return RunReport(
         meu=meu,
-        policies=extract_policies(d, schedule, kept, with_sets, counter),
+        policies=policies,
         w_mcdag=m.w_mcdag,
         node_count=nodes,
         cluster_count=len(m.clusters),

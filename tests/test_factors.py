@@ -408,6 +408,25 @@ def test_slice_path_allocates_rows_not_a_table(reduce):
     assert peak <= limit < arr.nbytes
 
 
+def test_a_broadcast_fold_under_small_buffers_peaks_near_its_result():
+    # Two parts of 4^4 cells that share one variable fold into a 4^7-cell
+    # (128 KB) union.  numpy gives each broadcast part an iterator buffer of
+    # one element per cell up to its buffer size: 64 KB at its default of
+    # 8192 elements, 8 KB under `small_buffers`.
+    rng = np.random.default_rng(59)
+    parts = [((0, 1, 2, 3), rng.random((4,) * 4)), ((3, 4, 5, 6), rng.random((4,) * 4))]
+    with factors.small_buffers():
+        fold(parts, Op.TIMES, OpCounter())  # warm-up: first-call caches are not the fold's
+        tracemalloc.start()
+        try:
+            _, arr = fold(parts, Op.TIMES, OpCounter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert arr.nbytes == 8 * 4 ** 7
+    assert peak < arr.nbytes + 32 * 1024
+
+
 def test_counter_counts_combine_and_marginalize():
     a = ScopedTable((0,), (2,), np.array([1.0, 2.0]))
     b = ScopedTable((1,), (3,), np.array([1.0, 2.0, 3.0]))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from infdiag import factors, solve
+from infdiag.baseline import potential_ve
 from infdiag.clusters import Cluster, MCDag, assemble, merge_clusters
 from infdiag.diagram import MODES, fixture, parse, random_id
 from infdiag.factors import (
@@ -603,6 +604,21 @@ def test_a_malformed_cluster_dag_is_refused_before_any_fold(monkeypatch):
     assert folds
 
 
+def test_a_root_that_names_no_cluster_is_refused_before_any_fold(monkeypatch):
+    # fig3's cluster DAG with a root id that no cluster has: the plan's scope
+    # walk refuses it with the message `evaluate`'s own walk gives.
+    d = fixture("fig3")
+    bad = dataclasses.replace(mcdag_of(d), root=99)
+    folds = []
+    monkeypatch.setattr(solve, "fold", lambda *args: folds.append(args))
+    with pytest.raises(InternalError, match="root 99 names no cluster") as planned:
+        plan(bad, d)
+    with pytest.raises(InternalError) as evaluated:
+        evaluate(bad)
+    assert str(evaluated.value) == str(planned.value)
+    assert folds == []
+
+
 def test_cell_guard_refuses_before_allocating():
     d = random_id(60, 6, 6, 6, seed=0)  # largest cluster: 4.5e11 cells
     tracemalloc.start()
@@ -729,17 +745,22 @@ def test_extract_policies_consumes_the_messages():
     assert tables == {}
 
 
+def pinned_sweep():
+    """The fixtures and the seeded sweep in both modes whose outputs are pinned."""
+    ds = [fixture("fig2"), fixture("fig3")]
+    ds += [fixture(f, n) for f in ("chain", "star") for n in range(1, 9)]
+    ds += [random_id(4 + seed % 9, seed % 3, 3, 3, mode=mode, seed=seed)
+           for mode in ("prob", "poss") for seed in range(80)]
+    return ds
+
+
 def test_cluster_engine_outputs_are_pinned():
     # MEU bytes, w_mcdag, cluster count, op counts by kind except `max`, and
     # each policy's scope, value bytes and tie sets, with and without tie sets,
     # on the fixtures and a seeded sweep in both modes.  `max` is left out:
     # how often the policy pass charges it is bookkeeping, not output.
-    ds = [fixture("fig2"), fixture("fig3")]
-    ds += [fixture(f, n) for f in ("chain", "star") for n in range(1, 9)]
-    ds += [random_id(4 + seed % 9, seed % 3, 3, 3, mode=mode, seed=seed)
-           for mode in ("prob", "poss") for seed in range(80)]
     h = hashlib.sha256()
-    for d in ds:
+    for d in pinned_sweep():
         for with_sets in (False, True):
             counter = OpCounter()
             run = solve_diagram(d, with_sets=with_sets, counter=counter)
@@ -753,3 +774,112 @@ def test_cluster_engine_outputs_are_pinned():
                                p.rule.values.astype(np.float64).tobytes(), sets)).encode())
     assert h.hexdigest() == \
         "51ba514f5c6285bd28ed20d3a3939bbcb2bffa876d5c30768d747cdf6db26a42"
+
+
+# -- numpy's ufunc buffer -----------------------------------------------------
+
+def wide_fold_diagram():
+    """A prob diagram whose largest fold joins P(e | a b c) and u(d e f g),
+    two broadcast parts of 4^4 cells, into a union of 4^7."""
+    rng = np.random.default_rng(61)
+    rows = [(0.5, 0.25, 0.125, 0.125), (0.125, 0.5, 0.25, 0.125),
+            (0.125, 0.125, 0.5, 0.25), (0.25, 0.125, 0.125, 0.5)]
+    lines = ["IDNET 1", "MODE prob"]
+    lines += [f"VAR {v} 4 CHANCE" for v in "abcefg"] + ["VAR d 4 DECISION"]
+    lines += [f"PROB {v} | : 0.25 0.25 0.25 0.25" for v in "abc"]
+    for v in "efg":
+        cpt = [p for i in rng.integers(0, 4, 64) for p in rows[i]]
+        lines.append(f"PROB {v} | a b c : " + " ".join(map(str, cpt)))
+    lines.append("UTIL u d e f g : " + " ".join(map(repr, rng.random(4 ** 4).tolist())))
+    lines.append("ORDER a b c / d / e f g")
+    return parse("\n".join(lines) + "\n")
+
+
+def test_the_passes_peak_lower_under_small_buffers(monkeypatch):
+    # numpy's default buffer (8192 elements) is the size the passes ran at
+    # before `small_buffers`: there each broadcast part of the 4^7-cell fold
+    # gets its own 64 KB iterator buffer, under the cap 8 KB.
+    d = wide_fold_diagram()
+    assert max(math.prod(d.sizes[v] for v in c.V) for c in mcdag_of(d).clusters) == 4 ** 7
+
+    def peak():
+        solve_diagram(d)  # warm-up: first-call caches are not the solve's
+        tracemalloc.start()
+        try:
+            solve_diagram(d)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    capped = peak()
+    monkeypatch.setattr(factors, "_BUFSIZE", 8192)
+    assert capped < peak() - 2 ** 16
+
+
+@pytest.mark.parametrize("engine", ["cluster", "potential"])
+@pytest.mark.parametrize("caller", [None, 4096])
+def test_the_passes_give_the_caller_its_buffer_size_back(engine, caller, monkeypatch):
+    # Every fold runs at `_BUFSIZE`, and the caller's size, numpy's default
+    # or one it set, is back after a solve returns and after a fold raises
+    # mid-pass.
+    solve_it = solve_diagram if engine == "cluster" else potential_ve
+    d = wide_fold_diagram()
+    fold, seen = factors.fold, []
+
+    def recorded(*args):
+        seen.append(np.getbufsize())
+        if len(seen) == stop_at:  # the loop below sets it
+            raise RuntimeError("stopped mid-pass")
+        return fold(*args)
+
+    monkeypatch.setattr(solve, "fold", recorded)  # the cluster engine's
+    monkeypatch.setattr(factors, "fold", recorded)  # the potential engine's
+    default = np.getbufsize()
+    try:
+        if caller:
+            np.setbufsize(caller)
+        want = np.getbufsize()
+        for stop_at in (0, 2):  # never, then at the second fold
+            seen.clear()
+            if stop_at:
+                with pytest.raises(RuntimeError, match="mid-pass"):
+                    solve_it(d)
+            else:
+                solve_it(d)
+            assert np.getbufsize() == want
+            assert seen and set(seen) == {factors._BUFSIZE}
+    finally:
+        np.setbufsize(default)
+
+
+def buffered_solves(ds, bufsize, monkeypatch):
+    """MEU bytes, policies with tie sets and op counts of solving each of
+    `ds` with and without tie sets, its passes at `bufsize` elements."""
+    monkeypatch.setattr(factors, "_BUFSIZE", bufsize)
+    seen = set()
+    monkeypatch.setattr(solve, "fold",
+                        lambda *args: seen.add(np.getbufsize()) or factors.fold(*args))
+    out = []
+    for d in ds:
+        for with_sets in (False, True):
+            counter = OpCounter()
+            run = solve_diagram(d, with_sets=with_sets, counter=counter)
+            out.append((np.float64(run.meu).tobytes(), counter.by_kind, [
+                (p.var, p.rule.scope, p.rule.values.tobytes(),
+                 None if p.rule.attaining is None else p.rule.attaining.tobytes())
+                for p in run.policies]))
+    assert seen == {bufsize}
+    return out
+
+
+@FOLD_DIAGRAMS
+def test_buffer_size_changes_no_bit(d, monkeypatch):
+    # At 16 elements every ufunc call over more cells that buffers an
+    # operand does so in many pieces; at numpy's default of 8192 these
+    # small diagrams buffer in one.  Both must give the same bytes and counts.
+    assert buffered_solves([d], 16, monkeypatch) == buffered_solves([d], 8192, monkeypatch)
+
+
+def test_buffer_size_changes_no_bit_on_the_pinned_sweep(monkeypatch):
+    ds = pinned_sweep()
+    assert buffered_solves(ds, 16, monkeypatch) == buffered_solves(ds, 8192, monkeypatch)

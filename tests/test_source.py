@@ -88,6 +88,26 @@ def test_every_private_name_is_read():
     assert unread_private_names(texts) == []
 
 
+def setbufsize_holders(text: str) -> list[str]:
+    """The module-level statements of `text` that name `setbufsize`, bare or
+    as an attribute: a function or class by its name, any other by its line."""
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(text).body
+            if any(getattr(n, "attr", getattr(n, "id", None)) == "setbufsize"
+                   for n in ast.walk(node))]
+
+
+def test_the_check_sees_a_setbufsize_call():
+    text = "import numpy as np\n\nnp.setbufsize(64)\n\n\ndef f():\n    return setbufsize\n"
+    assert setbufsize_holders(text) == ["line 3", "f"]
+
+
+def test_only_small_buffers_sets_the_ufunc_buffer():
+    # numpy's ufunc buffer size is process state: the passes set it through
+    # `factors.small_buffers` alone, which gives the caller's size back.
+    holders = {path.name: setbufsize_holders(path.read_text()) for path in SOURCES}
+    assert {name: h for name, h in holders.items() if h} == {"factors.py": ["small_buffers"]}
+
+
 def unread_parameters(text: str) -> list[str]:
     """The parameters that the function or lambda declaring them never
     reads, as "function.parameter (line n)", in source order.  `self`,
