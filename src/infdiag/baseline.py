@@ -39,6 +39,10 @@ from .factors import (
 from .solve import Policy, policies_from_choices
 
 BRUTE_GUARD = 2 ** 16
+# `brute_force` nests one call per temporal block; this many stay well inside
+# Python's default recursion limit of 1000 frames, callers' frames included.
+# A diagram past it within BRUTE_GUARD has size-1 variables in most blocks.
+BRUTE_BLOCKS = 256
 CONSTANT_TOL = 1e-9
 
 
@@ -234,6 +238,7 @@ def constrained_width(d: InfluenceDiagram, heuristic: str = "min-fill") -> int:
 def brute_force(d: InfluenceDiagram
                 ) -> tuple[float, dict[int, dict[tuple[int, ...], frozenset[int]]]]:
     """Direct recursion over the temporal blocks; the ground-truth engine.
+    Refused up front past BRUTE_GUARD assignments or BRUTE_BLOCKS blocks.
 
     Annotations map each decision to {observation assignment: attaining set},
     with observations listed in ascending variable id order.
@@ -245,6 +250,10 @@ def brute_force(d: InfluenceDiagram
         raise ResourceGuardError(
             f"brute force would enumerate {total} assignments (limit {BRUTE_GUARD})")
     blocks = sov0(d)
+    if len(blocks) > BRUTE_BLOCKS:
+        raise ResourceGuardError(
+            f"brute force would recurse through {len(blocks)} temporal blocks "
+            f"(limit {BRUTE_BLOCKS})")
     notes: dict[int, dict[tuple[int, ...], frozenset[int]]] = {
         x: {} for x in d.decision_ids}
 

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 import orjson
 
-from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable, identity
+from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable, identity, no_cyclic_gc
 
 NORMALIZATION_TOL = 1e-9
 
@@ -382,13 +382,15 @@ class _Loc:
         self.order: int | None = None
 
 
+@no_cyclic_gc()
 def parse(text: str | bytes) -> InfluenceDiagram:
     """Parse IDNET text into a validated diagram.
 
     Errors carry the 1-based line number of the offending construct; lines
     are checked in order, so the first faulty line is the one reported.
     One leading U+FEFF, the UTF-8 byte-order mark, is skipped; anywhere
-    else it is an ordinary character.
+    else it is an ordinary character.  Runs with the cyclic collector
+    paused (`factors.no_cyclic_gc`).
     """
     if isinstance(text, bytes):
         try:

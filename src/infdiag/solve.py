@@ -14,6 +14,12 @@ root on bare arrays: each cluster folds its tables and its sons' messages
 under its combination operator and eliminates its own variable.
 `extract_policies` runs the steps root to leaves.  A decision's rule is the
 `ChoiceTable` of its argmax, integer value indices from there to the output.
+A constant rule, one over no observation, is substituted by the slice of
+the table at its value, a view; any other by a gather into a new array.
+
+`solve_diagram` runs with Python's cyclic garbage collector paused
+(`factors.no_cyclic_gc`, which says why that is safe) and its passes under
+`small_buffers` as well.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .factors import (  # noqa: F401
     eliminate,
     fold,
     marginalize,
+    no_cyclic_gc,
     small_buffers,
 )
 from .nodes import initial_node, reachable, store_for
@@ -235,9 +242,18 @@ def _substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
                 rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
     """Replace `var` in the part by the value index the rule (an integer
     array over `rule_scope`) picks in each context.  The result spans the
-    union of the scopes less `var`, a size `plan` has bounded."""
+    union of the scopes less `var`, in ascending order, a size `plan` has
+    bounded.  A constant rule (an empty `rule_scope`) takes the slice of
+    `arr` at its value, a view; any other gathers a new array with one fancy
+    index (`tests/oracles.py` keeps that gather for every rule)."""
     if var not in scope or var in rule_scope:
         raise InternalError("substitution needs the variable free in the table only")
+    if not rule_scope:
+        axis = scope.index(var)
+        rest = scope[:axis] + scope[axis + 1:]
+        out = tuple(sorted(rest))
+        # The trailing `...` keeps a 0-d slice an array, as in `factors._slices`.
+        return out, align(arr[(slice(None),) * axis + (int(rule), ...)], rest, out)
     union = tuple(sorted(set(scope) | set(rule_scope)))
     axis = union.index(var)
     out = union[:axis] + union[axis + 1:]
@@ -330,6 +346,7 @@ def evaluate_policy(d: InfluenceDiagram, policies: Sequence[Policy]) -> float:
 # --------------------------------------------------------------------------
 # End to end
 
+@no_cyclic_gc()
 def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
                   with_sets: bool = False,
                   counter: OpCounter | None = None) -> RunReport:
@@ -339,7 +356,8 @@ def solve_diagram(d: InfluenceDiagram, heuristic: str = "min-fill",
     only.  The report's node count and trace length are read once the
     cluster DAG is merged, and both are released before `plan`: the plan
     and the two passes read the cluster DAG and the diagram alone.  The
-    passes run under `small_buffers`.
+    whole solve runs with the cyclic collector paused (`no_cyclic_gc`), and
+    the passes under `small_buffers` as well.
     """
     store = store_for(d)
     root, trace = macrostructure(store, initial_node(store, d))

@@ -14,6 +14,12 @@ bare arrays and must match it bit for bit, op counts included.
 `factors.argmax_marginalize` must see them: the max, the lowest attaining
 value and every attaining value, per assignment of the other variables.
 
+`oracle_substitute` is the gather `solve._substitute` runs for every rule:
+one fancy index over the union scope, an arange on each axis but the
+substituted variable's, which takes the rule.  `_substitute` takes the
+slice at the value of a constant rule instead, and must give the same
+scope, shape and bytes.
+
 `oracle_order` is the hyperedge-scan min-fill/min-degree loop that
 `clusters.find_order` replaced with neighbour-set bookkeeping; the two must
 return the same order tuples.  `width_of_order` replays a fixed order on
@@ -64,8 +70,8 @@ from infdiag.clusters import MCDag, find_order
 from infdiag.diagram import (NORMALIZATION_TOL, InfluenceDiagram, NormalizationError,
                              ValidationError)
 from infdiag.factors import (_UFUNC, COMBINE_OPS, MARGINAL_OPS, FactorError, InternalError,
-                             Op, OpCounter, ScopedTable, UnknownVariableError, combine_all,
-                             identity, marginalize)
+                             Op, OpCounter, Part, ScopedTable, UnknownVariableError, align,
+                             combine_all, identity, marginalize)
 from infdiag.nodes import CompNode, NodeStore
 from infdiag.rewrite import RewriteTrace
 
@@ -148,6 +154,24 @@ def oracle_argmax(scope: tuple[int, ...], arr: np.ndarray, var: int
         lowest.append(hits[0])
         attaining.append(hits)
     return keep, best, lowest, attaining
+
+
+def oracle_substitute(scope: tuple[int, ...], arr: np.ndarray, var: int,
+                      rule_scope: tuple[int, ...], rule: np.ndarray) -> Part:
+    """`var` in the part replaced by the value index the rule picks in each
+    context, over the ascending union of the scopes less `var`: a new array."""
+    if var not in scope or var in rule_scope:
+        raise InternalError("substitution needs the variable free in the table only")
+    union = tuple(sorted(set(scope) | set(rule_scope)))
+    axis = union.index(var)
+    out = union[:axis] + union[axis + 1:]
+    full = align(arr, scope, union)
+    # Size-1 axes on either side broadcast against the other's full axes.
+    last = len(out) - 1
+    index = [np.arange(n).reshape((n,) + (1,) * (last - k))
+             for k, n in enumerate(full.shape[:axis] + full.shape[axis + 1:])]
+    index.insert(axis, align(rule, rule_scope, out))
+    return out, np.asarray(full[tuple(index)])
 
 
 def _fill_count(edges: set[frozenset[int]], created: frozenset[int]) -> int:

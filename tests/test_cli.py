@@ -344,6 +344,38 @@ def test_brute_guard_exits_2(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def deep_order(n):
+    """n decisions of one value each, observed in turn, then one chance
+    variable: 2 assignments over n + 1 temporal blocks."""
+    segments = [""]
+    for i in range(n):
+        segments += [f"d{i}", ""]
+    segments[-1] = "c"
+    lines = ["IDNET 1", "MODE prob"] + [f"VAR d{i} 1 DECISION" for i in range(n)]
+    lines += ["VAR c 2 CHANCE", "PROB c | : 0.5 0.5", "UTIL u c : 1.0 2.0",
+              "ORDER " + " / ".join(segments)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, code", [(["solve", "--engine", "brute"], 2), (["check"], 2),
+                                        (["solve", "--engine", "mcdag"], 0),
+                                        (["solve", "--engine", "potential"], 0)],
+                         ids=["brute", "check", "mcdag", "potential"])
+def test_brute_force_refuses_more_blocks_than_it_can_nest(argv, code, tmp_path, capsys):
+    # Brute force recurses once per block: it refuses 1,001 of them up front,
+    # where it once died of a RecursionError.  The other engines solve them.
+    path = tmp_path / "deep.idnet"
+    path.write_text(deep_order(1000))
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "resource guard: brute force would recurse through 1001 temporal blocks " \
+            "(limit 256)" in err
+    else:
+        assert out.startswith("MEU 1.5\n") and err == ""
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("engine", ["mcdag", "potential"])
 def test_cell_guard_exits_2(engine, tmp_path, capsys):
     # the largest cluster would hold 4.5e11 cells

@@ -7,6 +7,7 @@ value mismatch rather than silently producing a consistent-but-wrong order.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import pickle
@@ -425,6 +426,31 @@ def test_a_broadcast_fold_under_small_buffers_peaks_near_its_result():
             tracemalloc.stop()
     assert arr.nbytes == 8 * 4 ** 7
     assert peak < arr.nbytes + 32 * 1024
+
+
+def test_no_cyclic_gc_gives_the_caller_its_collector_back():
+    # An enabled collector is on again after the body returns or raises; a
+    # disabled one stays off.  Nested pauses leave it to the outermost.
+    def body(fail):
+        with factors.no_cyclic_gc():
+            with factors.no_cyclic_gc():
+                assert not gc.isenabled()
+                if fail:
+                    raise RuntimeError("mid-body")
+            assert not gc.isenabled()
+
+    enabled = gc.isenabled()
+    try:
+        for caller in (gc.enable, gc.disable):
+            caller()
+            want = gc.isenabled()
+            body(False)
+            assert gc.isenabled() == want
+            with pytest.raises(RuntimeError, match="mid-body"):
+                body(True)
+            assert gc.isenabled() == want
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_counter_counts_combine_and_marginalize():

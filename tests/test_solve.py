@@ -10,10 +10,10 @@ import weakref
 import numpy as np
 import pytest
 
-from infdiag import factors, solve
+from infdiag import diagram, factors, solve
 from infdiag.baseline import potential_ve
 from infdiag.clusters import Cluster, MCDag, assemble, merge_clusters
-from infdiag.diagram import MODES, fixture, parse, random_id
+from infdiag.diagram import MODES, fixture, parse, random_id, serialize
 from infdiag.factors import (
     ChoiceTable,
     InternalError,
@@ -36,7 +36,7 @@ from infdiag.solve import (
     solve_diagram,
 )
 
-from oracles import oracle_argmax, oracle_evaluate, oracle_value
+from oracles import oracle_argmax, oracle_evaluate, oracle_substitute, oracle_value
 
 TOL = 1e-9
 
@@ -373,6 +373,27 @@ def test_substitute_matches_take_along_axis():
         assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("scope, shape, var", [
+    ((4, 1, 3), (2, 3, 2), 1),  # unsorted: the rest is transposed into ascending order
+    ((2, 0, 1), (3, 1, 2), 2),  # the rule's variable first
+    ((0, 5, 2), (1, 2, 1), 5),  # size-1 axes either side
+    ((3, 2), (1, 4), 2),
+    ((7,), (3,), 7),  # a 1-D table: a 0-d array, not a numpy scalar
+    ((7,), (1,), 7),
+], ids=["unsorted", "first", "size1", "size1-last", "1d", "1d-size1"])
+def test_substitute_takes_a_constant_rule_as_a_slice(scope, shape, var):
+    rng = np.random.default_rng(17)
+    arr = rng.random(shape)
+    for value in range(shape[scope.index(var)]):
+        rule = np.array(value, dtype=np.intp)
+        want_scope, want = oracle_substitute(scope, arr, var, (), rule)
+        got_scope, got = _substitute(scope, arr, var, (), rule)
+        assert got_scope == want_scope == tuple(sorted(set(scope) - {var}))
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, arr)  # a view: nothing is copied
+
+
 def test_substitute_rejects_bad_shapes():
     arr = np.array([1.0, 2.0])
     with pytest.raises(InternalError):
@@ -676,6 +697,54 @@ def test_solve_runs_the_message_pass_once(d):
         assert solved.by_kind.get(kind, 0) == alone.by_kind.get(kind, 0), kind
 
 
+def test_parse_and_solve_run_with_the_collector_paused(monkeypatch):
+    # A stage function of each sees the cyclic collector off; the caller's
+    # collector, on, is on again after each.
+    text, seen = serialize(fixture("fig3")), []
+
+    def watched(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return call
+
+    for owner, name in ((diagram, "_validate"), (solve, "macrostructure"),
+                        (solve, "evaluate"), (solve, "extract_policies")):
+        monkeypatch.setattr(owner, name, watched(getattr(owner, name)))
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        d = parse(text)
+        assert gc.isenabled()
+        solve_diagram(d)
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
+    assert seen == [("_validate", False), ("macrostructure", False),
+                    ("evaluate", False), ("extract_policies", False)]
+
+
+def test_parse_and_solve_build_no_reference_cycles():
+    # Why the collector may pause: what parse and solve leave behind is freed
+    # by reference counting alone.  With the collector off throughout, a
+    # collection afterwards finds no unreachable object.
+    ds = list(FOLD_CASES.values()) + pinned_sweep()
+    texts = [serialize(d) for d in ds]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for d, text in zip(ds, texts):
+            parse(text)
+            for with_sets in (False, True):
+                solve_diagram(d, with_sets=with_sets)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_the_node_store_is_released_before_the_message_pass(monkeypatch):
     # The collector is off and never run, so a reference cycle that kept the
     # store alive would fail this too.
@@ -852,22 +921,28 @@ def test_the_passes_give_the_caller_its_buffer_size_back(engine, caller, monkeyp
         np.setbufsize(default)
 
 
-def buffered_solves(ds, bufsize, monkeypatch):
-    """MEU bytes, policies with tie sets and op counts of solving each of
-    `ds` with and without tie sets, its passes at `bufsize` elements."""
-    monkeypatch.setattr(factors, "_BUFSIZE", bufsize)
-    seen = set()
-    monkeypatch.setattr(solve, "fold",
-                        lambda *args: seen.add(np.getbufsize()) or factors.fold(*args))
+def solved_outputs(ds):
+    """MEU bytes, op counts and policies with tie sets of solving each of
+    `ds` with and without tie sets."""
     out = []
     for d in ds:
         for with_sets in (False, True):
             counter = OpCounter()
             run = solve_diagram(d, with_sets=with_sets, counter=counter)
             out.append((np.float64(run.meu).tobytes(), counter.by_kind, [
-                (p.var, p.rule.scope, p.rule.values.tobytes(),
+                (p.var, p.context, p.rule.scope, p.rule.values.tobytes(),
                  None if p.rule.attaining is None else p.rule.attaining.tobytes())
                 for p in run.policies]))
+    return out
+
+
+def buffered_solves(ds, bufsize, monkeypatch):
+    """`solved_outputs(ds)`, the passes at `bufsize` elements."""
+    monkeypatch.setattr(factors, "_BUFSIZE", bufsize)
+    seen = set()
+    monkeypatch.setattr(solve, "fold",
+                        lambda *args: seen.add(np.getbufsize()) or factors.fold(*args))
+    out = solved_outputs(ds)
     assert seen == {bufsize}
     return out
 
@@ -883,3 +958,34 @@ def test_buffer_size_changes_no_bit(d, monkeypatch):
 def test_buffer_size_changes_no_bit_on_the_pinned_sweep(monkeypatch):
     ds = pinned_sweep()
     assert buffered_solves(ds, 16, monkeypatch) == buffered_solves(ds, 8192, monkeypatch)
+
+
+# -- constant rules -----------------------------------------------------------
+
+def gathered_solves(ds, monkeypatch):
+    """`solved_outputs(ds)` with every rule substituted by the oracle's
+    gather, and how many of those rules were constant."""
+    constant = [0]
+
+    def gather(scope, arr, var, rule_scope, rule):
+        constant[0] += not rule_scope
+        return oracle_substitute(scope, arr, var, rule_scope, rule)
+
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_substitute", gather)
+        return solved_outputs(ds), constant[0]
+
+
+@FOLD_DIAGRAMS
+def test_constant_rule_slices_change_no_bit(d, monkeypatch):
+    # A constant rule's slice, a view that may be transposed, gives the
+    # policy pass the same rules, tie sets and op counts as the gather.
+    want, _ = gathered_solves([d], monkeypatch)
+    assert solved_outputs([d]) == want
+
+
+def test_constant_rule_slices_change_no_bit_on_the_pinned_sweep(monkeypatch):
+    ds = pinned_sweep()
+    want, constant = gathered_solves(ds, monkeypatch)
+    assert constant >= 50  # each chain decision takes the last one's constant rule
+    assert solved_outputs(ds) == want

@@ -88,24 +88,33 @@ def test_every_private_name_is_read():
     assert unread_private_names(texts) == []
 
 
-def setbufsize_holders(text: str) -> list[str]:
-    """The module-level statements of `text` that name `setbufsize`, bare or
-    as an attribute: a function or class by its name, any other by its line."""
+def holders(text: str, names: set[str]) -> list[str]:
+    """The module-level statements of `text` that name one of `names`, bare
+    or as an attribute: a function or class by its name, any other by its line."""
     return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(text).body
-            if any(getattr(n, "attr", getattr(n, "id", None)) == "setbufsize"
+            if any(getattr(n, "attr", getattr(n, "id", None)) in names
                    for n in ast.walk(node))]
 
 
 def test_the_check_sees_a_setbufsize_call():
     text = "import numpy as np\n\nnp.setbufsize(64)\n\n\ndef f():\n    return setbufsize\n"
-    assert setbufsize_holders(text) == ["line 3", "f"]
+    assert holders(text, {"setbufsize"}) == ["line 3", "f"]
 
 
 def test_only_small_buffers_sets_the_ufunc_buffer():
     # numpy's ufunc buffer size is process state: the passes set it through
     # `factors.small_buffers` alone, which gives the caller's size back.
-    holders = {path.name: setbufsize_holders(path.read_text()) for path in SOURCES}
-    assert {name: h for name, h in holders.items() if h} == {"factors.py": ["small_buffers"]}
+    found = {path.name: holders(path.read_text(), {"setbufsize"}) for path in SOURCES}
+    assert {name: h for name, h in found.items() if h} == {"factors.py": ["small_buffers"]}
+
+
+def test_only_no_cyclic_gc_switches_the_collector():
+    # The collector is process state too: parse and solve pause it through
+    # `factors.no_cyclic_gc` alone, which gives the caller's state back, and
+    # nothing tunes or freezes it.
+    names = {"disable", "enable", "set_threshold", "freeze", "unfreeze"}
+    found = {path.name: holders(path.read_text(), names) for path in SOURCES}
+    assert {name: h for name, h in found.items() if h} == {"factors.py": ["no_cyclic_gc"]}
 
 
 def unread_parameters(text: str) -> list[str]:
