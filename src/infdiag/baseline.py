@@ -24,6 +24,7 @@ from .clusters import HEURISTICS, find_order
 from .diagram import DiagramError, InfluenceDiagram, sov0
 from .factors import (
     CELL_GUARD,
+    DIM_GUARD,
     FactorError,
     InternalError,
     Op,
@@ -168,8 +169,9 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
     """Reverse-temporal bucket elimination over (p, u) potentials, step by
     step as `_plan` lays it out.
 
-    A diagram whose elimination would combine more than CELL_GUARD cells in
-    one table is refused from the plan's scopes, before any table is built.
+    A diagram whose elimination would combine more than CELL_GUARD cells, or
+    more than DIM_GUARD variables, in one table is refused from the plan's
+    scopes, before any table is built.
     The eliminations run under `small_buffers`.
     """
     if d.mode != "prob":
@@ -182,11 +184,12 @@ def potential_ve(d: InfluenceDiagram, heuristic: str = "min-fill",
             folds = [s.p, s.u] if len(s.slots) > 1 else []
         for scope in folds:
             cells = math.prod(d.sizes[v] for v in scope)
-            if cells > CELL_GUARD:
+            if cells > CELL_GUARD or len(scope) > DIM_GUARD:
                 where = (f"eliminating {d.names[s.x]}" if s.x is not None
                          else "the final product")
-                raise ResourceGuardError(f"potential engine: {where} combines "
-                                         f"{cells} cells (limit {CELL_GUARD})")
+                what = f"{cells} cells (limit {CELL_GUARD})" if cells > CELL_GUARD \
+                    else f"{len(scope)} variables (limit {DIM_GUARD})"
+                raise ResourceGuardError(f"potential engine: {where} combines {what}")
     counter = counter or OpCounter()
     pool: list[Potential | None] = [Potential((t.scope, t.array), ((), np.zeros(())))
                                     for _, t in sorted(d.cpts.items())]

@@ -45,7 +45,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 import orjson
 
-from .factors import CELL_GUARD, Op, ResourceGuardError, ScopedTable, identity, no_cyclic_gc
+from .factors import (CELL_GUARD, DIM_GUARD, Op, ResourceGuardError, ScopedTable, identity,
+                      no_cyclic_gc)
 
 NORMALIZATION_TOL = 1e-9
 
@@ -490,6 +491,9 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             scope = resolve_all(tokens[3:colon], lineno) + (child,)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in PROB scope", lineno)
+            if len(scope) > DIM_GUARD:
+                raise FormatError(
+                    f"PROB scope spans {len(scope)} variables (limit {DIM_GUARD})", lineno)
             table_sizes = tuple(map(size_of, scope))
             start = len(buf)
             _append_floats(buf, values, math.prod(table_sizes), f"PROB {tokens[1]}", lineno)
@@ -511,6 +515,9 @@ def parse(text: str | bytes) -> InfluenceDiagram:
             scope = resolve_all(tokens[2:colon], lineno)
             if len(set(scope)) != len(scope):
                 raise FormatError("repeated variable in UTIL scope", lineno)
+            if len(scope) > DIM_GUARD:
+                raise FormatError(
+                    f"UTIL scope spans {len(scope)} variables (limit {DIM_GUARD})", lineno)
             table_sizes = tuple(map(size_of, scope))
             start = len(buf)
             _append_floats(buf, values, math.prod(table_sizes), f"UTIL {name}", lineno)

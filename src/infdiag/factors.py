@@ -273,6 +273,8 @@ class ScopedTable:
 Part = tuple[tuple[int, ...], np.ndarray]  # (scope, array with one axis per scope variable)
 
 CELL_GUARD = 2 ** 24  # largest union `fold` allocates
+# most variables one array may span: numpy's dimension limit (32 before numpy 2)
+DIM_GUARD = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
 def align(arr: np.ndarray, scope: tuple[int, ...], union: Sequence[int]) -> np.ndarray:
@@ -292,8 +294,8 @@ def fold(parts: Sequence[Part], op: Op, counter: OpCounter) -> Part:
     Two or more parts give the ascending-id union scope and a C-contiguous
     array, so a later reduction sums in a fixed order.  One part comes back
     as it is.  No part is an internal error: every cluster and potential
-    step folds at least one.  A union over more than CELL_GUARD cells is
-    refused before anything is allocated.
+    step folds at least one.  A union over more than CELL_GUARD cells, or
+    more than DIM_GUARD variables, is refused before anything is allocated.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"{op} is not a combination operator")
@@ -312,6 +314,9 @@ def fold(parts: Sequence[Part], op: Op, counter: OpCounter) -> Part:
     full = math.prod(size_of.values())
     if full > CELL_GUARD:
         raise ResourceGuardError(f"combination over {full} cells (limit {CELL_GUARD})")
+    if len(union) > DIM_GUARD:
+        raise ResourceGuardError(
+            f"combination over {len(union)} variables (limit {DIM_GUARD})")
     ufunc, kind = _UFUNC[op], _KIND[op]
     scope, arr = parts[0]
     acc = align(arr, scope, union)

@@ -136,6 +136,13 @@ class NodeStore:
         # Single-MAX nodes proved to hold no group with a single-MAX member
         # of their own comb: recompose-max has nothing to merge in them.
         self._no_nested_max: set[int] = set()
+        # One-slot memos of facts a decision rule proved for the last node
+        # it built (ids are never reused, so a fact read for the same id
+        # holds): the root decompose-max built, with the comb of its groups;
+        # the node recompose-max merged, with its block's mask and, when all
+        # its children were proved groups of one comb, that comb.
+        self._root_comb: tuple[int, Op | None] = (-1, None)
+        self._merged_max: tuple[int, int, Op | None] = (-1, 0, None)
 
     def scope(self, nid: int) -> frozenset[int]:
         return bits(self._scopes[nid])

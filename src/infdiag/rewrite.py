@@ -90,6 +90,18 @@ max of its own comb; a merge that keeps exactly the nested node's groups
 distinctness checks run only where they can fire: over new groups when
 other members are merged in, and against siblings when there are any.
 
+The two decision rules also carry what they proved about the last node
+each built, in one-slot memos on the store, so a step does not read again
+what the step before it built.  Ids are never reused, so a fact read back
+for the same id still holds; any other node is checked as before.
+Decompose-max keeps the comb of the root it built, whose children are the
+groups it checked and its wrapper, a group of that comb: on `star(n)` the
+next step does not read the n root groups again.  Recompose-max keeps the
+block mask of the node it merged and, when that node has no sibling group,
+the comb of its groups (each one of the nested node's groups, checked, or
+built under that comb): on `chain(n)` each step nests the node the step
+before merged, whose block and groups grow to n, and reads neither again.
+
 Hoisting a common factor out of a max is only sound when the factor cannot
 be negative.  Probability-derived factors (every atomic descendant is a
 conditional table or its possibilistic complement, i.e. has `cpt_for` set)
@@ -182,6 +194,13 @@ def _without(sov: SovPairs, x: int) -> SovPairs:
     i = last.index(x)
     rest = last[:i] + last[i + 1:]
     return sov[:-1] + (((marg, rest),) if rest else ())
+
+
+def _block_mask(store: NodeStore, nid: int) -> int:
+    """The mask of the one block of the single-MAX node `nid`: carried from
+    the merge that built it when it is the last node merged, else read."""
+    merged, mask, _ = store._merged_max
+    return mask if merged == nid else mask_of(store.nodes[nid].sov[0][1])
 
 
 def _prob_derived(store: NodeStore, nid: int, memo: dict[int, bool]) -> bool:
@@ -355,11 +374,14 @@ def decompose_max(store: NodeStore, root: int, x: int, trace: RewriteTrace
     new_sov = _without(node.sov, x)
     scopes = store._scopes
     kids = node.children
-    comb = _groups_comb(store, kids)
+    built, comb = store._root_comb
+    if built != root:
+        comb = _groups_comb(store, kids)
     bit = 1 << x
-    plus = list(compress(kids, map(and_, map(scopes.__getitem__, kids), repeat(bit))))
+    plus = [k for k in kids if scopes[k] & bit]
     if not plus:
         out = store.intern(new_sov, node.comb, kids, scope=scopes[root])
+        store._root_comb = (out, comb)
         _emit(trace, "decompose-max", root, out, var=x)
         return out, None, None
     common = set(store.nodes[plus[0]].children).intersection(*_children(store, plus[1:]))
@@ -387,6 +409,8 @@ def decompose_max(store: NodeStore, root: int, x: int, trace: RewriteTrace
     minus = _others(kids, plus)
     minus.append(wrapper)
     out = store.intern(new_sov, node.comb, minus, scope=scopes[root])
+    # checked groups of `comb` and the wrapper, itself a group of `comb`
+    store._root_comb = (out, comb)
     _emit(trace, "decompose-max", root, out, var=x, inner=inner)
     return out, inner, wrapper
 
@@ -417,12 +441,14 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
             proved.add(nid)
             return nid  # no group holds a nested max to merge
         # the first single-block MAX member over this node's comb, in group and
-        # member order, whose block nothing in sight mentions
-        blocked = scopes[nid] | mask_of(block)
+        # member order, whose block nothing in sight mentions; `sub_mask` is
+        # left holding that block's mask
+        block_mask = _block_mask(store, nid)
+        blocked = scopes[nid] | block_mask
         hit = next(((gid, gn_children, m) for gid, gn_children in zip(groups, members)
                     for m in compress(gn_children, map(is_, map(max_combs.__getitem__, gn_children),
                                                        repeat(node.comb)))
-                    if not blocked & mask_of(store.nodes[m].sov[0][1])), None)
+                    if not blocked & (sub_mask := _block_mask(store, m))), None)
         if hit is None:
             return nid
         gid, gn_children, m = hit
@@ -431,7 +457,9 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
         siblings = list(filter(gid.__ne__, kids))
         n2 = list(filter(m.__ne__, gn_children))
         _require_nonneg(store, n2, "recompose-max")
-        _groups_comb(store, subs, gcomb)
+        merged, _, merged_comb = store._merged_max
+        if merged != m or merged_comb is not gcomb:
+            _groups_comb(store, subs, gcomb)
         if n2:  # otherwise each merged group is `sub` itself
             n2_set, n2_scope = set(n2), _union(store, n2)
             new_groups = []
@@ -449,6 +477,9 @@ def recompose_max(store: NodeStore, nid: int, trace: RewriteTrace) -> int:
             raise InternalError("recompose-max collided with a sibling group")
         out = store.intern(((Op.MAX, tuple(sorted(block + sub_block))),), node.comb,
                            kids, scope=scopes[nid])
+        # without siblings every child is a group of `gcomb`: built so, or
+        # one of `subs`, checked above or when `m` was merged
+        store._merged_max = (out, block_mask | sub_mask, None if siblings else gcomb)
         _emit(trace, "recompose-max", nid, out)
         if not (siblings or n2) and m in proved:
             proved.add(out)

@@ -38,6 +38,7 @@ from .diagram import MODES, InfluenceDiagram
 # CELL_GUARD through this module's name, so it can be lowered apart from fold's.
 from .factors import (  # noqa: F401
     CELL_GUARD,
+    DIM_GUARD,
     ChoiceTable,
     InternalError,
     Op,
@@ -108,11 +109,12 @@ class Schedule:
 def plan(m: MCDag, d: InfluenceDiagram) -> Schedule:
     """The schedule of `m`.  Refused first, as too large: a cluster of two or
     more parts whose scope `V`, the union it folds, spans over CELL_GUARD
-    cells.  Decision `x`'s table spans its cluster's `V`; while that holds a
-    decision that `x` does not observe, the smallest, `y`, goes in: the
-    scope becomes its union with `y`'s retained scope (`y`'s own after its
-    substitutions), less `y`, and is refused past CELL_GUARD.  The internal
-    errors follow, and last those of `_scope_walk`."""
+    cells or over DIM_GUARD variables.  Decision `x`'s table spans its
+    cluster's `V`; while that holds a decision that `x` does not observe,
+    the smallest, `y`, goes in: the scope becomes its union with `y`'s
+    retained scope (`y`'s own after its substitutions), less `y`, and is
+    refused past either guard.  The internal errors follow, and last those
+    of `_scope_walk`."""
     decisions, sizes = set(d.decision_ids), d.sizes
     cluster_of: dict[int, Cluster] = {}
     mentioned: set[int] = set()
@@ -123,6 +125,9 @@ def plan(m: MCDag, d: InfluenceDiagram) -> Schedule:
             if cells > CELL_GUARD:
                 raise ResourceGuardError(
                     f"cluster {cid} combines {cells} cells (limit {CELL_GUARD})")
+            if len(V) > DIM_GUARD:
+                raise ResourceGuardError(
+                    f"cluster {cid} combines {len(V)} variables (limit {DIM_GUARD})")
         mentioned |= V & decisions
         if ops[0] is Op.MAX and elim:
             (x,) = elim
@@ -151,6 +156,9 @@ def plan(m: MCDag, d: InfluenceDiagram) -> Schedule:
             if cells > CELL_GUARD:
                 raise ResourceGuardError(
                     f"substituting decision {y} spans {cells} cells (limit {CELL_GUARD})")
+            if len(scope) > DIM_GUARD:
+                raise ResourceGuardError(f"substituting decision {y} spans {len(scope)} "
+                                         f"variables (limit {DIM_GUARD})")
             later.append(y)
         stray = sorted(v for v in scope if v != x and v not in pa)
         if stray:

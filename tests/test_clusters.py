@@ -23,7 +23,8 @@ from infdiag.factors import InternalError, Op, ResourceGuardError, ScopedTable
 from infdiag.nodes import NodeStore, initial_node, reachable, store_for
 from infdiag.rewrite import macrostructure
 from oracles import child_scopes, oracle_order, oracle_width, width_of_order
-from test_rewrite import _sweep
+from test_rewrite import _hmm, _sweep
+from test_solve import FOLD_CASES, pinned_sweep
 
 R1, R2, D = 0, 1, 2  # fig2 variable ids
 
@@ -444,6 +445,22 @@ def test_assemble_refuses_a_variable_no_child_mentions():
         clusterize(store, pair, (0, 2), [], {})
 
 
+def test_a_routed_order_refuses_a_variable_no_child_mentions(monkeypatch):
+    # Routed, the same refusal names the same variable, after the same
+    # clusters: the ones eliminating the variables before it.
+    store = NodeStore([2] * 4)
+    atoms = [store.atomic(table((v,), [2] * 4)) for v in (0, 1, 3)]
+    node = store.intern([(Op.SUM, (0, 1, 2, 3))], Op.TIMES, atoms)
+    built = {}
+    for route_min in (1, 10 ** 9):
+        monkeypatch.setattr(clusters, "ROUTE_MIN", route_min)
+        built[route_min] = []
+        with pytest.raises(InternalError, match="variable 2 is eliminated but no child"):
+            clusterize(store, node, (1, 0, 2, 3), built[route_min], {})
+    assert [c.elim for c in built[1]] == [(1,), (0,)]
+    assert _records(MCDag(tuple(built[1]), 0)) == _records(MCDag(tuple(built[10 ** 9]), 0))
+
+
 def _width_diagrams():
     ds = _sweep()
     ds += [fixture(name, n=n) for name in ("chain", "star")
@@ -550,6 +567,68 @@ def test_find_order_calls_do_not_grow_with_the_family(family, monkeypatch):
     assert len(set(counts)) == 1
     if family == "star":
         assert counts[0] == 0
+
+
+# -- routing long orders ----------------------------------------------------------
+
+def _records(m):
+    """Every field of every cluster, tables by identity, then root and width."""
+    return ([(c.id, c.V, tuple(map(id, c.psi)), c.sons, c.elim, c.ops) for c in m.clusters],
+            m.root, m.w_mcdag)
+
+
+def _routing_diagrams():
+    ds = list(FOLD_CASES.values()) + pinned_sweep()
+    ds += [fixture(f, n) for f in ("chain", "star") for n in (16, 64, 128)]
+    return ds + [parse(_hmm(200))]
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_routing_builds_the_clusters_the_scan_builds(heuristic, monkeypatch):
+    # A long order routes each part once, a short one scans the pending parts
+    # per variable.  Routing every order (threshold 1) and scanning every
+    # order (threshold above all) must build the same records, tables and
+    # sons in the same order.
+    long_orders = 0
+    for d in _routing_diagrams():
+        store, root = macro_root(d)
+        long_orders += max(node_vars(store, root).values(), default=0) >= clusters.ROUTE_MIN
+        monkeypatch.setattr(clusters, "ROUTE_MIN", 1)
+        m = assemble(store, root, heuristic)
+        monkeypatch.setattr(clusters, "ROUTE_MIN", 10 ** 9)
+        assert _records(m) == _records(assemble(store, root, heuristic)), d.names
+        monkeypatch.undo()
+    assert long_orders >= 4
+
+
+class _Tested(int):
+    """A stored scope that counts each `&` it takes part in: how `clusterize`
+    tests a part against a bucket."""
+
+    tests = 0
+
+    def __and__(self, other):
+        _Tested.tests += 1
+        return int(self) & other
+
+    __rand__ = __and__
+
+
+@pytest.mark.parametrize("family", ["chain", "hmm"])
+def test_long_orders_route_each_part_in_linear_python_work(family):
+    # chain(n)'s merged MAX block and hmm(n)'s merged sum node eliminate
+    # about n variables over about n children.  Scanning every pending part
+    # per variable tested the children's scopes about n²/2 times; routing
+    # tests each once.  Doubling n must about double the tests, not
+    # quadruple them.
+    tests = {}
+    for n in (128, 256):
+        store, root = macro_root(fixture("chain", n) if family == "chain" else parse(_hmm(n)))
+        store._scopes = list(map(_Tested, store._scopes))
+        _Tested.tests = 0
+        assemble(store, root)
+        tests[n] = _Tested.tests
+    assert 0 < tests[128] <= tests[256] <= 2.2 * tests[128], tests
 
 
 # -- merging ------------------------------------------------------------------

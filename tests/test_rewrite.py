@@ -358,6 +358,61 @@ def test_recompose_max_gates():
         recompose_max(store, node2, [])
 
 
+def test_decompose_max_checks_every_root_but_the_one_it_built():
+    # Decompose-max reads the comb of the root it built last from the
+    # store's one-slot memo.  Any other root is checked in full: a non-group
+    # child, or groups of two combs, are refused as before with the memo
+    # set, and a refused step leaves the memo as it was.
+    store = NodeStore((2, 2))
+    u = store.atomic(ScopedTable((0,), (2,), np.array([1.0, 2.0]), name="u"))
+    v = store.atomic(ScopedTable((1,), (2,), np.array([0.5, 3.0]), name="v"))
+    g, h = store.intern([], Op.TIMES, [u]), store.intern([], Op.TIMES, [v])
+    root = store.intern([(Op.MAX, (0, 1))], Op.PLUS, [g, h])
+    out, _, _ = decompose_max(store, root, 1, [])
+    assert store._root_comb == (out, Op.TIMES)
+    kids = list(store.nodes[out].children)
+    sov = store.nodes[out].sov
+    for planted in (v, store.intern([], Op.MAX, [v])):  # an atom; a group of another comb
+        bad = store.intern(sov, Op.PLUS, kids + [planted])
+        with pytest.raises(InternalError, match="is not a combination group"):
+            decompose_max(store, bad, 0, [])
+        assert store._root_comb == (out, Op.TIMES)
+    nxt, _, _ = decompose_max(store, out, 0, [])
+    assert store._root_comb == (nxt, Op.TIMES)
+
+
+def test_recompose_max_checks_every_nested_max_but_the_one_it_merged():
+    # Recompose-max reads the block mask of the node it merged last, and the
+    # comb it proved for that node's groups, from the store's one-slot memo.
+    # A nested max with groups of two combs is refused as before with the
+    # memo set, and so is the merged node itself under a group of another
+    # comb, which the memo's comb does not cover.
+    store = NodeStore((2, 2, 2, 2))  # decisions 0, 1, 2, 3
+    u = {i: store.atomic(ScopedTable((i,), (2,), np.array([0.2 + i, 0.9]), name=f"u{i}"))
+         for i in (1, 2, 3)}
+    nested = store.intern([(Op.MAX, (2,))], Op.PLUS, [store.intern([], Op.TIMES, [u[2]])])
+    node = store.intern([(Op.MAX, (1,))], Op.PLUS, [store.intern([], Op.TIMES, [nested])])
+    merged = recompose_max(store, node, [])
+    assert store.nodes[merged].sov == ((Op.MAX, (1, 2)),)
+    assert store._merged_max == (merged, 0b110, Op.TIMES)
+    memo = store._merged_max
+    mixed = store.intern([(Op.MAX, (3,))], Op.PLUS,
+                         [store.intern([], Op.TIMES, [u[3]]), store.intern([], Op.MAX, [u[1]])])
+    for nested_max, comb in ((mixed, Op.TIMES), (merged, Op.MAX)):
+        outer = store.intern([(Op.MAX, (0,))], Op.PLUS,
+                             [store.intern([], comb, [nested_max])])
+        with pytest.raises(InternalError, match="is not a combination group"):
+            recompose_max(store, outer, [])
+        assert store._merged_max == memo
+    # under a group of its own comb the merged node merges on, unchecked
+    outer = store.intern([(Op.MAX, (0,))], Op.PLUS, [store.intern([], Op.TIMES, [merged])])
+    trace = []
+    out = recompose_max(store, outer, trace)
+    assert store.nodes[out].sov == ((Op.MAX, (0, 1, 2)),)
+    assert store._merged_max == (out, 0b111, Op.TIMES)
+    check_trace(store, trace, np.random.default_rng(0))
+
+
 # x is observed before d and, through its table, tells d about y: the table
 # of x has a variable in a block inner to x's, so x is not barren.
 OBSERVED_BEFORE_A_DECISION = """\
@@ -765,6 +820,44 @@ def test_decision_steps_read_group_members_in_linear_python_work(monkeypatch):
             monkeypatch.setattr(rewrite, "_children", children)
             reads[n] = count[0]
         assert 0 < reads[128] <= reads[256] <= 2.2 * reads[128], (name, reads)
+
+
+def test_decision_steps_read_block_variables_and_group_combs_in_linear_python_work(
+        monkeypatch):
+    # On chain(n) each merge nests the last merged node, whose block and
+    # groups grow to n; on star(n) each decompose-max root holds n groups.
+    # The rules read the merged node's block mask and proved comb, and the
+    # comb of the root decompose-max built, from the store's one-slot memos
+    # instead of reading those n ids again at every step.  Doubling n must
+    # about double the variable ids `mask_of` reads and the group ids
+    # `_groups_comb` reads, not quadruple them.
+    mask_of, groups_comb = rewrite.mask_of, rewrite._groups_comb
+    for name in ("chain", "star"):
+        reads = {}
+        for n in (128, 256):
+            d = fixture(name, n=n)
+            store = store_for(d)
+            root = initial_node(store, d)
+            count = {"mask_of": 0, "_groups_comb": 0}
+
+            def counting_mask(vs, count=count):
+                vs = list(vs)
+                count["mask_of"] += len(vs)
+                return mask_of(vs)
+
+            def counting_combs(store, gids, comb=None, count=count):
+                count["_groups_comb"] += len(gids)
+                return groups_comb(store, gids, comb)
+
+            monkeypatch.setattr(rewrite, "mask_of", counting_mask)
+            monkeypatch.setattr(rewrite, "_groups_comb", counting_combs)
+            macrostructure(store, root)
+            monkeypatch.setattr(rewrite, "mask_of", mask_of)
+            monkeypatch.setattr(rewrite, "_groups_comb", groups_comb)
+            reads[n] = count
+        assert reads[128]["_groups_comb"] > 0, name
+        for key in reads[128]:
+            assert reads[128][key] <= reads[256][key] <= 2.2 * reads[128][key], (name, reads)
 
 
 def _hmm(n: int) -> str:
